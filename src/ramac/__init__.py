@@ -66,7 +66,7 @@ from .exponents import (
     gallager_reference_exponent,
     subset_exponent,
 )
-from .infometrics import MiQuery, conditional_mi, conditional_mi_chain
+from .infometrics import MiQuery, conditional_mi
 from .regions import (
     C1Report,
     FeasibilityReport,
@@ -82,7 +82,6 @@ from .regions import (
     subsets_containing,
 )
 from .sim import (
-    CaseReport,
     CODEWORD_GUARD,
     OUTPUT_ENUM_GUARD,
     Z99,

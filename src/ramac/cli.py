@@ -258,17 +258,18 @@ def _cmd_simulate(args) -> int:
         class_map=system.class_map if system.cfg.mode == "class" else None,
         params=system.cfg.thresholds, cfg=system.cfg.optimizer, bound=bound,
         freeze_codebooks=args.freeze_codebooks,
-        batch_size=system.cfg.defaults.batch_size,
-        force_general=args.force_general)
+        batch_size=system.cfg.defaults.batch_size)
     record = {"command": "simulate", "scenario": system.cfg.name,
               "report": report}
     jpath, cpath = _out_paths(system, "simulate", args.out_dir)
     cfgmod.write_record(jpath, record)
     rows = [[list(c.rate_indices), c.channel_id, c.in_region, c.trials,
-             c.errors, c.rate, c.std, c.half_width99] for c in report.cases]
+             c.errors, c.decoded_correct, c.decoded_wrong, c.collision,
+             c.rate, c.std, c.half_width99] for c in report.cases]
     cfgmod.write_table(cpath,
                        ["rate_indices", "channel", "in_region", "trials",
-                        "errors", "rate", "std", "half_width99"], rows)
+                        "errors", "decoded_correct", "decoded_wrong",
+                        "collision", "rate", "std", "half_width99"], rows)
     line = (f"system error {report.system_error_rate:.6g} "
             f"(+-{report.system_half_width99:.2g} at 99%) over "
             f"{len(report.cases)} cases x {trials} trials at N={n}")
@@ -392,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--freeze-codebooks", action="store_true")
-    p.add_argument("--force-general", action="store_true",
-                   help="skip the vectorized single-user path")
     p.add_argument("--no-bound", action="store_true",
                    help="skip the analytic bound comparison")
     p.set_defaults(fn=_cmd_simulate)

@@ -2,9 +2,9 @@
 
 conditional_mi computes I(X_Sc; Y | X_S) in nats for a channel driven by
 independent per-user input laws, where S is the conditioning user set and Sc
-its complement. Two independent evaluation paths are provided: a direct joint
-expectation and a chain-rule decomposition via conditional entropies; the test
-suite holds them to 1e-10 of each other.
+its complement, as a direct joint expectation. The test suite holds it to
+1e-10 of two loop-based oracles in tests/oracles.py: direct summation and the
+chain rule H(Y | X_S) - H(Y | X).
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ def _joint(q: MiQuery) -> np.ndarray:
     return joint
 
 
-def _plogp_sum(p: np.ndarray) -> float:
-    """sum p log p with 0 log 0 = 0."""
-    logp = safe_log(p)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(p > 0, p * logp, 0.0)
-    return float(terms.sum())
-
-
 def conditional_mi(q: MiQuery) -> float:
     """I(X_Sc; Y | X_S) by direct joint evaluation.
 
@@ -72,23 +64,3 @@ def conditional_mi(q: MiQuery) -> float:
         log_full = safe_log(ch.probs)  # log p(y | x)
         terms = np.where(joint > 0, joint * (log_full - log_cond), 0.0)
     return max(0.0, float(terms.sum()))
-
-
-def conditional_mi_chain(q: MiQuery) -> float:
-    """Same quantity via the chain rule H(Y | X_S) - H(Y | X).
-
-    Kept as an independent code path for cross-validation.
-    """
-    ch = q.channel
-    sc_axes = tuple(u - 1 for u in range(1, ch.num_users + 1) if u not in q.subset)
-    if not sc_axes:
-        return 0.0
-    joint = _joint(q)
-    joint_s = joint.sum(axis=sc_axes)
-    # H(Y | X_S) = H(X_S, Y) - H(X_S)
-    h_sy = -_plogp_sum(joint_s)
-    h_s = -_plogp_sum(joint_s.sum(axis=-1))
-    # H(Y | X) = H(X, Y) - H(X)
-    h_xy = -_plogp_sum(joint)
-    h_x = -_plogp_sum(joint.sum(axis=-1))
-    return max(0.0, (h_sy - h_s) - (h_xy - h_x))

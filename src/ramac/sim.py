@@ -19,6 +19,7 @@ bit-identically from per-(user, rate, message) keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -47,7 +48,12 @@ from .regions import OperationRegion, pair_universe, proper_subsets
 
 CODEWORD_GUARD = 10 ** 6
 OUTPUT_ENUM_GUARD = 2 ** 20
+# Trials per block of Monte Carlo draws: block b of case c draws from the
+# Philox streams keyed (role, c, b), whatever batch_size the decoder uses.
+_STREAM_BLOCK = 4096
 Z99 = statistics.NormalDist().inv_cdf(0.995)
+# Cap on the (trial, candidate, symbol or cell) entries decide() holds at once.
+_DECIDE_ELEMENTS = 2 ** 16
 
 # Stream roles for counter-based randomness.
 _ROLE_CODEBOOK = 0
@@ -62,13 +68,21 @@ def message_count(n: int, rate: float) -> int:
     return max(1, math.floor(math.exp(n * rate) + 1e-9))
 
 
-def _cum(law: np.ndarray) -> np.ndarray:
-    return np.cumsum(law)
-
-
 def _symbols_from_uniform(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cum, u, side="right")
     return np.minimum(idx, len(cum) - 1).astype(np.int64)
+
+
+def _ordered_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows @ weights over the last axis, summed term by term from the left.
+
+    A BLAS product rounds by blocks laid out by batch shape, so equal rows can
+    differ in the last bit; this sum gives a row one value in any batch.
+    """
+    out = np.zeros(rows.shape[:-1])
+    for j, w in enumerate(weights):
+        out += rows[..., j] * w
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +120,7 @@ def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
     entries = {}
     for u in range(1, table.num_users + 1):
         for i in range(1, table.num_classes + 1):
-            cum = _cum(laws.law(u, i))
+            cum = np.cumsum(laws.law(u, i))
             if cum.shape != (input_size,):
                 raise ValidationError("law length differs from the input alphabet")
             m = message_count(n, table.rate(u, i))
@@ -204,7 +218,7 @@ class ThresholdTables:
     spread: float
     comp_pair: Optional[tuple]
 
-    @property
+    @functools.cached_property
     def coeff(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             raw = -(self.log_a + self.rho_tilde * self.log_b - self.log_c)
@@ -217,14 +231,16 @@ class ThresholdTables:
     def const(self) -> float:
         return -self.rho_tilde * self.rate_sum / (self.s1 + self.s2)
 
-    def tau(self, y_counts: np.ndarray, n: int) -> float:
+    def taus(self, y_counts: np.ndarray, n: int) -> np.ndarray:
+        """tau for each row of (T, output_size) symbol counts: -inf where an
+        observed symbol has a -inf coefficient, else +inf where one has a
+        +inf coefficient, else the closed form."""
         coeff = self.coeff
-        active = y_counts > 0
-        if np.any(active & np.isneginf(coeff)):
-            return NEG_INF
-        if np.any(active & np.isposinf(coeff)):
-            return math.inf
-        return float(y_counts @ np.where(np.isfinite(coeff), coeff, 0.0)) / n + self.const
+        tau = _ordered_dot(y_counts, np.where(np.isfinite(coeff), coeff, 0.0)) / n \
+            + self.const
+        for value in (math.inf, NEG_INF):  # -inf last: it overrides +inf
+            tau = np.where((y_counts[:, coeff == value] > 0).any(axis=1), value, tau)
+        return tau
 
 
 def _spread(tensor_with_laws: np.ndarray, subset_axes) -> float:
@@ -324,7 +340,7 @@ def typicality_threshold(y: Sequence[int], rate_vector: RateVectorIndex,
                 f"{name} expectation underflows at an observed symbol"
             )
     counts = np.bincount(y, minlength=tables.log_a.shape[0]).astype(float)
-    return ThresholdResult(tables.tau(counts, len(y)), tables)
+    return ThresholdResult(float(tables.taus(counts[None, :], len(y))[0]), tables)
 
 
 def tau_by_bisection(y: Sequence[int], tables: ThresholdTables, n: int,
@@ -377,32 +393,19 @@ class _ScoreContext:
 
     def __init__(self, flat_log: np.ndarray):
         vals, inverse = np.unique(flat_log, return_inverse=True)
-        self.inverse = inverse.astype(np.int64)
-        self.values = vals
         self.dead = np.isneginf(vals)
         self.live = ~self.dead
         self.live_values = vals[self.live]
         # one-hot cells -> value groups, for batched matmul grouping
         self.onehot = np.zeros((flat_log.size, vals.size))
-        self.onehot[np.arange(flat_log.size), self.inverse] = 1.0
-
-    def score(self, counts: np.ndarray) -> float:
-        grouped = np.bincount(self.inverse, weights=counts,
-                              minlength=self.values.size)
-        if self.dead.any() and (grouped[self.dead] > 0).any():
-            return NEG_INF
-        return float(grouped[self.live] @ self.live_values)
+        self.onehot[np.arange(flat_log.size), inverse] = 1.0
 
     def score_rows(self, flat_counts: np.ndarray) -> np.ndarray:
-        grouped = flat_counts @ self.onehot
-        out = grouped[:, self.live] @ self.live_values
+        grouped = flat_counts @ self.onehot  # integer sums: exact in any order
+        out = _ordered_dot(grouped[:, self.live], self.live_values)
         if self.dead.any():
             out = np.where((grouped[:, self.dead] > 0).any(axis=1), NEG_INF, out)
         return out
-
-
-def _score_context(flat_log: np.ndarray) -> _ScoreContext:
-    return _ScoreContext(flat_log)
 
 
 @dataclass(frozen=True)
@@ -458,29 +461,48 @@ class SlotDecoder:
             if cid not in self.channels:
                 raise ValidationError(f"region references unknown id {cid!r}")
         self.subsets = tuple(proper_subsets(self.num_users))
-        universe = pair_universe(table, self.ids)
-        self.out_pairs = region.complement(universe)
-        self.log_tested = {}
-        self.log_rival = {}
+        self.out_pairs = region.complement(pair_universe(table, self.ids))
         self.tested_ctx = {}
         self.rival_ctx = {}
         for cid, ch in self.channels.items():
             if isinstance(ch, Dmc):
-                flat = safe_log(ch.probs).reshape(-1)
-                self.log_tested[cid] = flat
-                self.log_rival[cid] = flat
-                self.tested_ctx[cid] = _score_context(flat)
-                self.rival_ctx[cid] = self.tested_ctx[cid]
+                self.tested_ctx[cid] = self.rival_ctx[cid] = _ScoreContext(
+                    safe_log(ch.probs).reshape(-1))
             else:
-                self.log_tested[cid] = safe_log(ch.pmin).reshape(-1)
-                self.log_rival[cid] = safe_log(ch.pmax).reshape(-1)
-                self.tested_ctx[cid] = _score_context(self.log_tested[cid])
-                self.rival_ctx[cid] = _score_context(self.log_rival[cid])
+                self.tested_ctx[cid] = _ScoreContext(safe_log(ch.pmin).reshape(-1))
+                self.rival_ctx[cid] = _ScoreContext(safe_log(ch.pmax).reshape(-1))
         self.message_counts = {}
         for u in range(1, self.num_users + 1):
             for i in range(1, table.num_classes + 1):
                 self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
+        self._lay_out_candidates()
         self.thresholds = self._build_thresholds(cfg)
+
+    def _lay_out_candidates(self):
+        """Candidate order of decide(): region rate vectors in first-member
+        order, their message tuples in itertools.product order, each under the
+        vector's region channels in id order. A group (message tuple, rate
+        vector) is a run of candidates; groups are numbered in this order."""
+        by_rates = {}
+        for rvi, cid in self.region.members:
+            by_rates.setdefault(rvi.indices, (rvi, []))[1].append(cid)
+        self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
+        self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
+        cands = []  # (group, id index, pair index) per candidate
+        groups = 0
+        for rvi, cids in by_rates.values():
+            cids = tuple(sorted(cids, key=self.ids.index))
+            dims = tuple(self.message_counts[(u, rvi.index(u))]
+                         for u in range(1, self.num_users + 1))
+            self._blocks[rvi.indices] = (rvi, dims, groups, cids)
+            cands += [(g, self.ids.index(cid), len(self._pairs) + j)
+                      for g in range(groups, groups + math.prod(dims))
+                      for j, cid in enumerate(cids)]
+            self._pairs += [(rvi.indices, cid) for cid in cids]
+            groups += math.prod(dims)
+        self._group_of, self._cid_of, self._pair_of = np.array(
+            cands, dtype=np.int64).reshape(-1, 3).T
+        self._group_starts = np.flatnonzero(np.diff(self._group_of, prepend=-1))
 
     def _build_thresholds(self, cfg) -> dict:
         """For each (in pair, subset): pick the matching out pair minimizing
@@ -515,18 +537,12 @@ class SlotDecoder:
                     (o_star[0].indices, o_star[1]))
         return out
 
-    def tau(self, pair_key, subset, y_counts) -> float:
-        tables = self.thresholds[(pair_key, subset)]
-        if tables is None:
-            return math.inf
-        return tables.tau(y_counts, self.n)
-
     def _cell_counts(self, rows, y) -> np.ndarray:
         code = np.zeros(len(y), dtype=np.int64)
         for row in rows:
             code = code * self.input_size + row
         code = code * self.output_size + y
-        return np.bincount(code, minlength=self.cells).astype(float)
+        return np.bincount(code, minlength=self.cells)[None, :]
 
     def decode(self, y, codebooks) -> Decision:
         y = np.asarray(y, dtype=np.int64)
@@ -541,15 +557,11 @@ class SlotDecoder:
                 rows = [codebooks.codeword(u, rvi.index(u), msgs[u - 1])
                         for u in range(1, self.num_users + 1)]
                 counts = self._cell_counts(rows, y)
-                tested = self.tested_ctx[cid].score(counts)
+                tested = self.tested_ctx[cid].score_rows(counts)[0]
                 rival = tested if self.mode == "finite" \
-                    else self.rival_ctx[cid].score(counts)
+                    else self.rival_ctx[cid].score_rows(counts)[0]
                 scored.append((msgs, rvi, cid, tested, rival))
-        taus = {}
-        for rvi, cid in self.region.members:
-            for subset in self.subsets:
-                taus[((rvi.indices, cid), subset)] = self.tau(
-                    (rvi.indices, cid), subset, y_counts)
+        taus = {key: self._taus(key, y_counts[None, :])[0] for key in self.thresholds}
         estimates = {}
         diagnostics = []
         for subset in self.subsets:
@@ -603,6 +615,107 @@ class SlotDecoder:
             return None, n_typical
         return (best[0], best[1], best[2]), n_typical
 
+    def group_ids(self, rvi: RateVectorIndex, messages: np.ndarray) -> np.ndarray:
+        """Group id of each row of (T, K) message tuples sent at rvi: what
+        decide() reports when it decodes them, -1 if rvi is not in the region."""
+        messages = np.asarray(messages, dtype=np.int64)
+        if rvi.indices not in self._blocks:
+            return np.full(messages.shape[0], -1, dtype=np.int64)
+        _, dims, first, _ = self._blocks[rvi.indices]
+        return first + np.ravel_multi_index(tuple(messages.T), dims)
+
+    def decide(self, ys: np.ndarray, books: Mapping) -> tuple:
+        """The decisions of decode() for a batch of received words.
+
+        ys is (T, n); books maps (user, rate index) to (T, m, n) codewords,
+        one codebook per trial (a broadcast view shares one). Returns two (T,)
+        arrays: the decoded group id (see group_ids) and the decoded channel's
+        index in ids, both -1 where the slot is a collision.
+        """
+        ys = np.asarray(ys, dtype=np.int64)
+        if ys.ndim != 2 or ys.shape[1] != self.n:
+            raise ValidationError(f"received words must have length {self.n}")
+        size, b = ys.shape[0], self.output_size
+        if not self._pairs:
+            return np.full(size, -1), np.full(size, -1)
+        step = max(1, _DECIDE_ELEMENTS // (self._group_of.size * max(self.n, self.cells)))
+        if size > step:
+            parts = [self.decide(ys[lo:lo + step],
+                                 {key: v[lo:lo + step] for key, v in books.items()})
+                     for lo in range(0, size, step)]
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        y_counts = np.bincount((np.arange(size)[:, None] * b + ys).ravel(),
+                               minlength=size * b).reshape(size, b).astype(float)
+
+        def scores(ctx, cids, counts):
+            return np.stack([ctx[cid].score_rows(counts) for cid in cids],
+                            axis=1).reshape(size, -1)
+
+        tested, rival = [], []
+        for rvi, dims, _, cids in self._blocks.values():
+            counts = self._cell_counts_batch(rvi, dims, ys, books)
+            tested.append(scores(self.tested_ctx, cids, counts))
+            if self.mode == "class":
+                rival.append(scores(self.rival_ctx, cids, counts))
+        tested = np.concatenate(tested, axis=1)
+        rival = np.concatenate(rival, axis=1) if rival else tested
+        group, channel = self._subset_decisions(self.subsets[0], y_counts, tested, rival)
+        for subset in self.subsets[1:]:
+            g, c = self._subset_decisions(subset, y_counts, tested, rival)
+            agree = (g == group) & (c == channel)
+            group, channel = np.where(agree, group, -1), np.where(agree, channel, -1)
+        return group, channel
+
+    def _subset_decisions(self, subset, y_counts, tested, rival) -> tuple:
+        """(group, channel) estimates of one conditioning subset, -1 unless
+        exactly one group strictly dominates. A candidate is typical when its
+        rival score clears its threshold; it dominates when its tested score
+        clears its threshold and the best typical rival score of every other
+        group (top two of the per-group maxima). In the dominating group the
+        highest tested score wins, the earliest id on ties."""
+        rows = np.arange(y_counts.shape[0])
+        thr = -self.n * np.stack([self._taus((pair, subset), y_counts)
+                                  for pair in self._pairs], axis=1)[:, self._pair_of]
+        best = np.maximum.reduceat(np.where(rival > thr, rival, NEG_INF),
+                                   self._group_starts, axis=1)
+        top = best.argmax(axis=1)
+        top1 = best[rows, top]
+        best[rows, top] = NEG_INF
+        outside = np.where(self._group_of == top[:, None],
+                           best.max(axis=1)[:, None], top1[:, None])
+        dom = (tested > thr) & (tested > outside)
+        unique = np.count_nonzero(np.logical_or.reduceat(
+            dom, self._group_starts, axis=1), axis=1) == 1
+        win = np.where(dom, tested, NEG_INF).argmax(axis=1)
+        return (np.where(unique, self._group_of[win], -1),
+                np.where(unique, self._cid_of[win], -1))
+
+    def _cell_counts_batch(self, rvi, dims, ys, books) -> np.ndarray:
+        """Joint (inputs, output) cell counts of every message tuple at rvi,
+        (T * tuples, cells) in (trial, tuple) order, from one bincount over
+        row * cells + cell code, built in place."""
+        k, size, n = self.num_users, ys.shape[0], self.n
+        rows = size * math.prod(dims)
+        code = np.zeros((size, *dims, n), dtype=np.int64)
+        for u in range(1, k + 1):
+            shape = [size] + [1] * k + [n]
+            shape[u] = dims[u - 1]
+            code *= self.input_size
+            code += books[(u, rvi.index(u))][:, :dims[u - 1]].reshape(shape)
+        code *= self.output_size
+        code += ys.reshape((size,) + (1,) * k + (n,))
+        code += (np.arange(rows) * self.cells).reshape((size, *dims, 1))
+        return np.bincount(code.ravel(), minlength=rows * self.cells).reshape(
+            rows, self.cells)
+
+    def _taus(self, key, y_counts) -> np.ndarray:
+        """tau of one (pair, subset) for each row of symbol counts; +inf (the
+        test never rejects) when no out pair matches."""
+        tables = self.thresholds[key]
+        if tables is None:
+            return np.full(y_counts.shape[0], math.inf)
+        return tables.taus(y_counts, self.n)
+
 
 def build_thresholds(region: OperationRegion, laws: InputLaws, table: RateTable,
                      n: int, compound: Optional[CompoundSet] = None,
@@ -629,6 +742,9 @@ class CaseReport:
     in_region: bool
     trials: int
     errors: int
+    decoded_correct: int
+    decoded_wrong: int
+    collision: int
     rate: float
     std: float
     half_width99: float
@@ -670,182 +786,72 @@ def build_schedule(region: OperationRegion, table: RateTable, ids: Sequence[str]
     return tuple(cases)
 
 
-class _BatchDraws:
-    """One batch of counter-based randomness for a case.
+def _shared_books(frozen: CodebookSet, decoder: SlotDecoder, size: int) -> dict:
+    """One fixed codebook seen by `size` trials, as (size, m, n) views."""
+    books = {}
+    for key, m in decoder.message_counts.items():
+        arr = frozen.entries.get(key)
+        if arr is None or arr.shape[0] < m:
+            raise ValidationError(f"frozen codebooks lack entries for {key}")
+        books[key] = np.broadcast_to(arr[:m], (size, m, decoder.n))
+    return books
 
-    Streams are derived as SeedSequence(seed, spawn_key=(role, case, batch));
+
+def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
+                decoder: SlotDecoder, true_rvi: RateVectorIndex,
+                true_channel: Dmc, frozen: Optional[CodebookSet]) -> tuple:
+    """One block of counter-based draws for a case: (codebooks, messages,
+    received words).
+
+    Streams are derived as SeedSequence(seed, spawn_key=(role, case, block));
     within a stream, draws happen in a fixed documented order (codebooks by
     sorted (user, rate) then message-major; messages user by user; noise last),
-    so any batch regenerates independently of the others.
+    so any block regenerates independently of the others.
     """
+    def stream(role):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(role, case_idx, block_idx))))
 
-    def __init__(self, seed: int, case_idx: int, batch_idx: int, size: int,
-                 decoder: SlotDecoder, true_rvi: RateVectorIndex,
-                 frozen: Optional[CodebookSet]):
-        self.size = size
-        self.decoder = decoder
-        n = decoder.n
-        self.codebooks = {}
-        if frozen is None:
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-                entropy=seed, spawn_key=(_ROLE_CODEBOOK, case_idx, batch_idx))))
-            for key in sorted(decoder.message_counts):
-                u, i = key
-                m = decoder.message_counts[key]
-                cum = _cum(decoder.laws.law(u, i))
-                self.codebooks[key] = _symbols_from_uniform(
-                    cum, gen.random((size, m, n)))
-        else:
-            for key, m in decoder.message_counts.items():
-                arr = frozen.entries.get(key)
-                if arr is None or arr.shape[0] < m:
-                    raise ValidationError(f"frozen codebooks lack entries for {key}")
-                self.codebooks[key] = np.broadcast_to(arr[:m], (size, m, n))
-        gen_m = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=seed, spawn_key=(_ROLE_MESSAGE, case_idx, batch_idx))))
-        self.messages = np.empty((size, decoder.num_users), dtype=np.int64)
-        for u in range(1, decoder.num_users + 1):
-            m = decoder.message_counts[(u, true_rvi.index(u))]
-            self.messages[:, u - 1] = gen_m.integers(0, m, size=size)
-        self.noise_u = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=seed, spawn_key=(_ROLE_NOISE, case_idx, batch_idx)))).random((size, n))
-
-    def outputs(self, true_channel: Dmc, true_rvi: RateVectorIndex) -> np.ndarray:
-        dec = self.decoder
-        xs = tuple(
-            self.codebooks[(u, true_rvi.index(u))][np.arange(self.size),
-                                                   self.messages[:, u - 1]]
-            for u in range(1, dec.num_users + 1))
-        cum = np.cumsum(true_channel.probs, axis=-1)
-        rows = cum[xs]  # (size, n, B)
-        y = (self.noise_u[..., None] > rows[..., :-1]).sum(axis=-1)
-        return y.astype(np.int64)
+    n, users = decoder.n, range(1, decoder.num_users + 1)
+    if frozen is None:
+        gen = stream(_ROLE_CODEBOOK)
+        books = {key: _symbols_from_uniform(np.cumsum(decoder.laws.law(*key)),
+                                            gen.random((size, m, n)))
+                 for key, m in sorted(decoder.message_counts.items())}
+    else:
+        books = _shared_books(frozen, decoder, size)
+    gen = stream(_ROLE_MESSAGE)
+    messages = np.stack([gen.integers(
+        0, decoder.message_counts[(u, true_rvi.index(u))], size=size)
+        for u in users], axis=1)
+    noise = stream(_ROLE_NOISE).random((size, n))
+    xs = tuple(books[(u, true_rvi.index(u))][np.arange(size), messages[:, u - 1]]
+               for u in users)
+    rows = np.cumsum(true_channel.probs, axis=-1)[xs]  # (size, n, output_size)
+    return books, messages, (noise[..., None] > rows[..., :-1]).sum(axis=-1)
 
 
-class _TrialCodebookView:
-    def __init__(self, draws: _BatchDraws, t: int):
-        self._draws = draws
-        self._t = t
-
-    def codeword(self, user: int, rate_idx: int, message: int) -> np.ndarray:
-        return self._draws.codebooks[(user, rate_idx)][self._t, message]
-
-
-def _simulate_case_general(decoder: SlotDecoder, case_idx: int,
-                           true_rvi: RateVectorIndex, true_channel: Dmc,
-                           in_region: bool, trials: int, seed: int,
-                           batch_size: int, frozen: Optional[CodebookSet]) -> int:
-    errors = 0
-    done = 0
-    batch_idx = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        draws = _BatchDraws(seed, case_idx, batch_idx, size, decoder, true_rvi, frozen)
-        ys = draws.outputs(true_channel, true_rvi)
-        for t in range(size):
-            decision = decoder.decode(ys[t], _TrialCodebookView(draws, t))
-            correct = (decision.outcome == "decoded"
-                       and decision.rates.indices == true_rvi.indices
-                       and decision.messages == tuple(draws.messages[t]))
-            if in_region:
-                errors += 0 if correct else 1
-            elif decision.outcome == "decoded" and not correct:
-                errors += 1
-        done += size
-        batch_idx += 1
-    return errors
-
-
-def _simulate_case_k1(decoder: SlotDecoder, case_idx: int,
-                      true_rvi: RateVectorIndex, true_channel: Dmc,
-                      in_region: bool, trials: int, seed: int,
-                      batch_size: int, frozen: Optional[CodebookSet]) -> int:
-    """Vectorized single-user finite-mode path; decision-equivalent to the
-    general path and cross-checked against it in the tests."""
-    a = decoder.input_size
-    b = decoder.output_size
-    n = decoder.n
-    empty = frozenset()
-    rates_in_region = sorted({rvi.index(1) for rvi, _ in decoder.region.members})
-    group_offset = {}
-    off = 0
-    for r in rates_in_region:
-        group_offset[r] = off
-        off += decoder.message_counts[(1, r)]
-    pair_list = list(decoder.region.members)
-    true_gid_base = group_offset.get(true_rvi.index(1))
-
-    errors = 0
-    done = 0
-    batch_idx = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        draws = _BatchDraws(seed, case_idx, batch_idx, size, decoder, true_rvi, frozen)
-        ys = draws.outputs(true_channel, true_rvi)
-        y_counts = np.zeros((size, b))
-        for sym in range(b):
-            y_counts[:, sym] = (ys == sym).sum(axis=1)
-        like = {}
-        for r in rates_in_region:
-            x = draws.codebooks[(1, r)]  # (size, m, n)
-            m = x.shape[1]
-            counts = np.zeros((size, m, a * b))
-            for xa in range(a):
-                xmask = x == xa
-                for yb in range(b):
-                    counts[:, :, xa * b + yb] = (
-                        xmask & (ys == yb)[:, None, :]).sum(axis=2)
-            flat = counts.reshape(size * m, a * b)
-            for cid in decoder.ids:
-                like[(r, cid)] = decoder.tested_ctx[cid].score_rows(
-                    flat).reshape(size, m)
-        cand_l, cand_gid, cand_thr = [], [], []
-        for rvi, cid in pair_list:
-            r = rvi.index(1)
-            m = decoder.message_counts[(1, r)]
-            tables = decoder.thresholds[((rvi.indices, cid), empty)]
-            if tables is None:
-                thr = np.full(size, NEG_INF)
-            else:
-                coeff = tables.coeff
-                finite = np.isfinite(coeff)
-                tau = (y_counts @ np.where(finite, coeff, 0.0)) / n + tables.const
-                neg = np.isneginf(coeff)
-                pos = np.isposinf(coeff)
-                if pos.any():
-                    tau = np.where((y_counts[:, pos] > 0).any(axis=1), math.inf, tau)
-                if neg.any():
-                    tau = np.where((y_counts[:, neg] > 0).any(axis=1), NEG_INF, tau)
-                thr = -n * tau
-            l = like[(r, cid)]
-            for msg in range(m):
-                cand_l.append(l[:, msg])
-                cand_gid.append(group_offset[r] + msg)
-                cand_thr.append(thr)
-        cl = np.stack(cand_l, axis=1)  # (size, C)
-        cthr = np.stack(cand_thr, axis=1)
-        gid = np.asarray(cand_gid)
-        typical = cl > cthr
-        masked = np.where(typical, cl, NEG_INF)
-        vmax = masked.max(axis=1)
-        has = vmax > NEG_INF
-        winner = typical & (cl == vmax[:, None])
-        big = 1 << 30
-        gmin = np.where(winner, gid[None, :], big).min(axis=1)
-        gmax = np.where(winner, gid[None, :], -1).max(axis=1)
-        decoded = has & (gmin == gmax)
-        w_true = draws.messages[:, 0]
-        if true_gid_base is None:
-            correct = np.zeros(size, dtype=bool)
-        else:
-            correct = decoded & (gmin == true_gid_base + w_true)
-        if in_region:
-            errors += int(np.count_nonzero(~correct))
-        else:
-            errors += int(np.count_nonzero(decoded & ~correct))
-        done += size
-        batch_idx += 1
-    return errors
+def _simulate_case(decoder: SlotDecoder, case_idx: int,
+                   true_rvi: RateVectorIndex, true_channel: Dmc, trials: int,
+                   seed: int, batch_size: int,
+                   frozen: Optional[CodebookSet]) -> tuple:
+    """(decoded_correct, decoded_wrong, collision) trial counts of one case,
+    drawn block by block and decided batch_size trials at a time. A decode is
+    correct when it names the sent messages and rate vector; the channel id
+    it names is not judged."""
+    correct = decoded = 0
+    for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
+        size = min(_STREAM_BLOCK, trials - start)
+        books, messages, ys = _draw_block(seed, case_idx, block_idx, size, decoder,
+                                          true_rvi, true_channel, frozen)
+        truth = decoder.group_ids(true_rvi, messages)
+        for lo in range(0, size, batch_size):
+            part = slice(lo, lo + batch_size)
+            group, _ = decoder.decide(
+                ys[part], {key: v[part] for key, v in books.items()})
+            decoded += int(np.count_nonzero(group >= 0))
+            correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))
+    return correct, decoded - correct, trials - decoded
 
 
 def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
@@ -859,8 +865,7 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
                     bound: Optional[float] = None,
                     freeze_codebooks: bool = False,
                     codebooks: Optional[CodebookSet] = None,
-                    batch_size: int = 4096,
-                    force_general: bool = False) -> SimReport:
+                    batch_size: int = 4096) -> SimReport:
     """Per-case Monte Carlo error estimation over an explicit realization
     schedule (never a sampled prior); the system error is the worst case.
 
@@ -868,10 +873,15 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     decode as an error; out-of-region cases count only wrong decodes, since
     reporting the collision is the intended behavior there. By default every
     trial draws a fresh codebook; freeze_codebooks pins one (provided or
-    regenerated from the master seed) across all trials.
+    regenerated from the master seed) across all trials. Each case also
+    reports its split into correct decodes, wrong decodes and collisions.
+    Trials are drawn in blocks of _STREAM_BLOCK and decided batch_size at a
+    time, so batch_size bounds the decoder's memory and never changes results.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be >= 1")
     if compound is None:
         raise ValidationError("estimate_errors needs the realizable channels")
     total = sum(message_count(n, table.rate(u, i))
@@ -882,10 +892,7 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
             f"{total} codewords per trial exceed the guard {CODEWORD_GUARD}"
         )
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
-                          envelopes=envelopes, params=params, cfg=cfg) \
-        if region.mode == "finite" else \
-        SlotDecoder(region, laws, table, n, envelopes=envelopes, params=params,
-                    cfg=cfg)
+                          envelopes=envelopes, params=params, cfg=cfg)
     if schedule is None:
         schedule = build_schedule(region, table, compound.ids, class_map)
     frozen = None
@@ -895,28 +902,21 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     cases = []
     for case_idx, (rvi, cid, in_region) in enumerate(schedule):
         rvi.check_against(table)
-        channel = compound.by_id(cid)
-        fast = (decoder.num_users == 1 and decoder.mode == "finite"
-                and not force_general)
-        runner = _simulate_case_k1 if fast else _simulate_case_general
-        errs = runner(decoder, case_idx, rvi, channel, in_region, trials,
-                      seed, batch_size, frozen)
+        correct, wrong, collision = _simulate_case(
+            decoder, case_idx, rvi, compound.by_id(cid), trials, seed,
+            batch_size, frozen)
+        errs = wrong + collision if in_region else wrong
         rate = errs / trials
         std = math.sqrt(rate * (1.0 - rate) / trials)
         cases.append(CaseReport(rvi.indices, cid, in_region, trials, errs,
-                                rate, std, Z99 * std))
-    in_rates = [c.rate for c in cases if c.in_region]
-    out_rates = [c.rate for c in cases if not c.in_region]
-    decode_error = max(in_rates, default=0.0)
-    miss = max(out_rates, default=0.0)
-    system = 0.0
-    system_case = None
-    system_std = 0.0
-    for c in cases:
-        if system_case is None or c.rate > system:
-            system = c.rate
-            system_case = (c.rate_indices, c.channel_id)
-            system_std = c.std
+                                correct, wrong, collision, rate, std,
+                                Z99 * std))
+    decode_error = max((c.rate for c in cases if c.in_region), default=0.0)
+    miss = max((c.rate for c in cases if not c.in_region), default=0.0)
+    worst = max(cases, key=lambda c: c.rate, default=None)  # first of the worst
+    system = worst.rate if worst else 0.0
+    system_case = (worst.rate_indices, worst.channel_id) if worst else None
+    system_std = worst.std if worst else 0.0
     bound_holds = None
     if bound is not None:
         bound_holds = system <= bound + 3.0 * system_std
@@ -956,23 +956,25 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                              cfg: OptimizerConfig = OptimizerConfig(),
                              codebooks: Optional[CodebookSet] = None,
                              seed: int = 0,
-                             codebook_samples: int = 1) -> ExactReport:
+                             codebook_samples: int = 1,
+                             batch_size: int = 4096) -> ExactReport:
     """Exact conditional error probabilities by output-space enumeration.
 
     Conditions on a fixed codebook (given, or drawn from derived seeds for a
     small ensemble average) and a uniform message tuple; sums the channel law
-    over every output word. Guarded to output_size ** n <= 2 ** 20.
+    over every output word. Output words are decided batch_size at a time,
+    in lexicographic order. Guarded to output_size ** n <= 2 ** 20.
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be >= 1")
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
-                          envelopes=envelopes, params=params, cfg=cfg) \
-        if region.mode == "finite" else \
-        SlotDecoder(region, laws, table, n, envelopes=envelopes, params=params,
-                    cfg=cfg)
-    if decoder.output_size ** n > OUTPUT_ENUM_GUARD:
+                          envelopes=envelopes, params=params, cfg=cfg)
+    b = decoder.output_size
+    if b ** n > OUTPUT_ENUM_GUARD:
         raise EnumerationTooLarge(
-            f"{decoder.output_size}^{n} output words exceed {OUTPUT_ENUM_GUARD}"
+            f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}"
         )
     if schedule is None:
         schedule = build_schedule(region, table, compound.ids, class_map)
@@ -985,41 +987,38 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                                            spawn_key=(_ROLE_ENSEMBLE, i))
             books.append(generate_codebooks(table, laws, decoder.input_size, n,
                                             int(child.generate_state(1)[0])))
-    all_y = np.array(list(itertools.product(range(decoder.output_size),
-                                            repeat=n)), dtype=np.int64)
+    users = range(1, decoder.num_users + 1)
+    place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def chunks():  # (first index, words): all output words in lexicographic order
+        for start in range(0, b ** n, batch_size):
+            words = np.arange(start, min(start + batch_size, b ** n))
+            yield start, words[:, None] // place % b
+
     per_sample = []
     for cb in books:
-        outcomes = []
-        for row in all_y:
-            d = decoder.decode(row, cb)
-            outcomes.append(None if d.outcome != "decoded"
-                            else (d.messages, d.rates.indices))
+        group = np.concatenate([decoder.decide(ys, _shared_books(cb, decoder, len(ys)))[0]
+                                for _, ys in chunks()])
         sample_cases = []
         for rvi, cid, in_region in schedule:
-            channel = compound.by_id(cid)
-            log_p = safe_log(channel.probs)
-            ranges = [range(decoder.message_counts[(u, rvi.index(u))])
-                      for u in range(1, decoder.num_users + 1)]
+            log_p = safe_log(compound.by_id(cid).probs)
+            tuples = list(itertools.product(*(
+                range(decoder.message_counts[(u, rvi.index(u))]) for u in users)))
             total = 0.0
-            count = 0
-            for msgs in itertools.product(*ranges):
-                count += 1
-                rows = [cb.codeword(u, rvi.index(u), msgs[u - 1])
-                        for u in range(1, decoder.num_users + 1)]
-                lp = np.zeros(all_y.shape[0])
-                for j in range(n):
-                    col = log_p[tuple(r[j] for r in rows)]
-                    lp += col[all_y[:, j]]
-                p_y = np.exp(lp)
-                key = (tuple(msgs), rvi.indices)
-                for idx, out in enumerate(outcomes):
-                    if in_region:
-                        if out != key:
-                            total += p_y[idx]
-                    elif out is not None and out != key:
-                        total += p_y[idx]
+            for msgs, key in zip(tuples, decoder.group_ids(rvi, np.array(tuples))):
+                rows = [cb.codeword(u, rvi.index(u), msgs[u - 1]) for u in users]
+                wrong = ((group != key) | (group < 0) if in_region
+                         else (group >= 0) & (group != key))
+                for start, ys in chunks():
+                    lp = np.zeros(len(ys))
+                    for j in range(n):
+                        lp += log_p[tuple(r[j] for r in rows)][ys[:, j]]
+                    # word by word in word order, so the sum does not depend
+                    # on batch_size
+                    p_err = np.exp(lp[wrong[start:start + len(ys)]])
+                    total = np.add.accumulate(np.append(total, p_err))[-1]
             sample_cases.append(ExactCase(rvi.indices, cid, in_region,
-                                          total / count))
+                                          float(total) / len(tuples)))
         per_sample.append(tuple(sample_cases))
     averaged = []
     for i, (rvi, cid, in_region) in enumerate(schedule):

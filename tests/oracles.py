@@ -68,6 +68,45 @@ def mi_conditional(probs, laws, subset):
     return total
 
 
+def conditional_mi_chain(probs, laws, subset):
+    """I(X_Sbar; Y | X_S) by the chain rule H(Y | X_S) - H(Y | X).
+
+    Same arguments as mi_conditional; both conditional entropies are summed
+    from p(y | x_S) and p(y | x) with plain loops, 0 log 0 taken as 0.
+    """
+    k = len(laws)
+    a = len(laws[0])
+    arr = np.asarray(probs, dtype=float)
+    b = arr.shape[-1]
+    h_given_s = 0.0
+    for xs in itertools.product(range(a), repeat=len(subset)):
+        w_s = 1.0
+        for u, v in zip(subset, xs):
+            w_s *= laws[u][v]
+        for y in range(b):
+            p_y = 0.0  # p(y | x_S)
+            for xall in itertools.product(range(a), repeat=k):
+                if any(xall[u] != v for u, v in zip(subset, xs)):
+                    continue
+                w = 1.0
+                for u in range(k):
+                    if u not in subset:
+                        w *= laws[u][xall[u]]
+                p_y += w * arr[xall][y]
+            if p_y > 0:
+                h_given_s -= w_s * p_y * math.log(p_y)
+    h_given_x = 0.0
+    for xall in itertools.product(range(a), repeat=k):
+        w = 1.0
+        for u in range(k):
+            w *= laws[u][xall[u]]
+        for y in range(b):
+            p = arr[xall][y]
+            if p > 0:
+                h_given_x -= w * p * math.log(p)
+    return h_given_s - h_given_x
+
+
 def effective_rows(probs, laws, keep):
     """Marginalize the complement users out of probs under their laws.
 

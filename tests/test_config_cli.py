@@ -358,7 +358,7 @@ def test_cli_env_config_dir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("name", ["bsc_pair.cfg", "bsc_gate.cfg"])
+@pytest.mark.parametrize("name", ["bsc_pair.cfg", "bsc_gate.cfg", "mac2.cfg"])
 def test_shipped_example_configs_build(name):
     path = os.path.join(os.path.dirname(__file__), "..", "examples_cfg", name)
     system = cfgmod.build_system(cfgmod.load_config(path))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ramac
 from conftest import bsc, random_dmc, random_laws
-from oracles import mi_conditional
+from oracles import conditional_mi_chain, mi_conditional
 
 
 def _query(channel, laws, subset, k):
@@ -68,7 +68,9 @@ def test_mi_bounds_and_dual_paths(seed):
                               size=int(rng.integers(0, k + 1)), replace=False))
     q = _query(ch, laws, subset, k)
     direct = ramac.conditional_mi(q)
-    chained = ramac.conditional_mi_chain(q)
+    chained = conditional_mi_chain(ch.probs,
+                                   [laws.law(u, 1) for u in range(1, k + 1)],
+                                   [u - 1 for u in subset])
     sbar = k - len(subset)
     assert -1e-12 <= direct <= math.log(min(a ** sbar, b)) + 1e-12
     assert abs(direct - chained) < 1e-10

@@ -1,5 +1,6 @@
 """Slot simulation: codebooks, thresholds, the threshold decoder, estimators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -200,17 +201,160 @@ def test_schedule_covers_universe_with_labels():
     assert [s[2] for s in sched2] == [True, True, False, False]
 
 
-def test_fast_path_matches_general_path():
-    comp, table, laws, region = _k1([0.05, 0.15], (0.12,), ids=("a", "b"))
-    kw = dict(compound=comp, params=ramac.ThresholdParams(), cfg=TINY_OPT)
-    for freeze in (False, True):
-        fast = ramac.estimate_errors(region, laws, table, 10, 200, 17,
-                                     freeze_codebooks=freeze, **kw)
-        slow = ramac.estimate_errors(region, laws, table, 10, 200, 17,
-                                     freeze_codebooks=freeze,
-                                     force_general=True, **kw)
-        assert [c.errors for c in fast.cases] == [c.errors for c in slow.cases]
-        assert fast.system_error_rate == slow.system_error_rate
+def _mac(diag):
+    """Two binary users, output 2*x1 + x2 with probability diag."""
+    rows = np.full((4, 4), (1.0 - diag) / 3)
+    np.fill_diagonal(rows, diag)
+    return ramac.Dmc(2, 2, 4, rows.reshape(2, 2, 4))
+
+
+MAC_GOOD = _mac(0.8)
+MAC_BAD = _mac(0.55)
+
+
+def _mixed(ch, other, w):
+    return ramac.Dmc(ch.num_users, ch.input_size, ch.output_size,
+                     (1 - w) * ch.probs + w * other.probs)
+
+
+def _decoder_system(k, mode, n):
+    """A K-user system with two rates per user whose region leaves out pairs
+    that agree with members on every conditioning subset, so every subset
+    has finite thresholds. Finite mode at K=1 has `twin`, a copy of `a`, so
+    equal scores under two channel hypotheses go to the channel-id
+    tie-break. Class mode decodes envelope classes `lo` and `hi`.
+    Returns (compound, table, laws, region, envelopes, class_map).
+    """
+    if k == 1:
+        chans = {"a": bsc(0.05), "twin": bsc(0.05), "b": bsc(0.2),
+                 "a2": bsc(0.2)}
+        inside = {"a": ((1,), (2,)), "twin": ((1,),), "b": ((1,),)}
+        classes = {"lo": ("a", "a2"), "hi": ("b",)}
+        class_inside = {"lo": ((1,), (2,)), "hi": ((1,),)}
+    else:
+        chans = {"good": MAC_GOOD, "bad": MAC_BAD,
+                 "good2": _mixed(MAC_GOOD, MAC_BAD, 0.6),
+                 "bad2": _mixed(MAC_BAD, MAC_GOOD, 0.6)}
+        inside = {"good": ((1, 1), (1, 2), (2, 1), (2, 2)), "bad": ((1, 1),)}
+        classes = {"lo": ("good", "good2"), "hi": ("bad", "bad2")}
+        class_inside = {"lo": inside["good"], "hi": inside["bad"]}
+    table = ramac.RateTable(((math.log(2) / n, math.log(3) / n),) * k)
+    laws = ramac.uniform_laws(table, 2)
+    envelopes = class_map = None
+    if mode == "class":
+        ids = tuple(c for members in classes.values() for c in members)
+        envelopes = tuple(ramac.build_envelope(
+            tuple(chans[c] for c in members), class_id=cls)
+            for cls, members in classes.items())
+        inside, class_map = class_inside, classes
+    else:
+        ids = tuple(inside)
+    comp = ramac.CompoundSet(tuple(chans[c] for c in ids), ids)
+    members = tuple((ramac.RateVectorIndex(r), cid)
+                    for cid, rates in inside.items() for r in rates)
+    region = ramac.OperationRegion(members, mode)
+    return comp, table, laws, region, envelopes, class_map
+
+
+def _send(rng, comp, decoder, books, trials):
+    """Received words of `trials` slots, each sending random messages at a
+    random universe rate vector over a random realizable channel."""
+    k = decoder.num_users
+    ys = np.empty((trials, decoder.n), dtype=np.int64)
+    for t in range(trials):
+        rvi = ramac.RateVectorIndex(tuple(
+            int(i) for i in rng.integers(1, 3, size=k)))
+        ch = comp.channels[int(rng.integers(len(comp.channels)))]
+        xs = tuple(books[(u, rvi.index(u))][t, int(rng.integers(
+            decoder.message_counts[(u, rvi.index(u))]))]
+            for u in range(1, k + 1))
+        cum = np.cumsum(ch.probs, axis=-1)[xs]  # (n, b)
+        ys[t] = (rng.random(decoder.n)[:, None] > cum[:, :-1]).sum(axis=1)
+    return ys
+
+
+def test_batched_decisions_match_scalar_decode():
+    """decide() equals decode() trial for trial: decoded group (messages and
+    rate vector) and channel id, at K=1 and K=2, finite and class mode, with
+    a fresh codebook per trial and one frozen codebook."""
+    rng = np.random.default_rng(8)
+    n = 6
+    for k, mode in itertools.product((1, 2), ("finite", "class")):
+        comp, table, laws, region, envs, _ = _decoder_system(k, mode, n)
+        decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
+                                    envelopes=envs, cfg=TINY_OPT)
+        for subset in decoder.subsets:
+            assert any(decoder.thresholds[((rvi.indices, cid), subset)]
+                       is not None for rvi, cid in region.members)
+        trials = 150 if k == 1 else 60
+        frozen = ramac.generate_codebooks(table, laws, 2, n, seed=k)
+        for fresh in (True, False):
+            books = {key: (rng.integers(0, 2, size=(trials, m, n)) if fresh
+                           else np.broadcast_to(frozen.entries[key],
+                                                (trials, m, n)))
+                     for key, m in decoder.message_counts.items()}
+            ys = _send(rng, comp, decoder, books, trials)
+            group, channel = decoder.decide(ys, books)
+            label = f"K={k} {mode} {'fresh' if fresh else 'frozen'}"
+            rates_decoded = set()
+            for t in range(trials):
+                cb = ramac.CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+                d = decoder.decode(ys[t], cb)
+                want = (-1, -1)
+                if d.outcome == "decoded":
+                    rates_decoded.add(d.rates.indices)
+                    want = (decoder.group_ids(d.rates, np.array([d.messages]))[0],
+                            decoder.ids.index(d.channel_id))
+                assert (group[t], channel[t]) == want, (label, t)
+            assert len(rates_decoded) > 1 and (group < 0).any(), label
+
+
+def test_outcome_counts_split_every_trial():
+    comp, table, laws, region, envs, cmap = _decoder_system(2, "class", 6)
+    rep = ramac.estimate_errors(region, laws, table, 6, 40, 3, compound=comp,
+                                envelopes=envs, class_map=cmap, cfg=TINY_OPT)
+    for c in rep.cases:
+        assert c.decoded_correct + c.decoded_wrong + c.collision == c.trials
+        want = c.decoded_wrong + (c.collision if c.in_region else 0)
+        assert c.errors == want
+    assert any(c.collision for c in rep.cases)
+    assert any(c.decoded_correct for c in rep.cases)
+
+
+def test_k2_exact_matches_scalar_enumeration():
+    n = 4
+    comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
+    cb = ramac.generate_codebooks(table, laws, 2, n, seed=21)
+    rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
+                                         cfg=TINY_OPT, codebooks=cb,
+                                         batch_size=37)
+    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
+                                cfg=TINY_OPT)
+    words = list(itertools.product(range(4), repeat=n))
+    outcome = {}
+    for y in words:
+        d = decoder.decode(np.array(y), cb)
+        outcome[y] = None if d.outcome != "decoded" else (d.messages,
+                                                          d.rates.indices)
+    schedule = ramac.build_schedule(region, table, comp.ids)
+    for case, (rvi, cid, in_region) in zip(rep.cases, schedule):
+        probs = comp.by_id(cid).probs
+        tuples = list(itertools.product(
+            *(range(decoder.message_counts[(u, rvi.index(u))])
+              for u in (1, 2))))
+        total = 0.0
+        for msgs in tuples:
+            xs = [cb.codeword(u, rvi.index(u), msgs[u - 1]) for u in (1, 2)]
+            for y in words:
+                out = outcome[y]
+                if out == (msgs, rvi.indices) or (out is None and not in_region):
+                    continue
+                p = 1.0
+                for j in range(n):
+                    p *= probs[xs[0][j], xs[1][j], y[j]]
+                total += p
+        assert abs(case.probability - total / len(tuples)) < 1e-12
+    assert any(0 < case.probability < 1 for case in rep.cases)
 
 
 def test_singleton_class_mode_matches_finite_decisions():
@@ -238,12 +382,20 @@ def test_simulation_reports_are_deterministic():
 
 
 def test_batch_size_does_not_change_results():
+    # more trials than one block of draws, so blocks and batches both split
     comp, table, laws, region = _k1([0.1], (0.1,))
-    a = ramac.estimate_errors(region, laws, table, 8, 130, 5, compound=comp,
+    a = ramac.estimate_errors(region, laws, table, 8, 5000, 5, compound=comp,
                               cfg=TINY_OPT, batch_size=32)
-    b = ramac.estimate_errors(region, laws, table, 8, 130, 5, compound=comp,
+    b = ramac.estimate_errors(region, laws, table, 8, 5000, 5, compound=comp,
                               cfg=TINY_OPT, batch_size=4096)
     assert [c.errors for c in a.cases] == [c.errors for c in b.cases]
+    comp, table, laws, region, _, _ = _decoder_system(2, "finite", 6)
+    for freeze in (False, True):
+        a, b = (ramac.estimate_errors(region, laws, table, 6, 30, 5,
+                                      compound=comp, cfg=TINY_OPT,
+                                      freeze_codebooks=freeze, batch_size=size)
+                for size in (7, 4096))
+        assert a.cases == b.cases
 
 
 def test_exact_enumeration_guard():
