@@ -12,7 +12,7 @@ table in a fixed flat order, so tuples with identical transition counts have
 bit-identical scores and analytic ties really compare equal; ties then
 propagate to a collision rather than an arbitrary winner.
 
-All randomness is counter-based: every (role, case, batch) triple names a
+All randomness is counter-based: every (role, case, block) triple names a
 Philox stream derived from the master seed, and codebooks regenerate
 bit-identically from per-(user, rate, message) keys.
 """
@@ -49,8 +49,10 @@ from .regions import OperationRegion, pair_universe, proper_subsets
 CODEWORD_GUARD = 10 ** 6
 OUTPUT_ENUM_GUARD = 2 ** 20
 # Trials per block of Monte Carlo draws: block b of case c draws from the
-# Philox streams keyed (role, c, b), whatever batch_size the decoder uses.
+# Philox streams keyed (role, c, b), whatever batch_size the trials run in.
 _STREAM_BLOCK = 4096
+# Output words per chunk of exact enumeration.
+_WORD_BLOCK = 4096
 Z99 = statistics.NormalDist().inv_cdf(0.995)
 # Cap on the (trial, candidate, symbol or cell) entries decide() holds at once.
 _DECIDE_ELEMENTS = 2 ** 16
@@ -105,18 +107,19 @@ class CodebookSet:
         return {key: arr.shape[0] for key, arr in self.entries.items()}
 
 
+def _guard_codewords(table: RateTable, n: int) -> None:
+    total = sum(message_count(n, table.rate(u, i))
+                for u in range(1, table.num_users + 1)
+                for i in range(1, table.num_classes + 1))
+    if total > CODEWORD_GUARD:
+        raise TooManyCodewords(f"{total} codewords exceed the guard {CODEWORD_GUARD}")
+
+
 def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
                        n: int, seed: int) -> CodebookSet:
     if n < 1:
         raise ValidationError("block length must be >= 1")
-    total = 0
-    for u in range(1, table.num_users + 1):
-        for i in range(1, table.num_classes + 1):
-            total += message_count(n, table.rate(u, i))
-    if total > CODEWORD_GUARD:
-        raise TooManyCodewords(
-            f"{total} codewords exceed the guard {CODEWORD_GUARD}"
-        )
+    _guard_codewords(table, n)
     entries = {}
     for u in range(1, table.num_users + 1):
         for i in range(1, table.num_classes + 1):
@@ -799,36 +802,38 @@ def _shared_books(frozen: CodebookSet, decoder: SlotDecoder, size: int) -> dict:
 
 def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
                 decoder: SlotDecoder, true_rvi: RateVectorIndex,
-                true_channel: Dmc, frozen: Optional[CodebookSet]) -> tuple:
-    """One block of counter-based draws for a case: (codebooks, messages,
-    received words).
+                frozen: Optional[CodebookSet]) -> tuple:
+    """One block of counter-based draws for a case: (books, messages, noise);
+    books(count) returns the codebooks of the block's next count trials.
 
     Streams are derived as SeedSequence(seed, spawn_key=(role, case, block));
     within a stream, draws happen in a fixed documented order (codebooks by
-    sorted (user, rate) then message-major; messages user by user; noise last),
-    so any block regenerates independently of the others.
+    sorted (user, rate), then trial, message and symbol; messages user by
+    user), so a block regenerates alone, however books() splits it.
     """
     def stream(role):
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(
             entropy=seed, spawn_key=(role, case_idx, block_idx))))
 
-    n, users = decoder.n, range(1, decoder.num_users + 1)
-    if frozen is None:
-        gen = stream(_ROLE_CODEBOOK)
-        books = {key: _symbols_from_uniform(np.cumsum(decoder.laws.law(*key)),
-                                            gen.random((size, m, n)))
-                 for key, m in sorted(decoder.message_counts.items())}
-    else:
-        books = _shared_books(frozen, decoder, size)
     gen = stream(_ROLE_MESSAGE)
     messages = np.stack([gen.integers(
         0, decoder.message_counts[(u, true_rvi.index(u))], size=size)
-        for u in users], axis=1)
-    noise = stream(_ROLE_NOISE).random((size, n))
-    xs = tuple(books[(u, true_rvi.index(u))][np.arange(size), messages[:, u - 1]]
-               for u in users)
-    rows = np.cumsum(true_channel.probs, axis=-1)[xs]  # (size, n, output_size)
-    return books, messages, (noise[..., None] > rows[..., :-1]).sum(axis=-1)
+        for u in range(1, decoder.num_users + 1)], axis=1)
+    noise = stream(_ROLE_NOISE).random((size, decoder.n))
+    if frozen is not None:
+        return (lambda count: _shared_books(frozen, decoder, count)), messages, noise
+    readers, skip = {}, 0
+    for key, m in sorted(decoder.message_counts.items()):
+        # a codebook stream per key, moved past the earlier keys' uniforms
+        # (Philox makes four per counter step)
+        gen = stream(_ROLE_CODEBOOK)
+        gen.bit_generator.advance(skip // 4)
+        gen.random(skip % 4)
+        readers[key] = (gen, np.cumsum(decoder.laws.law(*key)), (m, decoder.n))
+        skip += size * m * decoder.n
+    return (lambda count: {key: _symbols_from_uniform(cum, gen.random((count, *shape)))
+                           for key, (gen, cum, shape) in readers.items()},
+            messages, noise)
 
 
 def _simulate_case(decoder: SlotDecoder, case_idx: int,
@@ -836,19 +841,24 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
                    seed: int, batch_size: int,
                    frozen: Optional[CodebookSet]) -> tuple:
     """(decoded_correct, decoded_wrong, collision) trial counts of one case,
-    drawn block by block and decided batch_size trials at a time. A decode is
-    correct when it names the sent messages and rate vector; the channel id
-    it names is not judged."""
+    drawn in blocks of _STREAM_BLOCK trials and sent and decided batch_size
+    trials at a time. A decode is correct when it names the sent messages
+    and rate vector; the channel id it names is not judged."""
+    cum = np.cumsum(true_channel.probs, axis=-1)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
         size = min(_STREAM_BLOCK, trials - start)
-        books, messages, ys = _draw_block(seed, case_idx, block_idx, size, decoder,
-                                          true_rvi, true_channel, frozen)
+        books_of, messages, noise = _draw_block(seed, case_idx, block_idx, size,
+                                                decoder, true_rvi, frozen)
         truth = decoder.group_ids(true_rvi, messages)
         for lo in range(0, size, batch_size):
-            part = slice(lo, lo + batch_size)
+            part = slice(lo, min(lo + batch_size, size))
+            books = books_of(part.stop - lo)
+            rows = cum[tuple(books[(u, true_rvi.index(u))][
+                np.arange(part.stop - lo), messages[part, u - 1]]
+                for u in range(1, decoder.num_users + 1))]  # (trials, n, outputs)
             group, _ = decoder.decide(
-                ys[part], {key: v[part] for key, v in books.items()})
+                (noise[part, :, None] > rows[..., :-1]).sum(axis=-1), books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))
     return correct, decoded - correct, trials - decoded
@@ -875,8 +885,9 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     trial draws a fresh codebook; freeze_codebooks pins one (provided or
     regenerated from the master seed) across all trials. Each case also
     reports its split into correct decodes, wrong decodes and collisions.
-    Trials are drawn in blocks of _STREAM_BLOCK and decided batch_size at a
-    time, so batch_size bounds the decoder's memory and never changes results.
+    Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and decided
+    batch_size trials at a time, so batch_size bounds the memory of the draws
+    and never changes results.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -884,13 +895,7 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
         raise ValidationError("batch_size must be >= 1")
     if compound is None:
         raise ValidationError("estimate_errors needs the realizable channels")
-    total = sum(message_count(n, table.rate(u, i))
-                for u in range(1, table.num_users + 1)
-                for i in range(1, table.num_classes + 1))
-    if total > CODEWORD_GUARD:
-        raise TooManyCodewords(
-            f"{total} codewords per trial exceed the guard {CODEWORD_GUARD}"
-        )
+    _guard_codewords(table, n)
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
                           envelopes=envelopes, params=params, cfg=cfg)
     if schedule is None:
@@ -956,26 +961,21 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                              cfg: OptimizerConfig = OptimizerConfig(),
                              codebooks: Optional[CodebookSet] = None,
                              seed: int = 0,
-                             codebook_samples: int = 1,
-                             batch_size: int = 4096) -> ExactReport:
+                             codebook_samples: int = 1) -> ExactReport:
     """Exact conditional error probabilities by output-space enumeration.
 
     Conditions on a fixed codebook (given, or drawn from derived seeds for a
     small ensemble average) and a uniform message tuple; sums the channel law
-    over every output word. Output words are decided batch_size at a time,
+    over every output word. Output words are decided _WORD_BLOCK at a time,
     in lexicographic order. Guarded to output_size ** n <= 2 ** 20.
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
                           envelopes=envelopes, params=params, cfg=cfg)
     b = decoder.output_size
     if b ** n > OUTPUT_ENUM_GUARD:
-        raise EnumerationTooLarge(
-            f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}"
-        )
+        raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
     if schedule is None:
         schedule = build_schedule(region, table, compound.ids, class_map)
     if codebooks is not None:
@@ -991,8 +991,8 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     def chunks():  # (first index, words): all output words in lexicographic order
-        for start in range(0, b ** n, batch_size):
-            words = np.arange(start, min(start + batch_size, b ** n))
+        for start in range(0, b ** n, _WORD_BLOCK):
+            words = np.arange(start, min(start + _WORD_BLOCK, b ** n))
             yield start, words[:, None] // place % b
 
     per_sample = []
@@ -1014,7 +1014,7 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                     for j in range(n):
                         lp += log_p[tuple(r[j] for r in rows)][ys[:, j]]
                     # word by word in word order, so the sum does not depend
-                    # on batch_size
+                    # on _WORD_BLOCK
                     p_err = np.exp(lp[wrong[start:start + len(ys)]])
                     total = np.add.accumulate(np.append(total, p_err))[-1]
             sample_cases.append(ExactCase(rvi.indices, cid, in_region,

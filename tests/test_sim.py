@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,13 +322,13 @@ def test_outcome_counts_split_every_trial():
     assert any(c.decoded_correct for c in rep.cases)
 
 
-def test_k2_exact_matches_scalar_enumeration():
+def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     n = 4
     comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
     cb = ramac.generate_codebooks(table, laws, 2, n, seed=21)
+    monkeypatch.setattr(ramac.sim, "_WORD_BLOCK", 37)  # chunks split the 256 words
     rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
-                                         cfg=TINY_OPT, codebooks=cb,
-                                         batch_size=37)
+                                         cfg=TINY_OPT, codebooks=cb)
     decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
                                 cfg=TINY_OPT)
     words = list(itertools.product(range(4), repeat=n))
@@ -396,6 +397,42 @@ def test_batch_size_does_not_change_results():
                                       freeze_codebooks=freeze, batch_size=size)
                 for size in (7, 4096))
         assert a.cases == b.cases
+
+
+def test_batch_size_bounds_draw_memory():
+    # 256 codewords of 8 symbols a trial: drawing a 600-trial block at once
+    # peaks near 40 MB, 16 trials at a time near 1 MB
+    comp, table, laws, region = _k1([0.1], (math.log(2),))
+    peaks, reports = [], []
+    for size in (16, 600):
+        tracemalloc.start()
+        reports.append(ramac.estimate_errors(region, laws, table, 8, 600, 2,
+                                             compound=comp, cfg=TINY_OPT,
+                                             batch_size=size))
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        tracemalloc.stop()
+    assert peaks[0] < 4 < 16 < peaks[1], peaks
+    assert reports[0].cases == reports[1].cases
+
+
+def test_block_draws_read_one_codebook_stream():
+    # however a block is split, its codebooks are one Philox stream read key
+    # by key in sorted order, then trial, message and symbol; 9 trials at n=5
+    # start the four keys at every offset mod 4
+    n = 5
+    comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
+    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
+                                cfg=TINY_OPT)
+    books_of, _, _ = ramac.sim._draw_block(4, 1, 2, 9, decoder,
+                                           region.members[0][0], None)
+    parts = [books_of(count) for count in (2, 7)]
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=4, spawn_key=(0, 1, 2))))
+    for key, m in sorted(decoder.message_counts.items()):
+        cum = np.cumsum(laws.law(*key))
+        want = np.minimum(np.searchsorted(cum, gen.random((9, m, n)),
+                                          side="right"), len(cum) - 1)
+        assert np.array_equal(np.concatenate([p[key] for p in parts]), want), key
 
 
 def test_exact_enumeration_guard():
