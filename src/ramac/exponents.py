@@ -42,7 +42,7 @@ from .channels import (
     effective_channel,
 )
 from .errors import ConstraintViolation, DimensionMismatch, ValidationError
-from .logdomain import NEG_INF, logsumexp, safe_log, scaled_power
+from .logdomain import NEG_INF, logsumexp, safe_log
 
 ChannelLike = Union[Dmc, ChannelClassEnvelope]
 
@@ -434,50 +434,3 @@ def subset_exponent(kind: str, users_d, subset_s, true_rates: RateVectorIndex,
         res = ei_exponent(reduced, cfg)
     return ExponentResult(res.value, res.rho_star, res.s_star, res.evaluations,
                           "subset", kind)
-
-
-def gallager_reference_exponent(channel: Dmc, law, rate: float,
-                                cfg: OptimizerConfig = OptimizerConfig()) -> ExponentResult:
-    """Classic single-user random-coding exponent max_rho [-rho R + E0(rho)].
-
-    Written directly from the E0 definition as an independent cross-check of
-    the confusion exponent, which must coincide with it at s = rho/(1+rho)
-    when both codeword tuples share one rate, law and channel.
-    """
-    if channel.num_users != 1:
-        raise ValidationError("the reference exponent is single-user")
-    vec = np.asarray(law, dtype=float)
-    if vec.shape != (channel.input_size,):
-        raise DimensionMismatch("law length differs from the input alphabet")
-    log_law = safe_log(vec)
-    log_p = safe_log(channel.probs)  # (A, B)
-
-    def e0(rho: float) -> float:
-        inner = logsumexp(log_law[:, None] + scaled_power(log_p, 1.0 / (1.0 + rho)), axis=0)
-        return -float(logsumexp((1.0 + rho) * inner, axis=None))
-
-    def objective(rho: float) -> float:
-        return -rho * rate + e0(rho)
-
-    eps = cfg.epsilon
-    best_v, best_rho = NEG_INF, eps
-    evals = 0
-    lo0, hi0 = eps, 1.0
-    for rnd in range(cfg.refinement_rounds + 1):
-        if rnd == 0:
-            lo, hi = lo0, hi0
-        else:
-            w = (hi0 - lo0) * cfg.refinement_shrink ** rnd
-            lo = min(max(best_rho - w / 2, lo0), hi0)
-            hi = max(min(best_rho + w / 2, hi0), lo0)
-        prev_best = best_v
-        for rho in np.linspace(lo, hi, cfg.rho_grid_size):
-            rho = float(rho)
-            v = objective(rho)
-            evals += 1
-            if v > best_v:
-                best_v, best_rho = v, rho
-        if rnd > 0 and best_v - prev_best <= cfg.objective_tolerance * max(1.0, abs(prev_best)):
-            break
-    return ExponentResult(best_v, best_rho, best_rho / (1.0 + best_rho), evals,
-                          "finite", "gallager")

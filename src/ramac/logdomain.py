@@ -7,14 +7,18 @@ wrappers centralize the conventions:
 * ``0^a = 0`` for a >= 0, including a = 0 where a masked entry must stay
   impossible (the factors we exponentiate arise as p * p^(-s) limits, so the
   p = 0 entry contributes nothing for every admissible exponent),
-* sums of exponentials via scipy's logsumexp, which returns -inf on empty or
-  all-masked input.
+* sums of exponentials by the max-shift logsumexp, which returns -inf on
+  empty or all-masked input.
+
+``logsumexp`` is plain numpy: it ports ``scipy.special.logsumexp`` (scipy
+1.17, real input, no weights) step for step, with the same reductions over
+the same axes, so its results are bit-identical to scipy's. Importing scipy
+would cost more than most runs of the package spend computing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp as _lse
 
 NEG_INF = float("-inf")
 
@@ -42,7 +46,14 @@ def scaled_power(logp: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def logsumexp(a, axis=None):
-    """logsumexp that tolerates empty and all--inf inputs (returns -inf)."""
+    """log(sum(exp(a))) over `axis` (int, tuple or None for all axes).
+
+    Empty and all--inf inputs give -inf. The maximum of each slice is taken
+    out of the sum, with ties counted: log1p(s / m) + log(m) + max, where m
+    entries equal the maximum and s sums exp(a - max) over the rest. Slices
+    where that is not finite (all -inf, +inf entries, nan) fall back to
+    log(sum(exp(a))), as in scipy.
+    """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         if axis is None:
@@ -54,8 +65,29 @@ def logsumexp(a, axis=None):
         else:
             del shape[axis % a.ndim]
         return np.full(shape, NEG_INF)
-    with np.errstate(invalid="ignore"):
-        return _lse(a, axis=axis)
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        tied = a == a_max
+        # tie counts are exact in float64, so summing the mask equals
+        # scipy's sum of the mask cast to float
+        m = tied.sum(axis=axis, keepdims=True, dtype=float)
+        rest = np.where(tied, NEG_INF, a)
+        rest -= a_max
+        np.exp(rest, out=rest)
+        # scipy divides only where s != 0; s == 0 implies m >= 1 (m is 0
+        # only under a nan maximum, which makes s nan), so 0 / m is 0 anyway
+        s = rest.sum(axis=axis, keepdims=True) / m
+        out = np.log1p(s)
+        out += np.log(m)
+        out += a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def logsumexp_list(values) -> float:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ramac
 from conftest import FAST_OPT, bsc, random_dmc, random_laws
-from oracles import em_objective_direct, ei_objective_direct
+from oracles import ei_objective_direct, em_objective_direct, gallager_exponent_sweep
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                  refinement_rounds=0)
@@ -67,10 +67,9 @@ def test_gallager_reduction_tight():
     for rate in (0.05, 0.1, 0.2):
         q, _, _ = _self_query(bsc(0.1), rate)
         em = ramac.em_exponent(q)
-        ref = ramac.gallager_reference_exponent(
-            bsc(0.1), np.array([0.5, 0.5]), rate)
-        assert em.value >= ref.value - 1e-9
-        assert abs(em.value - ref.value) < 1e-6
+        ref = gallager_exponent_sweep([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], rate)
+        assert em.value >= ref - 1e-9
+        assert abs(em.value - ref) < 1e-6
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -264,11 +263,3 @@ def _pin_envelope_query():
 def test_optimizer_decisions_pinned(solve, make_query, cfg, want):
     res = solve(make_query(), cfg)
     assert (res.value, res.rho_star, res.s_star, res.evaluations) == want
-
-
-def test_gallager_reference_matches_dense_sweep():
-    from oracles import gallager_exponent_sweep
-    ch = bsc(0.1)
-    ref = ramac.gallager_reference_exponent(ch, np.array([0.5, 0.5]), 0.1)
-    sweep = gallager_exponent_sweep([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 0.1)
-    assert abs(ref.value - sweep) < 1e-7
