@@ -40,10 +40,15 @@ def main(argv=None):
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
     class_mode = system.cfg.mode == "class"
+    # Exponents do not depend on N: one ledger serves every bound and
+    # threshold below.
+    ledger = ramac.ExponentLedger(
+        ramac.channel_map(system.envelopes if class_mode else system.compound),
+        system.laws, system.table, system.cfg.optimizer)
     if not class_mode:
         se = ramac.system_exponent(system.region, system.compound,
                                    system.laws, system.table,
-                                   system.cfg.optimizer)
+                                   system.cfg.optimizer, ledger=ledger)
         print(f"asymptotic exponent {se.value:.6g} "
               f"({se.kind}, subset {sorted(se.subset)})")
 
@@ -54,17 +59,17 @@ def main(argv=None):
         if class_mode:
             bound = ramac.pes_bound_classes(system.region, system.envelopes,
                                             system.laws, system.table, n,
-                                            system.cfg.optimizer)
+                                            system.cfg.optimizer, ledger=ledger)
         else:
             bound = ramac.pes_bound_finite(system.region, system.compound,
                                            system.laws, system.table, n,
-                                           system.cfg.optimizer)
+                                           system.cfg.optimizer, ledger=ledger)
         report = ramac.estimate_errors(
             system.region, system.laws, system.table, n, args.trials, seed,
             compound=system.compound,
             envelopes=system.envelopes if class_mode else None,
             class_map=system.class_map if class_mode else None,
-            cfg=system.cfg.optimizer, bound=bound.clamped_bound)
+            cfg=system.cfg.optimizer, bound=bound.clamped_bound, ledger=ledger)
         rows.append([n, bound.log_bound, bound.clamped_bound,
                      report.system_error_rate, report.system_half_width99,
                      report.bound_holds])

@@ -48,11 +48,16 @@ def main(argv=None):
     n = args.N or system.cfg.defaults.n
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
     class_mode = system.cfg.mode == "class"
+    envelopes = system.envelopes if class_mode else None
+    # Every grid point picks its competing pairs by the same crossing
+    # exponents, so one ledger optimises them once for the whole grid.
+    ledger = ramac.ExponentLedger(
+        ramac.channel_map(envelopes or system.compound), system.laws,
+        system.table, system.cfg.optimizer)
     common = dict(
-        compound=system.compound,
-        envelopes=system.envelopes if class_mode else None,
+        compound=system.compound, envelopes=envelopes,
         class_map=system.class_map if class_mode else None,
-        cfg=system.cfg.optimizer)
+        cfg=system.cfg.optimizer, ledger=ledger)
 
     auto = ramac.estimate_errors(system.region, system.laws, system.table, n,
                                  args.trials, seed, **common)

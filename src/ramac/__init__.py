@@ -14,9 +14,10 @@ enumeration), config/cli (INI-driven command line).
 from .bounds import (
     BoundReport,
     BoundTerm,
+    ExponentLedger,
     PartitionBoundResult,
     SystemExponentResult,
-    evaluate_partition,
+    channel_map,
     pes_bound_classes,
     pes_bound_ddecoder,
     pes_bound_finite,
@@ -96,7 +97,6 @@ from .sim import (
     ThresholdTables,
     build_schedule,
     build_threshold_tables,
-    build_thresholds,
     decode_slot,
     estimate_errors,
     exact_conditional_errors,

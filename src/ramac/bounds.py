@@ -6,8 +6,10 @@ collision branch (worst out-of-region realization: for each matching in-region
 pair, the worst atypicality term again). The bound is the larger branch;
 raw values are exp of log-domain totals and are additionally clamped at 1.
 
-Exponent calls are memoized per assembly, keyed by (kind, subset, true pair,
-competing pair), so repeated matching patterns cost one optimization each.
+Exponents do not depend on the block length, so they live in an
+ExponentLedger that optimises each (kind, subset, true pair, competing pair)
+once and that one system's bounds, asymptotic slope and decoder thresholds
+share; a report at any N reads the ledger and sums e^(-N E) terms.
 """
 
 from __future__ import annotations
@@ -95,98 +97,140 @@ def _matches(a, b, subset) -> bool:
     return a[0].agrees_on(b[0], subset)
 
 
-class _ExponentMemo:
-    def __init__(self, em_fn, ei_fn):
-        self._em_fn = em_fn
-        self._ei_fn = ei_fn
-        self._cache = {}
-        self.evaluations = 0
+def channel_map(source) -> dict:
+    """id -> channel of a CompoundSet, or class id -> envelope of a sequence
+    of class envelopes: the channel map an ExponentLedger is built from."""
+    if isinstance(source, CompoundSet):
+        return {cid: source.by_id(cid) for cid in source.ids}
+    out = {}
+    for env in source:
+        if env.class_id in out:
+            raise ValidationError(f"duplicate class id {env.class_id!r}")
+        out[env.class_id] = env
+    return out
+
+
+class ExponentLedger:
+    """Every em/ei exponent of one system, each optimised once.
+
+    Exponents do not depend on the block length, so one ledger serves every
+    bound, the asymptotic slope and the decoder thresholds of a system.
+    Entries are keyed by (kind, subset, true pair, competing pair); a pair is
+    (rate vector, id) and the id names a channel or class envelope of the
+    channel map. With users_d the ledger serves the decoder of the users in
+    D: a pair's channel is its mapped channel averaged over the pair's rates
+    of the users outside D, and subsets are subsets of D.
+    """
+
+    def __init__(self, channels: Mapping, laws: InputLaws, table: RateTable,
+                 cfg: OptimizerConfig = OptimizerConfig(), users_d=None):
+        self.channels = dict(channels)
+        self.laws, self.table, self.cfg = laws, table, cfg
+        self.users_d = None if users_d is None else frozenset(users_d)
+        self._entries = {}
+        if self.users_d is not None:
+            self._d = sorted(self.users_d)
+            self._reduced = (laws.restrict(self._d), table.restrict(self._d))
+            self._effective = {}
+
+    @classmethod
+    def serving(cls, ledger: Optional["ExponentLedger"], channels: Mapping,
+                laws: InputLaws, table: RateTable, cfg: OptimizerConfig,
+                users_d=None) -> "ExponentLedger":
+        """A fresh ledger for these inputs when ledger is None; otherwise
+        ledger itself, which must have been built from the same channel
+        objects, laws and table, an equal cfg and the same decoded set."""
+        if ledger is None:
+            return cls(channels, laws, table, cfg, users_d)
+        same = (ledger.channels.keys() == channels.keys()
+                and all(ledger.channels[k] is v for k, v in channels.items())
+                and ledger.laws is laws and ledger.table is table
+                and ledger.cfg == cfg
+                and ledger.users_d == (None if users_d is None
+                                       else frozenset(users_d)))
+        if not same:
+            raise ValidationError("the exponent ledger was built for other "
+                                  "channels, laws, rates, optimizer or decoded set")
+        return ledger
+
+    def _channel(self, pair):
+        channel = self.channels[pair[1]]
+        if self.users_d is None:
+            return channel
+        outside = {u: pair[0].index(u) for u in range(1, channel.num_users + 1)
+                   if u not in self.users_d}
+        key = (pair[1], tuple(outside.values()))
+        if key not in self._effective:
+            self._effective[key] = effective_channel(channel, self._d, outside,
+                                                     self.laws)
+        return self._effective[key]
 
     def get(self, kind: str, subset, t, c) -> ExponentResult:
+        """The kind exponent of true pair t against competing pair c, which
+        agree on subset."""
         key = (kind, subset, _pair_key(t), _pair_key(c))
-        if key not in self._cache:
-            res = self._em_fn(subset, t, c) if kind == "em" else self._ei_fn(subset, t, c)
-            self._cache[key] = res
-            self.evaluations += res.evaluations
-        return self._cache[key]
+        if key not in self._entries:
+            true_ch, comp_ch = self._channel(t), self._channel(c)
+            if self.users_d is None:
+                q = ExponentQuery(subset, t[0], true_ch, c[0], comp_ch,
+                                  self.laws, self.table)
+            else:
+                d = self._d
+                q = ExponentQuery(frozenset(d.index(u) + 1 for u in subset),
+                                  t[0].restrict(d), true_ch, c[0].restrict(d),
+                                  comp_ch, *self._reduced)
+            if isinstance(true_ch, Dmc):
+                fn = em_exponent if kind == "em" else ei_exponent
+            else:
+                fn = em_class_exponent if kind == "em" else ei_class_exponent
+            self._entries[key] = fn(q, self.cfg)
+        return self._entries[key]
+
+    def best_ei(self, subset, t, out_pairs):
+        """(out pair, result) of the smallest ei exponent of t over the out
+        pairs agreeing with t on subset, the first on ties; None when no out
+        pair agrees."""
+        best = None
+        for o in out_pairs:
+            if _matches(o, t, subset):
+                res = self.get("ei", subset, t, o)
+                if best is None or res.value < best[1].value:
+                    best = (o, res)
+        return best
+
+    def evaluations(self, keys=None) -> int:
+        """Objective evaluations behind the entries keyed (kind, subset, true
+        pair key, competing pair key); all entries when keys is None."""
+        return sum(self._entries[k].evaluations
+                   for k in (self._entries if keys is None else keys))
 
 
-def _finite_memo(compound: CompoundSet, laws: InputLaws, table: RateTable,
-                 cfg: OptimizerConfig) -> _ExponentMemo:
-    def em(subset, t, c):
-        q = ExponentQuery(subset, t[0], compound.by_id(t[1]), c[0],
-                          compound.by_id(c[1]), laws, table)
-        return em_exponent(q, cfg)
-
-    def ei(subset, t, c):
-        q = ExponentQuery(subset, t[0], compound.by_id(t[1]), c[0],
-                          compound.by_id(c[1]), laws, table)
-        return ei_exponent(q, cfg)
-
-    return _ExponentMemo(em, ei)
-
-
-def _class_memo(envelopes: Mapping[str, ChannelClassEnvelope], laws: InputLaws,
-                table: RateTable, cfg: OptimizerConfig) -> _ExponentMemo:
-    def em(subset, t, c):
-        q = ExponentQuery(subset, t[0], envelopes[t[1]], c[0],
-                          envelopes[c[1]], laws, table)
-        return em_class_exponent(q, cfg)
-
-    def ei(subset, t, c):
-        q = ExponentQuery(subset, t[0], envelopes[t[1]], c[0],
-                          envelopes[c[1]], laws, table)
-        return ei_class_exponent(q, cfg)
-
-    return _ExponentMemo(em, ei)
-
-
-def _best_ei(memo: _ExponentMemo, subset, t, out_pairs, n: int):
-    """Largest-weight atypicality term for (t, subset); None when no match."""
-    best = None
-    entries = []
-    for o in out_pairs:
-        if not _matches(o, t, subset):
-            continue
-        res = memo.get("ei", subset, t, o)
-        lw = -n * res.value
-        entries.append((o, res, lw))
-        if best is None or lw > best[2]:
-            best = (o, res, lw)
-    return best, entries
-
-
-def _assemble(in_pairs, out_pairs, subsets, memo: _ExponentMemo, n: int,
+def _assemble(in_pairs, out_pairs, subsets, ledger: ExponentLedger, n: int,
               mode: str) -> BoundReport:
     terms = []
     pair_totals = []
     decode_entries = []
-    best_ei_cache = {}
-
-    def best_ei(subset, t):
-        key = (subset, _pair_key(t))
-        if key not in best_ei_cache:
-            best_ei_cache[key] = _best_ei(memo, subset, t, out_pairs, n)
-        return best_ei_cache[key]
-
     for t in in_pairs:
         logs_t = []
         for subset in subsets:
             for c in in_pairs:
                 if not _matches(c, t, subset):
                     continue
-                res = memo.get("em", subset, t, c)
+                res = ledger.get("em", subset, t, c)
                 lw = -n * res.value
                 terms.append(BoundTerm("decode", _pair_key(t), subset, "em",
                                        _pair_key(c), res.value, lw, "sum", True))
                 logs_t.append(lw)
-            best, entries = best_ei(subset, t)
-            for o, res, lw in entries:
+            best = ledger.best_ei(subset, t, out_pairs)
+            for o in out_pairs:
+                if not _matches(o, t, subset):
+                    continue
+                res = ledger.get("ei", subset, t, o)
                 terms.append(BoundTerm("decode", _pair_key(t), subset, "ei",
-                                       _pair_key(o), res.value, lw, "max",
-                                       best is not None and o is best[0]))
+                                       _pair_key(o), res.value, -n * res.value,
+                                       "max", o is best[0]))
             if best is not None:
-                logs_t.append(best[2])
+                logs_t.append(-n * best[1].value)
         total = logsumexp_list(logs_t)
         pair_totals.append(("decode", _pair_key(t), total))
         decode_entries.append((total, _pair_key(t)))
@@ -198,10 +242,10 @@ def _assemble(in_pairs, out_pairs, subsets, memo: _ExponentMemo, n: int,
             for t in in_pairs:
                 if not _matches(t, o_true, subset):
                     continue
-                best, _ = best_ei(subset, t)
                 # t matches o_true on the subset, so t has at least one
                 # matching out pair (o_true itself).
-                o_star, res, lw = best
+                o_star, res = ledger.best_ei(subset, t, out_pairs)
+                lw = -n * res.value
                 terms.append(BoundTerm("collision", _pair_key(o_true), subset,
                                        "ei", _pair_key(o_star), res.value, lw,
                                        "max", True))
@@ -216,11 +260,14 @@ def _assemble(in_pairs, out_pairs, subsets, memo: _ExponentMemo, n: int,
     log_bound = max(decode_log, collision_log)
     branch = "decode" if decode_log >= collision_log else "collision"
     raw = math.exp(log_bound) if log_bound > NEG_INF else 0.0
+    # Every exponent the report reads is a decode-branch term.
+    read = {(t.kind, t.subset, t.true_pair, t.comp_pair)
+            for t in terms if t.branch == "decode"}
     return BoundReport(
         n=n, mode=mode, raw_bound=raw, clamped_bound=min(raw, 1.0),
         log_bound=log_bound, branch=branch, decode_log=decode_log,
         collision_log=collision_log, pair_totals=tuple(pair_totals),
-        terms=tuple(terms), exponent_evaluations=memo.evaluations,
+        terms=tuple(terms), exponent_evaluations=ledger.evaluations(read),
     )
 
 
@@ -243,23 +290,25 @@ def _check_n(n: int):
 
 def pes_bound_finite(region: OperationRegion, compound: CompoundSet,
                      laws: InputLaws, table: RateTable, n: int,
-                     cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
+                     cfg: OptimizerConfig = OptimizerConfig(),
+                     ledger: Optional[ExponentLedger] = None) -> BoundReport:
     """Slot error bound for a channel-level operation region at block length n."""
     _check_n(n)
     if region.mode != "finite":
         raise ValidationError("pes_bound_finite expects a channel-level region")
+    ledger = ExponentLedger.serving(ledger, channel_map(compound), laws, table, cfg)
     _require_feasible(region, compound, laws, table)
     universe = pair_universe(table, compound.ids)
     out_pairs = region.complement(universe)
     subsets = tuple(proper_subsets(compound.num_users))
-    memo = _finite_memo(compound, laws, table, cfg)
-    return _assemble(region.members, out_pairs, subsets, memo, n, "finite")
+    return _assemble(region.members, out_pairs, subsets, ledger, n, "finite")
 
 
 def pes_bound_classes(region: OperationRegion,
                       envelopes: Sequence[ChannelClassEnvelope],
                       laws: InputLaws, table: RateTable, n: int,
-                      cfg: OptimizerConfig = OptimizerConfig()) -> BoundReport:
+                      cfg: OptimizerConfig = OptimizerConfig(),
+                      ledger: Optional[ExponentLedger] = None) -> BoundReport:
     """Class-level bound; the region must already be class-mode (run c1_check
     first on channel-level input), and feasibility is the caller's channel-level
     responsibility."""
@@ -269,28 +318,25 @@ def pes_bound_classes(region: OperationRegion,
             "pes_bound_classes needs a class-mode region; convert channel-level "
             "regions through c1_check first"
         )
-    envmap = {}
-    for env in envelopes:
-        if env.class_id in envmap:
-            raise ValidationError(f"duplicate class id {env.class_id!r}")
-        envmap[env.class_id] = env
+    envmap = channel_map(envelopes)
     for rvi, cid in region.members:
         rvi.check_against(table)
         if cid not in envmap:
             raise ValidationError(f"region references unknown class {cid!r}")
+    ledger = ExponentLedger.serving(ledger, envmap, laws, table, cfg)
     first = next(iter(envmap.values()))
     universe = pair_universe(table, tuple(envmap.keys()))
     out_pairs = region.complement(universe)
     subsets = tuple(proper_subsets(first.num_users))
-    memo = _class_memo(envmap, laws, table, cfg)
-    return _assemble(region.members, out_pairs, subsets, memo, n, "class")
+    return _assemble(region.members, out_pairs, subsets, ledger, n, "class")
 
 
 def system_exponent(region: OperationRegion, compound: CompoundSet,
                     laws: InputLaws, table: RateTable,
-                    cfg: OptimizerConfig = OptimizerConfig()) -> SystemExponentResult:
+                    cfg: OptimizerConfig = OptimizerConfig(),
+                    ledger: Optional[ExponentLedger] = None) -> SystemExponentResult:
     """Asymptotic slope of the finite bound: the smallest exponent among the
-    decode-branch terms.
+    decode-branch terms, the first in term order on ties.
 
     The collision branch introduces no additional exponent values: its inner
     maximization runs over the same matched atypicality terms that already
@@ -300,33 +346,15 @@ def system_exponent(region: OperationRegion, compound: CompoundSet,
     """
     if region.mode != "finite":
         raise ValidationError("system_exponent expects a channel-level region")
-    _require_feasible(region, compound, laws, table)
-    universe = pair_universe(table, compound.ids)
-    out_pairs = region.complement(universe)
-    subsets = tuple(proper_subsets(compound.num_users))
-    memo = _finite_memo(compound, laws, table, cfg)
-    best = None
-    for t in region.members:
-        for subset in subsets:
-            for c in region.members:
-                if not _matches(c, t, subset):
-                    continue
-                res = memo.get("em", subset, t, c)
-                cand = (res.value, "em", subset, _pair_key(t), _pair_key(c))
-                if best is None or cand[0] < best[0]:
-                    best = cand
-            for o in out_pairs:
-                if not _matches(o, t, subset):
-                    continue
-                res = memo.get("ei", subset, t, o)
-                cand = (res.value, "ei", subset, _pair_key(t), _pair_key(o))
-                if best is None or cand[0] < best[0]:
-                    best = cand
-    if best is None:
+    report = pes_bound_finite(region, compound, laws, table, 1, cfg, ledger)
+    decode = [t for t in report.terms if t.branch == "decode"]
+    if not decode:
         return SystemExponentResult(float("inf"), None, None, None, None,
-                                    memo.evaluations)
-    return SystemExponentResult(best[0], best[1], best[2], best[3], best[4],
-                                memo.evaluations)
+                                    report.exponent_evaluations)
+    best = min(decode, key=lambda t: t.exponent)
+    return SystemExponentResult(best.exponent, best.kind, best.subset,
+                                best.true_pair, best.comp_pair,
+                                report.exponent_evaluations)
 
 
 def _rate_universe(table: RateTable) -> tuple:
@@ -335,44 +363,11 @@ def _rate_universe(table: RateTable) -> tuple:
                                    repeat=table.num_users))
 
 
-def _ddecoder_memo(users_d, channel: Dmc, laws: InputLaws, table: RateTable,
-                   cfg: OptimizerConfig) -> _ExponentMemo:
-    d = sorted(users_d)
-    outside = [u for u in range(1, channel.num_users + 1) if u not in users_d]
-    reduced_laws = laws.restrict(d)
-    reduced_table = table.restrict(d)
-    eff_cache = {}
-
-    def eff(rvi: RateVectorIndex) -> Dmc:
-        key = tuple(rvi.index(u) for u in outside)
-        if key not in eff_cache:
-            eff_cache[key] = effective_channel(
-                channel, d, {u: rvi.index(u) for u in outside}, laws)
-        return eff_cache[key]
-
-    def reduced_query(subset, t, c) -> ExponentQuery:
-        reduced_s = frozenset(d.index(u) + 1 for u in subset)
-        return ExponentQuery(reduced_s, t[0].restrict(d), eff(t[0]),
-                             c[0].restrict(d), eff(c[0]), reduced_laws,
-                             reduced_table)
-
-    def em(subset, t, c):
-        res = em_exponent(reduced_query(subset, t, c), cfg)
-        return ExponentResult(res.value, res.rho_star, res.s_star,
-                              res.evaluations, "subset", "em")
-
-    def ei(subset, t, c):
-        res = ei_exponent(reduced_query(subset, t, c), cfg)
-        return ExponentResult(res.value, res.rho_star, res.s_star,
-                              res.evaluations, "subset", "ei")
-
-    return _ExponentMemo(em, ei)
-
-
 def pes_bound_ddecoder(users_d, region_rates: Sequence[RateVectorIndex],
                        channel: Dmc, laws: InputLaws, table: RateTable, n: int,
                        cfg: OptimizerConfig = OptimizerConfig(),
-                       channel_id: str = "channel") -> BoundReport:
+                       channel_id: str = "channel",
+                       ledger: Optional[ExponentLedger] = None) -> BoundReport:
     """Bound for a decoder resolving only the users in D over a known channel.
 
     region_rates lists the full-length rate vectors the D-decoder commits to;
@@ -393,6 +388,8 @@ def pes_bound_ddecoder(users_d, region_rates: Sequence[RateVectorIndex],
         if rvi.indices in seen:
             raise ValidationError(f"duplicate rate vector {rvi.indices}")
         seen.add(rvi.indices)
+    ledger = ExponentLedger.serving(ledger, {channel_id: channel}, laws, table,
+                                    cfg, users_d=d)
     in_pairs = tuple((rvi, channel_id) for rvi in region_rates)
     out_pairs = tuple((rvi, channel_id) for rvi in _rate_universe(table)
                       if rvi.indices not in seen)
@@ -400,8 +397,7 @@ def pes_bound_ddecoder(users_d, region_rates: Sequence[RateVectorIndex],
     for size in range(len(d)):
         for combo in itertools.combinations(d, size):
             subsets.append(frozenset(combo))
-    memo = _ddecoder_memo(frozenset(d), channel, laws, table, cfg)
-    return _assemble(in_pairs, out_pairs, tuple(subsets), memo, n, "subset")
+    return _assemble(in_pairs, out_pairs, tuple(subsets), ledger, n, "subset")
 
 
 @dataclass(frozen=True)
@@ -414,38 +410,6 @@ class PartitionBoundResult:
     search: str
     partitions_considered: int
     exponent_evaluations: int
-
-
-class _BlockCache:
-    """Memoizes per-(decoded set, member tuple) D-decoder bounds."""
-
-    def __init__(self, channel, laws, table, n, cfg, channel_id):
-        self.channel, self.laws, self.table = channel, laws, table
-        self.n, self.cfg, self.channel_id = n, cfg, channel_id
-        self._cache = {}
-        self.evaluations = 0
-
-    def bound(self, users_d: frozenset, members) -> BoundReport:
-        key = (users_d, tuple(rvi.indices for rvi, _ in members))
-        if key not in self._cache:
-            report = pes_bound_ddecoder(
-                users_d, tuple(rvi for rvi, _ in members), self.channel,
-                self.laws, self.table, self.n, self.cfg, self.channel_id)
-            self._cache[key] = report
-            self.evaluations += report.exponent_evaluations
-        return self._cache[key]
-
-
-def evaluate_partition(partition: Partition, cache: _BlockCache):
-    """Log-domain total of a partition's block bounds, plus the block reports."""
-    blocks = partition.blocks()
-    reports = []
-    logs = []
-    for users_d, members in blocks.items():
-        report = cache.bound(users_d, members)
-        reports.append((users_d, report))
-        logs.append(report.log_bound)
-    return logsumexp_list(logs), tuple(reports)
 
 
 def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
@@ -469,21 +433,34 @@ def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
     if region.mode != "finite":
         raise ValidationError("partition search expects a channel-level region")
     k = channel.num_users
-    cache = _BlockCache(channel, laws, table, n, cfg,
-                        region.members[0][1] if region.members else "channel")
+    channel_id = region.members[0][1] if region.members else "channel"
+    ledgers = {}  # decoded set -> its exponent ledger
+
+    def block_bound(users_d, members) -> BoundReport:
+        if users_d not in ledgers:
+            ledgers[users_d] = ExponentLedger({channel_id: channel}, laws, table,
+                                              cfg, users_d)
+        return pes_bound_ddecoder(users_d, tuple(rvi for rvi, _ in members),
+                                  channel, laws, table, n, cfg, channel_id,
+                                  ledger=ledgers[users_d])
+
+    def score(partition):
+        reports = tuple((users_d, block_bound(users_d, members))
+                        for users_d, members in partition.blocks().items())
+        return logsumexp_list([r.log_bound for _, r in reports]), reports
+
     if search == "greedy":
         choices = subsets_containing(user, k)
         assignment = []
-        for rvi, cid in region.members:
+        for member in region.members:
             best = None
             for users_d in choices:
-                report = cache.bound(users_d, ((rvi, cid),))
+                report = block_bound(users_d, (member,))
                 if best is None or report.log_bound < best[0]:
                     best = (report.log_bound, users_d)
             assignment.append(best[1])
-        partition = Partition(region, user, tuple(assignment))
-        total, reports = evaluate_partition(partition, cache)
-        best_total, best_partition, best_reports = total, partition, reports
+        best_partition = Partition(region, user, tuple(assignment))
+        best_total, best_reports = score(best_partition)
         considered = 1
     else:
         best_total, best_partition, best_reports = None, None, None
@@ -491,7 +468,7 @@ def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
         for partition in enumerate_partitions(region, user, k,
                                               max_blocks=max_blocks,
                                               allow_drop=allow_drop):
-            total, reports = evaluate_partition(partition, cache)
+            total, reports = score(partition)
             considered += 1
             if best_total is None or total < best_total:
                 best_total, best_partition, best_reports = total, partition, reports
@@ -504,5 +481,6 @@ def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
     return PartitionBoundResult(
         raw_bound=raw, clamped_bound=min(raw, 1.0), log_bound=best_total,
         partition=best_partition, block_reports=best_reports, search=search,
-        partitions_considered=considered, exponent_evaluations=cache.evaluations,
+        partitions_considered=considered,
+        exponent_evaluations=sum(led.evaluations() for led in ledgers.values()),
     )

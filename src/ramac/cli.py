@@ -15,6 +15,8 @@ from typing import Optional
 
 from . import config as cfgmod
 from .bounds import (
+    ExponentLedger,
+    channel_map,
     pes_bound_classes,
     pes_bound_finite,
     pes_bound_single_user,
@@ -69,11 +71,14 @@ def _cmd_exponent(args) -> int:
     true_pair = _parse_pair_flag(args.true_pair, system) if args.true_pair else first
     comp_pair = _parse_pair_flag(args.comp_pair, system) if args.comp_pair else true_pair
     if args.users_d:
-        users_d = frozenset(int(t) for t in args.users_d.split(","))
+        if system.cfg.mode == "class":
+            raise ValidationError("the reduced-system exponent needs a finite scenario")
+        users_d = _parse_subset(args.users_d)
         res = subset_exponent(
             args.kind, users_d, subset, true_pair[0], comp_pair[0],
             _channel_of(system, true_pair[1]), system.laws, system.table,
-            system.cfg.optimizer)
+            system.cfg.optimizer,
+            comp_channel=_channel_of(system, comp_pair[1]))
     else:
         query = ExponentQuery(subset, true_pair[0],
                               _channel_of(system, true_pair[1]), comp_pair[0],
@@ -104,12 +109,20 @@ def _cmd_exponent(args) -> int:
     return 0
 
 
-def _bound_report(system, n: int):
+def _ledger(system) -> ExponentLedger:
+    """One exponent ledger for every bound and threshold of the system."""
+    channels = system.envelopes if system.cfg.mode == "class" else system.compound
+    return ExponentLedger(channel_map(channels), system.laws, system.table,
+                          system.cfg.optimizer)
+
+
+def _bound_report(system, n: int, ledger: Optional[ExponentLedger] = None):
     if system.cfg.mode == "class":
         return pes_bound_classes(system.region, system.envelopes, system.laws,
-                                 system.table, n, system.cfg.optimizer)
+                                 system.table, n, system.cfg.optimizer,
+                                 ledger=ledger)
     return pes_bound_finite(system.region, system.compound, system.laws,
-                            system.table, n, system.cfg.optimizer)
+                            system.table, n, system.cfg.optimizer, ledger=ledger)
 
 
 def _term_rows(report):
@@ -248,9 +261,10 @@ def _cmd_simulate(args) -> int:
     n = args.n or system.cfg.defaults.n
     trials = args.trials or system.cfg.defaults.trials
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
+    ledger = _ledger(system)
     bound = None
     if not args.no_bound:
-        bound = _bound_report(system, n).clamped_bound
+        bound = _bound_report(system, n, ledger).clamped_bound
     report = estimate_errors(
         system.region, system.laws, system.table, n, trials, seed,
         compound=system.compound,
@@ -258,7 +272,7 @@ def _cmd_simulate(args) -> int:
         class_map=system.class_map if system.cfg.mode == "class" else None,
         params=system.cfg.thresholds, cfg=system.cfg.optimizer, bound=bound,
         freeze_codebooks=args.freeze_codebooks,
-        batch_size=system.cfg.defaults.batch_size)
+        batch_size=system.cfg.defaults.batch_size, ledger=ledger)
     record = {"command": "simulate", "scenario": system.cfg.name,
               "report": report}
     jpath, cpath = _out_paths(system, "simulate", args.out_dir)
@@ -318,8 +332,9 @@ def _cmd_sweep(args) -> int:
         start, step, stop = (int(v) for v in _parse_span(args.n_span))
         if step <= 0 or start < 1:
             raise ValidationError("--N span must have start >= 1 and step > 0")
+        ledger = _ledger(system)
         for n in range(start, stop + 1, step):
-            report = _bound_report(system, n)
+            report = _bound_report(system, n, ledger)
             rows.append([n, report.log_bound, report.clamped_bound])
         header = ["N", "log_bound", "clamped_bound"]
         label = "block length"

@@ -28,6 +28,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .bounds import ExponentLedger, channel_map
 from .channels import (
     ChannelClassEnvelope,
     CompoundSet,
@@ -429,6 +430,9 @@ class SlotDecoder:
     finite mode uses one score for both roles. Rounding is monotone, so the
     tested score never exceeds the rival score and at most one message/rate
     tuple can strictly dominate.
+
+    The thresholds read their crossing exponents from ledger, which the bound
+    of the same system may already have filled; None builds a fresh one.
     """
 
     def __init__(self, region: OperationRegion, laws: InputLaws,
@@ -436,19 +440,19 @@ class SlotDecoder:
                  compound: Optional[CompoundSet] = None,
                  envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
                  params: ThresholdParams = ThresholdParams(),
-                 cfg: OptimizerConfig = OptimizerConfig()):
+                 cfg: OptimizerConfig = OptimizerConfig(),
+                 ledger: Optional[ExponentLedger] = None):
         if region.mode == "finite":
             if compound is None:
                 raise ValidationError("finite mode needs a compound set")
-            self.ids = tuple(compound.ids)
-            self.channels = {cid: compound.by_id(cid) for cid in self.ids}
-            ref = compound.channels[0]
+            self.channels = channel_map(compound)
         else:
             if not envelopes:
                 raise ValidationError("class mode needs envelopes")
-            self.ids = tuple(env.class_id for env in envelopes)
-            self.channels = {env.class_id: env for env in envelopes}
-            ref = envelopes[0]
+            self.channels = channel_map(envelopes)
+        self.ids = tuple(self.channels)
+        ref = next(iter(self.channels.values()))
+        ledger = ExponentLedger.serving(ledger, self.channels, laws, table, cfg)
         self.mode = region.mode
         self.region = region
         self.laws = laws
@@ -479,7 +483,7 @@ class SlotDecoder:
             for i in range(1, table.num_classes + 1):
                 self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
         self._lay_out_candidates()
-        self.thresholds = self._build_thresholds(cfg)
+        self.thresholds = self._build_thresholds(ledger)
 
     def _lay_out_candidates(self):
         """Candidate order of decide(): region rate vectors in first-member
@@ -507,7 +511,7 @@ class SlotDecoder:
             cands, dtype=np.int64).reshape(-1, 3).T
         self._group_starts = np.flatnonzero(np.diff(self._group_of, prepend=-1))
 
-    def _build_thresholds(self, cfg) -> dict:
+    def _build_thresholds(self, ledger: ExponentLedger) -> dict:
         """For each (in pair, subset): pick the matching out pair minimizing
         the crossing exponent and build its balance tables; no matching out
         pair means the test never rejects (tau = +inf, stored as None)."""
@@ -515,20 +519,11 @@ class SlotDecoder:
         for t in self.region.members:
             for subset in self.subsets:
                 key = ((t[0].indices, t[1]), subset)
-                best = None
-                for o in self.out_pairs:
-                    if not o[0].agrees_on(t[0], subset):
-                        continue
-                    q = ExponentQuery(subset, t[0], self.channels[t[1]], o[0],
-                                      self.channels[o[1]], self.laws, self.table)
-                    res = (ei_exponent(q, cfg) if self.mode == "finite"
-                           else ei_class_exponent(q, cfg))
-                    if best is None or res.value < best[0]:
-                        best = (res.value, o, res)
+                best = ledger.best_ei(subset, t, self.out_pairs)
                 if best is None:
                     out[key] = None
                     continue
-                _, o_star, res = best
+                o_star, res = best
                 if self.params.source == "manual":
                     rho_tilde, s2 = self.params.rho_tilde, self.params.s2
                 else:
@@ -720,15 +715,6 @@ class SlotDecoder:
         return tables.taus(y_counts, self.n)
 
 
-def build_thresholds(region: OperationRegion, laws: InputLaws, table: RateTable,
-                     n: int, compound: Optional[CompoundSet] = None,
-                     envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
-                     params: ThresholdParams = ThresholdParams(),
-                     cfg: OptimizerConfig = OptimizerConfig()) -> SlotDecoder:
-    """Precompute the full decoding context (thresholds included) for a region."""
-    return SlotDecoder(region, laws, table, n, compound, envelopes, params, cfg)
-
-
 def decode_slot(y, codebooks, region: OperationRegion, thresholds: SlotDecoder,
                 mode: str = "finite") -> Decision:
     if thresholds.region != region:
@@ -875,7 +861,8 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
                     bound: Optional[float] = None,
                     freeze_codebooks: bool = False,
                     codebooks: Optional[CodebookSet] = None,
-                    batch_size: int = 4096) -> SimReport:
+                    batch_size: int = 4096,
+                    ledger: Optional[ExponentLedger] = None) -> SimReport:
     """Per-case Monte Carlo error estimation over an explicit realization
     schedule (never a sampled prior); the system error is the worst case.
 
@@ -887,7 +874,8 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     reports its split into correct decodes, wrong decodes and collisions.
     Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and decided
     batch_size trials at a time, so batch_size bounds the memory of the draws
-    and never changes results.
+    and never changes results. The thresholds read their crossing exponents
+    from ledger, which a caller may share with the bound of the same system.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -897,7 +885,8 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
         raise ValidationError("estimate_errors needs the realizable channels")
     _guard_codewords(table, n)
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
-                          envelopes=envelopes, params=params, cfg=cfg)
+                          envelopes=envelopes, params=params, cfg=cfg,
+                          ledger=ledger)
     if schedule is None:
         schedule = build_schedule(region, table, compound.ids, class_map)
     frozen = None

@@ -152,19 +152,38 @@ def test_ddecoder_full_set_matches_plain_bound():
     assert abs(plain.log_bound - viad.log_bound) < 1e-10
 
 
-def test_partition_exhaustive_beats_greedy_and_every_assignment():
+def _record_optimisations(monkeypatch) -> list:
+    """Results of every em/ei optimisation the bounds make from now on."""
+    results = []
+
+    def recorded(fn):
+        def wrapper(query, cfg):
+            results.append(fn(query, cfg))
+            return results[-1]
+        return wrapper
+
+    for attr in ("em_exponent", "ei_exponent"):
+        monkeypatch.setattr(ramac.bounds, attr,
+                            recorded(getattr(ramac.bounds, attr)))
+    return results
+
+
+def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     rng = np.random.default_rng(23)
     ch = random_dmc(rng, 2, 2, 2, floor=0.1)
     table = ramac.RateTable(((0.02, 0.06), (0.02, 0.06)))
     laws = ramac.uniform_laws(table, 2)
     members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1)))
     region = ramac.OperationRegion(tuple((m, "c") for m in members), "finite")
+    optimised = _record_optimisations(monkeypatch)
     exhaustive = ramac.pes_bound_single_user(1, region, ch, laws, table, 19,
                                              search="exhaustive", cfg=TINY_OPT)
+    searched = list(optimised)
     greedy = ramac.pes_bound_single_user(1, region, ch, laws, table, 19,
                                          search="greedy", cfg=TINY_OPT)
     assert exhaustive.log_bound <= greedy.log_bound + 1e-12
     # every enumerated assignment is at least the exhaustive optimum
+    keys = set()
     for part in ramac.enumerate_partitions(region, 1, 2):
         total = 0.0
         for users_d, block in part.blocks().items():
@@ -172,13 +191,43 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment():
                 users_d, tuple(m for m, _ in block), ch, laws, table, 19,
                 TINY_OPT, channel_id="c")
             total += rep.raw_bound
+            keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
+                     for t in rep.terms if t.branch == "decode"}
         assert exhaustive.raw_bound <= total + 1e-12
+    # the search optimises each (D, kind, subset, true, competing) once and
+    # reports the evaluations it made
+    assert len(searched) == len(keys)
+    assert exhaustive.exponent_evaluations == sum(r.evaluations for r in searched)
 
 
 def test_assembly_deterministic():
+    """A bound is the same from a fresh ledger and from one already holding
+    entries the bound reads and entries it does not."""
     comp, table, laws, region = _rich_scenario()
     a = ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT)
-    b = ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT)
+    ledger = ramac.ExponentLedger(ramac.channel_map(comp), laws, table, TINY_OPT)
+    small = ramac.OperationRegion(region.members[:1], "finite")
+    ramac.pes_bound_finite(small, comp, laws, table, 30, TINY_OPT, ledger=ledger)
+    ramac.pes_bound_finite(region, comp, laws, table, 50, TINY_OPT, ledger=ledger)
+    b = ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT,
+                               ledger=ledger)
     assert a.log_bound == b.log_bound
     assert a.exponent_evaluations == b.exponent_evaluations > 0
     assert a.terms == b.terms
+    assert ledger.evaluations() > a.exponent_evaluations
+
+
+def test_ledger_from_other_inputs_rejected(monkeypatch):
+    comp, table, laws, region = _rich_scenario()
+    optimised = _record_optimisations(monkeypatch)
+    channels = ramac.channel_map(comp)
+    for ledger in (ramac.ExponentLedger(channels, laws, table, FAST_OPT),
+                   ramac.ExponentLedger(channels, ramac.uniform_laws(table, 2),
+                                        table, TINY_OPT)):
+        with pytest.raises(ramac.ValidationError):
+            ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT,
+                                   ledger=ledger)
+        with pytest.raises(ramac.ValidationError):
+            ramac.SlotDecoder(region, laws, table, 12, compound=comp,
+                              cfg=TINY_OPT, ledger=ledger)
+    assert optimised == []

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import ramac
 from ramac import config as cfgmod
 from ramac.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PAIR_CFG = """\
 [scenario]
@@ -266,6 +271,13 @@ def test_cli_exponent_bound_limit_region(tmp_path, capsys):
     assert _run(["exponent", "--config", cfg, "--out-dir", out,
                  "--kind", "em", "--true-pair", "1:good",
                  "--comp-pair", "1:bad"]) == 0
+    full = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    # D = every user reduces to the full exponent, competing channel included
+    assert _run(["exponent", "--config", cfg, "--out-dir", out,
+                 "--kind", "em", "--true-pair", "1:good",
+                 "--comp-pair", "1:bad", "--users-d", "1"]) == 0
+    reduced = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    assert reduced["result"]["value"] == full["result"]["value"]
     assert _run(["bound", "--config", cfg, "--out-dir", out, "--N", "12"]) == 0
     assert _run(["exponent-limit", "--config", cfg, "--out-dir", out]) == 0
     assert _run(["region", "--config", cfg, "--out-dir", out,
@@ -305,6 +317,8 @@ def test_cli_class_scenario(tmp_path, capsys):
     assert _run(["region", "--config", cfg, "--out-dir", out]) == 0
     assert _run(["simulate", "--config", cfg, "--out-dir", out,
                  "--trials", "30"]) == 0
+    assert _run(["exponent", "--config", cfg, "--out-dir", out,
+                 "--users-d", "1"]) == 2
     rec = cfgmod.read_record(str(tmp_path / "out" / "pooled_region.json"))
     assert rec["c1"]["passed"] is True
     capsys.readouterr()
@@ -326,6 +340,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, PAIR_CFG.replace("1:bad", "1:worse"), "bad.cfg")
     assert _run(["bound", "--config", bad]) == 2
     assert _run(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
+    pair = _write(tmp_path, PAIR_CFG)
+    assert _run(["exponent", "--config", pair, "--out-dir", str(tmp_path),
+                 "--users-d", "x"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     hot = _write(tmp_path, PAIR_CFG.replace("user1 = 0.1", "user1 = 1.0"),
@@ -334,6 +351,56 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--trials", "5"]) == 3
     assert "guard" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, argv, optimisations", [
+    ("bsc_pair.cfg", ["sweep", "--N", "8:8:64"], 4),
+    ("bsc_gate.cfg", ["simulate", "--trials", "20"], 2),
+])
+def test_cli_optimises_each_exponent_once(name, argv, optimisations, tmp_path,
+                                          monkeypatch, capsys):
+    """A sweep over N and a simulation with its bound read one exponent
+    ledger: every distinct exponent is optimised once."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(query, cfg):
+            calls.append(query)
+            return fn(query, cfg)
+        return wrapper
+
+    for module in (ramac.bounds, ramac.sim):
+        for attr in ("em_exponent", "ei_exponent"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    path = str(ROOT / "examples_cfg" / name)
+    assert _run([argv[0], "--config", path, "--out-dir", str(tmp_path),
+                 *argv[1:]]) == 0
+    assert len(calls) == optimisations
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("script, args, stem", [
+    ("bound_vs_simulation.py",
+     ["examples_cfg/bsc_pair.cfg", "--N", "8:8:16", "--trials", "200"],
+     "bsc_pair_bound_vs_sim"),
+    ("threshold_sensitivity.py",
+     ["examples_cfg/bsc_gate.cfg", "--trials", "200"],
+     "bsc_gate_threshold_sensitivity"),
+])
+def test_experiment_scripts_run(script, args, stem, tmp_path):
+    src = str(Path(ramac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args,
+         "--out-dir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rec = cfgmod.read_record(str(tmp_path / f"{stem}.json"))
+    assert rec["rows"]
+    assert (tmp_path / f"{stem}.csv").exists()
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):

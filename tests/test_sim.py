@@ -129,8 +129,8 @@ def test_noiseless_single_codeword_decoding():
     region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "id"),),
                                    "finite")
     n = 3
-    decoder = ramac.build_thresholds(region, laws, table, n, compound=comp,
-                                     cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
+                                cfg=TINY_OPT)
     cb = ramac.generate_codebooks(table, laws, 2, n, seed=3)
     cw = cb.codeword(1, 1, 0)
     for bits in np.ndindex(2, 2, 2):
@@ -150,8 +150,8 @@ def test_noiseless_single_codeword_decoding():
 
 def test_score_tie_collides_and_perturbation_decodes():
     comp, table, laws, region = _k1([0.1], (math.log(2) / 4,))
-    decoder = ramac.build_thresholds(region, laws, table, 4, compound=comp,
-                                     cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
+                                cfg=TINY_OPT)
     y = np.zeros(4, dtype=np.int64)
     tied = ramac.CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
@@ -166,8 +166,8 @@ def test_score_tie_collides_and_perturbation_decodes():
 def test_empty_region_always_collides():
     comp, table, laws, _ = _k1([0.1], (0.05,))
     region = ramac.OperationRegion((), "finite")
-    decoder = ramac.build_thresholds(region, laws, table, 4, compound=comp,
-                                     cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
+                                cfg=TINY_OPT)
     cb = ramac.generate_codebooks(table, laws, 2, 4, seed=1)
     for bits in np.ndindex(2, 2, 2, 2):
         assert decoder.decode(np.array(bits), cb).outcome == "collision"
@@ -175,8 +175,8 @@ def test_empty_region_always_collides():
 
 def test_decode_slot_checks_context():
     comp, table, laws, region = _k1([0.1], (0.05,))
-    decoder = ramac.build_thresholds(region, laws, table, 4, compound=comp,
-                                     cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
+                                cfg=TINY_OPT)
     cb = ramac.generate_codebooks(table, laws, 2, 4, seed=1)
     other = ramac.OperationRegion((), "finite")
     with pytest.raises(ramac.ValidationError):
