@@ -41,7 +41,6 @@ from .errors import (
     ConfigParseError,
     ConstraintViolation,
     DegenerateEnvelope,
-    DegenerateLikelihood,
     DimensionMismatch,
     EmptyClass,
     EnumerationTooLarge,
@@ -93,7 +92,6 @@ from .sim import (
     SimReport,
     SlotDecoder,
     ThresholdParams,
-    ThresholdResult,
     ThresholdTables,
     build_schedule,
     build_threshold_tables,
@@ -102,8 +100,6 @@ from .sim import (
     exact_conditional_errors,
     generate_codebooks,
     message_count,
-    tau_by_bisection,
-    typicality_threshold,
 )
 
 __version__ = "0.1.0"

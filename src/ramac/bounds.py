@@ -425,13 +425,17 @@ def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
     always reported as collisions) and returns the smallest total. Greedy
     assigns each member independently to the decoded set minimizing its
     singleton-block bound, then scores the resulting merged partition; it is
-    never below the exhaustive optimum.
+    never below the exhaustive optimum. Every member must name the one
+    channel id whose probabilities `channel` holds.
     """
     _check_n(n)
     if search not in ("exhaustive", "greedy"):
         raise ValidationError(f"search must be 'exhaustive' or 'greedy', got {search!r}")
     if region.mode != "finite":
         raise ValidationError("partition search expects a channel-level region")
+    if len({cid for _, cid in region.members}) > 1:
+        raise ValidationError("partition search bounds one channel, and the "
+                              "region names more than one")
     k = channel.num_users
     channel_id = region.members[0][1] if region.members else "channel"
     ledgers = {}  # decoded set -> its exponent ledger

@@ -50,10 +50,6 @@ class C1Violation(ValidationError):
     """A channel-level region splits some channel class."""
 
 
-class DegenerateLikelihood(ValidationError):
-    """A per-symbol expectation underflowed to zero while building a threshold."""
-
-
 class ConfigParseError(ValidationError):
     pass
 

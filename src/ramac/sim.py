@@ -6,6 +6,10 @@ threshold, the subset estimate is the admitted tuple of maximum likelihood
 (class mode: the tuple whose lower-envelope likelihood strictly beats every
 rival's upper-envelope likelihood), and the slot decodes only when every
 subset produces the same estimate; anything else is reported as a collision.
+SlotDecoder.decide is the one implementation of this rule: Monte Carlo, exact
+enumeration and the single-slot SlotDecoder.decode all run it, and
+SlotDecoder builds every threshold from the crossing exponents of an
+ExponentLedger.
 
 Likelihoods are joint (input, output) cell counts dotted with a log-propensity
 table in a fixed flat order, so tuples with identical transition counts have
@@ -37,13 +41,8 @@ from .channels import (
     RateTable,
     RateVectorIndex,
 )
-from .errors import (
-    DegenerateLikelihood,
-    EnumerationTooLarge,
-    TooManyCodewords,
-    ValidationError,
-)
-from .exponents import ExponentQuery, OptimizerConfig, ei_class_exponent, ei_exponent
+from .errors import EnumerationTooLarge, TooManyCodewords, ValidationError
+from .exponents import OptimizerConfig
 from .logdomain import NEG_INF, logsumexp, safe_log, scaled_power
 from .regions import OperationRegion, pair_universe, proper_subsets
 
@@ -144,7 +143,8 @@ class ThresholdParams:
 
     source "manual" takes rho_tilde and s2 as given; "from_ei" reads rho_tilde
     off the crossing-exponent argmax against the selected competing pair and
-    sets s2 = rho_tilde / 2. s1 is always 1 - s2 / rho_tilde.
+    sets s2 = rho_tilde / 2, so it takes neither. s1 is always
+    1 - s2 / rho_tilde.
     """
 
     rho_tilde: Optional[float] = None
@@ -154,14 +154,17 @@ class ThresholdParams:
     def __post_init__(self):
         if self.source not in ("manual", "from_ei"):
             raise ValidationError(f"source must be 'manual' or 'from_ei', got {self.source!r}")
-        if self.source == "manual":
-            if self.rho_tilde is None or self.s2 is None:
-                raise ValidationError("manual thresholds need rho_tilde and s2")
-        if self.rho_tilde is not None and not 0 < self.rho_tilde <= 1:
+        if self.source == "from_ei":
+            if self.rho_tilde is not None or self.s2 is not None:
+                raise ValidationError(
+                    "rho_tilde and s2 need threshold_source = manual")
+            return
+        if self.rho_tilde is None or self.s2 is None:
+            raise ValidationError("manual thresholds need rho_tilde and s2")
+        if not 0 < self.rho_tilde <= 1:
             raise ValidationError("rho_tilde must lie in (0, 1]")
-        if self.s2 is not None:
-            if self.rho_tilde is None or not 0 < self.s2 < self.rho_tilde:
-                raise ValidationError("s2 must lie in (0, rho_tilde)")
+        if not 0 < self.s2 < self.rho_tilde:
+            raise ValidationError("s2 must lie in (0, rho_tilde)")
 
 
 def _law_weight_tensor(k: int, a: int, laws: InputLaws, rates_of) -> np.ndarray:
@@ -219,7 +222,6 @@ class ThresholdTables:
     s1: float
     s2: float
     rate_sum: float
-    spread: float
     comp_pair: Optional[tuple]
 
     @functools.cached_property
@@ -247,22 +249,6 @@ class ThresholdTables:
         return tau
 
 
-def _spread(tensor_with_laws: np.ndarray, subset_axes) -> float:
-    """Range of the per-symbol log factor across subset input values."""
-    if not subset_axes:
-        return 0.0
-    other = tuple(ax for ax in range(tensor_with_laws.ndim - 1)
-                  if ax not in subset_axes)
-    cond = logsumexp(tensor_with_laws, axis=other) if other else tensor_with_laws
-    flat = np.asarray(cond).reshape(-1, np.asarray(cond).shape[-1])
-    spreads = []
-    for col in range(flat.shape[1]):
-        vals = flat[:, col][np.isfinite(flat[:, col])]
-        if vals.size > 1:
-            spreads.append(float(vals.max() - vals.min()))
-    return max(spreads) if spreads else 0.0
-
-
 def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
                            subset: frozenset, laws: InputLaws, table: RateTable,
                            rho_tilde: float, s2: float,
@@ -272,9 +258,7 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     """Per-symbol expectation tables of the threshold balance equation.
 
     The subset users' symbols are averaged under their input laws, so the
-    threshold depends on the output word alone; `spread` reports the residual
-    max-minus-min of the conditional log factors across subset input values
-    as a diagnostic of that averaging.
+    threshold depends on the output word alone.
     """
     k = true_channel.num_users
     a = true_channel.input_size
@@ -296,94 +280,10 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     log_a = np.atleast_1d(logsumexp(t_a, axis=all_axes))
     log_b = np.atleast_1d(logsumexp(t_b, axis=all_axes))
     log_c = np.atleast_1d(logsumexp(t_c, axis=all_axes))
-    subset_axes = tuple(u - 1 for u in sorted(subset))
-    spread = max(_spread(t_a, subset_axes), _spread(t_b, subset_axes),
-                 _spread(t_c, subset_axes))
     rate_sum = sum(table.rate(u, true_rates.index(u))
                    for u in range(1, k + 1) if u not in subset)
     return ThresholdTables(log_a, log_b, log_c, rho_tilde, s1, s2, rate_sum,
-                           spread, comp_key)
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    tau: float
-    tables: ThresholdTables
-
-
-def typicality_threshold(y: Sequence[int], rate_vector: RateVectorIndex,
-                         channel, subset: frozenset, laws: InputLaws,
-                         table: RateTable, params: ThresholdParams,
-                         competing: Optional[tuple] = None,
-                         cfg: OptimizerConfig = OptimizerConfig()) -> ThresholdResult:
-    """Closed-form typicality threshold for one received word.
-
-    `competing` is an optional (rate vector, channel) pair; without it the
-    pair is balanced against itself. Underflowed per-symbol expectations at an
-    observed symbol raise DegenerateLikelihood rather than being clamped.
-    """
-    y = np.asarray(y, dtype=np.int64)
-    comp_rates = competing[0] if competing else None
-    comp_channel = competing[1] if competing else None
-    if params.source == "manual":
-        rho_tilde, s2 = params.rho_tilde, params.s2
-    else:
-        q = ExponentQuery(subset, rate_vector, channel,
-                          comp_rates if comp_rates is not None else rate_vector,
-                          comp_channel if comp_channel is not None else channel,
-                          laws, table)
-        res = ei_exponent(q, cfg) if isinstance(channel, Dmc) else ei_class_exponent(q, cfg)
-        rho_tilde = res.rho_star
-        s2 = params.s2 if params.s2 is not None else rho_tilde / 2.0
-    tables = build_threshold_tables(rate_vector, channel, subset, laws, table,
-                                    rho_tilde, s2, comp_rates, comp_channel)
-    for name, tab in (("competing", tables.log_a), ("self", tables.log_b),
-                      ("mixed", tables.log_c)):
-        if np.any(np.isneginf(tab[y])):
-            raise DegenerateLikelihood(
-                f"{name} expectation underflows at an observed symbol"
-            )
-    counts = np.bincount(y, minlength=tables.log_a.shape[0]).astype(float)
-    return ThresholdResult(float(tables.taus(counts[None, :], len(y))[0]), tables)
-
-
-def tau_by_bisection(y: Sequence[int], tables: ThresholdTables, n: int,
-                     tol: float = 1e-12, max_iter: int = 400) -> float:
-    """Root of the threshold balance equation by bracketing bisection.
-
-    Kept as an independent path: the balance gap is evaluated from the same
-    per-symbol tables but never rearranged into the closed form.
-    """
-    y = np.asarray(y, dtype=np.int64)
-    counts = np.bincount(y, minlength=tables.log_a.shape[0]).astype(float)
-    sum_a = float(counts @ tables.log_a)
-    sum_b = float(counts @ tables.log_b)
-    sum_c = float(counts @ tables.log_c)
-
-    def gap(tau: float) -> float:
-        lhs = sum_c - n * tables.s1 * tau
-        rhs = (sum_a + tables.rho_tilde * sum_b + n * tables.s2 * tau
-               + n * tables.rho_tilde * tables.rate_sum)
-        return lhs - rhs
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if gap(lo) > 0:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if gap(hi) < 0:
-            break
-        hi *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+                           comp_key)
 
 
 class _ScoreContext:
@@ -418,7 +318,6 @@ class Decision:
     messages: Optional[tuple]
     rates: Optional[RateVectorIndex]
     channel_id: Optional[str]
-    subset_diagnostics: tuple
 
 
 class SlotDecoder:
@@ -527,91 +426,25 @@ class SlotDecoder:
                 if self.params.source == "manual":
                     rho_tilde, s2 = self.params.rho_tilde, self.params.s2
                 else:
-                    rho_tilde = res.rho_star
-                    s2 = self.params.s2 if self.params.s2 is not None else rho_tilde / 2.0
+                    rho_tilde, s2 = res.rho_star, res.rho_star / 2.0
                 out[key] = build_threshold_tables(
                     t[0], self.channels[t[1]], subset, self.laws, self.table,
                     rho_tilde, s2, o_star[0], self.channels[o_star[1]],
                     (o_star[0].indices, o_star[1]))
         return out
 
-    def _cell_counts(self, rows, y) -> np.ndarray:
-        code = np.zeros(len(y), dtype=np.int64)
-        for row in rows:
-            code = code * self.input_size + row
-        code = code * self.output_size + y
-        return np.bincount(code, minlength=self.cells)[None, :]
-
-    def decode(self, y, codebooks) -> Decision:
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (self.n,):
-            raise ValidationError(f"received word must have length {self.n}")
-        y_counts = np.bincount(y, minlength=self.output_size).astype(float)
-        scored = []
-        for rvi, cid in self.region.members:
-            ranges = [range(self.message_counts[(u, rvi.index(u))])
-                      for u in range(1, self.num_users + 1)]
-            for msgs in itertools.product(*ranges):
-                rows = [codebooks.codeword(u, rvi.index(u), msgs[u - 1])
-                        for u in range(1, self.num_users + 1)]
-                counts = self._cell_counts(rows, y)
-                tested = self.tested_ctx[cid].score_rows(counts)[0]
-                rival = tested if self.mode == "finite" \
-                    else self.rival_ctx[cid].score_rows(counts)[0]
-                scored.append((msgs, rvi, cid, tested, rival))
-        taus = {key: self._taus(key, y_counts[None, :])[0] for key in self.thresholds}
-        estimates = {}
-        diagnostics = []
-        for subset in self.subsets:
-            est, n_typical = self._subset_estimate(scored, taus, subset)
-            estimates[subset] = est
-            diagnostics.append((subset, n_typical,
-                                None if est is None else (est[0], est[1].indices, est[2])))
-        values = list(estimates.values())
-        if values and all(v is not None for v in values) and len(
-                {(v[0], v[1].indices, v[2]) for v in values}) == 1:
-            msgs, rvi, cid = values[0]
-            return Decision("decoded", msgs, rvi, cid, tuple(diagnostics))
-        return Decision("collision", None, None, None, tuple(diagnostics))
-
-    def _subset_estimate(self, scored, taus, subset):
-        """Estimate for one conditioning subset: the admitted tuple whose
-        tested score strictly beats every other tuple's rival score."""
-        tested_idx = []
-        rival_by_group = {}
-        n_typical = 0
-        for i, (msgs, rvi, cid, tested, rival) in enumerate(scored):
-            thr = -self.n * taus[((rvi.indices, cid), subset)]
-            group = (msgs, rvi.indices)
-            if rival > thr:
-                n_typical += 1
-                if group not in rival_by_group or rival > rival_by_group[group]:
-                    rival_by_group[group] = rival
-            if tested > thr:
-                tested_idx.append(i)
-        best = None
-        for i in tested_idx:
-            msgs, rvi, cid, tested, _ = scored[i]
-            group = (msgs, rvi.indices)
-            rival_max = max((v for g, v in rival_by_group.items() if g != group),
-                            default=NEG_INF)
-            if tested > rival_max:
-                cand = (msgs, rvi, cid, tested)
-                if best is None:
-                    best = cand
-                elif (cand[0], cand[1].indices) == (best[0], best[1].indices):
-                    # Same tuple under another channel hypothesis: keep the
-                    # higher score, then the earlier id in channel order.
-                    if cand[3] > best[3] or (
-                            cand[3] == best[3]
-                            and self.ids.index(cand[2]) < self.ids.index(best[2])):
-                        best = cand
-                else:
-                    # Two distinct tuples cannot both strictly dominate.
-                    return None, n_typical
-        if best is None:
-            return None, n_typical
-        return (best[0], best[1], best[2]), n_typical
+    def decode(self, y, codebooks: CodebookSet) -> Decision:
+        """decide() on one received word y against one codebook set: the
+        decoded group as its message tuple and rate vector, and the decoded
+        channel's id; all None on a collision."""
+        group, channel = self.decide(np.asarray(y, dtype=np.int64)[None, :],
+                                     _shared_books(codebooks, self, 1))
+        for rvi, dims, first, _ in self._blocks.values():
+            if first <= group[0] < first + math.prod(dims):
+                msgs = np.unravel_index(group[0] - first, dims)
+                return Decision("decoded", tuple(int(m) for m in msgs), rvi,
+                                self.ids[channel[0]])
+        return Decision("collision", None, None, None)
 
     def group_ids(self, rvi: RateVectorIndex, messages: np.ndarray) -> np.ndarray:
         """Group id of each row of (T, K) message tuples sent at rvi: what
@@ -623,7 +456,7 @@ class SlotDecoder:
         return first + np.ravel_multi_index(tuple(messages.T), dims)
 
     def decide(self, ys: np.ndarray, books: Mapping) -> tuple:
-        """The decisions of decode() for a batch of received words.
+        """The threshold decoder's decisions for a batch of received words.
 
         ys is (T, n); books maps (user, rate index) to (T, m, n) codewords,
         one codebook per trial (a broadcast view shares one). Returns two (T,)

@@ -2,7 +2,10 @@
 
 Everything here is written directly from the defining formulas with plain
 loops and no imports from the package under test, so a shared bug cannot
-cancel out. Slow on purpose; only run at test scale.
+cancel out. Slow on purpose; only run at test scale. Two oracles read a
+package object they are handed, and nothing else of it: tau_by_bisection
+reads the per-symbol tables of a ThresholdTables, and scalar_decode reads a
+SlotDecoder's thresholds and score contexts.
 """
 
 import itertools
@@ -249,3 +252,116 @@ def two_codeword_ml_error(p, cw_a, cw_b):
 
 def partition_count(num_users, region_size):
     return (2 ** (num_users - 1)) ** region_size
+
+
+def tau_by_bisection(y, tables, n, tol=1e-12, max_iter=400):
+    """Root of the threshold balance equation by bracketing bisection.
+
+    The balance gap is evaluated from the per-symbol tables of `tables` (a
+    ThresholdTables) but never rearranged into the closed form.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    counts = np.bincount(y, minlength=tables.log_a.shape[0]).astype(float)
+    sum_a = float(counts @ tables.log_a)
+    sum_b = float(counts @ tables.log_b)
+    sum_c = float(counts @ tables.log_c)
+
+    def gap(tau):
+        lhs = sum_c - n * tables.s1 * tau
+        rhs = (sum_a + tables.rho_tilde * sum_b + n * tables.s2 * tau
+               + n * tables.rho_tilde * tables.rate_sum)
+        return lhs - rhs
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        if gap(lo) > 0:
+            break
+        lo *= 2.0
+    for _ in range(200):
+        if gap(hi) < 0:
+            break
+        hi *= 2.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def scalar_decode(decoder, y, codebooks):
+    """The threshold decoder's decision on one received word, scored one
+    candidate tuple at a time: (messages, rate vector, channel id), or None
+    for a collision.
+
+    It shares the SlotDecoder's thresholds (None: the test never rejects)
+    and score contexts on purpose: analytically tied likelihoods must tie
+    bit for bit on both sides. What it checks is the decision rule applied
+    to them. codebooks needs only codeword(user, rate index, message).
+    """
+    y = np.asarray(y, dtype=np.int64)
+    k, n = decoder.num_users, decoder.n
+    y_counts = np.bincount(y, minlength=decoder.output_size).astype(float)
+    scored = []
+    for rvi, cid in decoder.region.members:
+        ranges = [range(decoder.message_counts[(u, rvi.index(u))])
+                  for u in range(1, k + 1)]
+        for msgs in itertools.product(*ranges):
+            code = np.zeros(n, dtype=np.int64)
+            for u in range(1, k + 1):
+                code = code * decoder.input_size + codebooks.codeword(
+                    u, rvi.index(u), msgs[u - 1])
+            counts = np.bincount(code * decoder.output_size + y,
+                                 minlength=decoder.cells)[None, :]
+            tested = decoder.tested_ctx[cid].score_rows(counts)[0]
+            rival = tested if decoder.mode == "finite" \
+                else decoder.rival_ctx[cid].score_rows(counts)[0]
+            scored.append((msgs, rvi, cid, tested, rival))
+    estimates = []
+    for subset in decoder.subsets:
+        thr = {}
+        for (pair, key_subset), tables in decoder.thresholds.items():
+            if key_subset == subset:
+                tau = math.inf if tables is None \
+                    else tables.taus(y_counts[None, :], n)[0]
+                thr[pair] = -n * tau
+        est = _subset_estimate(scored, thr, decoder.ids)
+        if est is None:
+            return None
+        estimates.append(est)
+    if len({(msgs, rvi.indices, cid) for msgs, rvi, cid in estimates}) > 1:
+        return None
+    return estimates[0]
+
+
+def _subset_estimate(scored, thr, ids):
+    """Estimate of one conditioning subset: the tuple admitted under some
+    channel whose tested score strictly beats the typical rival score of
+    every other (messages, rate vector) group; under several channels the
+    higher tested score wins, then the earlier id. None unless exactly one
+    group dominates."""
+    rival_by_group = {}
+    for msgs, rvi, cid, _, rival in scored:
+        group = (msgs, rvi.indices)
+        if rival > thr[(rvi.indices, cid)]:
+            rival_by_group[group] = max(rival, rival_by_group.get(group, -math.inf))
+    best = None
+    for msgs, rvi, cid, tested, _ in scored:
+        group = (msgs, rvi.indices)
+        if not tested > thr[(rvi.indices, cid)]:
+            continue
+        rival_max = max((v for g, v in rival_by_group.items() if g != group),
+                        default=-math.inf)
+        if not tested > rival_max:
+            continue
+        if best is None:
+            best = (msgs, rvi, cid, tested)
+        elif group != (best[0], best[1].indices):
+            return None  # two distinct groups cannot both strictly dominate
+        elif tested > best[3] or (tested == best[3]
+                                  and ids.index(cid) < ids.index(best[2])):
+            best = (msgs, rvi, cid, tested)
+    return None if best is None else best[:3]

@@ -15,7 +15,8 @@ import ramac
 from ramac import config as cfgmod
 from ramac.logdomain import logsumexp_list
 from conftest import bsc, random_dmc
-from oracles import gallager_exponent_sweep, pairwise_tail, two_codeword_ml_error
+from oracles import (gallager_exponent_sweep, pairwise_tail, tau_by_bisection,
+                     two_codeword_ml_error)
 
 SMALL_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                   refinement_rounds=0)
@@ -183,14 +184,14 @@ def test_criterion_07_threshold_closed_form_vs_bisection():
         laws = ramac.uniform_laws(table, a)
         rho = float(rng.uniform(0.15, 1.0))
         s2 = rho * float(rng.uniform(0.05, 0.95))
-        params = ramac.ThresholdParams(rho_tilde=rho, s2=s2, source="manual")
         y = rng.integers(0, b, size=int(rng.integers(4, 30)))
-        comp = (ramac.RateVectorIndex((2,)), ch)
-        res = ramac.typicality_threshold(
-            y, ramac.RateVectorIndex((1,)), ch, frozenset(), laws, table,
-            params, competing=comp)
-        direct = ramac.tau_by_bisection(y, res.tables, len(y))
-        worst = max(worst, abs(direct - res.tau) / max(1.0, abs(res.tau)))
+        tables = ramac.build_threshold_tables(
+            ramac.RateVectorIndex((1,)), ch, frozenset(), laws, table, rho, s2,
+            ramac.RateVectorIndex((2,)), ch)
+        counts = np.bincount(y, minlength=b).astype(float)
+        tau = float(tables.taus(counts[None], len(y))[0])
+        direct = tau_by_bisection(y, tables, len(y))
+        worst = max(worst, abs(direct - tau) / max(1.0, abs(tau)))
     print(f"criterion 07: worst relative tau gap = {worst:.3g} "
           f"over 1000 instances")
     assert worst <= 1e-9

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ramac
 from conftest import FAST_OPT, bsc, random_dmc
+from ramac import config as cfgmod
 from ramac.logdomain import logsumexp_list
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
@@ -198,6 +200,20 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     # reports the evaluations it made
     assert len(searched) == len(keys)
     assert exhaustive.exponent_evaluations == sum(r.evaluations for r in searched)
+    # one channel's probabilities cannot bound members on two channels: the
+    # search refuses such a region before optimising anything
+    system = cfgmod.build_system(cfgmod.load_config(
+        str(Path(__file__).resolve().parents[1] / "examples_cfg" / "mac2.cfg")))
+    mixed = ramac.OperationRegion(((ramac.RateVectorIndex((1, 1)), "good"),
+                                   (ramac.RateVectorIndex((1, 2)), "bad")),
+                                  "finite")
+    optimised.clear()
+    for search in ("exhaustive", "greedy"):
+        with pytest.raises(ramac.ValidationError):
+            ramac.pes_bound_single_user(1, mixed, system.compound.by_id("good"),
+                                        system.laws, system.table, 16,
+                                        search=search, cfg=TINY_OPT)
+    assert not optimised
 
 
 def test_assembly_deterministic():

@@ -403,6 +403,23 @@ def test_experiment_scripts_run(script, args, stem, tmp_path):
     assert (tmp_path / f"{stem}.csv").exists()
 
 
+def test_benchmark_tracer_installs(tmp_path):
+    """perfbench/spans.py wraps package names by monkeypatching; a traced
+    operation fails if one of them is gone."""
+    src = str(Path(ramac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "op.py"), str(result), "1",
+         "cli", "simulate", "--config",
+         str(ROOT / "perfbench" / "scenarios" / "mac2.cfg"), "--no-bound",
+         "--trials", "20", "--out-dir", str(tmp_path)],
+        cwd=ROOT / "perfbench", env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(result.read_text())["spans"]}
+    assert {"sim.threshold_build", "exponents.ei"} <= names, names
+
+
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     cfg = _write(tmp_path, PAIR_CFG)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -9,7 +9,7 @@ import pytest
 
 import ramac
 from conftest import FAST_OPT, bsc
-from oracles import pairwise_tail
+from oracles import pairwise_tail, scalar_decode, tau_by_bisection
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                  refinement_rounds=0)
@@ -24,6 +24,11 @@ def _k1(p, rates, region_idx=(1,), ids=("c",)):
                     for i in region_idx for cid in ids)
     region = ramac.OperationRegion(members, "finite")
     return comp, table, laws, region
+
+
+def _closed_form_tau(y, tables):
+    counts = np.bincount(y, minlength=tables.log_a.shape[0]).astype(float)
+    return float(tables.taus(counts[None], len(y))[0])
 
 
 def test_message_count_examples():
@@ -71,27 +76,29 @@ def test_threshold_params_validation():
         ramac.ThresholdParams(rho_tilde=1.5, s2=0.2, source="manual")
     with pytest.raises(ramac.ValidationError):
         ramac.ThresholdParams(s2=0.2)
+    # tilts are for manual thresholds only; from_ei sets them itself
+    with pytest.raises(ramac.ValidationError):
+        ramac.ThresholdParams(rho_tilde=1.0, s2=0.95)
+    with pytest.raises(ramac.ValidationError):
+        ramac.ThresholdParams(rho_tilde=0.5)
 
 
 def test_threshold_matches_hand_formula():
     p = 0.1
     comp, table, laws, _ = _k1([p], (0.05, 0.4), region_idx=(1,))
-    params = ramac.ThresholdParams(rho_tilde=0.5, s2=0.25, source="manual")
     y = [0, 1, 0, 0, 1, 0]
-    competing = (ramac.RateVectorIndex((2,)), comp.by_id("c"))
-    res = ramac.typicality_threshold(y, ramac.RateVectorIndex((1,)),
-                                     comp.by_id("c"), frozenset(), laws, table,
-                                     params, competing=competing)
+    tables = ramac.build_threshold_tables(
+        ramac.RateVectorIndex((1,)), comp.by_id("c"), frozenset(), laws, table,
+        0.5, 0.25, ramac.RateVectorIndex((2,)), comp.by_id("c"))
+    tau = _closed_form_tau(y, tables)
     n = len(y)
     s1, s2, rho = 0.5, 0.25, 0.5
     log_a = math.log(0.5)  # same for both symbols
     g = math.log(0.5 * (p ** 0.5 + (1 - p) ** 0.5))
     want = (-(n * log_a + rho * n * g - n * g) / (n * (s1 + s2))
             - rho * 0.05 / (s1 + s2))
-    assert abs(res.tau - want) < 1e-12
-    assert res.tables.spread == 0.0
-    assert abs(ramac.tau_by_bisection(y, res.tables, n) - res.tau) \
-        <= 1e-9 * max(1.0, abs(res.tau))
+    assert abs(tau - want) < 1e-12
+    assert abs(tau_by_bisection(y, tables, n) - tau) <= 1e-9 * max(1.0, abs(tau))
 
 
 def test_threshold_bisection_agrees_randomly():
@@ -104,22 +111,23 @@ def test_threshold_bisection_agrees_randomly():
         laws = ramac.uniform_laws(table, 3)
         rho = float(rng.uniform(0.2, 1.0))
         s2 = float(rng.uniform(0.05, 0.95)) * rho
-        params = ramac.ThresholdParams(rho_tilde=rho, s2=s2, source="manual")
         y = rng.integers(0, 4, size=12)
-        res = ramac.typicality_threshold(y, ramac.RateVectorIndex((1,)), ch,
-                                         frozenset(), laws, table, params)
-        direct = ramac.tau_by_bisection(y, res.tables, 12)
-        assert abs(direct - res.tau) <= 1e-9 * max(1.0, abs(res.tau))
+        tables = ramac.build_threshold_tables(ramac.RateVectorIndex((1,)), ch,
+                                              frozenset(), laws, table, rho, s2)
+        tau = _closed_form_tau(y, tables)
+        direct = tau_by_bisection(y, tables, 12)
+        assert abs(direct - tau) <= 1e-9 * max(1.0, abs(tau))
 
 
-def test_degenerate_expectation_raises():
+def test_degenerate_expectation_rejects_every_tuple():
+    # the dead channel never outputs 1, so seeing it makes tau -inf: the
+    # threshold -n * tau is +inf and no candidate clears it
     dead = ramac.validate_dmc([[1.0, 0.0], [1.0, 0.0]], 1, 2, 2)
     table = ramac.RateTable(((0.05,),))
     laws = ramac.uniform_laws(table, 2)
-    params = ramac.ThresholdParams(rho_tilde=0.5, s2=0.25, source="manual")
-    with pytest.raises(ramac.DegenerateLikelihood):
-        ramac.typicality_threshold([0, 1], ramac.RateVectorIndex((1,)), dead,
-                                   frozenset(), laws, table, params)
+    tables = ramac.build_threshold_tables(ramac.RateVectorIndex((1,)), dead,
+                                          frozenset(), laws, table, 0.5, 0.25)
+    assert _closed_form_tau([0, 1], tables) == -math.inf
 
 
 def test_noiseless_single_codeword_decoding():
@@ -275,9 +283,10 @@ def _send(rng, comp, decoder, books, trials):
 
 
 def test_batched_decisions_match_scalar_decode():
-    """decide() equals decode() trial for trial: decoded group (messages and
-    rate vector) and channel id, at K=1 and K=2, finite and class mode, with
-    a fresh codebook per trial and one frozen codebook."""
+    """decide() equals the scalar oracle trial for trial: decoded group
+    (messages and rate vector) and channel id, at K=1 and K=2, finite and
+    class mode, with a fresh codebook per trial and one frozen codebook. On
+    the frozen codebook decode(), decide() on one word, equals it too."""
     rng = np.random.default_rng(8)
     n = 6
     for k, mode in itertools.product((1, 2), ("finite", "class")):
@@ -300,13 +309,19 @@ def test_batched_decisions_match_scalar_decode():
             rates_decoded = set()
             for t in range(trials):
                 cb = ramac.CodebookSet(0, n, {key: v[t] for key, v in books.items()})
-                d = decoder.decode(ys[t], cb)
+                oracle = scalar_decode(decoder, ys[t], cb)
                 want = (-1, -1)
-                if d.outcome == "decoded":
-                    rates_decoded.add(d.rates.indices)
-                    want = (decoder.group_ids(d.rates, np.array([d.messages]))[0],
-                            decoder.ids.index(d.channel_id))
+                if oracle is not None:
+                    msgs, rvi, cid = oracle
+                    rates_decoded.add(rvi.indices)
+                    want = (decoder.group_ids(rvi, np.array([msgs]))[0],
+                            decoder.ids.index(cid))
                 assert (group[t], channel[t]) == want, (label, t)
+                if not fresh:
+                    d = decoder.decode(ys[t], cb)
+                    got = None if d.outcome == "collision" else (
+                        d.messages, d.rates, d.channel_id)
+                    assert got == oracle, (label, t)
             assert len(rates_decoded) > 1 and (group < 0).any(), label
 
 
@@ -334,9 +349,8 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     words = list(itertools.product(range(4), repeat=n))
     outcome = {}
     for y in words:
-        d = decoder.decode(np.array(y), cb)
-        outcome[y] = None if d.outcome != "decoded" else (d.messages,
-                                                          d.rates.indices)
+        d = scalar_decode(decoder, np.array(y), cb)
+        outcome[y] = None if d is None else (d[0], d[1].indices)
     schedule = ramac.build_schedule(region, table, comp.ids)
     for case, (rvi, cid, in_region) in zip(rep.cases, schedule):
         probs = comp.by_id(cid).probs
