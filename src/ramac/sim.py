@@ -71,8 +71,16 @@ def message_count(n: int, rate: float) -> int:
 
 
 def _symbols_from_uniform(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1).astype(np.int64)
+    """Letter of each uniform under the cumulative law cum: the number of
+    entries of cum[:-1] at or below it. A zero-probability letter repeats an
+    entry and is never drawn; u >= cum[-1] (which may round below 1) draws
+    the last letter."""
+    if len(cum) == 1:
+        return np.zeros(u.shape, dtype=np.int64)
+    out = (u >= cum[0]).astype(np.int64)
+    for c in cum[1:-1]:
+        out += u >= c
+    return out
 
 
 def _ordered_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -394,6 +402,7 @@ class SlotDecoder:
             by_rates.setdefault(rvi.indices, (rvi, []))[1].append(cid)
         self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
+        self._runs = []  # (first candidate, groups, candidates a group) per block
         cands = []  # (group, id index, pair index) per candidate
         groups = 0
         for rvi, cids in by_rates.values():
@@ -401,6 +410,7 @@ class SlotDecoder:
             dims = tuple(self.message_counts[(u, rvi.index(u))]
                          for u in range(1, self.num_users + 1))
             self._blocks[rvi.indices] = (rvi, dims, groups, cids)
+            self._runs.append((len(cands), math.prod(dims), len(cids)))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
                       for g in range(groups, groups + math.prod(dims))
                       for j, cid in enumerate(cids)]
@@ -408,7 +418,6 @@ class SlotDecoder:
             groups += math.prod(dims)
         self._group_of, self._cid_of, self._pair_of = np.array(
             cands, dtype=np.int64).reshape(-1, 3).T
-        self._group_starts = np.flatnonzero(np.diff(self._group_of, prepend=-1))
 
     def _build_thresholds(self, ledger: ExponentLedger) -> dict:
         """For each (in pair, subset): pick the matching out pair minimizing
@@ -466,21 +475,33 @@ class SlotDecoder:
         ys = np.asarray(ys, dtype=np.int64)
         if ys.ndim != 2 or ys.shape[1] != self.n:
             raise ValidationError(f"received words must have length {self.n}")
-        size, b = ys.shape[0], self.output_size
+        size = ys.shape[0]
+        group = np.full(size, -1, dtype=np.int64)
+        channel = np.full(size, -1, dtype=np.int64)
         if not self._pairs:
-            return np.full(size, -1), np.full(size, -1)
+            return group, channel
         step = max(1, _DECIDE_ELEMENTS // (self._group_of.size * max(self.n, self.cells)))
-        if size > step:
-            parts = [self.decide(ys[lo:lo + step],
-                                 {key: v[lo:lo + step] for key, v in books.items()})
-                     for lo in range(0, size, step)]
-            return tuple(np.concatenate(p) for p in zip(*parts))
+        for lo in range(0, size, step):
+            part = slice(lo, lo + step)
+            group[part], channel[part] = self._decide_chunk(
+                ys[part], {key: v[part] for key, v in books.items()})
+        return group, channel
+
+    def _decide_chunk(self, ys, books) -> tuple:
+        """decide() on at most _DECIDE_ELEMENTS entries. Scores are
+        candidate-major, (candidates, T), so every reduction over a group's
+        candidates runs along whole rows."""
+        size, b = ys.shape[0], self.output_size
         y_counts = np.bincount((np.arange(size)[:, None] * b + ys).ravel(),
                                minlength=size * b).reshape(size, b).astype(float)
+        # -n * tau of each pair, (pairs, T), per subset
+        thr = [-self.n * np.stack([self._taus((pair, subset), y_counts)
+                                   for pair in self._pairs])
+               for subset in self.subsets]
 
         def scores(ctx, cids, counts):
-            return np.stack([ctx[cid].score_rows(counts) for cid in cids],
-                            axis=1).reshape(size, -1)
+            return np.stack([ctx[cid].score_rows(counts).reshape(-1, size)
+                             for cid in cids], axis=1).reshape(-1, size)
 
         tested, rival = [], []
         for rvi, dims, _, cids in self._blocks.values():
@@ -488,56 +509,62 @@ class SlotDecoder:
             tested.append(scores(self.tested_ctx, cids, counts))
             if self.mode == "class":
                 rival.append(scores(self.rival_ctx, cids, counts))
-        tested = np.concatenate(tested, axis=1)
-        rival = np.concatenate(rival, axis=1) if rival else tested
-        group, channel = self._subset_decisions(self.subsets[0], y_counts, tested, rival)
-        for subset in self.subsets[1:]:
-            g, c = self._subset_decisions(subset, y_counts, tested, rival)
+        tested = np.concatenate(tested)
+        rival = np.concatenate(rival) if rival else tested
+        group, channel = self._subset_decisions(thr[0], tested, rival)
+        for t in thr[1:]:
+            g, c = self._subset_decisions(t, tested, rival)
             agree = (g == group) & (c == channel)
             group, channel = np.where(agree, group, -1), np.where(agree, channel, -1)
         return group, channel
 
-    def _subset_decisions(self, subset, y_counts, tested, rival) -> tuple:
+    def _per_group(self, ufunc, values) -> np.ndarray:
+        """ufunc reduced over each group's run of candidates: (candidates, T)
+        to (groups, T). A block's groups are runs of equal length."""
+        return np.concatenate([
+            ufunc.reduce(values[lo:lo + groups * run].reshape(groups, run, -1), axis=1)
+            for lo, groups, run in self._runs])
+
+    def _subset_decisions(self, thr, tested, rival) -> tuple:
         """(group, channel) estimates of one conditioning subset, -1 unless
         exactly one group strictly dominates. A candidate is typical when its
         rival score clears its threshold; it dominates when its tested score
         clears its threshold and the best typical rival score of every other
-        group (top two of the per-group maxima). In the dominating group the
-        highest tested score wins, the earliest id on ties."""
-        rows = np.arange(y_counts.shape[0])
-        thr = -self.n * np.stack([self._taus((pair, subset), y_counts)
-                                  for pair in self._pairs], axis=1)[:, self._pair_of]
-        best = np.maximum.reduceat(np.where(rival > thr, rival, NEG_INF),
-                                   self._group_starts, axis=1)
-        top = best.argmax(axis=1)
-        top1 = best[rows, top]
-        best[rows, top] = NEG_INF
-        outside = np.where(self._group_of == top[:, None],
-                           best.max(axis=1)[:, None], top1[:, None])
-        dom = (tested > thr) & (tested > outside)
-        unique = np.count_nonzero(np.logical_or.reduceat(
-            dom, self._group_starts, axis=1), axis=1) == 1
-        win = np.where(dom, tested, NEG_INF).argmax(axis=1)
+        group (the larger of the maxima over the groups before and after
+        it). In the dominating group the highest tested score wins, the
+        earliest id on ties. thr is -n * tau per pair, (pairs, T)."""
+        thr = thr[self._pair_of]
+        best = self._per_group(np.maximum, np.where(rival > thr, rival, NEG_INF))
+        others = np.full_like(best, NEG_INF)
+        others[1:] = np.maximum.accumulate(best[:-1], axis=0)
+        others[:-1] = np.maximum(
+            others[:-1], np.maximum.accumulate(best[:0:-1], axis=0)[::-1])
+        dom = (tested > thr) & (tested > others[self._group_of])
+        unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
+        win = np.where(dom, tested, NEG_INF).argmax(axis=0)
         return (np.where(unique, self._group_of[win], -1),
                 np.where(unique, self._cid_of[win], -1))
 
     def _cell_counts_batch(self, rvi, dims, ys, books) -> np.ndarray:
-        """Joint (inputs, output) cell counts of every message tuple at rvi,
-        (T * tuples, cells) in (trial, tuple) order, from one bincount over
-        row * cells + cell code, built in place."""
-        k, size, n = self.num_users, ys.shape[0], self.n
-        rows = size * math.prod(dims)
-        code = np.zeros((size, *dims, n), dtype=np.int64)
-        for u in range(1, k + 1):
-            shape = [size] + [1] * k + [n]
-            shape[u] = dims[u - 1]
-            code *= self.input_size
-            code += books[(u, rvi.index(u))][:, :dims[u - 1]].reshape(shape)
-        code *= self.output_size
-        code += ys.reshape((size,) + (1,) * k + (n,))
-        code += (np.arange(rows) * self.cells).reshape((size, *dims, 1))
-        return np.bincount(code.ravel(), minlength=rows * self.cells).reshape(
-            rows, self.cells)
+        """Joint (inputs, output) cell counts of every message tuple at rvi
+        against every word, (tuples * T, cells) in (tuple, trial) order, from
+        one bincount over row * cells + cell code. Each user's term carries
+        its stride and its messages' row offsets, the last user's also the
+        trial offsets; the terms are summed from the last user's, which takes
+        the output word in place, so every full-size array is written once."""
+        size, cells = ys.shape[0], self.cells
+        code, offset = ys, (np.arange(size) * cells)[:, None]  # trial offsets
+        stride, row = self.output_size, size * cells
+        for u in range(self.num_users, 0, -1):
+            m = dims[u - 1]
+            term = np.multiply(books[(u, rvi.index(u))][:, :m].transpose(1, 0, 2),
+                               stride, order="C")
+            term += (np.arange(m) * row)[:, None, None] + offset
+            term = term.reshape((m,) + (1,) * (code.ndim - 2) + (size, self.n))
+            code = np.add(term, code, out=term if code is ys else None)
+            stride, row, offset = stride * self.input_size, row * m, 0
+        del term
+        return np.bincount(code.ravel(), minlength=row).reshape(-1, cells)
 
     def _taus(self, key, y_counts) -> np.ndarray:
         """tau of one (pair, subset) for each row of symbol counts; +inf (the
@@ -628,7 +655,9 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     Streams are derived as SeedSequence(seed, spawn_key=(role, case, block));
     within a stream, draws happen in a fixed documented order (codebooks by
     sorted (user, rate), then trial, message and symbol; messages user by
-    user), so a block regenerates alone, however books() splits it.
+    user), so a block regenerates alone, however books() splits it. Fresh
+    books hold only the keys that a region block or the sent codewords read;
+    the stream still reserves the uniforms of every key.
     """
     def stream(role):
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(
@@ -641,14 +670,17 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     noise = stream(_ROLE_NOISE).random((size, decoder.n))
     if frozen is not None:
         return (lambda count: _shared_books(frozen, decoder, count)), messages, noise
+    read = {(u, i) for rates in (*decoder._blocks, true_rvi.indices)
+            for u, i in enumerate(rates, start=1)}
     readers, skip = {}, 0
     for key, m in sorted(decoder.message_counts.items()):
-        # a codebook stream per key, moved past the earlier keys' uniforms
-        # (Philox makes four per counter step)
-        gen = stream(_ROLE_CODEBOOK)
-        gen.bit_generator.advance(skip // 4)
-        gen.random(skip % 4)
-        readers[key] = (gen, np.cumsum(decoder.laws.law(*key)), (m, decoder.n))
+        if key in read:
+            # a codebook stream per key, moved past the earlier keys' uniforms
+            # (Philox makes four per counter step)
+            gen = stream(_ROLE_CODEBOOK)
+            gen.bit_generator.advance(skip // 4)
+            gen.random(skip % 4)
+            readers[key] = (gen, np.cumsum(decoder.laws.law(*key)), (m, decoder.n))
         skip += size * m * decoder.n
     return (lambda count: {key: _symbols_from_uniform(cum, gen.random((count, *shape)))
                            for key, (gen, cum, shape) in readers.items()},
@@ -673,11 +705,15 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
         for lo in range(0, size, batch_size):
             part = slice(lo, min(lo + batch_size, size))
             books = books_of(part.stop - lo)
-            rows = cum[tuple(books[(u, true_rvi.index(u))][
+            sent = tuple(books[(u, true_rvi.index(u))][
                 np.arange(part.stop - lo), messages[part, u - 1]]
-                for u in range(1, decoder.num_users + 1))]  # (trials, n, outputs)
-            group, _ = decoder.decide(
-                (noise[part, :, None] > rows[..., :-1]).sum(axis=-1), books)
+                for u in range(1, decoder.num_users + 1))  # (trials, n) each
+            # output symbol: the number of cumulative thresholds the noise
+            # strictly exceeds
+            ys = np.zeros(noise[part].shape, dtype=np.int64)
+            for c in range(cum.shape[-1] - 1):
+                ys += noise[part] > cum[..., c][sent]
+            group, _ = decoder.decide(ys, books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))
     return correct, decoded - correct, trials - decoded

@@ -254,6 +254,14 @@ def partition_count(num_users, region_size):
     return (2 ** (num_users - 1)) ** region_size
 
 
+def symbols_by_searchsorted(cum, u):
+    """Input symbol of each uniform u under the cumulative law cum: the first
+    letter whose cumulative mass exceeds u, capped at the last letter when
+    rounding leaves cum[-1] at or below u."""
+    idx = np.searchsorted(cum, u, side="right")
+    return np.minimum(idx, len(cum) - 1)
+
+
 def tau_by_bisection(y, tables, n, tol=1e-12, max_iter=400):
     """Root of the threshold balance equation by bracketing bisection.
 

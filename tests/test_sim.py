@@ -9,7 +9,8 @@ import pytest
 
 import ramac
 from conftest import FAST_OPT, bsc
-from oracles import pairwise_tail, scalar_decode, tau_by_bisection
+from oracles import (pairwise_tail, scalar_decode, symbols_by_searchsorted,
+                     tau_by_bisection)
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                  refinement_rounds=0)
@@ -56,6 +57,29 @@ def test_codebooks_deterministic_and_addressable():
     assert np.array_equal(a.codeword(2, 2, 1), want)
     c = ramac.generate_codebooks(table, laws, 3, 4, seed=100)
     assert not all(np.array_equal(a.entries[k], c.entries[k]) for k in a.entries)
+
+
+def test_symbol_map_matches_searchsorted():
+    # uniforms on and next to every cumulative entry, repeated entries (a
+    # zero-probability letter first, inside and last), a cumulative law whose
+    # last entry rounds below 1, and uniforms at or above that entry
+    rounded = np.cumsum(np.full(10, 0.1))
+    assert rounded[-1] < 1.0
+    laws = [(0.5, 0.5), (0.3, 0.0, 0.7), (0.0, 0.4, 0.6), (0.5, 0.5, 0.0),
+            (0.2, 0.0, 0.0, 0.8), np.full(3, 1 / 3), np.full(10, 0.1)]
+    rng = np.random.default_rng(12)
+    for law in laws:
+        cum = np.cumsum(law)
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0),
+                                np.nextafter(cum, 2.0)])
+        u = np.concatenate([edges[edges < 1.0], [0.0, np.nextafter(1.0, 0.0)],
+                            rng.random(997)])
+        for shape in ((u.size,), (1, u.size, 1)):
+            got = ramac.sim._symbols_from_uniform(cum, u.reshape(shape))
+            assert got.shape == shape
+            assert np.array_equal(got, symbols_by_searchsorted(cum, u.reshape(shape))), law
+    top = ramac.sim._symbols_from_uniform(rounded, np.array([rounded[-1], 0.9999999999999999]))
+    assert np.array_equal(top, [9, 9])
 
 
 def test_codebook_guard():
@@ -447,6 +471,70 @@ def test_block_draws_read_one_codebook_stream():
         want = np.minimum(np.searchsorted(cum, gen.random((9, m, n)),
                                           side="right"), len(cum) - 1)
         assert np.array_equal(np.concatenate([p[key] for p in parts]), want), key
+
+
+def _ternary_system():
+    """K=1 with three inputs and three outputs; rate 1's input law gives its
+    middle letter probability zero."""
+    table = ramac.RateTable(((math.log(2) / 7, math.log(5) / 7),))
+    laws = ramac.InputLaws({(1, 1): (0.5, 0.0, 0.5), (1, 2): (0.2, 0.3, 0.5)})
+    good = ramac.validate_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                               [0.1, 0.1, 0.8]], 1, 3, 3)
+    bad = ramac.validate_dmc([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2],
+                              [0.1, 0.3, 0.6]], 1, 3, 3)
+    comp = ramac.CompoundSet((good, bad), ("good", "bad"))
+    rvi = ramac.RateVectorIndex
+    region = ramac.OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
+                                    (rvi((1,)), "bad")), "finite")
+    return comp, table, laws, region
+
+
+def _outcomes(report):
+    return [(c.decoded_correct, c.decoded_wrong, c.collision)
+            for c in report.cases]
+
+
+def test_monte_carlo_outcomes_pinned():
+    # per-case (decoded_correct, decoded_wrong, collision) as recorded before
+    # the draws were vectorised as they are now: symbol maps, channel draws
+    # and cell counts must keep every decision, not just the error rates
+    comp, table, laws, region = _ternary_system()
+    rep = ramac.estimate_errors(region, laws, table, 7, 5000, 17,
+                                compound=comp, cfg=TINY_OPT)
+    assert _outcomes(rep) == [(4012, 299, 689), (3004, 554, 1442),
+                              (3415, 379, 1206), (1312, 910, 2778)]
+    comp, table, laws, region, _, _ = _decoder_system(2, "finite", 6)
+    want = {
+        False: [(191, 32, 77), (112, 76, 112), (171, 42, 87), (46, 102, 152),
+                (161, 47, 92), (57, 91, 152), (138, 41, 121), (35, 86, 179)],
+        True: [(219, 40, 41), (123, 104, 73), (184, 37, 79), (53, 105, 142),
+               (193, 55, 52), (74, 130, 96), (167, 36, 97), (34, 93, 173)],
+    }
+    for freeze, counts in want.items():
+        rep = ramac.estimate_errors(region, laws, table, 6, 300, 29,
+                                    compound=comp, cfg=TINY_OPT,
+                                    freeze_codebooks=freeze)
+        assert _outcomes(rep) == counts, freeze
+
+
+def test_unused_codebook_keys_are_not_drawn():
+    # the region reads only rate 2; a case sent at rate 2 never reads rate
+    # 1's codebook, whose uniforms the rate-2 stream still skips (one
+    # codeword of 7 symbols a trial: the 905-trial last block skips 6335)
+    n = 7
+    comp, table, laws, region = _k1([0.1], (0.05, 0.4), region_idx=(2,))
+    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
+                                cfg=TINY_OPT)
+    assert decoder.message_counts == {(1, 1): 1, (1, 2): 16}
+    for true, keys in (((2,), {(1, 2)}), ((1,), {(1, 1), (1, 2)})):
+        books_of, _, _ = ramac.sim._draw_block(
+            13, 0, 0, 5, decoder, ramac.RateVectorIndex(true), None)
+        assert set(books_of(5)) == keys, true
+    rep = ramac.estimate_errors(region, laws, table, n, 5001, 13,
+                                compound=comp, cfg=TINY_OPT)
+    assert [(c.rate_indices, c.in_region, c.errors) for c in rep.cases] == [
+        ((1,), False, 2190), ((2,), True, 2147)]
+    assert _outcomes(rep) == [(0, 2190, 2811), (2854, 475, 1672)]
 
 
 def test_exact_enumeration_guard():
