@@ -246,15 +246,26 @@ class ThresholdTables:
         return -self.rho_tilde * self.rate_sum / (self.s1 + self.s2)
 
     def taus(self, y_counts: np.ndarray, n: int) -> np.ndarray:
-        """tau for each row of (T, output_size) symbol counts: -inf where an
-        observed symbol has a -inf coefficient, else +inf where one has a
-        +inf coefficient, else the closed form."""
-        coeff = self.coeff
-        tau = _ordered_dot(y_counts, np.where(np.isfinite(coeff), coeff, 0.0)) / n \
-            + self.const
-        for value in (math.inf, NEG_INF):  # -inf last: it overrides +inf
-            tau = np.where((y_counts[:, coeff == value] > 0).any(axis=1), value, tau)
-        return tau
+        """tau for each row of (T, output_size) symbol counts (see
+        _stacked_taus)."""
+        return _stacked_taus(self.coeff[None], np.array([self.const]), y_counts, n)[0]
+
+
+def _stacked_taus(coeff: np.ndarray, const: np.ndarray, y_counts: np.ndarray,
+                  n: int) -> np.ndarray:
+    """tau of k threshold tables at once, given their (k, output_size)
+    coefficients and (k,) constants, for each row of (T, output_size) symbol
+    counts, as (k, T): -inf where an observed symbol has a -inf coefficient,
+    else +inf where one has a +inf coefficient, else the closed form."""
+    finite = np.where(np.isfinite(coeff), coeff, 0.0)
+    tau = _ordered_dot(np.broadcast_to(y_counts, (len(coeff),) + y_counts.shape),
+                       finite.T[:, :, None]) / n + const[:, None]
+    for value in (math.inf, NEG_INF):  # -inf last: it overrides +inf
+        symbols = coeff == value
+        if symbols.any():
+            seen = symbols.astype(float) @ (y_counts > 0).T  # exact small counts
+            tau = np.where(seen > 0, value, tau)
+    return tau
 
 
 def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
@@ -295,7 +306,8 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
 
 
 class _ScoreContext:
-    """Cell scores grouped by distinct log-propensity value.
+    """Cell scores under each of a few log-propensity tables, grouped by
+    distinct table value.
 
     Summing integer cell counts per distinct table value before the dot
     product makes analytically equal likelihoods compare bit-equal even when
@@ -303,20 +315,35 @@ class _ScoreContext:
     probability cells short to -inf instead of polluting the dot with 0*inf.
     """
 
-    def __init__(self, flat_log: np.ndarray):
-        vals, inverse = np.unique(flat_log, return_inverse=True)
-        self.dead = np.isneginf(vals)
-        self.live = ~self.dead
-        self.live_values = vals[self.live]
-        # one-hot cells -> value groups, for batched matmul grouping
-        self.onehot = np.zeros((flat_log.size, vals.size))
-        self.onehot[np.arange(flat_log.size), inverse] = 1.0
+    def __init__(self, tables: np.ndarray):
+        """tables: (tables, cells) flat log-propensities."""
+        self.tables = tables
+        count, cells = tables.shape
+        groups = [np.unique(row, return_inverse=True) for row in tables]
+        width = max(np.count_nonzero(~np.isneginf(vals)) for vals, _ in groups)
+        self.dead = bool(np.isneginf(tables).any())
+        # one-hot value groups <- cells, for batched matmul grouping: row
+        # j * tables + t is table t's j-th live value in ascending order
+        # (zero-padded to width), then one dead row per table if any table
+        # has dead cells
+        self.live_values = np.zeros((count, width))
+        self.onehot = np.zeros((count * (width + self.dead), cells))
+        for t, (vals, inverse) in enumerate(groups):
+            dead = np.isneginf(vals)
+            self.live_values[t, :vals.size - dead.sum()] = vals[~dead]
+            row = np.where(dead, count * width + t,
+                           (np.arange(vals.size) - dead.sum()) * count + t)
+            self.onehot[row[inverse], np.arange(cells)] = 1.0
 
     def score_rows(self, flat_counts: np.ndarray) -> np.ndarray:
-        grouped = flat_counts @ self.onehot  # integer sums: exact in any order
-        out = _ordered_dot(grouped[:, self.live], self.live_values)
-        if self.dead.any():
-            out = np.where((grouped[:, self.dead] > 0).any(axis=1), NEG_INF, out)
+        """Scores of (rows, cells) counts, (tables, rows)."""
+        count, width = self.live_values.shape
+        grouped = self.onehot @ flat_counts.T  # integer sums: exact in any order
+        # zero padding adds +0.0, which leaves every sum as it was
+        out = _ordered_dot(grouped[:count * width].reshape(width, count, -1).transpose(1, 2, 0),
+                           self.live_values.T[:, :, None])
+        if self.dead:
+            out[grouped[count * width:] > 0] = NEG_INF
         return out
 
 
@@ -381,16 +408,27 @@ class SlotDecoder:
         for cid, ch in self.channels.items():
             if isinstance(ch, Dmc):
                 self.tested_ctx[cid] = self.rival_ctx[cid] = _ScoreContext(
-                    safe_log(ch.probs).reshape(-1))
+                    safe_log(ch.probs).reshape(1, -1))
             else:
-                self.tested_ctx[cid] = _ScoreContext(safe_log(ch.pmin).reshape(-1))
-                self.rival_ctx[cid] = _ScoreContext(safe_log(ch.pmax).reshape(-1))
+                self.tested_ctx[cid] = _ScoreContext(safe_log(ch.pmin).reshape(1, -1))
+                self.rival_ctx[cid] = _ScoreContext(safe_log(ch.pmax).reshape(1, -1))
         self.message_counts = {}
         for u in range(1, self.num_users + 1):
             for i in range(1, table.num_classes + 1):
                 self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
         self._lay_out_candidates()
         self.thresholds = self._build_thresholds(ledger)
+        # per subset: the pairs whose test can reject, with their stacked
+        # coefficients and constants
+        self._tables = []
+        for subset in self.subsets:
+            tables = {p: self.thresholds[(pair, subset)]
+                      for p, pair in enumerate(self._pairs)}
+            tables = {p: t for p, t in tables.items() if t is not None}
+            self._tables.append((
+                np.array(list(tables), dtype=np.int64),
+                np.array([t.coeff for t in tables.values()]).reshape(-1, self.output_size),
+                np.array([t.const for t in tables.values()])))
 
     def _lay_out_candidates(self):
         """Candidate order of decide(): region rate vectors in first-member
@@ -403,6 +441,7 @@ class SlotDecoder:
         self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
         self._runs = []  # (first candidate, groups, candidates a group) per block
+        self._scorers = []  # per block: its ids' tested (class: and rival) scores
         cands = []  # (group, id index, pair index) per candidate
         groups = 0
         for rvi, cids in by_rates.values():
@@ -411,6 +450,10 @@ class SlotDecoder:
                          for u in range(1, self.num_users + 1))
             self._blocks[rvi.indices] = (rvi, dims, groups, cids)
             self._runs.append((len(cands), math.prod(dims), len(cids)))
+            self._scorers.append(tuple(
+                _ScoreContext(np.concatenate([ctx[cid].tables for cid in cids]))
+                for ctx in ((self.tested_ctx, self.rival_ctx) if self.mode == "class"
+                            else (self.tested_ctx,))))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
                       for g in range(groups, groups + math.prod(dims))
                       for j, cid in enumerate(cids)]
@@ -492,25 +535,25 @@ class SlotDecoder:
         candidate-major, (candidates, T), so every reduction over a group's
         candidates runs along whole rows."""
         size, b = ys.shape[0], self.output_size
-        y_counts = np.bincount((np.arange(size)[:, None] * b + ys).ravel(),
-                               minlength=size * b).reshape(size, b).astype(float)
-        # -n * tau of each pair, (pairs, T), per subset
-        thr = [-self.n * np.stack([self._taus((pair, subset), y_counts)
-                                   for pair in self._pairs])
-               for subset in self.subsets]
-
-        def scores(ctx, cids, counts):
-            return np.stack([ctx[cid].score_rows(counts).reshape(-1, size)
-                             for cid in cids], axis=1).reshape(-1, size)
-
+        y_counts = None
+        thr = []  # -n * tau per subset, (pairs, T); no tables: the test never rejects
+        for pairs, coeff, const in self._tables:
+            thr.append(np.full((len(self._pairs), size), NEG_INF))
+            if pairs.size:
+                if y_counts is None:
+                    y_counts = np.bincount(
+                        (np.arange(size)[:, None] * b + ys).ravel(),
+                        minlength=size * b).reshape(size, b).astype(float)
+                thr[-1][pairs] = -self.n * _stacked_taus(coeff, const, y_counts, self.n)
         tested, rival = [], []
-        for rvi, dims, _, cids in self._blocks.values():
+        for (rvi, dims, _, cids), scorers in zip(self._blocks.values(), self._scorers):
             counts = self._cell_counts_batch(rvi, dims, ys, books)
-            tested.append(scores(self.tested_ctx, cids, counts))
-            if self.mode == "class":
-                rival.append(scores(self.rival_ctx, cids, counts))
-        tested = np.concatenate(tested)
-        rival = np.concatenate(rival) if rival else tested
+            # (ids, tuples * T) in (tuple, trial) order -> (tuples * ids, T)
+            scores = [ctx.score_rows(counts).reshape(len(cids), -1, size).transpose(
+                1, 0, 2).reshape(-1, size) for ctx in scorers]
+            tested.append(scores[0])
+            rival.append(scores[-1])
+        tested, rival = np.concatenate(tested), np.concatenate(rival)
         group, channel = self._subset_decisions(thr[0], tested, rival)
         for t in thr[1:]:
             g, c = self._subset_decisions(t, tested, rival)
@@ -530,15 +573,15 @@ class SlotDecoder:
         exactly one group strictly dominates. A candidate is typical when its
         rival score clears its threshold; it dominates when its tested score
         clears its threshold and the best typical rival score of every other
-        group (the larger of the maxima over the groups before and after
-        it). In the dominating group the highest tested score wins, the
+        group. In the dominating group the highest tested score wins, the
         earliest id on ties. thr is -n * tau per pair, (pairs, T)."""
         thr = thr[self._pair_of]
         best = self._per_group(np.maximum, np.where(rival > thr, rival, NEG_INF))
-        others = np.full_like(best, NEG_INF)
-        others[1:] = np.maximum.accumulate(best[:-1], axis=0)
-        others[:-1] = np.maximum(
-            others[:-1], np.maximum.accumulate(best[:0:-1], axis=0)[::-1])
+        top = best.max(axis=0)
+        first = best == top
+        second = np.where(first, NEG_INF, best).max(axis=0)
+        # every other group's best: the top one, unless this group alone has it
+        others = np.where(first & (first.sum(axis=0) == 1), second, top)
         dom = (tested > thr) & (tested > others[self._group_of])
         unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
         win = np.where(dom, tested, NEG_INF).argmax(axis=0)
@@ -565,14 +608,6 @@ class SlotDecoder:
             stride, row, offset = stride * self.input_size, row * m, 0
         del term
         return np.bincount(code.ravel(), minlength=row).reshape(-1, cells)
-
-    def _taus(self, key, y_counts) -> np.ndarray:
-        """tau of one (pair, subset) for each row of symbol counts; +inf (the
-        test never rejects) when no out pair matches."""
-        tables = self.thresholds[key]
-        if tables is None:
-            return np.full(y_counts.shape[0], math.inf)
-        return tables.taus(y_counts, self.n)
 
 
 def decode_slot(y, codebooks, region: OperationRegion, thresholds: SlotDecoder,

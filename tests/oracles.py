@@ -324,9 +324,9 @@ def scalar_decode(decoder, y, codebooks):
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
                                  minlength=decoder.cells)[None, :]
-            tested = decoder.tested_ctx[cid].score_rows(counts)[0]
+            tested = decoder.tested_ctx[cid].score_rows(counts)[0, 0]
             rival = tested if decoder.mode == "finite" \
-                else decoder.rival_ctx[cid].score_rows(counts)[0]
+                else decoder.rival_ctx[cid].score_rows(counts)[0, 0]
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
     for subset in decoder.subsets:
