@@ -26,7 +26,7 @@ from .channels import RateVectorIndex
 from .errors import GuardExceeded, RamacError, ValidationError
 from .exponents import ExponentQuery, ei_exponent, em_exponent, subset_exponent
 from .regions import c1_check, feasibility_check, maximal_feasible_region
-from .sim import ThresholdParams, estimate_errors
+from .sim import estimate_errors
 
 
 def _parse_subset(text: Optional[str]) -> frozenset:

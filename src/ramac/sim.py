@@ -340,8 +340,8 @@ class _ScoreContext:
         count, width = self.live_values.shape
         grouped = self.onehot @ flat_counts.T  # integer sums: exact in any order
         # zero padding adds +0.0, which leaves every sum as it was
-        out = _ordered_dot(grouped[:count * width].reshape(width, count, -1).transpose(1, 2, 0),
-                           self.live_values.T[:, :, None])
+        live = grouped[:count * width].reshape(width, count, -1).transpose(1, 2, 0)
+        out = _ordered_dot(live, self.live_values.T[:, :, None])
         if self.dead:
             out[grouped[count * width:] > 0] = NEG_INF
         return out
@@ -418,17 +418,15 @@ class SlotDecoder:
                 self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
         self._lay_out_candidates()
         self.thresholds = self._build_thresholds(ledger)
-        # per subset: the pairs whose test can reject, with their stacked
-        # coefficients and constants
-        self._tables = []
-        for subset in self.subsets:
-            tables = {p: self.thresholds[(pair, subset)]
-                      for p, pair in enumerate(self._pairs)}
-            tables = {p: t for p, t in tables.items() if t is not None}
+        self._tables = []  # per subset: (pair indices, coefficients, constants)
+        for subset in self.subsets:  # of the pairs whose test can reject
+            tables = [(p, self.thresholds[(pair, subset)])
+                      for p, pair in enumerate(self._pairs)
+                      if self.thresholds[(pair, subset)] is not None]
             self._tables.append((
-                np.array(list(tables), dtype=np.int64),
-                np.array([t.coeff for t in tables.values()]).reshape(-1, self.output_size),
-                np.array([t.const for t in tables.values()])))
+                np.array([p for p, _ in tables], dtype=np.int64),
+                np.array([t.coeff for _, t in tables]).reshape(-1, self.output_size),
+                np.array([t.const for _, t in tables])))
 
     def _lay_out_candidates(self):
         """Candidate order of decide(): region rate vectors in first-member
@@ -545,15 +543,14 @@ class SlotDecoder:
                         (np.arange(size)[:, None] * b + ys).ravel(),
                         minlength=size * b).reshape(size, b).astype(float)
                 thr[-1][pairs] = -self.n * _stacked_taus(coeff, const, y_counts, self.n)
-        tested, rival = [], []
+        blocks = []
         for (rvi, dims, _, cids), scorers in zip(self._blocks.values(), self._scorers):
             counts = self._cell_counts_batch(rvi, dims, ys, books)
             # (ids, tuples * T) in (tuple, trial) order -> (tuples * ids, T)
-            scores = [ctx.score_rows(counts).reshape(len(cids), -1, size).transpose(
-                1, 0, 2).reshape(-1, size) for ctx in scorers]
-            tested.append(scores[0])
-            rival.append(scores[-1])
-        tested, rival = np.concatenate(tested), np.concatenate(rival)
+            blocks.append([ctx.score_rows(counts).reshape(len(cids), -1, size).transpose(
+                1, 0, 2).reshape(-1, size) for ctx in scorers])
+        scores = [np.concatenate(kind) for kind in zip(*blocks)]
+        tested, rival = scores[0], scores[-1]
         group, channel = self._subset_decisions(thr[0], tested, rival)
         for t in thr[1:]:
             g, c = self._subset_decisions(t, tested, rival)
@@ -606,7 +603,7 @@ class SlotDecoder:
             term = term.reshape((m,) + (1,) * (code.ndim - 2) + (size, self.n))
             code = np.add(term, code, out=term if code is ys else None)
             stride, row, offset = stride * self.input_size, row * m, 0
-        del term
+        del term  # K > 1: the first user's term, before bincount allocates
         return np.bincount(code.ravel(), minlength=row).reshape(-1, cells)
 
 

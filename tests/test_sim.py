@@ -65,8 +65,9 @@ def test_symbol_map_matches_searchsorted():
     # last entry rounds below 1, and uniforms at or above that entry
     rounded = np.cumsum(np.full(10, 0.1))
     assert rounded[-1] < 1.0
-    laws = [(0.5, 0.5), (0.3, 0.0, 0.7), (0.0, 0.4, 0.6), (0.5, 0.5, 0.0),
-            (0.2, 0.0, 0.0, 0.8), np.full(3, 1 / 3), np.full(10, 0.1)]
+    laws = [(1.0,), (0.5, 0.5), (0.3, 0.0, 0.7), (0.0, 0.4, 0.6),
+            (0.5, 0.5, 0.0), (0.2, 0.0, 0.0, 0.8), np.full(3, 1 / 3),
+            np.full(10, 0.1)]
     rng = np.random.default_rng(12)
     for law in laws:
         cum = np.cumsum(law)
@@ -76,9 +77,11 @@ def test_symbol_map_matches_searchsorted():
                             rng.random(997)])
         for shape in ((u.size,), (1, u.size, 1)):
             got = ramac.sim._symbols_from_uniform(cum, u.reshape(shape))
-            assert got.shape == shape
-            assert np.array_equal(got, symbols_by_searchsorted(cum, u.reshape(shape))), law
-    top = ramac.sim._symbols_from_uniform(rounded, np.array([rounded[-1], 0.9999999999999999]))
+            assert got.dtype == np.int64 and got.shape == shape
+            want = symbols_by_searchsorted(cum, u.reshape(shape))
+            assert np.array_equal(got, want), law
+    top = ramac.sim._symbols_from_uniform(
+        rounded, np.array([rounded[-1], np.nextafter(1.0, 0.0)]))
     assert np.array_equal(top, [9, 9])
 
 
