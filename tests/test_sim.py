@@ -498,9 +498,9 @@ def _outcomes(report):
 
 
 def test_monte_carlo_outcomes_pinned():
-    # per-case (decoded_correct, decoded_wrong, collision) as recorded before
-    # the draws were vectorised as they are now: symbol maps, channel draws
-    # and cell counts must keep every decision, not just the error rates
+    # per-case (decoded_correct, decoded_wrong, collision), pinned: a rewrite
+    # of the symbol map, the channel draw or the cell counts must keep every
+    # decision, not just the error rates
     comp, table, laws, region = _ternary_system()
     rep = ramac.estimate_errors(region, laws, table, 7, 5000, 17,
                                 compound=comp, cfg=TINY_OPT)
@@ -523,7 +523,8 @@ def test_monte_carlo_outcomes_pinned():
 def test_unused_codebook_keys_are_not_drawn():
     # the region reads only rate 2; a case sent at rate 2 never reads rate
     # 1's codebook, whose uniforms the rate-2 stream still skips (one
-    # codeword of 7 symbols a trial: the 905-trial last block skips 6335)
+    # codeword of 7 symbols a trial: the 905-trial last block skips 6335).
+    # The counts were recorded when every key was drawn.
     n = 7
     comp, table, laws, region = _k1([0.1], (0.05, 0.4), region_idx=(2,))
     decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
