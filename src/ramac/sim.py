@@ -317,7 +317,6 @@ class _ScoreContext:
 
     def __init__(self, tables: np.ndarray):
         """tables: (tables, cells) flat log-propensities."""
-        self.tables = tables
         count, cells = tables.shape
         groups = [np.unique(row, return_inverse=True) for row in tables]
         width = max(np.count_nonzero(~np.isneginf(vals)) for vals, _ in groups)
@@ -403,15 +402,14 @@ class SlotDecoder:
                 raise ValidationError(f"region references unknown id {cid!r}")
         self.subsets = tuple(proper_subsets(self.num_users))
         self.out_pairs = region.complement(pair_universe(table, self.ids))
-        self.tested_ctx = {}
-        self.rival_ctx = {}
+        # flat log-propensities per id: tested, and (class mode) rival
+        self.log_tested, self.log_rival = {}, {}
         for cid, ch in self.channels.items():
             if isinstance(ch, Dmc):
-                self.tested_ctx[cid] = self.rival_ctx[cid] = _ScoreContext(
-                    safe_log(ch.probs).reshape(1, -1))
+                self.log_tested[cid] = self.log_rival[cid] = safe_log(ch.probs).ravel()
             else:
-                self.tested_ctx[cid] = _ScoreContext(safe_log(ch.pmin).reshape(1, -1))
-                self.rival_ctx[cid] = _ScoreContext(safe_log(ch.pmax).reshape(1, -1))
+                self.log_tested[cid] = safe_log(ch.pmin).ravel()
+                self.log_rival[cid] = safe_log(ch.pmax).ravel()
         self.message_counts = {}
         for u in range(1, self.num_users + 1):
             for i in range(1, table.num_classes + 1):
@@ -449,9 +447,9 @@ class SlotDecoder:
             self._blocks[rvi.indices] = (rvi, dims, groups, cids)
             self._runs.append((len(cands), math.prod(dims), len(cids)))
             self._scorers.append(tuple(
-                _ScoreContext(np.concatenate([ctx[cid].tables for cid in cids]))
-                for ctx in ((self.tested_ctx, self.rival_ctx) if self.mode == "class"
-                            else (self.tested_ctx,))))
+                _ScoreContext(np.stack([logs[cid] for cid in cids]))
+                for logs in ((self.log_tested, self.log_rival) if self.mode == "class"
+                             else (self.log_tested,))))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
                       for g in range(groups, groups + math.prod(dims))
                       for j, cid in enumerate(cids)]

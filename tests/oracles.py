@@ -306,15 +306,18 @@ def scalar_decode(decoder, y, codebooks):
     for a collision.
 
     It shares the SlotDecoder's thresholds (None: the test never rejects)
-    and score contexts on purpose: analytically tied likelihoods must tie
-    bit for bit on both sides. What it checks is the decision rule applied
-    to them. codebooks needs only codeword(user, rate index, message).
+    and per-block score contexts on purpose: analytically tied likelihoods
+    must tie bit for bit on both sides. What it checks is the decision rule
+    applied to them. codebooks needs only codeword(user, rate index, message).
     """
     y = np.asarray(y, dtype=np.int64)
     k, n = decoder.num_users, decoder.n
     y_counts = np.bincount(y, minlength=decoder.output_size).astype(float)
+    blocks = list(decoder._blocks)  # the rate vectors' order in _scorers
     scored = []
     for rvi, cid in decoder.region.members:
+        scorers = decoder._scorers[blocks.index(rvi.indices)]
+        row = decoder._blocks[rvi.indices][3].index(cid)  # cid's table there
         ranges = [range(decoder.message_counts[(u, rvi.index(u))])
                   for u in range(1, k + 1)]
         for msgs in itertools.product(*ranges):
@@ -324,9 +327,8 @@ def scalar_decode(decoder, y, codebooks):
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
                                  minlength=decoder.cells)[None, :]
-            tested = decoder.tested_ctx[cid].score_rows(counts)[0, 0]
-            rival = tested if decoder.mode == "finite" \
-                else decoder.rival_ctx[cid].score_rows(counts)[0, 0]
+            tested = scorers[0].score_rows(counts)[row, 0]
+            rival = scorers[-1].score_rows(counts)[row, 0]
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
     for subset in decoder.subsets:
