@@ -63,7 +63,6 @@ from .exponents import (
     ei_exponent,
     em_class_exponent,
     em_exponent,
-    subset_exponent,
 )
 from .infometrics import MiQuery, conditional_mi
 from .regions import (

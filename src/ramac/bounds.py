@@ -25,7 +25,6 @@ from .channels import (
     Dmc,
     InputLaws,
     RateTable,
-    RateVectorIndex,
     effective_channel,
 )
 from .errors import C1Violation, InfeasibleRegion, ValidationError
@@ -46,7 +45,6 @@ from .regions import (
     feasibility_check,
     pair_universe,
     subsets_containing,
-    proper_subsets,
 )
 
 
@@ -119,7 +117,9 @@ class ExponentLedger:
     (rate vector, id) and the id names a channel or class envelope of the
     channel map. With users_d the ledger serves the decoder of the users in
     D: a pair's channel is its mapped channel averaged over the pair's rates
-    of the users outside D, and subsets are subsets of D.
+    of the users outside D, and subsets are subsets of D. D must be a
+    nonempty set of users 1..K, and its map must hold channels, not class
+    envelopes.
     """
 
     def __init__(self, channels: Mapping, laws: InputLaws, table: RateTable,
@@ -129,6 +129,15 @@ class ExponentLedger:
         self.users_d = None if users_d is None else frozenset(users_d)
         self._entries = {}
         if self.users_d is not None:
+            if not self.users_d:
+                raise ValidationError("the decoded set must be nonempty")
+            for u in self.users_d:
+                if not 1 <= u <= table.num_users:
+                    raise ValidationError(
+                        f"decoded user {u} outside 1..{table.num_users}")
+            if not all(isinstance(ch, Dmc) for ch in self.channels.values()):
+                raise ValidationError("a decoded set needs finite channels, "
+                                      "not class envelopes")
             self._d = sorted(self.users_d)
             self._reduced = (laws.restrict(self._d), table.restrict(self._d))
             self._effective = {}
@@ -170,6 +179,9 @@ class ExponentLedger:
         agree on subset."""
         key = (kind, subset, _pair_key(t), _pair_key(c))
         if key not in self._entries:
+            if self.users_d is not None and not subset <= self.users_d:
+                raise ValidationError(f"subset {sorted(subset)} is not inside "
+                                      f"the decoded set {self._d}")
             true_ch, comp_ch = self._channel(t), self._channel(c)
             if self.users_d is None:
                 q = ExponentQuery(subset, t[0], true_ch, c[0], comp_ch,
@@ -288,20 +300,40 @@ def _check_n(n: int):
         raise ValidationError(f"block length must be an integer >= 1, got {n!r}")
 
 
+def _bound(region: OperationRegion, channels: Mapping, laws: InputLaws,
+           table: RateTable, n: int, cfg: OptimizerConfig,
+           ledger: Optional[ExponentLedger], users_d=None) -> BoundReport:
+    """The bound of the decoder resolving the users in D (every user when D
+    is None) over every channel or class envelope of the channel map.
+
+    In pairs are the region's members, out pairs the rest of the pair
+    universe over the map's ids, and conditioning subsets the proper subsets
+    of D. The mode is the region's (finite or class), or subset with a D.
+    """
+    _check_n(n)
+    ledger = ExponentLedger.serving(ledger, channels, laws, table, cfg, users_d)
+    for rvi, cid in region.members:
+        rvi.check_against(table)
+        if cid not in channels:
+            raise ValidationError(f"region references unknown id {cid!r}")
+    users = (range(1, table.num_users + 1) if users_d is None
+             else sorted(ledger.users_d))
+    subsets = tuple(frozenset(combo) for size in range(len(users))
+                    for combo in itertools.combinations(users, size))
+    out_pairs = region.complement(pair_universe(table, tuple(channels)))
+    mode = region.mode if users_d is None else "subset"
+    return _assemble(region.members, out_pairs, subsets, ledger, n, mode)
+
+
 def pes_bound_finite(region: OperationRegion, compound: CompoundSet,
                      laws: InputLaws, table: RateTable, n: int,
                      cfg: OptimizerConfig = OptimizerConfig(),
                      ledger: Optional[ExponentLedger] = None) -> BoundReport:
     """Slot error bound for a channel-level operation region at block length n."""
-    _check_n(n)
     if region.mode != "finite":
         raise ValidationError("pes_bound_finite expects a channel-level region")
-    ledger = ExponentLedger.serving(ledger, channel_map(compound), laws, table, cfg)
     _require_feasible(region, compound, laws, table)
-    universe = pair_universe(table, compound.ids)
-    out_pairs = region.complement(universe)
-    subsets = tuple(proper_subsets(compound.num_users))
-    return _assemble(region.members, out_pairs, subsets, ledger, n, "finite")
+    return _bound(region, channel_map(compound), laws, table, n, cfg, ledger)
 
 
 def pes_bound_classes(region: OperationRegion,
@@ -312,23 +344,30 @@ def pes_bound_classes(region: OperationRegion,
     """Class-level bound; the region must already be class-mode (run c1_check
     first on channel-level input), and feasibility is the caller's channel-level
     responsibility."""
-    _check_n(n)
     if region.mode != "class":
         raise C1Violation(
             "pes_bound_classes needs a class-mode region; convert channel-level "
             "regions through c1_check first"
         )
-    envmap = channel_map(envelopes)
-    for rvi, cid in region.members:
-        rvi.check_against(table)
-        if cid not in envmap:
-            raise ValidationError(f"region references unknown class {cid!r}")
-    ledger = ExponentLedger.serving(ledger, envmap, laws, table, cfg)
-    first = next(iter(envmap.values()))
-    universe = pair_universe(table, tuple(envmap.keys()))
-    out_pairs = region.complement(universe)
-    subsets = tuple(proper_subsets(first.num_users))
-    return _assemble(region.members, out_pairs, subsets, ledger, n, "class")
+    return _bound(region, channel_map(envelopes), laws, table, n, cfg, ledger)
+
+
+def pes_bound_ddecoder(users_d, region: OperationRegion, compound: CompoundSet,
+                       laws: InputLaws, table: RateTable, n: int,
+                       cfg: OptimizerConfig = OptimizerConfig(),
+                       ledger: Optional[ExponentLedger] = None) -> BoundReport:
+    """Bound for a decoder resolving only the users in D over the compound set.
+
+    The region is channel-level; its complement is taken inside the pair
+    universe over every channel of the compound set. Conditioning subsets
+    range over proper subsets of D, and users outside D are averaged into
+    each pair's channel under the pair's rates. With D = every user this is
+    pes_bound_finite's bound, without its feasibility check.
+    """
+    if region.mode != "finite":
+        raise ValidationError("pes_bound_ddecoder expects a channel-level region")
+    return _bound(region, channel_map(compound), laws, table, n, cfg, ledger,
+                  users_d)
 
 
 def system_exponent(region: OperationRegion, compound: CompoundSet,
@@ -357,49 +396,6 @@ def system_exponent(region: OperationRegion, compound: CompoundSet,
                                 report.exponent_evaluations)
 
 
-def _rate_universe(table: RateTable) -> tuple:
-    return tuple(RateVectorIndex(combo) for combo in
-                 itertools.product(range(1, table.num_classes + 1),
-                                   repeat=table.num_users))
-
-
-def pes_bound_ddecoder(users_d, region_rates: Sequence[RateVectorIndex],
-                       channel: Dmc, laws: InputLaws, table: RateTable, n: int,
-                       cfg: OptimizerConfig = OptimizerConfig(),
-                       channel_id: str = "channel",
-                       ledger: Optional[ExponentLedger] = None) -> BoundReport:
-    """Bound for a decoder resolving only the users in D over a known channel.
-
-    region_rates lists the full-length rate vectors the D-decoder commits to;
-    its complement is taken inside the full rate-vector universe. Conditioning
-    subsets range over proper subsets of D, and users outside D are averaged
-    into the channel pair by pair.
-    """
-    _check_n(n)
-    d = sorted(set(int(u) for u in users_d))
-    if not d:
-        raise ValidationError("the decoded set must be nonempty")
-    for u in d:
-        if not 1 <= u <= channel.num_users:
-            raise ValidationError(f"user {u} outside 1..{channel.num_users}")
-    seen = set()
-    for rvi in region_rates:
-        rvi.check_against(table)
-        if rvi.indices in seen:
-            raise ValidationError(f"duplicate rate vector {rvi.indices}")
-        seen.add(rvi.indices)
-    ledger = ExponentLedger.serving(ledger, {channel_id: channel}, laws, table,
-                                    cfg, users_d=d)
-    in_pairs = tuple((rvi, channel_id) for rvi in region_rates)
-    out_pairs = tuple((rvi, channel_id) for rvi in _rate_universe(table)
-                      if rvi.indices not in seen)
-    subsets = []
-    for size in range(len(d)):
-        for combo in itertools.combinations(d, size):
-            subsets.append(frozenset(combo))
-    return _assemble(in_pairs, out_pairs, tuple(subsets), ledger, n, "subset")
-
-
 @dataclass(frozen=True)
 class PartitionBoundResult:
     raw_bound: float
@@ -412,41 +408,37 @@ class PartitionBoundResult:
     exponent_evaluations: int
 
 
-def pes_bound_single_user(user: int, region: OperationRegion, channel: Dmc,
-                          laws: InputLaws, table: RateTable, n: int,
-                          search: str = "exhaustive",
+def pes_bound_single_user(user: int, region: OperationRegion,
+                          compound: CompoundSet, laws: InputLaws,
+                          table: RateTable, n: int, search: str = "exhaustive",
                           cfg: OptimizerConfig = OptimizerConfig(),
                           allow_drop: bool = False,
                           max_blocks: Optional[int] = None) -> PartitionBoundResult:
     """Best split of the region into per-decoded-set blocks covering `user`.
 
-    Exhaustive search enumerates every assignment of members to decoded sets
-    containing the user (optionally allowing explicit drops, whose members are
-    always reported as collisions) and returns the smallest total. Greedy
-    assigns each member independently to the decoded set minimizing its
-    singleton-block bound, then scores the resulting merged partition; it is
-    never below the exhaustive optimum. Every member must name the one
-    channel id whose probabilities `channel` holds.
+    Each block is bounded by pes_bound_ddecoder over the whole compound set,
+    so members may name any of its channels. Exhaustive search enumerates
+    every assignment of members to decoded sets containing the user
+    (optionally allowing explicit drops, whose members are always reported as
+    collisions) and returns the smallest total. Greedy assigns each member
+    independently to the decoded set minimizing its singleton-block bound,
+    then scores the resulting merged partition; it is never below the
+    exhaustive optimum.
     """
     _check_n(n)
     if search not in ("exhaustive", "greedy"):
         raise ValidationError(f"search must be 'exhaustive' or 'greedy', got {search!r}")
     if region.mode != "finite":
         raise ValidationError("partition search expects a channel-level region")
-    if len({cid for _, cid in region.members}) > 1:
-        raise ValidationError("partition search bounds one channel, and the "
-                              "region names more than one")
-    k = channel.num_users
-    channel_id = region.members[0][1] if region.members else "channel"
+    k = compound.num_users
+    channels = channel_map(compound)
     ledgers = {}  # decoded set -> its exponent ledger
 
     def block_bound(users_d, members) -> BoundReport:
         if users_d not in ledgers:
-            ledgers[users_d] = ExponentLedger({channel_id: channel}, laws, table,
-                                              cfg, users_d)
-        return pes_bound_ddecoder(users_d, tuple(rvi for rvi, _ in members),
-                                  channel, laws, table, n, cfg, channel_id,
-                                  ledger=ledgers[users_d])
+            ledgers[users_d] = ExponentLedger(channels, laws, table, cfg, users_d)
+        return pes_bound_ddecoder(users_d, OperationRegion(members), compound,
+                                  laws, table, n, cfg, ledger=ledgers[users_d])
 
     def score(partition):
         reports = tuple((users_d, block_bound(users_d, members))

@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .channels import RateVectorIndex
 from .errors import GuardExceeded, RamacError, ValidationError
-from .exponents import ExponentQuery, ei_exponent, em_exponent, subset_exponent
 from .regions import c1_check, feasibility_check, maximal_feasible_region
 from .sim import estimate_errors
 
@@ -51,15 +50,6 @@ def _out_paths(system, command: str, out_dir: Optional[str]) -> tuple:
     return stem + ".json", stem + ".csv"
 
 
-def _channel_of(system, cid: str):
-    if system.cfg.mode == "class":
-        for env in system.envelopes:
-            if env.class_id == cid:
-                return env
-        raise ValidationError(f"unknown class {cid!r}")
-    return system.compound.by_id(cid)
-
-
 def _load(args) -> object:
     return cfgmod.build_system(cfgmod.load_config(args.config))
 
@@ -70,25 +60,8 @@ def _cmd_exponent(args) -> int:
     first = system.region.members[0]
     true_pair = _parse_pair_flag(args.true_pair, system) if args.true_pair else first
     comp_pair = _parse_pair_flag(args.comp_pair, system) if args.comp_pair else true_pair
-    if args.users_d:
-        if system.cfg.mode == "class":
-            raise ValidationError("the reduced-system exponent needs a finite scenario")
-        users_d = _parse_subset(args.users_d)
-        res = subset_exponent(
-            args.kind, users_d, subset, true_pair[0], comp_pair[0],
-            _channel_of(system, true_pair[1]), system.laws, system.table,
-            system.cfg.optimizer,
-            comp_channel=_channel_of(system, comp_pair[1]))
-    else:
-        query = ExponentQuery(subset, true_pair[0],
-                              _channel_of(system, true_pair[1]), comp_pair[0],
-                              _channel_of(system, comp_pair[1]), system.laws,
-                              system.table)
-        fn = em_exponent if args.kind == "em" else ei_exponent
-        from .exponents import ei_class_exponent, em_class_exponent
-        if system.cfg.mode == "class":
-            fn = em_class_exponent if args.kind == "em" else ei_class_exponent
-        res = fn(query, system.cfg.optimizer)
+    users_d = _parse_subset(args.users_d) if args.users_d else None
+    res = _ledger(system, users_d).get(args.kind, subset, true_pair, comp_pair)
     record = {
         "command": "exponent", "scenario": system.cfg.name,
         "kind": args.kind, "subset": sorted(subset),
@@ -109,11 +82,12 @@ def _cmd_exponent(args) -> int:
     return 0
 
 
-def _ledger(system) -> ExponentLedger:
-    """One exponent ledger for every bound and threshold of the system."""
+def _ledger(system, users_d=None) -> ExponentLedger:
+    """One exponent ledger for every bound and threshold of the system, or
+    for the decoder of the users in users_d."""
     channels = system.envelopes if system.cfg.mode == "class" else system.compound
     return ExponentLedger(channel_map(channels), system.laws, system.table,
-                          system.cfg.optimizer)
+                          system.cfg.optimizer, users_d)
 
 
 def _bound_report(system, n: int, ledger: Optional[ExponentLedger] = None):
@@ -228,18 +202,13 @@ def _cmd_partition(args) -> int:
     system = _load(args)
     if system.cfg.mode != "finite":
         raise ValidationError("partition search needs a finite scenario")
-    ids = {cid for _, cid in system.region.members}
-    if len(ids) != 1:
-        raise ValidationError(
-            "partition search expects a single-channel region")
-    cid = next(iter(ids))
     n = args.n or system.cfg.defaults.n
     user = args.user or system.cfg.defaults.partition_user
     search = args.search or system.cfg.defaults.partition_search
     res = pes_bound_single_user(
-        user, system.region, system.compound.by_id(cid), system.laws,
-        system.table, n, search=search, cfg=system.cfg.optimizer,
-        allow_drop=args.allow_drop, max_blocks=args.max_blocks)
+        user, system.region, system.compound, system.laws, system.table, n,
+        search=search, cfg=system.cfg.optimizer, allow_drop=args.allow_drop,
+        max_blocks=args.max_blocks)
     record = {"command": "partition", "scenario": system.cfg.name,
               "user": user, "n": n, "result": res}
     jpath, cpath = _out_paths(system, "partition", args.out_dir)

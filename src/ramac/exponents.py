@@ -29,7 +29,7 @@ tie rule and evaluation count are those of probing point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .channels import (
     InputLaws,
     RateTable,
     RateVectorIndex,
-    effective_channel,
+    effective_channel,  # only the perfbench tracer reads it, until ROADMAP item 0
 )
 from .errors import ConstraintViolation, DimensionMismatch, ValidationError
 from .logdomain import NEG_INF, logsumexp, safe_log
@@ -74,7 +74,7 @@ class ExponentResult:
     rho_star: float
     s_star: float
     evaluations: int
-    variant: str  # finite | class | subset
+    variant: str  # finite | class
     kind: str  # em | ei
 
 
@@ -386,51 +386,3 @@ def ei_class_exponent(query: ExponentQuery, cfg: OptimizerConfig = OptimizerConf
         raise ValidationError("ei_class_exponent takes class envelopes")
     return _optimize(query, "ei", "class", cfg)
 
-
-def subset_exponent(kind: str, users_d, subset_s, true_rates: RateVectorIndex,
-                    comp_rates: RateVectorIndex, channel: Dmc, laws: InputLaws,
-                    rate_table: RateTable, cfg: OptimizerConfig = OptimizerConfig(),
-                    comp_channel: Optional[Dmc] = None) -> ExponentResult:
-    """Exponent for a decoder that resolves only the users in D.
-
-    Users outside D are absorbed into the channel: the true pair sees the
-    channel averaged under its own complement rates, the competing pair under
-    its own. S must be a proper subset of D; rate sums run over D minus S.
-    With D = all users this reduces exactly to the full-system exponents.
-    """
-    if kind not in ("em", "ei"):
-        raise ValidationError(f"kind must be 'em' or 'ei', got {kind!r}")
-    d = sorted(set(int(u) for u in users_d))
-    if not d:
-        raise ValidationError("subset_exponent needs a nonempty decoded set")
-    s_set = frozenset(int(u) for u in subset_s)
-    if not s_set <= set(d) or len(s_set) >= len(d):
-        raise ValidationError("S must be a proper subset of the decoded set D")
-    true_rates.check_against(rate_table)
-    comp_rates.check_against(rate_table)
-    if not comp_rates.agrees_on(true_rates, s_set):
-        raise ConstraintViolation(
-            "competing rate vector must match the true one on the subset"
-        )
-    outside = [u for u in range(1, channel.num_users + 1) if u not in d]
-    eff_true = effective_channel(
-        channel, d, {u: true_rates.index(u) for u in outside}, laws)
-    base_comp = comp_channel if comp_channel is not None else channel
-    eff_comp = effective_channel(
-        base_comp, d, {u: comp_rates.index(u) for u in outside}, laws)
-    reduced_s = frozenset(d.index(u) + 1 for u in s_set)
-    reduced = ExponentQuery(
-        subset=reduced_s,
-        true_rates=true_rates.restrict(d),
-        true_channel=eff_true,
-        comp_rates=comp_rates.restrict(d),
-        comp_channel=eff_comp,
-        laws=laws.restrict(d),
-        rate_table=rate_table.restrict(d),
-    )
-    if kind == "em":
-        res = em_exponent(reduced, cfg)
-    else:
-        res = ei_exponent(reduced, cfg)
-    return ExponentResult(res.value, res.rho_star, res.s_star, res.evaluations,
-                          "subset", kind)

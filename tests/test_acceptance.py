@@ -138,36 +138,48 @@ def test_criterion_05_bound_slope_matches_exponent(scenario4):
 
 
 def test_criterion_06_partition_search_is_optimal():
-    probs = np.empty((2, 2, 2))
-    for x1, x2 in itertools.product(range(2), range(2)):
-        p = 0.05 if x2 == 0 else 0.2
-        probs[x1, x2, 1 - x1] = p
-        probs[x1, x2, x1] = 1 - p
-    ch = ramac.Dmc(2, 2, 2, probs)
+    def channel(p_low, p_high):
+        probs = np.empty((2, 2, 2))
+        for x1, x2 in itertools.product(range(2), range(2)):
+            p = p_low if x2 == 0 else p_high
+            probs[x1, x2, 1 - x1] = p
+            probs[x1, x2, x1] = 1 - p
+        return ramac.Dmc(2, 2, 2, probs)
+
     table = ramac.RateTable(((0.02, 0.05), (0.02, 0.05)))
     laws = ramac.uniform_laws(table, 2)
-    members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1)))
-    region = ramac.OperationRegion(tuple((m, "c") for m in members), "finite")
+    r11, r21 = ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1))
     n = 60
-    exhaustive = ramac.pes_bound_single_user(
-        1, region, ch, laws, table, n, search="exhaustive", cfg=SMALL_OPT)
-    greedy = ramac.pes_bound_single_user(
-        1, region, ch, laws, table, n, search="greedy", cfg=SMALL_OPT)
+    # one channel; and two, the region naming both and leaving (2,1):d out
+    cases = {
+        "one channel": (ramac.OperationRegion(((r11, "c"), (r21, "c")),
+                                              "finite"),
+                        ramac.CompoundSet((channel(0.05, 0.2),), ("c",))),
+        "two channels": (ramac.OperationRegion(((r11, "c"), (r21, "c"),
+                                                (r11, "d")), "finite"),
+                         ramac.CompoundSet((channel(0.05, 0.2),
+                                            channel(0.1, 0.25)), ("c", "d"))),
+    }
     choices = ramac.subsets_containing(1, 2)
-    best = math.inf
-    for assign in itertools.product(choices, repeat=len(members)):
-        blocks = {}
-        for member, users_d in zip(region.members, assign):
-            blocks.setdefault(users_d, []).append(member[0])
-        logs = [ramac.pes_bound_ddecoder(users_d, tuple(rvis), ch, laws,
-                                         table, n, SMALL_OPT,
-                                         channel_id="c").log_bound
-                for users_d, rvis in blocks.items()]
-        best = min(best, logsumexp_list(logs))
-    print(f"criterion 06: exhaustive={exhaustive.log_bound:.9g}, "
-          f"greedy={greedy.log_bound:.9g}, brute={best:.9g}")
-    assert exhaustive.log_bound <= greedy.log_bound
-    assert exhaustive.log_bound == best
+    for label, (region, comp) in cases.items():
+        exhaustive = ramac.pes_bound_single_user(
+            1, region, comp, laws, table, n, search="exhaustive", cfg=SMALL_OPT)
+        greedy = ramac.pes_bound_single_user(
+            1, region, comp, laws, table, n, search="greedy", cfg=SMALL_OPT)
+        best = math.inf
+        for assign in itertools.product(choices, repeat=len(region.members)):
+            blocks = {}
+            for member, users_d in zip(region.members, assign):
+                blocks.setdefault(users_d, []).append(member)
+            logs = [ramac.pes_bound_ddecoder(
+                        users_d, ramac.OperationRegion(block), comp, laws,
+                        table, n, SMALL_OPT).log_bound
+                    for users_d, block in blocks.items()]
+            best = min(best, logsumexp_list(logs))
+        print(f"criterion 06 ({label}): exhaustive={exhaustive.log_bound:.9g}, "
+              f"greedy={greedy.log_bound:.9g}, brute={best:.9g}")
+        assert exhaustive.log_bound <= greedy.log_bound
+        assert exhaustive.log_bound == best
 
 
 def test_criterion_07_threshold_closed_form_vs_bisection():

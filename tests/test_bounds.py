@@ -141,17 +141,29 @@ def test_class_bound_requires_class_region():
 
 
 def test_ddecoder_full_set_matches_plain_bound():
+    """Decoding every user is the plain decoder, out-of-region channels
+    included: a one-channel K=2 system, and a two-channel K=1 compound whose
+    region names one channel (the shape of examples_cfg/bsc_gate.cfg)."""
     rng = np.random.default_rng(11)
     ch = random_dmc(rng, 2, 2, 2, floor=0.1)
-    table = ramac.RateTable(((0.02, 0.08), (0.02, 0.08)))
-    laws = ramac.uniform_laws(table, 2)
+    table2 = ramac.RateTable(((0.02, 0.08), (0.02, 0.08)))
     members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((1, 2)))
-    comp = ramac.CompoundSet((ch,), ("c",))
-    region = ramac.OperationRegion(tuple((m, "c") for m in members), "finite")
-    plain = ramac.pes_bound_finite(region, comp, laws, table, 21, TINY_OPT)
-    viad = ramac.pes_bound_ddecoder(frozenset({1, 2}), members, ch, laws,
-                                    table, 21, TINY_OPT, channel_id="c")
-    assert abs(plain.log_bound - viad.log_bound) < 1e-10
+    cases = [
+        (ramac.CompoundSet((ch,), ("c",)), table2,
+         ramac.OperationRegion(tuple((m, "c") for m in members), "finite")),
+        (ramac.CompoundSet((bsc(0.05), bsc(0.3)), ("good", "bad")),
+         ramac.RateTable(((0.1,),)),
+         ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "good"),),
+                               "finite")),
+    ]
+    for comp, table, region in cases:
+        laws = ramac.uniform_laws(table, 2)
+        plain = ramac.pes_bound_finite(region, comp, laws, table, 21, TINY_OPT)
+        users = frozenset(range(1, table.num_users + 1))
+        viad = ramac.pes_bound_ddecoder(users, region, comp, laws, table, 21,
+                                        TINY_OPT)
+        assert viad.log_bound == plain.log_bound
+        assert viad.terms == plain.terms
 
 
 def _record_optimisations(monkeypatch) -> list:
@@ -171,49 +183,50 @@ def _record_optimisations(monkeypatch) -> list:
 
 
 def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
+    """On one channel, and on the mac2.cfg region {(1,1):good, (1,2):bad}
+    whose members name two channels of the compound set."""
     rng = np.random.default_rng(23)
     ch = random_dmc(rng, 2, 2, 2, floor=0.1)
     table = ramac.RateTable(((0.02, 0.06), (0.02, 0.06)))
-    laws = ramac.uniform_laws(table, 2)
     members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1)))
-    region = ramac.OperationRegion(tuple((m, "c") for m in members), "finite")
-    optimised = _record_optimisations(monkeypatch)
-    exhaustive = ramac.pes_bound_single_user(1, region, ch, laws, table, 19,
-                                             search="exhaustive", cfg=TINY_OPT)
-    searched = list(optimised)
-    greedy = ramac.pes_bound_single_user(1, region, ch, laws, table, 19,
-                                         search="greedy", cfg=TINY_OPT)
-    assert exhaustive.log_bound <= greedy.log_bound + 1e-12
-    # every enumerated assignment is at least the exhaustive optimum
-    keys = set()
-    for part in ramac.enumerate_partitions(region, 1, 2):
-        total = 0.0
-        for users_d, block in part.blocks().items():
-            rep = ramac.pes_bound_ddecoder(
-                users_d, tuple(m for m, _ in block), ch, laws, table, 19,
-                TINY_OPT, channel_id="c")
-            total += rep.raw_bound
-            keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
-                     for t in rep.terms if t.branch == "decode"}
-        assert exhaustive.raw_bound <= total + 1e-12
-    # the search optimises each (D, kind, subset, true, competing) once and
-    # reports the evaluations it made
-    assert len(searched) == len(keys)
-    assert exhaustive.exponent_evaluations == sum(r.evaluations for r in searched)
-    # one channel's probabilities cannot bound members on two channels: the
-    # search refuses such a region before optimising anything
     system = cfgmod.build_system(cfgmod.load_config(
         str(Path(__file__).resolve().parents[1] / "examples_cfg" / "mac2.cfg")))
     mixed = ramac.OperationRegion(((ramac.RateVectorIndex((1, 1)), "good"),
                                    (ramac.RateVectorIndex((1, 2)), "bad")),
                                   "finite")
-    optimised.clear()
-    for search in ("exhaustive", "greedy"):
-        with pytest.raises(ramac.ValidationError):
-            ramac.pes_bound_single_user(1, mixed, system.compound.by_id("good"),
-                                        system.laws, system.table, 16,
-                                        search=search, cfg=TINY_OPT)
-    assert not optimised
+    cases = [
+        (ramac.OperationRegion(tuple((m, "c") for m in members), "finite"),
+         ramac.CompoundSet((ch,), ("c",)), ramac.uniform_laws(table, 2), table,
+         19),
+        (mixed, system.compound, system.laws, system.table, 16),
+    ]
+    optimised = _record_optimisations(monkeypatch)
+    for region, comp, laws, table, n in cases:
+        optimised.clear()
+        exhaustive = ramac.pes_bound_single_user(
+            1, region, comp, laws, table, n, search="exhaustive", cfg=TINY_OPT)
+        searched = list(optimised)
+        greedy = ramac.pes_bound_single_user(1, region, comp, laws, table, n,
+                                             search="greedy", cfg=TINY_OPT)
+        assert math.isfinite(exhaustive.log_bound)
+        assert exhaustive.log_bound <= greedy.log_bound + 1e-12
+        # every enumerated assignment is at least the exhaustive optimum
+        keys = set()
+        for part in ramac.enumerate_partitions(region, 1, 2):
+            total = 0.0
+            for users_d, block in part.blocks().items():
+                rep = ramac.pes_bound_ddecoder(
+                    users_d, ramac.OperationRegion(block), comp, laws, table,
+                    n, TINY_OPT)
+                total += rep.raw_bound
+                keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
+                         for t in rep.terms if t.branch == "decode"}
+            assert exhaustive.raw_bound <= total + 1e-12
+        # the search optimises each (D, kind, subset, true, competing) once
+        # and reports the evaluations it made
+        assert len(searched) == len(keys)
+        assert exhaustive.exponent_evaluations == sum(r.evaluations
+                                                      for r in searched)
 
 
 def test_assembly_deterministic():

@@ -343,6 +343,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     pair = _write(tmp_path, PAIR_CFG)
     assert _run(["exponent", "--config", pair, "--out-dir", str(tmp_path),
                  "--users-d", "x"]) == 2
+    assert _run(["exponent", "--config", pair, "--out-dir", str(tmp_path),
+                 "--users-d", "1", "--subset", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     hot = _write(tmp_path, PAIR_CFG.replace("user1 = 0.1", "user1 = 1.0"),

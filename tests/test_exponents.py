@@ -202,7 +202,7 @@ def test_objectives_finite_on_larger_alphabets():
     assert math.isfinite(ei.value)
 
 
-def test_subset_exponent_reduces_to_full_query():
+def test_ledger_full_decoded_set_reduces_to_full_query():
     """Decoding every user leaves the channel untouched."""
     rng = np.random.default_rng(3)
     ch = random_dmc(rng, 2, 2, 2, floor=0.05)
@@ -211,11 +211,11 @@ def test_subset_exponent_reduces_to_full_query():
     t = ramac.RateVectorIndex((1, 2))
     c = ramac.RateVectorIndex((2, 2))
     full = ramac.ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
-    want = ramac.em_exponent(full, TINY_OPT).value
-    got = ramac.subset_exponent("em", frozenset({1, 2}), frozenset(), t, c,
-                                ch, laws, table, TINY_OPT)
-    assert abs(got.value - want) < 1e-12
-    assert got.variant == "subset"
+    want = ramac.em_exponent(full, TINY_OPT)
+    ledger = ramac.ExponentLedger({"c": ch}, laws, table, TINY_OPT,
+                                  users_d={1, 2})
+    got = ledger.get("em", frozenset(), (t, "c"), (c, "c"))
+    assert got == want
 
 
 # Exact (value, rho_star, s_star, evaluations) of the per-point scalar grid
