@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .channels import (
     ChannelClassEnvelope,
     CompoundSet,
@@ -48,7 +48,7 @@ from .regions import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class BoundTerm:
     branch: str  # decode | collision
     true_pair: tuple  # (rate indices, id)
@@ -61,7 +61,7 @@ class BoundTerm:
     attained: bool
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     n: int
     mode: str  # finite | class | subset
@@ -76,7 +76,7 @@ class BoundReport:
     exponent_evaluations: int
 
 
-@dataclass(frozen=True)
+@record
 class SystemExponentResult:
     value: float
     kind: Optional[str]
@@ -396,7 +396,7 @@ def system_exponent(region: OperationRegion, compound: CompoundSet,
                                 report.exponent_evaluations)
 
 
-@dataclass(frozen=True)
+@record
 class PartitionBoundResult:
     raw_bound: float
     clamped_bound: float

@@ -13,11 +13,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import record
 from .errors import (
     DegenerateEnvelope,
     DimensionMismatch,
@@ -37,7 +37,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Dmc:
     """A discrete memoryless channel with num_users input terminals.
 
@@ -96,7 +96,7 @@ def validate_dmc(raw, num_users: int, input_size: int, output_size: int) -> Dmc:
     return Dmc(num_users, input_size, output_size, flat.reshape(expected))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CompoundSet:
     """A finite family of channels with shared dimensions and unique string ids."""
 
@@ -140,7 +140,7 @@ class CompoundSet:
             raise ValidationError(f"unknown channel id {channel_id!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ChannelClassEnvelope:
     """Elementwise upper/lower envelopes of a class of channels.
 
@@ -197,7 +197,7 @@ def build_envelope(channels: Sequence[Dmc], class_id: str = "class",
     )
 
 
-@dataclass(frozen=True)
+@record
 class RateTable:
     """Per-user ordered rate menus (nats per channel use).
 
@@ -249,7 +249,7 @@ class RateTable:
             raise ValidationError(f"user {user} outside 1..{self.num_users}")
 
 
-@dataclass(frozen=True)
+@record
 class RateVectorIndex:
     """One rate class index per user, 1-based."""
 

@@ -8,7 +8,6 @@ the configured output directory, prints a short human summary, and returns
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional
@@ -57,8 +56,12 @@ def _load(args) -> object:
 def _cmd_exponent(args) -> int:
     system = _load(args)
     subset = _parse_subset(args.subset)
-    first = system.region.members[0]
-    true_pair = _parse_pair_flag(args.true_pair, system) if args.true_pair else first
+    if args.true_pair:
+        true_pair = _parse_pair_flag(args.true_pair, system)
+    elif system.region.members:
+        true_pair = system.region.members[0]
+    else:
+        raise ValidationError("the region is empty: give --true-pair")
     comp_pair = _parse_pair_flag(args.comp_pair, system) if args.comp_pair else true_pair
     users_d = _parse_subset(args.users_d) if args.users_d else None
     res = _ledger(system, users_d).get(args.kind, subset, true_pair, comp_pair)
@@ -283,13 +286,15 @@ def _cmd_sweep(args) -> int:
         if step <= 0:
             raise ValidationError("--rate step must be positive")
         n = args.n_fixed or system.cfg.defaults.n
+        fields = {name: getattr(system.cfg, name)
+                  for name in system.cfg._record_fields}
         value = start
         while value <= stop + 1e-12:
             menus = [list(m) for m in system.cfg.rates]
             menus[user - 1][index - 1] = value
-            cfg2 = dataclasses.replace(
-                system.cfg, rates=tuple(tuple(m) for m in menus))
-            report = _bound_report(cfgmod.build_system(cfg2), n)
+            fields["rates"] = tuple(tuple(m) for m in menus)
+            report = _bound_report(
+                cfgmod.build_system(cfgmod.RunConfig(**fields)), n)
             rows.append([cfgmod.round12(value), report.log_bound,
                          report.clamped_bound])
             value += step

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import configparser
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .channels import (
     CompoundSet,
     Dmc,
@@ -40,7 +39,7 @@ from .sim import ThresholdParams
 CONFIG_DIR_ENV = "RAMAC_CONFIG_DIR"
 
 
-@dataclass(frozen=True)
+@record
 class Defaults:
     n: int = 100
     trials: int = 1000
@@ -51,7 +50,7 @@ class Defaults:
     partition_search: str = "exhaustive"
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     name: str
     mode: str
@@ -312,7 +311,7 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-@dataclass(frozen=True)
+@record
 class System:
     """Config materialized into library objects."""
 
@@ -376,11 +375,9 @@ def jsonable(obj):
     if isinstance(obj, OperationRegion):
         return {"mode": obj.mode,
                 "members": [jsonable(m) for m in obj.members]}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            out[f.name] = jsonable(getattr(obj, f.name))
-        return out
+    fields = getattr(type(obj), "_record_fields", None)
+    if fields is not None:
+        return {name: jsonable(getattr(obj, name)) for name in fields}
     if isinstance(obj, Mapping):
         return {_key_str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, frozenset):

@@ -28,11 +28,11 @@ tie rule and evaluation count are those of probing point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._record import record
 from .channels import (
     ChannelClassEnvelope,
     Dmc,
@@ -47,7 +47,7 @@ from .logdomain import NEG_INF, logsumexp, safe_log
 ChannelLike = Union[Dmc, ChannelClassEnvelope]
 
 
-@dataclass(frozen=True)
+@record
 class OptimizerConfig:
     rho_grid_size: int = 64
     s_grid_size: int = 64
@@ -68,7 +68,7 @@ class OptimizerConfig:
             raise ValidationError("refinement_rounds must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class ExponentResult:
     value: float
     rho_star: float
@@ -78,7 +78,7 @@ class ExponentResult:
     kind: str  # em | ei
 
 
-@dataclass(frozen=True)
+@record
 class ExponentQuery:
     """One (subset, true pair, competing pair) exponent instance.
 

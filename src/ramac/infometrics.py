@@ -9,16 +9,16 @@ chain rule H(Y | X_S) - H(Y | X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .channels import Dmc, InputLaws, RateVectorIndex
 from .errors import ValidationError
 from .logdomain import safe_log
 
 
-@dataclass(frozen=True)
+@record
 class MiQuery:
     channel: Dmc
     laws: InputLaws

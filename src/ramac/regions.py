@@ -10,9 +10,9 @@ for every proper conditioning subset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from ._record import record
 from .channels import CompoundSet, InputLaws, RateTable, RateVectorIndex
 from .errors import (
     C1Violation,
@@ -24,7 +24,7 @@ from .infometrics import MiQuery, conditional_mi
 PARTITION_GUARD = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class OperationRegion:
     """Ordered set of (RateVectorIndex, id) members, finite or class mode."""
 
@@ -72,7 +72,7 @@ def pair_universe(table: RateTable, ids: Sequence[str]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class FeasibilityReport:
     passed: bool
     # (rate vector, channel id, subset, sum_rate, mi, margin); margin = mi - sum
@@ -119,7 +119,7 @@ def feasibility_check(region: OperationRegion, compound: CompoundSet,
     return FeasibilityReport(not violations, tuple(violations), tuple(margins))
 
 
-@dataclass(frozen=True)
+@record
 class C1Report:
     passed: bool
     # (rate vector, class id, present member ids, missing member ids)
@@ -188,7 +188,7 @@ def maximal_feasible_region(compound: CompoundSet, laws: InputLaws,
     return OperationRegion(tuple(members))
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Assignment of region members to decoded sets containing a fixed user.
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import statistics
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .bounds import ExponentLedger, channel_map
 from .channels import (
     ChannelClassEnvelope,
@@ -53,7 +52,9 @@ OUTPUT_ENUM_GUARD = 2 ** 20
 _STREAM_BLOCK = 4096
 # Output words per chunk of exact enumeration.
 _WORD_BLOCK = 4096
-Z99 = statistics.NormalDist().inv_cdf(0.995)
+# statistics.NormalDist().inv_cdf(0.995), the two-sided 99% normal quantile,
+# as a literal: importing statistics costs every process a few ms.
+Z99 = 2.5758293035489
 # Cap on the (trial, candidate, symbol or cell) entries decide() holds at once.
 _DECIDE_ELEMENTS = 2 ** 16
 
@@ -95,7 +96,7 @@ def _ordered_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CodebookSet:
     """Frozen codebooks, one (messages, n) symbol array per (user, rate index).
 
@@ -145,7 +146,7 @@ def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
     return CodebookSet(seed=seed, n=n, entries=entries)
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdParams:
     """Tilt parameters of the typicality thresholds.
 
@@ -212,7 +213,7 @@ def _log_comp_tensor(channel) -> np.ndarray:
     return safe_log(channel.pmax)
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdTables:
     """Per-output-symbol log factors of one (pair, subset) threshold.
 
@@ -346,7 +347,7 @@ class _ScoreContext:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class Decision:
     outcome: str  # decoded | collision
     messages: Optional[tuple]
@@ -614,7 +615,7 @@ def decode_slot(y, codebooks, region: OperationRegion, thresholds: SlotDecoder,
     return thresholds.decode(y, codebooks)
 
 
-@dataclass(frozen=True)
+@record
 class CaseReport:
     rate_indices: tuple
     channel_id: str
@@ -629,7 +630,7 @@ class CaseReport:
     half_width99: float
 
 
-@dataclass(frozen=True)
+@record
 class SimReport:
     n: int
     trials: int
@@ -823,7 +824,7 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     )
 
 
-@dataclass(frozen=True)
+@record
 class ExactCase:
     rate_indices: tuple
     channel_id: str
@@ -831,7 +832,7 @@ class ExactCase:
     probability: float
 
 
-@dataclass(frozen=True)
+@record
 class ExactReport:
     n: int
     samples: int

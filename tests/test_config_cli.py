@@ -292,6 +292,27 @@ def test_cli_exponent_bound_limit_region(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_exponent_on_empty_region(tmp_path, capsys):
+    """Above both channels' capacities the maximal region is empty: without
+    --true-pair there is no default pair, with it the exponent is the one the
+    explicit region's system gives."""
+    hot = PAIR_CFG.replace("user1 = 0.1", "user1 = 0.9")
+    empty = _write(tmp_path, hot.replace("pairs = 1:good 1:bad", "maximal = yes"),
+                   "empty.cfg")
+    out = str(tmp_path / "out")
+    assert not cfgmod.build_system(cfgmod.load_config(empty)).region.members
+    assert _run(["exponent", "--config", empty, "--out-dir", out]) == 2
+    assert "region is empty" in capsys.readouterr().err
+    pair = ["--true-pair", "1:good", "--comp-pair", "1:bad"]
+    assert _run(["exponent", "--config", empty, "--out-dir", out, *pair]) == 0
+    got = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    assert got["true_pair"] == [[1], "good"]
+    explicit = _write(tmp_path, hot, "explicit.cfg")
+    assert _run(["exponent", "--config", explicit, "--out-dir", out, *pair]) == 0
+    assert got == cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    capsys.readouterr()
+
+
 def test_cli_simulate_and_sweep(tmp_path, capsys):
     cfg = _write(tmp_path, PAIR_CFG)
     out = str(tmp_path / "out")
