@@ -94,7 +94,6 @@ from .sim import (
     ThresholdTables,
     build_schedule,
     build_threshold_tables,
-    decode_slot,
     estimate_errors,
     exact_conditional_errors,
     generate_codebooks,

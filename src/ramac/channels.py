@@ -67,10 +67,6 @@ class Dmc:
             )
         object.__setattr__(self, "probs", _frozen_array(self.probs))
 
-    @property
-    def input_shape(self) -> tuple:
-        return (self.input_size,) * self.num_users
-
 
 def validate_dmc(raw, num_users: int, input_size: int, output_size: int) -> Dmc:
     """Build a Dmc from a raw tensor, renormalizing rows within tolerance.
@@ -304,19 +300,6 @@ class InputLaws:
             return self._laws[(user, index)]
         except KeyError:
             raise MissingLaw(f"no input law for user {user}, rate index {index}") from None
-
-    def items(self):
-        return self._laws.items()
-
-    def validate_against(self, table: RateTable, input_size: int):
-        for user in range(1, table.num_users + 1):
-            for idx in range(1, table.num_classes + 1):
-                vec = self.law(user, idx)
-                if vec.shape != (input_size,):
-                    raise DimensionMismatch(
-                        f"law for user {user}, rate {idx} has length {vec.shape[0]},"
-                        f" expected {input_size}"
-                    )
 
     def restrict(self, users: Sequence[int]) -> "InputLaws":
         """Laws of the subsystem formed by the given users, renumbered 1..len(users)."""

@@ -24,7 +24,7 @@ from .bounds import (
 from .channels import RateVectorIndex
 from .errors import GuardExceeded, RamacError, ValidationError
 from .regions import c1_check, feasibility_check, maximal_feasible_region
-from .sim import estimate_errors
+from .sim import estimate_errors, generate_codebooks
 
 
 def _parse_subset(text: Optional[str]) -> frozenset:
@@ -115,7 +115,7 @@ def _term_rows(report):
 
 def _cmd_bound(args) -> int:
     system = _load(args)
-    n = args.n or system.cfg.defaults.n
+    n = system.cfg.defaults.n if args.n is None else args.n
     report = _bound_report(system, n)
     record = {"command": "bound", "scenario": system.cfg.name, "report": report}
     jpath, cpath = _out_paths(system, "bound", args.out_dir)
@@ -205,8 +205,8 @@ def _cmd_partition(args) -> int:
     system = _load(args)
     if system.cfg.mode != "finite":
         raise ValidationError("partition search needs a finite scenario")
-    n = args.n or system.cfg.defaults.n
-    user = args.user or system.cfg.defaults.partition_user
+    n = system.cfg.defaults.n if args.n is None else args.n
+    user = system.cfg.defaults.partition_user if args.user is None else args.user
     search = args.search or system.cfg.defaults.partition_search
     res = pes_bound_single_user(
         user, system.region, system.compound, system.laws, system.table, n,
@@ -230,21 +230,24 @@ def _cmd_partition(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system = _load(args)
-    n = args.n or system.cfg.defaults.n
-    trials = args.trials or system.cfg.defaults.trials
+    n = system.cfg.defaults.n if args.n is None else args.n
+    trials = system.cfg.defaults.trials if args.trials is None else args.trials
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
     ledger = _ledger(system)
     bound = None
     if not args.no_bound:
         bound = _bound_report(system, n, ledger).clamped_bound
+    codebooks = None
+    if args.freeze_codebooks:
+        codebooks = generate_codebooks(system.table, system.laws,
+                                       system.cfg.input_size, n, seed)
     report = estimate_errors(
         system.region, system.laws, system.table, n, trials, seed,
         compound=system.compound,
         envelopes=system.envelopes if system.cfg.mode == "class" else None,
         class_map=system.class_map if system.cfg.mode == "class" else None,
         params=system.cfg.thresholds, cfg=system.cfg.optimizer, bound=bound,
-        freeze_codebooks=args.freeze_codebooks,
-        batch_size=system.cfg.defaults.batch_size, ledger=ledger)
+        codebooks=codebooks, ledger=ledger)
     record = {"command": "simulate", "scenario": system.cfg.name,
               "report": report}
     jpath, cpath = _out_paths(system, "simulate", args.out_dir)
@@ -285,7 +288,7 @@ def _cmd_sweep(args) -> int:
         start, step, stop = (float(v) for v in head[2:])
         if step <= 0:
             raise ValidationError("--rate step must be positive")
-        n = args.n_fixed or system.cfg.defaults.n
+        n = system.cfg.defaults.n if args.n_fixed is None else args.n_fixed
         fields = {name: getattr(system.cfg, name)
                   for name in system.cfg._record_fields}
         value = start

@@ -44,7 +44,6 @@ class Defaults:
     n: int = 100
     trials: int = 1000
     seed: int = 0
-    batch_size: int = 4096
     output_dir: str = "."
     partition_user: int = 1
     partition_search: str = "exhaustive"
@@ -146,6 +145,13 @@ def _parse_pair(token: str, num_users: int, num_classes: int, ids,
     return indices, cid
 
 
+def _check_keys(sec, known, where: str):
+    """Reject a key the section does not define, such as a misspelt one."""
+    for key in sec:
+        if key not in known:
+            raise SchemaViolation(f"{where}: unrecognized key {key!r}")
+
+
 def resolve_config_path(path: str) -> str:
     """The given path, else the same name under $RAMAC_CONFIG_DIR."""
     if os.path.exists(path):
@@ -172,6 +178,8 @@ def load_config(path: str) -> RunConfig:
     if "scenario" not in parser:
         raise SchemaViolation("missing [scenario] section")
     sc = parser["scenario"]
+    _check_keys(sc, ("name", "mode", "users", "input_size", "output_size"),
+                "[scenario]")
     name = sc.get("name", "scenario").strip()
     mode = sc.get("mode", "finite").strip()
     if mode not in ("finite", "class"):
@@ -214,6 +222,8 @@ def load_config(path: str) -> RunConfig:
 
     if "rates" not in parser:
         raise SchemaViolation("missing [rates] section")
+    _check_keys(parser["rates"], [f"user{u}" for u in range(1, num_users + 1)],
+                "[rates]")
     rates = []
     for u in range(1, num_users + 1):
         key = f"user{u}"
@@ -257,6 +267,7 @@ def load_config(path: str) -> RunConfig:
     region_maximal = False
     if "region" in parser:
         reg = parser["region"]
+        _check_keys(reg, ("pairs", "maximal"), "[region]")
         region_maximal = _getbool(reg, "maximal", False, "[region]")
         if "pairs" in reg:
             if region_maximal:
@@ -275,11 +286,15 @@ def load_config(path: str) -> RunConfig:
 
     d = parser["defaults"] if "defaults" in parser else {}
     where = "[defaults]"
+    _check_keys(d, ("n", "trials", "seed", "output_dir", "partition_user",
+                    "partition_search", "rho_grid", "s_grid",
+                    "refinement_rounds", "refinement_shrink", "epsilon",
+                    "objective_tolerance", "include_gallager_point",
+                    "threshold_source", "rho_tilde", "s2"), where)
     defaults = Defaults(
         n=_getint(d, "n", 100, where),
         trials=_getint(d, "trials", 1000, where),
         seed=_getint(d, "seed", 0, where),
-        batch_size=_getint(d, "batch_size", 4096, where),
         output_dir=d.get("output_dir", "."),
         partition_user=_getint(d, "partition_user", 1, where),
         partition_search=d.get("partition_search", "exhaustive"),

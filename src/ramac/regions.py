@@ -223,10 +223,6 @@ class Partition:
             out.setdefault(d, []).append((rvi, cid))
         return {d: tuple(v) for d, v in out.items()}
 
-    def dropped(self) -> tuple:
-        return tuple(m for m, d in zip(self.region.members, self.assignment)
-                     if d is None)
-
 
 def subsets_containing(user: int, num_users: int) -> tuple:
     """All subsets of {1..K} containing `user`, ordered by (size, lexicographic)."""

@@ -48,8 +48,10 @@ from .regions import OperationRegion, pair_universe, proper_subsets
 CODEWORD_GUARD = 10 ** 6
 OUTPUT_ENUM_GUARD = 2 ** 20
 # Trials per block of Monte Carlo draws: block b of case c draws from the
-# Philox streams keyed (role, c, b), whatever batch_size the trials run in.
+# Philox streams keyed (role, c, b), however many trials a batch holds.
 _STREAM_BLOCK = 4096
+# Cap on the codebook uniforms a batch of Monte Carlo trials draws at once.
+_DRAW_UNIFORMS = 2 ** 20
 # Output words per chunk of exact enumeration.
 _WORD_BLOCK = 4096
 # statistics.NormalDist().inv_cdf(0.995), the two-sided 99% normal quantile,
@@ -376,6 +378,8 @@ class SlotDecoder:
                  params: ThresholdParams = ThresholdParams(),
                  cfg: OptimizerConfig = OptimizerConfig(),
                  ledger: Optional[ExponentLedger] = None):
+        if n < 1:
+            raise ValidationError("block length must be >= 1")
         if region.mode == "finite":
             if compound is None:
                 raise ValidationError("finite mode needs a compound set")
@@ -606,15 +610,6 @@ class SlotDecoder:
         return np.bincount(code.ravel(), minlength=row).reshape(-1, cells)
 
 
-def decode_slot(y, codebooks, region: OperationRegion, thresholds: SlotDecoder,
-                mode: str = "finite") -> Decision:
-    if thresholds.region != region:
-        raise ValidationError("thresholds were built for a different region")
-    if mode != thresholds.mode:
-        raise ValidationError(f"thresholds are {thresholds.mode}-mode, not {mode}")
-    return thresholds.decode(y, codebooks)
-
-
 @record
 class CaseReport:
     rate_indices: tuple
@@ -635,7 +630,6 @@ class SimReport:
     n: int
     trials: int
     seed: int
-    batch_size: int
     mode: str
     frozen_codebooks: bool
     decode_error_rate: float
@@ -651,7 +645,7 @@ class SimReport:
 
 def build_schedule(region: OperationRegion, table: RateTable, ids: Sequence[str],
                    class_map: Optional[Mapping[str, Sequence[str]]] = None) -> tuple:
-    """Default realization schedule: every (rate vector, channel) case in
+    """The realization schedule: every (rate vector, channel) case in
     universe order, labeled in/out of region. With a class map, realizations
     are member channels while membership is judged at class level."""
     owner = {}
@@ -675,6 +669,13 @@ def _shared_books(frozen: CodebookSet, decoder: SlotDecoder, size: int) -> dict:
             raise ValidationError(f"frozen codebooks lack entries for {key}")
         books[key] = np.broadcast_to(arr[:m], (size, m, decoder.n))
     return books
+
+
+def _read_keys(decoder: SlotDecoder, true_rvi: RateVectorIndex) -> set:
+    """The (user, rate index) codebooks a case sent at true_rvi reads: those
+    of the region blocks and of the sent codewords."""
+    return {(u, i) for rates in (*decoder._blocks, true_rvi.indices)
+            for u, i in enumerate(rates, start=1)}
 
 
 def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
@@ -701,8 +702,7 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     noise = stream(_ROLE_NOISE).random((size, decoder.n))
     if frozen is not None:
         return (lambda count: _shared_books(frozen, decoder, count)), messages, noise
-    read = {(u, i) for rates in (*decoder._blocks, true_rvi.indices)
-            for u, i in enumerate(rates, start=1)}
+    read = _read_keys(decoder, true_rvi)
     readers, skip = {}, 0
     for key, m in sorted(decoder.message_counts.items()):
         if key in read:
@@ -720,12 +720,15 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
 
 def _simulate_case(decoder: SlotDecoder, case_idx: int,
                    true_rvi: RateVectorIndex, true_channel: Dmc, trials: int,
-                   seed: int, batch_size: int,
-                   frozen: Optional[CodebookSet]) -> tuple:
+                   seed: int, frozen: Optional[CodebookSet]) -> tuple:
     """(decoded_correct, decoded_wrong, collision) trial counts of one case,
-    drawn in blocks of _STREAM_BLOCK trials and sent and decided batch_size
-    trials at a time. A decode is correct when it names the sent messages
-    and rate vector; the channel id it names is not judged."""
+    drawn in blocks of _STREAM_BLOCK trials and sent and decided in batches
+    whose codebooks hold at most _DRAW_UNIFORMS symbols (at least one trial).
+    A decode is correct when it names the sent messages and rate vector; the
+    channel id it names is not judged."""
+    per_trial = decoder.n * sum(decoder.message_counts[key]
+                                for key in _read_keys(decoder, true_rvi))
+    batch = max(1, min(_STREAM_BLOCK, _DRAW_UNIFORMS // per_trial))
     cum = np.cumsum(true_channel.probs, axis=-1)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
@@ -733,8 +736,8 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
         books_of, messages, noise = _draw_block(seed, case_idx, block_idx, size,
                                                 decoder, true_rvi, frozen)
         truth = decoder.group_ids(true_rvi, messages)
-        for lo in range(0, size, batch_size):
-            part = slice(lo, min(lo + batch_size, size))
+        for lo in range(0, size, batch):
+            part = slice(lo, min(lo + batch, size))
             books = books_of(part.stop - lo)
             sent = tuple(books[(u, true_rvi.index(u))][
                 np.arange(part.stop - lo), messages[part, u - 1]]
@@ -755,50 +758,40 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
                     compound: Optional[CompoundSet] = None,
                     envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
                     class_map: Optional[Mapping[str, Sequence[str]]] = None,
-                    schedule: Optional[Sequence] = None,
                     params: ThresholdParams = ThresholdParams(),
                     cfg: OptimizerConfig = OptimizerConfig(),
                     bound: Optional[float] = None,
-                    freeze_codebooks: bool = False,
                     codebooks: Optional[CodebookSet] = None,
-                    batch_size: int = 4096,
                     ledger: Optional[ExponentLedger] = None) -> SimReport:
-    """Per-case Monte Carlo error estimation over an explicit realization
-    schedule (never a sampled prior); the system error is the worst case.
+    """Per-case Monte Carlo error estimation over the realization schedule
+    of build_schedule (never a sampled prior); the system error is the worst
+    case.
 
     In-region cases count every outcome other than a correct (message, rate)
     decode as an error; out-of-region cases count only wrong decodes, since
-    reporting the collision is the intended behavior there. By default every
-    trial draws a fresh codebook; freeze_codebooks pins one (provided or
-    regenerated from the master seed) across all trials. Each case also
-    reports its split into correct decodes, wrong decodes and collisions.
-    Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and decided
-    batch_size trials at a time, so batch_size bounds the memory of the draws
-    and never changes results. The thresholds read their crossing exponents
-    from ledger, which a caller may share with the bound of the same system.
+    reporting the collision is the intended behavior there. Every trial
+    draws a fresh codebook unless codebooks pins one across all trials. Each
+    case also reports its split into correct decodes, wrong decodes and
+    collisions. Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and
+    decided in batches sized from the _DRAW_UNIFORMS budget, which bounds the
+    memory of the draws and never changes results. The thresholds read their
+    crossing exponents from ledger, which a caller may share with the bound
+    of the same system.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     if compound is None:
         raise ValidationError("estimate_errors needs the realizable channels")
     _guard_codewords(table, n)
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
                           envelopes=envelopes, params=params, cfg=cfg,
                           ledger=ledger)
-    if schedule is None:
-        schedule = build_schedule(region, table, compound.ids, class_map)
-    frozen = None
-    if freeze_codebooks:
-        frozen = codebooks if codebooks is not None else generate_codebooks(
-            table, laws, decoder.input_size, n, seed)
     cases = []
-    for case_idx, (rvi, cid, in_region) in enumerate(schedule):
-        rvi.check_against(table)
+    for case_idx, (rvi, cid, in_region) in enumerate(
+            build_schedule(region, table, compound.ids, class_map)):
         correct, wrong, collision = _simulate_case(
             decoder, case_idx, rvi, compound.by_id(cid), trials, seed,
-            batch_size, frozen)
+            codebooks)
         errs = wrong + collision if in_region else wrong
         rate = errs / trials
         std = math.sqrt(rate * (1.0 - rate) / trials)
@@ -815,8 +808,8 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     if bound is not None:
         bound_holds = system <= bound + 3.0 * system_std
     return SimReport(
-        n=n, trials=trials, seed=seed, batch_size=batch_size,
-        mode=region.mode, frozen_codebooks=freeze_codebooks,
+        n=n, trials=trials, seed=seed, mode=region.mode,
+        frozen_codebooks=codebooks is not None,
         decode_error_rate=decode_error, collision_miss_rate=miss,
         system_error_rate=system, system_case=system_case,
         system_std=system_std, system_half_width99=Z99 * system_std,
@@ -845,7 +838,6 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                              compound: Optional[CompoundSet] = None,
                              envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
                              class_map: Optional[Mapping[str, Sequence[str]]] = None,
-                             schedule: Optional[Sequence] = None,
                              params: ThresholdParams = ThresholdParams(),
                              cfg: OptimizerConfig = OptimizerConfig(),
                              codebooks: Optional[CodebookSet] = None,
@@ -865,8 +857,7 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     b = decoder.output_size
     if b ** n > OUTPUT_ENUM_GUARD:
         raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
-    if schedule is None:
-        schedule = build_schedule(region, table, compound.ids, class_map)
+    schedule = build_schedule(region, table, compound.ids, class_map)
     if codebooks is not None:
         books = [codebooks]
     else:

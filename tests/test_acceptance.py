@@ -235,8 +235,7 @@ def test_criterion_08_exact_matches_tail_and_monte_carlo(scenario8):
                    + two_codeword_ml_error(s["p"], s["cw"][1], s["cw"][0]))
     mc = ramac.estimate_errors(
         s["region"], s["laws"], s["table"], s["n"], 100000, 77,
-        compound=s["comp"], cfg=SMALL_OPT, freeze_codebooks=True,
-        codebooks=s["books"])
+        compound=s["comp"], cfg=SMALL_OPT, codebooks=s["books"])
     sigma = math.sqrt(truth * (1 - truth) / 100000)
     gap = abs(mc.cases[0].rate - truth)
     print(f"criterion 08: exact={truth:.9g}, tail={tail:.9g}, "
@@ -294,8 +293,7 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path, scenario4,
             codebooks=s["books"], cfg=SMALL_OPT)
         mc = ramac.estimate_errors(
             s["region"], s["laws"], s["table"], s["n"], 100000, 77,
-            compound=s["comp"], cfg=SMALL_OPT, freeze_codebooks=True,
-            codebooks=s["books"])
+            compound=s["comp"], cfg=SMALL_OPT, codebooks=s["books"])
         path = str(tmp_path / f"runs_{tag}.json")
         cfgmod.write_record(path, {"criterion4": sim,
                                    "criterion8_exact": exact,

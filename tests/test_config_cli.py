@@ -161,6 +161,14 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", ramac.SchemaViolation),
     (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", ramac.SchemaViolation),
     (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", ramac.SchemaViolation),
+    # keys a section does not define, misspelt or retired
+    (lambda t: t.replace("users = 1", "user = 1"), ramac.SchemaViolation),
+    (lambda t: t.replace("user1 = 0.1", "user1 = 0.1\nuser2 = 0.1"),
+     ramac.SchemaViolation),
+    (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
+     ramac.SchemaViolation),
+    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), ramac.SchemaViolation),
+    (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
 ])
 def test_load_config_rejections(tmp_path, mutate, exc):
     with pytest.raises(exc):
@@ -368,6 +376,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--users-d", "1", "--subset", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a zero flag reaches the validators instead of falling back to defaults
+    for argv in (["bound", "--N", "0"], ["simulate", "--trials", "0"],
+                 ["simulate", "--N", "0", "--no-bound"],
+                 ["partition", "--user", "0"],
+                 ["sweep", "--rate", "1:1:0.1:0.1:0.1", "--n-fixed", "0"]):
+        assert _run([*argv, "--config", pair, "--out-dir", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("pair_*"))
+    typo = _write(tmp_path, PAIR_CFG.replace("s_grid", "s_gird"), "typo.cfg")
+    assert _run(["bound", "--config", typo]) == 2
+    assert "'s_gird'" in capsys.readouterr().err
     hot = _write(tmp_path, PAIR_CFG.replace("user1 = 0.1", "user1 = 1.0"),
                  "hot.cfg")
     assert _run(["simulate", "--config", hot, "--N", "20", "--no-bound",

@@ -208,21 +208,6 @@ def test_empty_region_always_collides():
         assert decoder.decode(np.array(bits), cb).outcome == "collision"
 
 
-def test_decode_slot_checks_context():
-    comp, table, laws, region = _k1([0.1], (0.05,))
-    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
-                                cfg=TINY_OPT)
-    cb = ramac.generate_codebooks(table, laws, 2, 4, seed=1)
-    other = ramac.OperationRegion((), "finite")
-    with pytest.raises(ramac.ValidationError):
-        ramac.decode_slot(np.zeros(4, dtype=int), cb, other, decoder)
-    with pytest.raises(ramac.ValidationError):
-        ramac.decode_slot(np.zeros(4, dtype=int), cb, region, decoder,
-                          mode="class")
-    d = ramac.decode_slot(np.zeros(4, dtype=int), cb, region, decoder)
-    assert d.outcome in ("decoded", "collision")
-
-
 def test_schedule_covers_universe_with_labels():
     comp, table, laws, region = _k1([0.05, 0.15], (0.05, 0.3),
                                     region_idx=(1,), ids=("a", "b"))
@@ -423,36 +408,41 @@ def test_simulation_reports_are_deterministic():
     assert a.system_half_width99 == ramac.Z99 * a.system_std
 
 
-def test_batch_size_does_not_change_results():
-    # more trials than one block of draws, so blocks and batches both split
+def test_batch_size_does_not_change_results(monkeypatch):
+    # the trials a batch holds come from the _DRAW_UNIFORMS budget; a small
+    # budget splits every block into batches, which must not move a decision
     comp, table, laws, region = _k1([0.1], (0.1,))
-    a = ramac.estimate_errors(region, laws, table, 8, 5000, 5, compound=comp,
-                              cfg=TINY_OPT, batch_size=32)
-    b = ramac.estimate_errors(region, laws, table, 8, 5000, 5, compound=comp,
-                              cfg=TINY_OPT, batch_size=4096)
-    assert [c.errors for c in a.cases] == [c.errors for c in b.cases]
-    comp, table, laws, region, _, _ = _decoder_system(2, "finite", 6)
-    for freeze in (False, True):
-        a, b = (ramac.estimate_errors(region, laws, table, 6, 30, 5,
-                                      compound=comp, cfg=TINY_OPT,
-                                      freeze_codebooks=freeze, batch_size=size)
-                for size in (7, 4096))
+    comp2, table2, laws2, region2, _, _ = _decoder_system(2, "finite", 6)
+
+    def runs():
+        # K=1: more trials than one block of draws, so blocks split too
+        yield ramac.estimate_errors(region, laws, table, 8, 5000, 5,
+                                    compound=comp, cfg=TINY_OPT)
+        for books in (None, ramac.generate_codebooks(table2, laws2, 2, 6, 5)):
+            yield ramac.estimate_errors(region2, laws2, table2, 6, 30, 5,
+                                        compound=comp2, cfg=TINY_OPT,
+                                        codebooks=books)
+
+    default = list(runs())
+    # 16 uniforms a K=1 trial and 60 a K=2 trial: batches of 3 and of 1
+    monkeypatch.setattr(ramac.sim, "_DRAW_UNIFORMS", 48)
+    for a, b in zip(default, runs()):
         assert a.cases == b.cases
 
 
-def test_batch_size_bounds_draw_memory():
-    # 256 codewords of 8 symbols a trial: drawing a 600-trial block at once
-    # peaks near 40 MB, 16 trials at a time near 1 MB
+def test_batch_size_bounds_draw_memory(monkeypatch):
+    # 256 codewords of 8 symbols a trial: a batch under the default budget
+    # holds 512 trials; under a budget of 2**15 uniforms it holds 16
     comp, table, laws, region = _k1([0.1], (math.log(2),))
     peaks, reports = [], []
-    for size in (16, 600):
+    for budget in (ramac.sim._DRAW_UNIFORMS, 2 ** 15):
+        monkeypatch.setattr(ramac.sim, "_DRAW_UNIFORMS", budget)
         tracemalloc.start()
         reports.append(ramac.estimate_errors(region, laws, table, 8, 600, 2,
-                                             compound=comp, cfg=TINY_OPT,
-                                             batch_size=size))
-        peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+                                             compound=comp, cfg=TINY_OPT))
+        peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[0] < 4 < 16 < peaks[1], peaks
+    assert peaks[1] * 4 < peaks[0], peaks
     assert reports[0].cases == reports[1].cases
 
 
@@ -514,9 +504,9 @@ def test_monte_carlo_outcomes_pinned():
                (193, 55, 52), (74, 130, 96), (167, 36, 97), (34, 93, 173)],
     }
     for freeze, counts in want.items():
+        books = ramac.generate_codebooks(table, laws, 2, 6, 29) if freeze else None
         rep = ramac.estimate_errors(region, laws, table, 6, 300, 29,
-                                    compound=comp, cfg=TINY_OPT,
-                                    freeze_codebooks=freeze)
+                                    compound=comp, cfg=TINY_OPT, codebooks=books)
         assert _outcomes(rep) == counts, freeze
 
 
