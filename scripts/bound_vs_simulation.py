@@ -69,7 +69,8 @@ def main(argv=None):
             compound=system.compound,
             envelopes=system.envelopes if class_mode else None,
             class_map=system.class_map if class_mode else None,
-            cfg=system.cfg.optimizer, bound=bound.clamped_bound, ledger=ledger)
+            params=system.cfg.thresholds, cfg=system.cfg.optimizer,
+            bound=bound.clamped_bound, ledger=ledger)
         rows.append([n, bound.log_bound, bound.clamped_bound,
                      report.system_error_rate, report.system_half_width99,
                      report.bound_holds])

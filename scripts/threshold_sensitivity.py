@@ -45,7 +45,7 @@ def main(argv=None):
         return out
 
     system = cfgmod.build_system(cfgmod.load_config(args.config))
-    n = args.N or system.cfg.defaults.n
+    n = system.cfg.defaults.n if args.N is None else args.N
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
     class_mode = system.cfg.mode == "class"
     envelopes = system.envelopes if class_mode else None

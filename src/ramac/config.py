@@ -48,6 +48,33 @@ class Defaults:
     partition_user: int = 1
     partition_search: str = "exhaustive"
 
+    def __post_init__(self):
+        if self.partition_search not in ("exhaustive", "greedy"):
+            raise SchemaViolation(
+                "[defaults]: partition_search must be exhaustive or greedy")
+
+
+# [defaults] key -> (record class, field, value type), grouped by class in
+# the order the classes are built. Each default lives in its record class.
+DEFAULTS_SCHEMA = {
+    "n": (Defaults, "n", int),
+    "trials": (Defaults, "trials", int),
+    "seed": (Defaults, "seed", int),
+    "output_dir": (Defaults, "output_dir", str),
+    "partition_user": (Defaults, "partition_user", int),
+    "partition_search": (Defaults, "partition_search", str),
+    "rho_grid": (OptimizerConfig, "rho_grid_size", int),
+    "s_grid": (OptimizerConfig, "s_grid_size", int),
+    "refinement_rounds": (OptimizerConfig, "refinement_rounds", int),
+    "refinement_shrink": (OptimizerConfig, "refinement_shrink", float),
+    "epsilon": (OptimizerConfig, "epsilon", float),
+    "objective_tolerance": (OptimizerConfig, "objective_tolerance", float),
+    "include_gallager_point": (OptimizerConfig, "include_gallager_point", bool),
+    "threshold_source": (ThresholdParams, "source", str),
+    "rho_tilde": (ThresholdParams, "rho_tilde", float),
+    "s2": (ThresholdParams, "s2", float),
+}
+
 
 @record
 class RunConfig:
@@ -93,33 +120,21 @@ def _matrix(text: str, num_users: int, a: int, b: int, where: str) -> np.ndarray
     return np.asarray(data).reshape((a,) * num_users + (b,))
 
 
-def _getint(sec, key, default, where):
+_TYPE_NAMES = {int: "an integer", float: "a decimal number", bool: "a boolean"}
+_BOOLS = {"1": True, "yes": True, "true": True, "on": True,
+          "0": False, "no": False, "false": False, "off": False}
+
+
+def _get(sec, key, kind, where, default=None):
+    """sec[key] read as kind (int, float, bool or str), default if absent."""
     if key not in sec:
         return default
     try:
-        return int(sec[key])
-    except ValueError:
-        raise ConfigParseError(f"{where}: {key} must be an integer")
-
-
-def _getfloat(sec, key, default, where):
-    if key not in sec:
-        return default
-    try:
-        return float(sec[key])
-    except ValueError:
-        raise ConfigParseError(f"{where}: {key} must be a decimal number")
-
-
-def _getbool(sec, key, default, where):
-    if key not in sec:
-        return default
-    val = sec[key].strip().lower()
-    if val in ("1", "yes", "true", "on"):
-        return True
-    if val in ("0", "no", "false", "off"):
-        return False
-    raise ConfigParseError(f"{where}: {key} must be a boolean")
+        if kind is bool:
+            return _BOOLS[sec[key].strip().lower()]
+        return kind(sec[key])
+    except (KeyError, ValueError):
+        raise ConfigParseError(f"{where}: {key} must be {_TYPE_NAMES[kind]}")
 
 
 def _parse_pair(token: str, num_users: int, num_classes: int, ids,
@@ -184,9 +199,9 @@ def load_config(path: str) -> RunConfig:
     mode = sc.get("mode", "finite").strip()
     if mode not in ("finite", "class"):
         raise SchemaViolation(f"[scenario]: mode must be finite or class, got {mode!r}")
-    num_users = _getint(sc, "users", 1, "[scenario]")
-    input_size = _getint(sc, "input_size", None, "[scenario]")
-    output_size = _getint(sc, "output_size", None, "[scenario]")
+    num_users = _get(sc, "users", int, "[scenario]", 1)
+    input_size = _get(sc, "input_size", int, "[scenario]")
+    output_size = _get(sc, "output_size", int, "[scenario]")
     if input_size is None or output_size is None:
         raise SchemaViolation("[scenario] needs input_size and output_size")
 
@@ -197,6 +212,7 @@ def load_config(path: str) -> RunConfig:
             cid = section[len("channel "):].strip()
             if not cid:
                 raise SchemaViolation("channel section with empty id")
+            _check_keys(parser[section], ("rows",), f"[{section}]")
             if "rows" not in parser[section]:
                 raise SchemaViolation(f"[{section}] needs a rows entry")
             probs = _matrix(parser[section]["rows"], num_users, input_size,
@@ -204,10 +220,13 @@ def load_config(path: str) -> RunConfig:
             channels.append((cid, probs))
         elif section.startswith("class "):
             kid = section[len("class "):].strip()
+            _check_keys(parser[section], ("members",), f"[{section}]")
             members = tuple(parser[section].get("members", "").split())
             if not members:
                 raise SchemaViolation(f"[{section}] needs a members list")
             classes.append((kid, members))
+        elif section not in ("scenario", "rates", "laws", "region", "defaults"):
+            raise SchemaViolation(f"unrecognized section [{section}]")
     if not channels:
         raise SchemaViolation("no [channel <id>] sections defined")
     channel_ids = [cid for cid, _ in channels]
@@ -268,7 +287,7 @@ def load_config(path: str) -> RunConfig:
     if "region" in parser:
         reg = parser["region"]
         _check_keys(reg, ("pairs", "maximal"), "[region]")
-        region_maximal = _getbool(reg, "maximal", False, "[region]")
+        region_maximal = _get(reg, "maximal", bool, "[region]", False)
         if "pairs" in reg:
             if region_maximal:
                 raise SchemaViolation("[region]: give pairs or maximal, not both")
@@ -285,44 +304,20 @@ def load_config(path: str) -> RunConfig:
         region_maximal = True
 
     d = parser["defaults"] if "defaults" in parser else {}
-    where = "[defaults]"
-    _check_keys(d, ("n", "trials", "seed", "output_dir", "partition_user",
-                    "partition_search", "rho_grid", "s_grid",
-                    "refinement_rounds", "refinement_shrink", "epsilon",
-                    "objective_tolerance", "include_gallager_point",
-                    "threshold_source", "rho_tilde", "s2"), where)
-    defaults = Defaults(
-        n=_getint(d, "n", 100, where),
-        trials=_getint(d, "trials", 1000, where),
-        seed=_getint(d, "seed", 0, where),
-        output_dir=d.get("output_dir", "."),
-        partition_user=_getint(d, "partition_user", 1, where),
-        partition_search=d.get("partition_search", "exhaustive"),
-    )
-    if defaults.partition_search not in ("exhaustive", "greedy"):
-        raise SchemaViolation(
-            f"{where}: partition_search must be exhaustive or greedy")
-    optimizer = OptimizerConfig(
-        rho_grid_size=_getint(d, "rho_grid", 64, where),
-        s_grid_size=_getint(d, "s_grid", 64, where),
-        refinement_rounds=_getint(d, "refinement_rounds", 3, where),
-        refinement_shrink=_getfloat(d, "refinement_shrink", 0.2, where),
-        epsilon=_getfloat(d, "epsilon", 1e-6, where),
-        objective_tolerance=_getfloat(d, "objective_tolerance", 1e-8, where),
-        include_gallager_point=_getbool(d, "include_gallager_point", True, where),
-    )
-    source = d.get("threshold_source", "from_ei")
-    rho_tilde = _getfloat(d, "rho_tilde", None, where)
-    s2 = _getfloat(d, "s2", None, where)
-    thresholds = ThresholdParams(rho_tilde=rho_tilde, s2=s2, source=source)
+    _check_keys(d, DEFAULTS_SCHEMA, "[defaults]")
+    built = {}
+    for cls in (Defaults, OptimizerConfig, ThresholdParams):
+        built[cls] = cls(**{field: _get(d, key, kind, "[defaults]")
+                            for key, (owner, field, kind) in DEFAULTS_SCHEMA.items()
+                            if owner is cls and key in d})
 
     return RunConfig(
         name=name, mode=mode, num_users=num_users, input_size=input_size,
         output_size=output_size, channels=tuple(channels),
         classes=tuple(classes), rates=tuple(rates), law_default=law_default,
         law_overrides=tuple(overrides), region_pairs=region_pairs,
-        region_maximal=region_maximal, defaults=defaults, optimizer=optimizer,
-        thresholds=thresholds,
+        region_maximal=region_maximal, defaults=built[Defaults],
+        optimizer=built[OptimizerConfig], thresholds=built[ThresholdParams],
     )
 
 
@@ -441,11 +436,6 @@ def write_record(path: str, record) -> dict:
     payload = jsonable(record)
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
     return payload
-
-
-def read_record(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _cell(v) -> str:

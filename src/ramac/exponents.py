@@ -123,6 +123,24 @@ class ExponentQuery:
         return self.true_channel.num_users
 
 
+def law_block(laws: InputLaws, users, rates: RateVectorIndex, k: int,
+              a: int) -> np.ndarray:
+    """Sum of the users' log input laws at their rate indices, in user order,
+    on the full input product: shape (a,)*k + (1,), constant along the axes
+    of the other users."""
+    w = np.zeros((a,) * k + (1,))
+    for u in users:
+        vec = safe_log(laws.law(u, rates.index(u)))
+        if vec.shape != (a,):
+            raise DimensionMismatch(
+                f"law for user {u} has length {vec.shape[0]}, expected {a}"
+            )
+        shape = [1] * (k + 1)
+        shape[u - 1] = a
+        w = w + vec.reshape(shape)
+    return w
+
+
 class _QueryTensors:
     """Per-query constants shared by every objective evaluation."""
 
@@ -131,24 +149,9 @@ class _QueryTensors:
         a = q.true_channel.input_size
         self.sbar_axes = tuple(u - 1 for u in range(1, k + 1) if u not in q.subset)
         self.s_users = sorted(q.subset)
-        full = (a,) * k + (1,)
-
-        def law_block(users, rates: RateVectorIndex):
-            w = np.zeros(full)
-            for u in users:
-                vec = safe_log(q.laws.law(u, rates.index(u)))
-                if vec.shape != (a,):
-                    raise DimensionMismatch(
-                        f"law for user {u} has length {vec.shape[0]}, expected {a}"
-                    )
-                shape = [1] * (k + 1)
-                shape[u - 1] = a
-                w = w + vec.reshape(shape)
-            return w
-
         sbar_users = [u for u in range(1, k + 1) if u not in q.subset]
-        self.w_true = law_block(sbar_users, q.true_rates)
-        self.w_comp = law_block(sbar_users, q.comp_rates)
+        self.w_true = law_block(q.laws, sbar_users, q.true_rates, k, a)
+        self.w_comp = law_block(q.laws, sbar_users, q.comp_rates, k, a)
         # Subset-user laws on the reduced shape left over after the sbar axes
         # are summed out (subset axes in increasing user order, then output).
         reduced = (a,) * len(self.s_users) + (1,)
@@ -192,7 +195,12 @@ class _QueryTensors:
 
 
 def _batched_power(logp: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """scaled_power(logp, e) for each e in exponents, stacked on a new axis 0."""
+    """log(p^e) from log(p) for each e in exponents, stacked on a new axis 0.
+
+    Entries with logp = -inf stay -inf for every exponent, 0 and negative ones
+    included, where IEEE arithmetic would give nan or +inf: the factors arise
+    as limits of p * p^(-s), so a p = 0 entry contributes nothing.
+    """
     e = np.reshape(exponents, (-1,) + (1,) * logp.ndim)
     with np.errstate(invalid="ignore"):
         out = e * logp

@@ -4,9 +4,6 @@ All probability accumulation in this package happens in the log domain; these
 wrappers centralize the conventions:
 
 * ``log(0) = -inf`` without warnings,
-* ``0^a = 0`` for a >= 0, including a = 0 where a masked entry must stay
-  impossible (the factors we exponentiate arise as p * p^(-s) limits, so the
-  p = 0 entry contributes nothing for every admissible exponent),
 * sums of exponentials by the max-shift logsumexp, which returns -inf on
   empty or all-masked input.
 
@@ -28,20 +25,6 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.full(p.shape, NEG_INF)
     np.log(p, out=out, where=p > 0)
-    return out
-
-
-def scaled_power(logp: np.ndarray, exponent: float) -> np.ndarray:
-    """log(p^exponent) from log(p), with the 0^a = 0 convention.
-
-    Entries with logp = -inf stay -inf for every exponent (including 0 and
-    negative values, where IEEE arithmetic would produce nan or +inf).
-    """
-    logp = np.asarray(logp, dtype=float)
-    mask = np.isneginf(logp)
-    with np.errstate(invalid="ignore"):
-        out = exponent * logp
-    out[mask] = NEG_INF
     return out
 
 

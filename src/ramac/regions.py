@@ -79,10 +79,6 @@ class FeasibilityReport:
     violations: tuple
     margins: tuple
 
-    def worst_margin(self) -> float:
-        vals = [m[-1] for m in self.margins]
-        return min(vals) if vals else float("inf")
-
 
 def proper_subsets(k: int) -> Iterator[frozenset]:
     users = list(range(1, k + 1))

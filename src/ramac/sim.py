@@ -41,8 +41,13 @@ from .channels import (
     RateVectorIndex,
 )
 from .errors import EnumerationTooLarge, TooManyCodewords, ValidationError
-from .exponents import OptimizerConfig
-from .logdomain import NEG_INF, logsumexp, safe_log, scaled_power
+from .exponents import (
+    OptimizerConfig,
+    _batched_power,
+    _envelope_true_factor,
+    law_block,
+)
+from .logdomain import NEG_INF, logsumexp, safe_log
 from .regions import OperationRegion, pair_universe, proper_subsets
 
 CODEWORD_GUARD = 10 ** 6
@@ -114,9 +119,6 @@ class CodebookSet:
     def codeword(self, user: int, rate_idx: int, message: int) -> np.ndarray:
         return self.entries[(user, rate_idx)][message]
 
-    def counts(self) -> Mapping:
-        return {key: arr.shape[0] for key, arr in self.entries.items()}
-
 
 def _guard_codewords(table: RateTable, n: int) -> None:
     total = sum(message_count(n, table.rate(u, i))
@@ -176,43 +178,6 @@ class ThresholdParams:
             raise ValidationError("rho_tilde must lie in (0, 1]")
         if not 0 < self.s2 < self.rho_tilde:
             raise ValidationError("s2 must lie in (0, rho_tilde)")
-
-
-def _law_weight_tensor(k: int, a: int, laws: InputLaws, rates_of) -> np.ndarray:
-    """Additive log-law tensor over the full input product, shape (a,)*k + (1,)."""
-    w = np.zeros((a,) * k + (1,))
-    for u in range(1, k + 1):
-        vec = safe_log(laws.law(u, rates_of(u)))
-        shape = [1] * (k + 1)
-        shape[u - 1] = a
-        w = w + vec.reshape(shape)
-    return w
-
-
-def _log_true_tensor(channel, power: float, kind: str) -> np.ndarray:
-    """Per-(x, y) log factor of the tested pair inside a threshold expectation.
-
-    kind "self" uses the plain propensity (class: lower envelope) at `power`;
-    kind "mixed" uses p^(1 - s1), which for a class is pmax * pmin^(-s1).
-    """
-    if isinstance(channel, Dmc):
-        return scaled_power(safe_log(channel.probs), power)
-    if kind == "self":
-        return scaled_power(safe_log(channel.pmin), power)
-    s1 = 1.0 - power
-    log_pmax = safe_log(channel.pmax)
-    log_pmin = safe_log(channel.pmin)
-    mask = np.isneginf(log_pmax)
-    with np.errstate(invalid="ignore"):
-        out = log_pmax - s1 * log_pmin
-    out[mask] = NEG_INF
-    return out
-
-
-def _log_comp_tensor(channel) -> np.ndarray:
-    if isinstance(channel, Dmc):
-        return safe_log(channel.probs)
-    return safe_log(channel.pmax)
 
 
 @record
@@ -291,19 +256,31 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     if not 0 < rho_tilde <= 1 or not 0 < s2 < rho_tilde:
         raise ValidationError("threshold tilts need 0 < s2 < rho_tilde <= 1")
     s1 = 1.0 - s2 / rho_tilde
-    w_true = _law_weight_tensor(k, a, laws, lambda u: true_rates.index(u))
-    w_comp = _law_weight_tensor(
-        k, a, laws,
-        lambda u: true_rates.index(u) if u in subset else comp_rates.index(u))
+    # tested pair: self expectation at p^(s2 / rho_tilde) (class: lower
+    # envelope), mixed at p^(1 - s1) (class: pmax * pmin^(-s1))
+    self_power = np.array([s2 / rho_tilde])
+    if isinstance(true_channel, Dmc):
+        log_p = safe_log(true_channel.probs)
+        f_self = _batched_power(log_p, self_power)[0]
+        f_mixed = _batched_power(log_p, np.array([1.0 - s1]))[0]
+        f_comp = safe_log(comp_channel.probs)
+    else:
+        log_pmin = safe_log(true_channel.pmin)
+        f_self = _batched_power(log_pmin, self_power)[0]
+        f_mixed = _envelope_true_factor(safe_log(true_channel.pmax), log_pmin,
+                                        np.array([s1]))[0]
+        f_comp = safe_log(comp_channel.pmax)
+    users = range(1, k + 1)
+    w_true = law_block(laws, users, true_rates, k, a)
+    w_comp = law_block(laws, users, RateVectorIndex(tuple(
+        (true_rates if u in subset else comp_rates).index(u) for u in users)),
+        k, a)
     all_axes = tuple(range(k))
-    t_a = w_comp + _log_comp_tensor(comp_channel)
-    t_b = w_true + _log_true_tensor(true_channel, s2 / rho_tilde, "self")
-    t_c = w_true + _log_true_tensor(true_channel, 1.0 - s1, "mixed")
-    log_a = np.atleast_1d(logsumexp(t_a, axis=all_axes))
-    log_b = np.atleast_1d(logsumexp(t_b, axis=all_axes))
-    log_c = np.atleast_1d(logsumexp(t_c, axis=all_axes))
+    log_a = np.atleast_1d(logsumexp(w_comp + f_comp, axis=all_axes))
+    log_b = np.atleast_1d(logsumexp(w_true + f_self, axis=all_axes))
+    log_c = np.atleast_1d(logsumexp(w_true + f_mixed, axis=all_axes))
     rate_sum = sum(table.rate(u, true_rates.index(u))
-                   for u in range(1, k + 1) if u not in subset)
+                   for u in users if u not in subset)
     return ThresholdTables(log_a, log_b, log_c, rho_tilde, s1, s2, rate_sum,
                            comp_key)
 

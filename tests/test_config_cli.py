@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,11 @@ refinement_rounds = 0
 """
 
 
+def read_record(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _write(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -169,10 +175,30 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
      ramac.SchemaViolation),
     (lambda t: t.replace("s_grid = 10", "s_gird = 10"), ramac.SchemaViolation),
     (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
+    # sections the schema does not define, and unknown channel or class keys
+    (lambda t: t.replace("[defaults]", "[default]"), ramac.SchemaViolation),
+    (lambda t: t.replace("[channel bad]\n", "[channel bad]\nrow = 1 0; 0 1\n"),
+     ramac.SchemaViolation),
+    (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
+                         "[rates]"), ramac.SchemaViolation),
 ])
 def test_load_config_rejections(tmp_path, mutate, exc):
     with pytest.raises(exc):
         cfgmod.load_config(_write(tmp_path, mutate(PAIR_CFG)))
+
+
+def test_defaults_schema_maps_each_key_to_one_field(tmp_path):
+    """Every [defaults] key sets a distinct record field, and an empty
+    [defaults] leaves each record at its class defaults."""
+    targets = [(cls, field) for cls, field, _ in cfgmod.DEFAULTS_SCHEMA.values()]
+    assert len(set(targets)) == len(targets)
+    for cls, field in targets:
+        assert field in cls._record_fields
+    head = PAIR_CFG[:PAIR_CFG.index("[defaults]")]
+    cfg = cfgmod.load_config(_write(tmp_path, head + "[defaults]\n"))
+    assert cfg.defaults == cfgmod.Defaults()
+    assert cfg.optimizer == ramac.OptimizerConfig()
+    assert cfg.thresholds == ramac.ThresholdParams()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -244,7 +270,7 @@ def test_record_round_trip_is_byte_identical(tmp_path):
                               refinement_rounds=0))
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     cfgmod.write_record(p1, {"report": report})
-    loaded = cfgmod.read_record(p1)
+    loaded = read_record(p1)
     assert loaded["report"]["collision_log"] == -math.inf
     cfgmod.write_record(p2, loaded)
     assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -279,12 +305,12 @@ def test_cli_exponent_bound_limit_region(tmp_path, capsys):
     assert _run(["exponent", "--config", cfg, "--out-dir", out,
                  "--kind", "em", "--true-pair", "1:good",
                  "--comp-pair", "1:bad"]) == 0
-    full = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    full = read_record(str(tmp_path / "out" / "pair_exponent.json"))
     # D = every user reduces to the full exponent, competing channel included
     assert _run(["exponent", "--config", cfg, "--out-dir", out,
                  "--kind", "em", "--true-pair", "1:good",
                  "--comp-pair", "1:bad", "--users-d", "1"]) == 0
-    reduced = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    reduced = read_record(str(tmp_path / "out" / "pair_exponent.json"))
     assert reduced["result"]["value"] == full["result"]["value"]
     assert _run(["bound", "--config", cfg, "--out-dir", out, "--N", "12"]) == 0
     assert _run(["exponent-limit", "--config", cfg, "--out-dir", out]) == 0
@@ -294,7 +320,7 @@ def test_cli_exponent_bound_limit_region(tmp_path, capsys):
                  "pair_region"):
         assert (tmp_path / "out" / f"{stem}.json").exists()
         assert (tmp_path / "out" / f"{stem}.csv").exists()
-    rec = cfgmod.read_record(str(tmp_path / "out" / "pair_bound.json"))
+    rec = read_record(str(tmp_path / "out" / "pair_bound.json"))
     assert rec["report"]["n"] == 12
     assert rec["report"]["branch"] == "decode"
     capsys.readouterr()
@@ -313,11 +339,11 @@ def test_cli_exponent_on_empty_region(tmp_path, capsys):
     assert "region is empty" in capsys.readouterr().err
     pair = ["--true-pair", "1:good", "--comp-pair", "1:bad"]
     assert _run(["exponent", "--config", empty, "--out-dir", out, *pair]) == 0
-    got = cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    got = read_record(str(tmp_path / "out" / "pair_exponent.json"))
     assert got["true_pair"] == [[1], "good"]
     explicit = _write(tmp_path, hot, "explicit.cfg")
     assert _run(["exponent", "--config", explicit, "--out-dir", out, *pair]) == 0
-    assert got == cfgmod.read_record(str(tmp_path / "out" / "pair_exponent.json"))
+    assert got == read_record(str(tmp_path / "out" / "pair_exponent.json"))
     capsys.readouterr()
 
 
@@ -326,12 +352,12 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert _run(["simulate", "--config", cfg, "--out-dir", out,
                  "--trials", "40"]) == 0
-    rec = cfgmod.read_record(str(tmp_path / "out" / "pair_simulate.json"))
+    rec = read_record(str(tmp_path / "out" / "pair_simulate.json"))
     assert rec["report"]["trials"] == 40
     assert rec["report"]["bound_holds"] in (True, False)
     assert _run(["sweep", "--config", cfg, "--out-dir", out,
                  "--N", "10:10:30"]) == 0
-    rec = cfgmod.read_record(str(tmp_path / "out" / "pair_sweep.json"))
+    rec = read_record(str(tmp_path / "out" / "pair_sweep.json"))
     assert [r[0] for r in rec["rows"]] == [10, 20, 30]
     # bound table is non-increasing in N for this decode-only scenario
     logs = [r[1] for r in rec["rows"]]
@@ -348,7 +374,7 @@ def test_cli_class_scenario(tmp_path, capsys):
                  "--trials", "30"]) == 0
     assert _run(["exponent", "--config", cfg, "--out-dir", out,
                  "--users-d", "1"]) == 2
-    rec = cfgmod.read_record(str(tmp_path / "out" / "pooled_region.json"))
+    rec = read_record(str(tmp_path / "out" / "pooled_region.json"))
     assert rec["c1"]["passed"] is True
     capsys.readouterr()
 
@@ -360,7 +386,7 @@ def test_cli_partition(tmp_path, capsys):
                  "--user", "1", "--N", "10"]) == 0
     assert _run(["partition", "--config", cfg, "--out-dir", out,
                  "--user", "1", "--N", "10", "--search", "greedy"]) == 0
-    rec = cfgmod.read_record(str(tmp_path / "out" / "duo_partition.json"))
+    rec = read_record(str(tmp_path / "out" / "duo_partition.json"))
     assert rec["result"]["search"] == "greedy"
     capsys.readouterr()
 
@@ -439,9 +465,40 @@ def test_experiment_scripts_run(script, args, stem, tmp_path):
          "--out-dir", str(tmp_path)],
         cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    rec = cfgmod.read_record(str(tmp_path / f"{stem}.json"))
+    rec = read_record(str(tmp_path / f"{stem}.json"))
     assert rec["rows"]
     assert (tmp_path / f"{stem}.csv").exists()
+
+
+def _script_main(script):
+    return runpy.run_path(str(ROOT / "scripts" / script))["main"]
+
+
+def test_bound_vs_simulation_reads_config_thresholds(tmp_path, capsys):
+    """The script's empirical column is `ramac simulate`'s system error under
+    the scenario's own thresholds, here manual ones that gate differently
+    from the from_ei default."""
+    text = (ROOT / "examples_cfg" / "bsc_gate.cfg").read_text()
+    cfg = _write(tmp_path, text + "threshold_source = manual\n"
+                 "rho_tilde = 0.1\ns2 = 0.05\n")
+    out = str(tmp_path)
+    assert _script_main("bound_vs_simulation.py")(
+        [cfg, "--N", "16:16:16", "--trials", "200", "--out-dir", out]) == 0
+    assert _run(["simulate", "--config", cfg, "--N", "16", "--trials", "200",
+                 "--out-dir", out]) == 0
+    script = read_record(tmp_path / "bsc_gate_bound_vs_sim.json")
+    sim = read_record(tmp_path / "bsc_gate_simulate.json")
+    assert script["rows"][0][3] == sim["report"]["system_error_rate"]
+    capsys.readouterr()
+
+
+def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
+    """--N 0 reaches the validators instead of falling back to the default."""
+    cfg = str(ROOT / "examples_cfg" / "bsc_gate.cfg")
+    with pytest.raises(ramac.ValidationError):
+        _script_main("threshold_sensitivity.py")(
+            [cfg, "--N", "0", "--trials", "5", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
 
 
 def test_benchmark_tracer_installs(tmp_path):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ramac
-from ramac.logdomain import NEG_INF, logsumexp, logsumexp_list, safe_log, scaled_power
+from ramac.exponents import _batched_power
+from ramac.logdomain import NEG_INF, logsumexp, logsumexp_list, safe_log
 
 
 def test_safe_log_zero_is_neg_inf():
@@ -19,6 +20,11 @@ def test_safe_log_zero_is_neg_inf():
     assert out[0] == NEG_INF
     assert out[1] == 0.0
     assert abs(out[2] - 1.0) < 1e-15
+
+
+def scaled_power(logp, a):
+    """log(p^a) for one exponent a, through the batched power."""
+    return _batched_power(logp, np.array([a]))[0]
 
 
 def test_scaled_power_preserves_zero_mass():

@@ -1,10 +1,12 @@
-"""The README's scenario example and CLI lines run as written."""
+"""The README's scenario example and CLI lines run as written, and its
+[defaults] key list is the config schema's."""
 
 import re
 import shlex
 from pathlib import Path
 
 from ramac.cli import main
+from ramac.config import DEFAULTS_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -34,3 +36,9 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         argv[argv.index("--out-dir") + 1] = str(tmp_path)
         assert main(argv) == 0, (line, capsys.readouterr().err)
     capsys.readouterr()
+
+
+def test_readme_lists_every_defaults_key():
+    lead = "`[defaults]` keys, each optional:\n\n"
+    listed = README.split(lead, 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(DEFAULTS_SCHEMA)
