@@ -48,6 +48,17 @@ def _parse_pair_flag(text: str, system) -> tuple:
     return RateVectorIndex(indices), cid
 
 
+def _colon_fields(text: str, flag: str, kinds: tuple, form: str) -> tuple:
+    """text's colon-separated fields, each read by its kind (int or float)."""
+    parts = text.split(":")
+    try:
+        if len(parts) == len(kinds):
+            return tuple(kind(p) for kind, p in zip(kinds, parts))
+    except ValueError:
+        pass
+    raise ValidationError(f"{flag} {text!r} must be {form}")
+
+
 def _flag(args, system, name: str):
     """The flag's value, or the scenario's [defaults] value when it is unset."""
     value = getattr(args, name)
@@ -223,11 +234,15 @@ def _cmd_simulate(args, system):
 def _cmd_sweep(args, system):
     rows = []
     if args.rate:
-        head = args.rate.split(":")
-        if len(head) != 5:
-            raise ValidationError("--rate needs user:index:start:step:stop")
-        user, index = int(head[0]), int(head[1])
-        start, step, stop = (float(v) for v in head[2:])
+        user, index, start, step, stop = _colon_fields(
+            args.rate, "--rate", (int, int, float, float, float),
+            "user:index:start:step:stop")
+        if not 1 <= user <= system.cfg.num_users:
+            raise ValidationError(
+                f"--rate user {user} outside 1..{system.cfg.num_users}")
+        classes = len(system.cfg.rates[user - 1])
+        if not 1 <= index <= classes:
+            raise ValidationError(f"--rate index {index} outside 1..{classes}")
         if step <= 0:
             raise ValidationError("--rate step must be positive")
         n = _flag(args, system, "n")
@@ -248,10 +263,8 @@ def _cmd_sweep(args, system):
     else:
         if not args.n_span:
             raise ValidationError("sweep needs --N start:step:stop or --rate")
-        span = args.n_span.split(":")
-        if len(span) != 3:
-            raise ValidationError(f"span {args.n_span!r} must be start:step:stop")
-        start, step, stop = (int(v) for v in span)
+        start, step, stop = _colon_fields(args.n_span, "--N", (int, int, int),
+                                          "start:step:stop")
         if step <= 0 or start < 1:
             raise ValidationError("--N span must have start >= 1 and step > 0")
         ledger = _ledger(system)

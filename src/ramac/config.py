@@ -190,6 +190,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigParseError(f"cannot read config: {exc}")
     except configparser.Error as exc:
         raise ConfigParseError(f"malformed config: {exc}")
+    if parser.defaults():  # configparser copies these keys into every section
+        raise SchemaViolation("[DEFAULT]: unrecognized section (defaults go "
+                              "in [defaults])")
     if "scenario" not in parser:
         raise SchemaViolation("missing [scenario] section")
     sc = parser["scenario"]

@@ -18,7 +18,11 @@ propagate to a collision rather than an arbitrary winner.
 
 All randomness is counter-based: every (role, case, block) triple names a
 Philox stream derived from the master seed, and codebooks regenerate
-bit-identically from per-(user, rate, message) keys.
+bit-identically from per-(user, rate, message) keys. Symbols are read off raw
+Philox words with integer edges (see _raw_edges) that make exactly the
+letters Generator.random's uniforms would, and are kept in the alphabet's
+narrowest unsigned dtype; Monte Carlo writes them into buffers made once per
+case.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ OUTPUT_ENUM_GUARD = 2 ** 20
 # Trials per block of Monte Carlo draws: block b of case c draws from the
 # Philox streams keyed (role, c, b), however many trials a batch holds.
 _STREAM_BLOCK = 4096
-# Cap on the codebook uniforms a batch of Monte Carlo trials draws at once.
+# Cap on the raw codebook words a batch of Monte Carlo trials draws at once.
 _DRAW_UNIFORMS = 2 ** 20
 # Output words per chunk of exact enumeration.
 _WORD_BLOCK = 4096
@@ -64,6 +68,11 @@ _WORD_BLOCK = 4096
 Z99 = 2.5758293035489
 # Cap on the (trial, candidate, symbol or cell) entries decide() holds at once.
 _DECIDE_ELEMENTS = 2 ** 16
+# Generator.random on Philox turns the raw word w into (w >> 11) * 2**-53:
+# 2**53 uniforms, each the value of 2**11 consecutive raw words.
+_UNIFORM_BITS = 53
+_LOW_WORDS = np.uint64(2 ** (64 - _UNIFORM_BITS) - 1)
+_NEVER = np.uint64(2 ** 64 - 1)  # the edge of an entry that never fires
 
 # Stream roles for counter-based randomness.
 _ROLE_CODEBOOK = 0
@@ -78,16 +87,52 @@ def message_count(n: int, rate: float) -> int:
     return max(1, math.floor(math.exp(n * rate) + 1e-9))
 
 
-def _symbols_from_uniform(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Letter of each uniform under the cumulative law cum: the number of
-    entries of cum[:-1] at or below it. A zero-probability letter repeats an
-    entry and is never drawn; u >= cum[-1] (which may round below 1) draws
-    the last letter."""
-    if len(cum) == 1:
-        return np.zeros(u.shape, dtype=np.int64)
-    out = (u >= cum[0]).astype(np.int64)
-    for c in cum[1:-1]:
-        out += u >= c
+def _symbol_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the letters of a size-letter
+    alphabet."""
+    return np.min_scalar_type(size - 1)
+
+
+def _raw_edges(cum: np.ndarray, strict: bool) -> np.ndarray:
+    """Integer edges of the symbol map of the cumulative laws cum
+    (..., letters) on raw Philox words: the letter of a uniform u is the
+    number of entries c of cum[..., :-1] that it fires, u >= c for a codebook
+    letter or, with strict, u > c for a channel output.
+
+    Either test fires exactly when w >> 11 reaches a first index,
+    ceil(c * 2**53), or floor(c * 2**53) + 1 with strict; so it fires exactly
+    when w exceeds the edge, the largest word whose w >> 11 is below the first
+    index. The edges are uint64 (an array, so
+    that no comparison falls back to float64): 2**64 - 1 where the first
+    index reaches 2**53 and the entry never fires. An entry c <= 0 without
+    strict fires on every word and has no edge; _letter_edges counts it
+    apart."""
+    scaled = np.ldexp(cum[..., :-1], _UNIFORM_BITS)
+    first = np.floor(scaled) + 1 if strict else np.ceil(scaled)
+    last = np.clip(first, 1, 2.0 ** _UNIFORM_BITS).astype(np.uint64) - np.uint64(1)
+    return (last << np.uint64(64 - _UNIFORM_BITS)) | _LOW_WORDS
+
+
+def _letter_edges(cum: np.ndarray) -> tuple:
+    """(edges, base) of a codebook law: the edges of the entries that can
+    fire, and the number of entries that always do."""
+    edges, always = _raw_edges(cum, strict=False), cum[:-1] <= 0
+    return edges[~always & (edges != _NEVER)], int(always.sum())
+
+
+def _symbols_from_raw(raw: np.ndarray, edges: Sequence, base: int,
+                      out: np.ndarray) -> np.ndarray:
+    """out, set to the letter of each raw word: base plus the number of
+    edges (uint64 scalars or arrays that broadcast against raw) strictly
+    below it."""
+    if not len(edges):
+        out.fill(base)
+        return out
+    np.greater(raw, edges[0], out=out)
+    for e in edges[1:]:
+        out += raw > e
+    if base:
+        out += base
     return out
 
 
@@ -110,6 +155,8 @@ class CodebookSet:
     Every codeword is addressable: codeword m of (user, rate) is drawn from
     the Philox stream keyed SeedSequence(seed, spawn_key=(user, rate, m)), so
     any single entry regenerates bit-identically without the rest.
+    generate_codebooks stores the symbols in the narrowest unsigned dtype of
+    the input alphabet.
     """
 
     seed: int
@@ -139,12 +186,13 @@ def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
             cum = np.cumsum(laws.law(u, i))
             if cum.shape != (input_size,):
                 raise ValidationError("law length differs from the input alphabet")
+            edges, base = _letter_edges(cum)
             m = message_count(n, table.rate(u, i))
-            rows = np.empty((m, n), dtype=np.int64)
+            rows = np.empty((m, n), dtype=_symbol_dtype(input_size))
             for msg in range(m):
                 ss = np.random.SeedSequence(entropy=seed, spawn_key=(u, i, msg))
-                gen = np.random.Generator(np.random.Philox(ss))
-                rows[msg] = _symbols_from_uniform(cum, gen.random(n))
+                _symbols_from_raw(np.random.Philox(ss).random_raw(n), edges,
+                                  base, rows[msg])
             rows.flags.writeable = False
             entries[(u, i)] = rows
     return CodebookSet(seed=seed, n=n, entries=entries)
@@ -489,11 +537,12 @@ class SlotDecoder:
         """The threshold decoder's decisions for a batch of received words.
 
         ys is (T, n); books maps (user, rate index) to (T, m, n) codewords,
-        one codebook per trial (a broadcast view shares one). Returns two (T,)
-        arrays: the decoded group id (see group_ids) and the decoded channel's
-        index in ids, both -1 where the slot is a collision.
+        one codebook per trial (a broadcast view shares one). Symbols may
+        have any integer dtype: the cell codes promote them to int64. Returns
+        two (T,) arrays: the decoded group id (see group_ids) and the decoded
+        channel's index in ids, both -1 where the slot is a collision.
         """
-        ys = np.asarray(ys, dtype=np.int64)
+        ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
             raise ValidationError(f"received words must have length {self.n}")
         size = ys.shape[0]
@@ -571,14 +620,15 @@ class SlotDecoder:
         one bincount over row * cells + cell code. Each user's term carries
         its stride and its messages' row offsets, the last user's also the
         trial offsets; the terms are summed from the last user's, which takes
-        the output word in place, so every full-size array is written once."""
+        the output word in place, so every full-size array is written once.
+        The terms are int64 whatever the symbols' dtype."""
         size, cells = ys.shape[0], self.cells
         code, offset = ys, (np.arange(size) * cells)[:, None]  # trial offsets
         stride, row = self.output_size, size * cells
         for u in range(self.num_users, 0, -1):
             m = dims[u - 1]
             term = np.multiply(books[(u, rvi.index(u))][:, :m].transpose(1, 0, 2),
-                               stride, order="C")
+                               stride, dtype=np.int64, order="C")
             term += (np.arange(m) * row)[:, None, None] + offset
             term = term.reshape((m,) + (1,) * (code.ndim - 2) + (size, self.n))
             code = np.add(term, code, out=term if code is ys else None)
@@ -655,44 +705,61 @@ def _read_keys(decoder: SlotDecoder, true_rvi: RateVectorIndex) -> set:
             for u, i in enumerate(rates, start=1)}
 
 
+def _book_buffers(decoder: SlotDecoder, true_rvi: RateVectorIndex,
+                  count: int) -> dict:
+    """Symbol buffers for count trials of fresh codebooks, (count, m, n) in
+    the input alphabet's narrowest dtype, for each key that a case sent at
+    true_rvi reads."""
+    dtype = _symbol_dtype(decoder.input_size)
+    return {key: np.empty((count, decoder.message_counts[key], decoder.n), dtype)
+            for key in _read_keys(decoder, true_rvi)}
+
+
 def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
                 decoder: SlotDecoder, true_rvi: RateVectorIndex,
-                frozen: Optional[CodebookSet]) -> tuple:
+                frozen: Optional[CodebookSet],
+                buffers: Optional[Mapping] = None) -> tuple:
     """One block of counter-based draws for a case: (books, messages, noise);
-    books(count) returns the codebooks of the block's next count trials.
+    books(count) returns the codebooks of the block's next count trials and
+    noise holds the raw Philox words of the channel draw, (size, n).
 
     Streams are derived as SeedSequence(seed, spawn_key=(role, case, block));
     within a stream, draws happen in a fixed documented order (codebooks by
     sorted (user, rate), then trial, message and symbol; messages user by
     user), so a block regenerates alone, however books() splits it. Fresh
     books hold only the keys that a region block or the sent codewords read;
-    the stream still reserves the uniforms of every key.
+    the stream still reserves the words of every key. They are written into
+    buffers (see _book_buffers; by default, fresh ones for the whole block),
+    so a call's books hold only until the next call.
     """
     def stream(role):
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            entropy=seed, spawn_key=(role, case_idx, block_idx))))
+        return np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(role, case_idx, block_idx)))
 
-    gen = stream(_ROLE_MESSAGE)
+    gen = np.random.Generator(stream(_ROLE_MESSAGE))
     messages = np.stack([gen.integers(
         0, decoder.message_counts[(u, true_rvi.index(u))], size=size)
         for u in range(1, decoder.num_users + 1)], axis=1)
-    noise = stream(_ROLE_NOISE).random((size, decoder.n))
+    noise = stream(_ROLE_NOISE).random_raw((size, decoder.n))
     if frozen is not None:
         return (lambda count: _shared_books(frozen, decoder, count)), messages, noise
-    read = _read_keys(decoder, true_rvi)
+    if buffers is None:
+        buffers = _book_buffers(decoder, true_rvi, size)
     readers, skip = {}, 0
     for key, m in sorted(decoder.message_counts.items()):
-        if key in read:
-            # a codebook stream per key, moved past the earlier keys' uniforms
+        if key in buffers:
+            # a codebook stream per key, moved past the earlier keys' words
             # (Philox makes four per counter step)
-            gen = stream(_ROLE_CODEBOOK)
-            gen.bit_generator.advance(skip // 4)
-            gen.random(skip % 4)
-            readers[key] = (gen, np.cumsum(decoder.laws.law(*key)), (m, decoder.n))
+            bits = stream(_ROLE_CODEBOOK)
+            bits.advance(skip // 4)
+            bits.random_raw(skip % 4)
+            readers[key] = (bits, *_letter_edges(np.cumsum(decoder.laws.law(*key))),
+                            buffers[key])
         skip += size * m * decoder.n
-    return (lambda count: {key: _symbols_from_uniform(cum, gen.random((count, *shape)))
-                           for key, (gen, cum, shape) in readers.items()},
-            messages, noise)
+    return (lambda count: {
+        key: _symbols_from_raw(bits.random_raw((count, *buf.shape[1:])), edges,
+                               base, buf[:count])
+        for key, (bits, edges, base, buf) in readers.items()}, messages, noise)
 
 
 def _simulate_case(decoder: SlotDecoder, case_idx: int,
@@ -701,17 +768,24 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     """(decoded_correct, decoded_wrong, collision) trial counts of one case,
     drawn in blocks of _STREAM_BLOCK trials and sent and decided in batches
     whose codebooks hold at most _DRAW_UNIFORMS symbols (at least one trial).
-    A decode is correct when it names the sent messages and rate vector; the
-    channel id it names is not judged."""
+    The batch's codebook symbols and received words live in buffers made
+    once per case, in the alphabets' narrowest dtypes. A decode is correct
+    when it names the sent messages and rate vector; the channel id it names
+    is not judged."""
     per_trial = decoder.n * sum(decoder.message_counts[key]
                                 for key in _read_keys(decoder, true_rvi))
-    batch = max(1, min(_STREAM_BLOCK, _DRAW_UNIFORMS // per_trial))
-    cum = np.cumsum(true_channel.probs, axis=-1)
+    batch = max(1, min(_STREAM_BLOCK, trials, _DRAW_UNIFORMS // per_trial))
+    buffers = None if frozen is not None else _book_buffers(decoder, true_rvi, batch)
+    received = np.empty((batch, decoder.n), _symbol_dtype(decoder.output_size))
+    # output symbol: the number of cumulative entries of the sent inputs' row
+    # that the uniform strictly exceeds, one edge table per entry
+    edges = np.moveaxis(_raw_edges(np.cumsum(true_channel.probs, axis=-1),
+                                   strict=True), -1, 0)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
         size = min(_STREAM_BLOCK, trials - start)
         books_of, messages, noise = _draw_block(seed, case_idx, block_idx, size,
-                                                decoder, true_rvi, frozen)
+                                                decoder, true_rvi, frozen, buffers)
         truth = decoder.group_ids(true_rvi, messages)
         for lo in range(0, size, batch):
             part = slice(lo, min(lo + batch, size))
@@ -719,11 +793,8 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
             sent = tuple(books[(u, true_rvi.index(u))][
                 np.arange(part.stop - lo), messages[part, u - 1]]
                 for u in range(1, decoder.num_users + 1))  # (trials, n) each
-            # output symbol: the number of cumulative thresholds the noise
-            # strictly exceeds
-            ys = np.zeros(noise[part].shape, dtype=np.int64)
-            for c in range(cum.shape[-1] - 1):
-                ys += noise[part] > cum[..., c][sent]
+            ys = _symbols_from_raw(noise[part], [e[sent] for e in edges], 0,
+                                   received[:part.stop - lo])
             group, _ = decoder.decide(ys, books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))

@@ -177,6 +177,7 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
     # sections the schema does not define, and unknown channel or class keys
     (lambda t: t.replace("[defaults]", "[default]"), ramac.SchemaViolation),
+    (lambda t: t.replace("[defaults]", "[DEFAULT]"), ramac.SchemaViolation),
     (lambda t: t.replace("[channel bad]\n", "[channel bad]\nrow = 1 0; 0 1\n"),
      ramac.SchemaViolation),
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
@@ -185,6 +186,14 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
 def test_load_config_rejections(tmp_path, mutate, exc):
     with pytest.raises(exc):
         cfgmod.load_config(_write(tmp_path, mutate(PAIR_CFG)))
+
+
+def test_load_config_names_a_DEFAULT_section(tmp_path):
+    # configparser copies [DEFAULT] keys into every section; the error must
+    # name [DEFAULT], not the first section that received a copy
+    text = PAIR_CFG.replace("[defaults]", "[DEFAULT]")
+    with pytest.raises(ramac.SchemaViolation, match=r"^\[DEFAULT\]"):
+        cfgmod.load_config(_write(tmp_path, text))
 
 
 def test_defaults_schema_maps_each_key_to_one_field(tmp_path):
@@ -389,6 +398,21 @@ def test_cli_partition(tmp_path, capsys):
     rec = read_record(str(tmp_path / "out" / "duo_partition.json"))
     assert rec["result"]["search"] == "greedy"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("span", [
+    ["--N", "8:x:24"],
+    ["--rate", "1:one:0.1:0.1:0.2"],
+    ["--rate", "3:1:0.1:0.1:0.2"],  # bsc_pair has one user
+    ["--rate", "0:1:0.1:0.1:0.2"],  # user 0 would index the last user
+    ["--rate", "1:0:0.1:0.1:0.2"],  # class 0 would index the last class
+])
+def test_cli_sweep_rejects_malformed_spans(tmp_path, capsys, span):
+    cfg = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
+    assert _run(["sweep", "--config", cfg, "--out-dir", str(tmp_path),
+                 *span]) == 2
+    assert f"error: {span[0]} " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -45,6 +45,7 @@ def test_codebooks_deterministic_and_addressable():
     a = ramac.generate_codebooks(table, laws, 3, 4, seed=99)
     b = ramac.generate_codebooks(table, laws, 3, 4, seed=99)
     for key in a.entries:
+        assert a.entries[key].dtype == np.uint8
         assert np.array_equal(a.entries[key], b.entries[key])
     assert a.entries[(1, 2)].shape[0] == 2
     assert a.entries[(2, 2)].shape[0] == 3
@@ -60,29 +61,65 @@ def test_codebooks_deterministic_and_addressable():
 
 
 def test_symbol_map_matches_searchsorted():
-    # uniforms on and next to every cumulative entry, repeated entries (a
-    # zero-probability letter first, inside and last), a cumulative law whose
-    # last entry rounds below 1, and uniforms at or above that entry
+    # raw Philox words T - 2**11, T - 1 and T at the first word T that fires
+    # each cumulative entry, for the codebook map (u >= c) and the channel map
+    # (u > c), against the uniforms Generator.random makes of the same words:
+    # repeated entries (a zero-probability letter first, inside and last),
+    # entries of 1.0 that never fire, and a cumulative law whose last entry
+    # rounds below 1
     rounded = np.cumsum(np.full(10, 0.1))
     assert rounded[-1] < 1.0
     laws = [(1.0,), (0.5, 0.5), (0.3, 0.0, 0.7), (0.0, 0.4, 0.6),
-            (0.5, 0.5, 0.0), (0.2, 0.0, 0.0, 0.8), np.full(3, 1 / 3),
-            np.full(10, 0.1)]
-    rng = np.random.default_rng(12)
+            (0.5, 0.5, 0.0), (0.2, 0.0, 0.0, 0.8), (0.2, 0.8, 0.0, 0.0),
+            np.full(3, 1 / 3), np.full(10, 0.1)]
+    bits = np.random.Philox(12)
     for law in laws:
         cum = np.cumsum(law)
-        edges = np.concatenate([cum, np.nextafter(cum, 0.0),
-                                np.nextafter(cum, 2.0)])
-        u = np.concatenate([edges[edges < 1.0], [0.0, np.nextafter(1.0, 0.0)],
-                            rng.random(997)])
-        for shape in ((u.size,), (1, u.size, 1)):
-            got = ramac.sim._symbols_from_uniform(cum, u.reshape(shape))
-            assert got.dtype == np.int64 and got.shape == shape
-            want = symbols_by_searchsorted(cum, u.reshape(shape))
-            assert np.array_equal(got, want), law
-    top = ramac.sim._symbols_from_uniform(
-        rounded, np.array([rounded[-1], np.nextafter(1.0, 0.0)]))
-    assert np.array_equal(top, [9, 9])
+        for strict in (False, True):
+            first = [math.floor(c * 2 ** 53) + 1 if strict
+                     else math.ceil(c * 2 ** 53) for c in cum]
+            words = {w for t in first
+                     for w in ((t << 11) - 2 ** 11, (t << 11) - 1, t << 11)
+                     if 0 <= w < 2 ** 64}
+            raw = np.concatenate([np.array(sorted(words | {0, 2 ** 64 - 1}),
+                                           dtype=np.uint64),
+                                  bits.random_raw(997)])
+            u = (raw >> np.uint64(11)) * 2.0 ** -53
+            if strict:
+                edges = ramac.sim._raw_edges(cum, strict=True)
+                want, base = np.searchsorted(cum[:-1], u, side="left"), 0
+            else:
+                edges, base = ramac.sim._letter_edges(cum)
+                want = symbols_by_searchsorted(cum, u)
+            dtype = ramac.sim._symbol_dtype(len(cum))
+            assert dtype == np.uint8
+            for shape in ((raw.size,), (1, raw.size, 1)):
+                got = ramac.sim._symbols_from_raw(raw.reshape(shape), edges, base,
+                                                  np.empty(shape, dtype))
+                assert np.array_equal(got, want.reshape(shape)), (law, strict)
+    top = [int(v * 2 ** 53) << 11 for v in (rounded[-1], np.nextafter(1.0, 0.0))]
+    assert np.array_equal(ramac.sim._symbols_from_raw(
+        np.array(top, dtype=np.uint64), *ramac.sim._letter_edges(rounded),
+        np.empty(2, np.uint8)), [9, 9])
+
+
+def test_random_is_shifted_raw_philox_words():
+    # the symbol maps compare raw words where Generator.random would give
+    # (w >> 11) * 2**-53; a numpy whose Philox uniforms differ must fail here
+    # rather than move symbols. Checked from the start of a stream, after
+    # advance, and after a partial counter step of 1 to 3 of its 4 words.
+    key = np.random.SeedSequence(entropy=4, spawn_key=(0, 1, 2))
+    for steps, partial in ((0, 0), (5, 0), (5, 1), (6, 2), (7, 3)):
+        gen, bits = np.random.Generator(np.random.Philox(key)), np.random.Philox(key)
+        gen.bit_generator.advance(steps)
+        bits.advance(steps)
+        gen.random(partial)
+        bits.random_raw(partial)
+        for size in (1, 6, (3, 5)):
+            want = gen.random(size)
+            words = bits.random_raw(size)
+            assert np.array_equal(want, (words >> np.uint64(11)) * 2.0 ** -53), (
+                steps, partial, size)
 
 
 def test_codebook_guard():
@@ -449,14 +486,16 @@ def test_batch_size_bounds_draw_memory(monkeypatch):
 def test_block_draws_read_one_codebook_stream():
     # however a block is split, its codebooks are one Philox stream read key
     # by key in sorted order, then trial, message and symbol; 9 trials at n=5
-    # start the four keys at every offset mod 4
+    # start the four keys at every offset mod 4. Each call's books reuse the
+    # block's buffers, so the parts are copied before the next call.
     n = 5
     comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
     decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
                                 cfg=TINY_OPT)
     books_of, _, _ = ramac.sim._draw_block(4, 1, 2, 9, decoder,
                                            region.members[0][0], None)
-    parts = [books_of(count) for count in (2, 7)]
+    parts = [{key: v.copy() for key, v in books_of(count).items()}
+             for count in (2, 7)]
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=4, spawn_key=(0, 1, 2))))
     for key, m in sorted(decoder.message_counts.items()):
@@ -508,6 +547,31 @@ def test_monte_carlo_outcomes_pinned():
         rep = ramac.estimate_errors(region, laws, table, 6, 300, 29,
                                     compound=comp, cfg=TINY_OPT, codebooks=books)
         assert _outcomes(rep) == counts, freeze
+
+
+def test_saturated_thresholds_pinned():
+    # rate 1's input law ends in a zero, so its codebook entry of 1.0 never
+    # fires; both channels' rows for input 0 end in a zero, so their entry of
+    # 1.0 never fires either. 5000 trials make two blocks of draws that reuse
+    # one set of buffers. The counts were recorded before the symbol maps
+    # moved to raw Philox words.
+    table = ramac.RateTable(((math.log(2) / 7, math.log(5) / 7),))
+    laws = ramac.InputLaws({(1, 1): (0.5, 0.5, 0.0), (1, 2): (0.2, 0.3, 0.5)})
+    good = ramac.validate_dmc([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
+                               [0.1, 0.1, 0.8]], 1, 3, 3)
+    bad = ramac.validate_dmc([[0.6, 0.4, 0.0], [0.2, 0.6, 0.2],
+                              [0.1, 0.3, 0.6]], 1, 3, 3)
+    comp = ramac.CompoundSet((good, bad), ("good", "bad"))
+    rvi = ramac.RateVectorIndex
+    region = ramac.OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
+                                    (rvi((1,)), "bad")), "finite")
+    rep = ramac.estimate_errors(region, laws, table, 7, 5000, 31,
+                                compound=comp, cfg=TINY_OPT)
+    assert _outcomes(rep) == [(4409, 311, 280), (3411, 835, 754),
+                              (3715, 314, 971), (1486, 950, 2564)]
+    books = ramac.generate_codebooks(table, laws, 3, 7, 31)
+    assert books.entries[(1, 1)].tolist() == [[1, 0, 1, 0, 0, 0, 1],
+                                              [0, 0, 1, 0, 1, 0, 0]]
 
 
 def test_unused_codebook_keys_are_not_drawn():
