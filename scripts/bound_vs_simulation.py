@@ -67,8 +67,7 @@ def main(argv=None):
         report = ramac.estimate_errors(
             system.region, system.laws, system.table, n, args.trials, seed,
             compound=system.compound,
-            envelopes=system.envelopes if class_mode else None,
-            class_map=system.class_map if class_mode else None,
+            envelopes=system.envelopes,
             params=system.cfg.thresholds, cfg=system.cfg.optimizer,
             bound=bound.clamped_bound, ledger=ledger)
         rows.append([n, bound.log_bound, bound.clamped_bound,

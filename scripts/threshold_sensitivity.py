@@ -47,16 +47,15 @@ def main(argv=None):
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     n = system.cfg.defaults.n if args.N is None else args.N
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
-    class_mode = system.cfg.mode == "class"
-    envelopes = system.envelopes if class_mode else None
+    channels = (system.envelopes if system.cfg.mode == "class"
+                else system.compound)
     # Every grid point picks its competing pairs by the same crossing
     # exponents, so one ledger optimises them once for the whole grid.
     ledger = ramac.ExponentLedger(
-        ramac.channel_map(envelopes or system.compound), system.laws,
-        system.table, system.cfg.optimizer)
+        ramac.channel_map(channels), system.laws, system.table,
+        system.cfg.optimizer)
     common = dict(
-        compound=system.compound, envelopes=envelopes,
-        class_map=system.class_map if class_mode else None,
+        compound=system.compound, envelopes=system.envelopes,
         cfg=system.cfg.optimizer, ledger=ledger)
 
     auto = ramac.estimate_errors(system.region, system.laws, system.table, n,

@@ -59,9 +59,7 @@ from .exponents import (
     ExponentQuery,
     ExponentResult,
     OptimizerConfig,
-    ei_class_exponent,
     ei_exponent,
-    em_class_exponent,
     em_exponent,
 )
 from .infometrics import MiQuery, conditional_mi

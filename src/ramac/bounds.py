@@ -32,9 +32,7 @@ from .exponents import (
     ExponentQuery,
     ExponentResult,
     OptimizerConfig,
-    ei_class_exponent,
     ei_exponent,
-    em_class_exponent,
     em_exponent,
 )
 from .logdomain import NEG_INF, logsumexp_list
@@ -191,10 +189,7 @@ class ExponentLedger:
                 q = ExponentQuery(frozenset(d.index(u) + 1 for u in subset),
                                   t[0].restrict(d), true_ch, c[0].restrict(d),
                                   comp_ch, *self._reduced)
-            if isinstance(true_ch, Dmc):
-                fn = em_exponent if kind == "em" else ei_exponent
-            else:
-                fn = em_class_exponent if kind == "em" else ei_class_exponent
+            fn = em_exponent if kind == "em" else ei_exponent
             self._entries[key] = fn(q, self.cfg)
         return self._entries[key]
 
@@ -412,8 +407,7 @@ def pes_bound_single_user(user: int, region: OperationRegion,
                           compound: CompoundSet, laws: InputLaws,
                           table: RateTable, n: int, search: str = "exhaustive",
                           cfg: OptimizerConfig = OptimizerConfig(),
-                          allow_drop: bool = False,
-                          max_blocks: Optional[int] = None) -> PartitionBoundResult:
+                          allow_drop: bool = False) -> PartitionBoundResult:
     """Best split of the region into per-decoded-set blocks covering `user`.
 
     Each block is bounded by pes_bound_ddecoder over the whole compound set,
@@ -462,17 +456,11 @@ def pes_bound_single_user(user: int, region: OperationRegion,
         best_total, best_partition, best_reports = None, None, None
         considered = 0
         for partition in enumerate_partitions(region, user, k,
-                                              max_blocks=max_blocks,
                                               allow_drop=allow_drop):
             total, reports = score(partition)
             considered += 1
             if best_total is None or total < best_total:
                 best_total, best_partition, best_reports = total, partition, reports
-        if best_partition is None:
-            # Empty region: the single empty assignment.
-            best_partition = Partition(region, user, ())
-            best_total, best_reports = NEG_INF, ()
-            considered = 1
     raw = math.exp(best_total) if best_total > NEG_INF else 0.0
     return PartitionBoundResult(
         raw_bound=raw, clamped_bound=min(raw, 1.0), log_bound=best_total,

@@ -185,8 +185,7 @@ def _cmd_partition(args, system):
     search = _flag(args, system, "partition_search")
     res = pes_bound_single_user(
         user, system.region, system.compound, system.laws, system.table, n,
-        search=search, cfg=system.cfg.optimizer, allow_drop=args.allow_drop,
-        max_blocks=args.max_blocks)
+        search=search, cfg=system.cfg.optimizer, allow_drop=args.allow_drop)
     return ({"user": user, "n": n, "result": res},
             ["decoded_set", "log_bound", "clamped_bound"],
             [[sorted(users_d), report.log_bound, report.clamped_bound]
@@ -211,8 +210,7 @@ def _cmd_simulate(args, system):
     report = estimate_errors(
         system.region, system.laws, system.table, n, trials, seed,
         compound=system.compound,
-        envelopes=system.envelopes if system.cfg.mode == "class" else None,
-        class_map=system.class_map if system.cfg.mode == "class" else None,
+        envelopes=system.envelopes,
         params=system.cfg.thresholds, cfg=system.cfg.optimizer, bound=bound,
         codebooks=codebooks, ledger=ledger)
     rows = [[list(c.rate_indices), c.channel_id, c.in_region, c.trials,
@@ -330,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", dest="partition_search",
                    choices=("exhaustive", "greedy"), default=None)
     p.add_argument("--allow-drop", action="store_true")
-    p.add_argument("--max-blocks", type=int, default=None)
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the slot decoder")

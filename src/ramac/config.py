@@ -235,10 +235,14 @@ def load_config(path: str) -> RunConfig:
     channel_ids = [cid for cid, _ in channels]
     if len(set(channel_ids)) != len(channel_ids):
         raise SchemaViolation("duplicate channel ids")
+    owner = {}
     for kid, members in classes:
         for m in members:
             if m not in channel_ids:
                 raise SchemaViolation(f"[class {kid}]: undefined member {m!r}")
+            if owner.setdefault(m, kid) != kid:
+                raise SchemaViolation(
+                    f"[class {kid}]: channel id {m!r} appears in two classes")
     if mode == "class" and not classes:
         raise SchemaViolation("class mode needs at least one [class <id>] section")
 

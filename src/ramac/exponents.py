@@ -9,11 +9,13 @@ Two kinds of exponent govern the slot error bounds:
 
 Each is a max over (rho, s) of a rate-penalty term minus a log-moment term; the
 moment is a law-weighted sum over input tuples and outputs, evaluated entirely
-in the log domain. Class variants replace channel probabilities by the class
-envelopes: true-tuple factors pair the upper envelope with a negative power of
-the lower one, competing factors use the upper envelope alone. A singleton
-class (pmax = pmin) makes every class formula collapse to its finite
-counterpart, which the tests assert to 1e-12.
+in the log domain. em_exponent and ei_exponent take a query of either
+variant, and the query's channels decide which: Dmc pairs give the finite
+exponent, ChannelClassEnvelope pairs the class one. Class variants replace
+channel probabilities by the class envelopes: true-tuple factors pair the
+upper envelope with a negative power of the lower one, competing factors use
+the upper envelope alone. A singleton class (pmax = pmin) makes every class
+formula collapse to its finite counterpart, which the tests assert to 1e-12.
 
 Optimization is a deterministic grid search with shrinking refinement: the
 incumbent is only ever replaced by a strictly better value, so the returned
@@ -350,7 +352,7 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
     return best_v, best_rho, best_s, evals
 
 
-def _optimize(query: ExponentQuery, kind: str, variant: str,
+def _optimize(query: ExponentQuery, kind: str,
               cfg: OptimizerConfig) -> ExponentResult:
     t = _QueryTensors(query)
     probe_size = query.true_channel.input_size ** query.num_users * \
@@ -366,31 +368,17 @@ def _optimize(query: ExponentQuery, kind: str, variant: str,
             rho_hi=1.0 - cfg.epsilon, s_hi_of_rho=lambda rho: 1.0 - rho,
             gallager_points=False,
         )
+    variant = "finite" if isinstance(query.true_channel, Dmc) else "class"
     return ExponentResult(v, rho, s, evals, variant, kind)
 
 
 def em_exponent(query: ExponentQuery, cfg: OptimizerConfig = OptimizerConfig()) -> ExponentResult:
-    """Exponent of the in-operation confusion event, finite channel pair."""
-    if not isinstance(query.true_channel, Dmc):
-        raise ValidationError("em_exponent takes channel pairs; use em_class_exponent")
-    return _optimize(query, "em", "finite", cfg)
+    """Exponent of the in-operation confusion event, for a channel pair or a
+    class-envelope pair."""
+    return _optimize(query, "em", cfg)
 
 
 def ei_exponent(query: ExponentQuery, cfg: OptimizerConfig = OptimizerConfig()) -> ExponentResult:
-    """Exponent of the out-of-operation typicality event, finite channel pair."""
-    if not isinstance(query.true_channel, Dmc):
-        raise ValidationError("ei_exponent takes channel pairs; use ei_class_exponent")
-    return _optimize(query, "ei", "finite", cfg)
-
-
-def em_class_exponent(query: ExponentQuery, cfg: OptimizerConfig = OptimizerConfig()) -> ExponentResult:
-    if not isinstance(query.true_channel, ChannelClassEnvelope):
-        raise ValidationError("em_class_exponent takes class envelopes")
-    return _optimize(query, "em", "class", cfg)
-
-
-def ei_class_exponent(query: ExponentQuery, cfg: OptimizerConfig = OptimizerConfig()) -> ExponentResult:
-    if not isinstance(query.true_channel, ChannelClassEnvelope):
-        raise ValidationError("ei_class_exponent takes class envelopes")
-    return _optimize(query, "ei", "class", cfg)
-
+    """Exponent of the out-of-operation typicality event, for a channel pair
+    or a class-envelope pair."""
+    return _optimize(query, "ei", cfg)

@@ -231,15 +231,13 @@ def subsets_containing(user: int, num_users: int) -> tuple:
 
 
 def enumerate_partitions(region: OperationRegion, user: int, num_users: int,
-                         max_blocks: Optional[int] = None,
                          allow_drop: bool = False,
                          guard: int = PARTITION_GUARD) -> Iterator[Partition]:
     """All assignments of members to decoded sets containing `user`.
 
     The count is (number of admissible sets) ** len(region); anything past
     `guard` raises SearchSpaceTooLarge before any work. allow_drop adds the
-    explicit drop choice. max_blocks keeps only assignments using at most that
-    many distinct decoded sets.
+    explicit drop choice. An empty region has one assignment, the empty one.
     """
     if not 1 <= user <= num_users:
         raise ValidationError(f"user {user} outside 1..{num_users}")
@@ -252,11 +250,5 @@ def enumerate_partitions(region: OperationRegion, user: int, num_users: int,
             f"{total} assignments exceed the enumeration guard {guard}"
         )
 
-    def walk():
-        for combo in itertools.product(choices, repeat=len(region.members)):
-            part = Partition(region, user, combo)
-            if max_blocks is not None and len(part.blocks()) > max_blocks:
-                continue
-            yield part
-
-    return walk()
+    return (Partition(region, user, combo)
+            for combo in itertools.product(choices, repeat=len(region.members)))

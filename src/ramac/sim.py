@@ -671,18 +671,26 @@ class SimReport:
 
 
 def build_schedule(region: OperationRegion, table: RateTable, ids: Sequence[str],
-                   class_map: Optional[Mapping[str, Sequence[str]]] = None) -> tuple:
+                   envelopes: Sequence[ChannelClassEnvelope] = ()) -> tuple:
     """The realization schedule: every (rate vector, channel) case in
-    universe order, labeled in/out of region. With a class map, realizations
-    are member channels while membership is judged at class level."""
+    universe order, labeled in/out of region. For a class-mode region,
+    realizations stay member channels while membership is judged at class
+    level: a channel belongs to the class whose envelope lists it in
+    member_ids. Every envelope member must be one of ids, and in one
+    envelope only."""
     owner = {}
-    if class_map is not None:
-        for class_id, members in class_map.items():
-            for cid in members:
-                owner[str(cid)] = str(class_id)
+    for env in envelopes:
+        for cid in env.member_ids:
+            if cid not in ids:
+                raise ValidationError(f"class {env.class_id!r} member {cid!r} "
+                                      "is not a realizable channel id")
+            if cid in owner:
+                raise ValidationError(f"channel id {cid!r} appears in two classes")
+            owner[cid] = env.class_id
+    by_class = region.mode == "class"
     cases = []
     for rvi, cid in pair_universe(table, tuple(ids)):
-        region_id = owner.get(cid, cid)
+        region_id = owner.get(cid, cid) if by_class else cid
         cases.append((rvi, cid, (rvi, region_id) in region))
     return tuple(cases)
 
@@ -718,7 +726,7 @@ def _book_buffers(decoder: SlotDecoder, true_rvi: RateVectorIndex,
 def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
                 decoder: SlotDecoder, true_rvi: RateVectorIndex,
                 frozen: Optional[CodebookSet],
-                buffers: Optional[Mapping] = None) -> tuple:
+                buffers: Optional[Mapping]) -> tuple:
     """One block of counter-based draws for a case: (books, messages, noise);
     books(count) returns the codebooks of the block's next count trials and
     noise holds the raw Philox words of the channel draw, (size, n).
@@ -729,8 +737,8 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     user), so a block regenerates alone, however books() splits it. Fresh
     books hold only the keys that a region block or the sent codewords read;
     the stream still reserves the words of every key. They are written into
-    buffers (see _book_buffers; by default, fresh ones for the whole block),
-    so a call's books hold only until the next call.
+    buffers (see _book_buffers; None with frozen codebooks), so a call's
+    books hold only until the next call.
     """
     def stream(role):
         return np.random.Philox(np.random.SeedSequence(
@@ -743,8 +751,6 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     noise = stream(_ROLE_NOISE).random_raw((size, decoder.n))
     if frozen is not None:
         return (lambda count: _shared_books(frozen, decoder, count)), messages, noise
-    if buffers is None:
-        buffers = _book_buffers(decoder, true_rvi, size)
     readers, skip = {}, 0
     for key, m in sorted(decoder.message_counts.items()):
         if key in buffers:
@@ -805,7 +811,6 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
                     n: int, trials: int, seed: int,
                     compound: Optional[CompoundSet] = None,
                     envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
-                    class_map: Optional[Mapping[str, Sequence[str]]] = None,
                     params: ThresholdParams = ThresholdParams(),
                     cfg: OptimizerConfig = OptimizerConfig(),
                     bound: Optional[float] = None,
@@ -824,19 +829,20 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     decided in batches sized from the _DRAW_UNIFORMS budget, which bounds the
     memory of the draws and never changes results. The thresholds read their
     crossing exponents from ledger, which a caller may share with the bound
-    of the same system.
+    of the same system. A class-mode region needs the class envelopes; they
+    also say which class each realizable channel belongs to.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if compound is None:
         raise ValidationError("estimate_errors needs the realizable channels")
     _guard_codewords(table, n)
+    schedule = build_schedule(region, table, compound.ids, envelopes or ())
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
                           envelopes=envelopes, params=params, cfg=cfg,
                           ledger=ledger)
     cases = []
-    for case_idx, (rvi, cid, in_region) in enumerate(
-            build_schedule(region, table, compound.ids, class_map)):
+    for case_idx, (rvi, cid, in_region) in enumerate(schedule):
         correct, wrong, collision = _simulate_case(
             decoder, case_idx, rvi, compound.by_id(cid), trials, seed,
             codebooks)
@@ -885,7 +891,6 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                              table: RateTable, n: int,
                              compound: Optional[CompoundSet] = None,
                              envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
-                             class_map: Optional[Mapping[str, Sequence[str]]] = None,
                              params: ThresholdParams = ThresholdParams(),
                              cfg: OptimizerConfig = OptimizerConfig(),
                              codebooks: Optional[CodebookSet] = None,
@@ -896,16 +901,18 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     Conditions on a fixed codebook (given, or drawn from derived seeds for a
     small ensemble average) and a uniform message tuple; sums the channel law
     over every output word. Output words are decided _WORD_BLOCK at a time,
-    in lexicographic order. Guarded to output_size ** n <= 2 ** 20.
+    in lexicographic order. Guarded to output_size ** n <= 2 ** 20. Cases
+    are those of build_schedule, so a class-mode region judges each channel
+    by the envelope listing it.
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
+    schedule = build_schedule(region, table, compound.ids, envelopes or ())
     decoder = SlotDecoder(region, laws, table, n, compound=compound,
                           envelopes=envelopes, params=params, cfg=cfg)
     b = decoder.output_size
     if b ** n > OUTPUT_ENUM_GUARD:
         raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
-    schedule = build_schedule(region, table, compound.ids, class_map)
     if codebooks is not None:
         books = [codebooks]
     else:

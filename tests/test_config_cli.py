@@ -182,6 +182,10 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
      ramac.SchemaViolation),
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
                          "[rates]"), ramac.SchemaViolation),
+    # a channel in two classes
+    (lambda t: t.replace("[rates]", "[class k]\nmembers = good bad\n\n"
+                         "[class j]\nmembers = bad\n\n[rates]"),
+     ramac.SchemaViolation),
 ])
 def test_load_config_rejections(tmp_path, mutate, exc):
     with pytest.raises(exc):
@@ -527,19 +531,25 @@ def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
 
 def test_benchmark_tracer_installs(tmp_path):
     """perfbench/spans.py wraps package names by monkeypatching; a traced
-    operation fails if one of them is gone."""
+    operation fails if one of them is gone. It skips names that do not
+    exist, so the spans each operation must record are asserted too: a
+    finite simulate and a class-mode bound."""
     src = str(Path(ramac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    scenarios = ROOT / "perfbench" / "scenarios"
     result = tmp_path / "r.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "op.py"), str(result), "1",
-         "cli", "simulate", "--config",
-         str(ROOT / "perfbench" / "scenarios" / "mac2.cfg"), "--no-bound",
-         "--trials", "20", "--out-dir", str(tmp_path)],
-        cwd=ROOT / "perfbench", env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(result.read_text())["spans"]}
-    assert {"sim.threshold_build", "exponents.ei"} <= names, names
+    for args, spans in (
+            (["simulate", "--config", str(scenarios / "mac2.cfg"), "--no-bound",
+              "--trials", "20"], {"sim.threshold_build", "exponents.ei"}),
+            (["bound", "--config", str(scenarios / "class_k1.cfg")],
+             {"exponents.em", "exponents.ei"})):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "op.py"), str(result),
+             "1", "cli", *args, "--out-dir", str(tmp_path)],
+            cwd=ROOT / "perfbench", env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(result.read_text())["spans"]}
+        assert spans <= names, (args[0], names)
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):

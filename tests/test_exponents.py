@@ -136,9 +136,9 @@ def test_singleton_class_equals_finite():
         qf = ramac.ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table)
         qc = ramac.ExponentQuery(frozenset(), rvi, env, rvi, env, laws, table)
         assert abs(ramac.em_exponent(qf, TINY_OPT).value
-                   - ramac.em_class_exponent(qc, TINY_OPT).value) < 1e-12
+                   - ramac.em_exponent(qc, TINY_OPT).value) < 1e-12
         assert abs(ramac.ei_exponent(qf, TINY_OPT).value
-                   - ramac.ei_class_exponent(qc, TINY_OPT).value) < 1e-12
+                   - ramac.ei_exponent(qc, TINY_OPT).value) < 1e-12
 
 
 def test_mixing_envelope_and_dmc_rejected():
@@ -250,9 +250,9 @@ def _pin_envelope_query():
     (ramac.ei_exponent, lambda: _self_query(bsc(0.1), 0.1)[0],
      ramac.OptimizerConfig(),
      (0.06371771498978279, 0.42857157142857144, 0.5714284285714286, 8192)),
-    (ramac.em_class_exponent, _pin_envelope_query, PIN_OPT,
+    (ramac.em_exponent, _pin_envelope_query, PIN_OPT,
      (-0.06862146241803133, 0.95111116, 0.208000792, 1087)),
-    (ramac.ei_class_exponent, _pin_envelope_query, PIN_OPT,
+    (ramac.ei_exponent, _pin_envelope_query, PIN_OPT,
      (-0.09487527049201365, 0.029867606933333332, 0.9701323930666667, 1024)),
     (ramac.em_exponent, _pin_k2_query, PIN_OPT,
      (0.006968260461058327, 0.39013394319999994, 0.2806448580788815, 1087)),

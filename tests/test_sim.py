@@ -3,11 +3,13 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ramac
+from ramac import config as cfgmod
 from conftest import FAST_OPT, bsc
 from oracles import (pairwise_tail, scalar_decode, symbols_by_searchsorted,
                      tau_by_bisection)
@@ -251,12 +253,52 @@ def test_schedule_covers_universe_with_labels():
     sched = ramac.build_schedule(region, table, comp.ids)
     assert len(sched) == 4
     assert [s[2] for s in sched] == [True, True, False, False]
-    # class map: realizations stay channel-level, membership turns class-level
+    # envelopes: realizations stay channel-level, membership turns class-level
     class_region = ramac.OperationRegion(
         ((ramac.RateVectorIndex((1,)), "k"),), "class")
-    sched2 = ramac.build_schedule(class_region, table, comp.ids,
-                                  class_map={"k": ("a", "b")})
+    env = ramac.build_envelope(tuple(comp.by_id(c) for c in comp.ids),
+                               class_id="k", member_ids=comp.ids)
+    sched2 = ramac.build_schedule(class_region, table, comp.ids, (env,))
     assert [s[2] for s in sched2] == [True, True, False, False]
+
+
+def test_class_membership_read_off_the_envelopes():
+    # class_k1 commits to class clean = {b05, b10}; the envelopes alone must
+    # put both channels in region (without them every case reads out of
+    # region: system error 0.018, b10 exact 0.003028)
+    cfg = Path(__file__).resolve().parents[1] / "perfbench/scenarios/class_k1.cfg"
+    system = cfgmod.build_system(cfgmod.load_config(str(cfg)))
+    common = dict(compound=system.compound, envelopes=system.envelopes,
+                  params=system.cfg.thresholds, cfg=system.cfg.optimizer)
+    rep = ramac.estimate_errors(system.region, system.laws, system.table, 24,
+                                2000, 7, **common)
+    assert [(c.channel_id, c.in_region, c.rate) for c in rep.cases] == [
+        ("b05", True, 0.0025), ("b10", True, 0.0415), ("b30", False, 0.018)]
+    assert rep.system_error_rate == 0.0415
+    exact = ramac.exact_conditional_errors(system.region, system.laws,
+                                           system.table, 10, seed=3,
+                                           codebook_samples=2, **common)
+    assert [(c.channel_id, c.in_region) for c in exact.cases] == [
+        ("b05", True), ("b10", True), ("b30", False)]
+    assert abs(exact.cases[1].probability - 0.0701908264) < 1e-12
+
+
+def test_envelope_members_must_be_compound_ids():
+    comp, table, laws, region = _k1([0.05, 0.15], (0.05, 0.3),
+                                    region_idx=(1,), ids=("a", "b"))
+    class_region = ramac.OperationRegion(
+        ((ramac.RateVectorIndex((1,)), "k"),), "class")
+    chans = (comp.by_id("a"), comp.by_id("b"))
+    unnamed = ramac.build_envelope(chans, class_id="k")  # members "0", "1"
+    twice = (ramac.build_envelope(chans, class_id="k", member_ids=("a", "b")),
+             ramac.build_envelope(chans[1:], class_id="j", member_ids=("b",)))
+    for envelopes in ((unnamed,), twice):
+        with pytest.raises(ramac.ValidationError):
+            ramac.build_schedule(class_region, table, comp.ids, envelopes)
+    with pytest.raises(ramac.ValidationError, match="not a realizable"):
+        ramac.estimate_errors(class_region, laws, table, 8, 10, 1,
+                              compound=comp, envelopes=(unnamed,),
+                              cfg=TINY_OPT)
 
 
 def _mac(diag):
@@ -281,7 +323,7 @@ def _decoder_system(k, mode, n):
     has finite thresholds. Finite mode at K=1 has `twin`, a copy of `a`, so
     equal scores under two channel hypotheses go to the channel-id
     tie-break. Class mode decodes envelope classes `lo` and `hi`.
-    Returns (compound, table, laws, region, envelopes, class_map).
+    Returns (compound, table, laws, region, envelopes).
     """
     if k == 1:
         chans = {"a": bsc(0.05), "twin": bsc(0.05), "b": bsc(0.2),
@@ -298,20 +340,20 @@ def _decoder_system(k, mode, n):
         class_inside = {"lo": inside["good"], "hi": inside["bad"]}
     table = ramac.RateTable(((math.log(2) / n, math.log(3) / n),) * k)
     laws = ramac.uniform_laws(table, 2)
-    envelopes = class_map = None
+    envelopes = None
     if mode == "class":
         ids = tuple(c for members in classes.values() for c in members)
         envelopes = tuple(ramac.build_envelope(
-            tuple(chans[c] for c in members), class_id=cls)
+            tuple(chans[c] for c in members), class_id=cls, member_ids=members)
             for cls, members in classes.items())
-        inside, class_map = class_inside, classes
+        inside = class_inside
     else:
         ids = tuple(inside)
     comp = ramac.CompoundSet(tuple(chans[c] for c in ids), ids)
     members = tuple((ramac.RateVectorIndex(r), cid)
                     for cid, rates in inside.items() for r in rates)
     region = ramac.OperationRegion(members, mode)
-    return comp, table, laws, region, envelopes, class_map
+    return comp, table, laws, region, envelopes
 
 
 def _send(rng, comp, decoder, books, trials):
@@ -339,7 +381,7 @@ def test_batched_decisions_match_scalar_decode():
     rng = np.random.default_rng(8)
     n = 6
     for k, mode in itertools.product((1, 2), ("finite", "class")):
-        comp, table, laws, region, envs, _ = _decoder_system(k, mode, n)
+        comp, table, laws, region, envs = _decoder_system(k, mode, n)
         decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
                                     envelopes=envs, cfg=TINY_OPT)
         for subset in decoder.subsets:
@@ -375,9 +417,9 @@ def test_batched_decisions_match_scalar_decode():
 
 
 def test_outcome_counts_split_every_trial():
-    comp, table, laws, region, envs, cmap = _decoder_system(2, "class", 6)
+    comp, table, laws, region, envs = _decoder_system(2, "class", 6)
     rep = ramac.estimate_errors(region, laws, table, 6, 40, 3, compound=comp,
-                                envelopes=envs, class_map=cmap, cfg=TINY_OPT)
+                                envelopes=envs, cfg=TINY_OPT)
     for c in rep.cases:
         assert c.decoded_correct + c.decoded_wrong + c.collision == c.trials
         want = c.decoded_wrong + (c.collision if c.in_region else 0)
@@ -388,7 +430,7 @@ def test_outcome_counts_split_every_trial():
 
 def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     n = 4
-    comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
+    comp, table, laws, region, _ = _decoder_system(2, "finite", n)
     cb = ramac.generate_codebooks(table, laws, 2, n, seed=21)
     monkeypatch.setattr(ramac.sim, "_WORD_BLOCK", 37)  # chunks split the 256 words
     rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
@@ -423,13 +465,14 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
 
 def test_singleton_class_mode_matches_finite_decisions():
     comp, table, laws, region = _k1([0.08], (0.1,))
-    env = ramac.build_envelope((comp.by_id("c"),), class_id="c")
+    env = ramac.build_envelope((comp.by_id("c"),), class_id="c",
+                               member_ids=("c",))
     class_region = ramac.OperationRegion(region.members, "class")
     finite = ramac.estimate_errors(region, laws, table, 8, 300, 11,
                                    compound=comp, cfg=TINY_OPT)
     classy = ramac.estimate_errors(class_region, laws, table, 8, 300, 11,
                                    compound=comp, envelopes=(env,),
-                                   class_map={"c": ("c",)}, cfg=TINY_OPT)
+                                   cfg=TINY_OPT)
     assert [c.errors for c in finite.cases] == [c.errors for c in classy.cases]
 
 
@@ -449,7 +492,7 @@ def test_batch_size_does_not_change_results(monkeypatch):
     # the trials a batch holds come from the _DRAW_UNIFORMS budget; a small
     # budget splits every block into batches, which must not move a decision
     comp, table, laws, region = _k1([0.1], (0.1,))
-    comp2, table2, laws2, region2, _, _ = _decoder_system(2, "finite", 6)
+    comp2, table2, laws2, region2, _ = _decoder_system(2, "finite", 6)
 
     def runs():
         # K=1: more trials than one block of draws, so blocks split too
@@ -489,11 +532,13 @@ def test_block_draws_read_one_codebook_stream():
     # start the four keys at every offset mod 4. Each call's books reuse the
     # block's buffers, so the parts are copied before the next call.
     n = 5
-    comp, table, laws, region, _, _ = _decoder_system(2, "finite", n)
+    comp, table, laws, region, _ = _decoder_system(2, "finite", n)
     decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
                                 cfg=TINY_OPT)
-    books_of, _, _ = ramac.sim._draw_block(4, 1, 2, 9, decoder,
-                                           region.members[0][0], None)
+    true_rvi = region.members[0][0]
+    books_of, _, _ = ramac.sim._draw_block(
+        4, 1, 2, 9, decoder, true_rvi, None,
+        ramac.sim._book_buffers(decoder, true_rvi, 9))
     parts = [{key: v.copy() for key, v in books_of(count).items()}
              for count in (2, 7)]
     gen = np.random.Generator(np.random.Philox(
@@ -535,7 +580,7 @@ def test_monte_carlo_outcomes_pinned():
                                 compound=comp, cfg=TINY_OPT)
     assert _outcomes(rep) == [(4012, 299, 689), (3004, 554, 1442),
                               (3415, 379, 1206), (1312, 910, 2778)]
-    comp, table, laws, region, _, _ = _decoder_system(2, "finite", 6)
+    comp, table, laws, region, _ = _decoder_system(2, "finite", 6)
     want = {
         False: [(191, 32, 77), (112, 76, 112), (171, 42, 87), (46, 102, 152),
                 (161, 47, 92), (57, 91, 152), (138, 41, 121), (35, 86, 179)],
@@ -585,8 +630,10 @@ def test_unused_codebook_keys_are_not_drawn():
                                 cfg=TINY_OPT)
     assert decoder.message_counts == {(1, 1): 1, (1, 2): 16}
     for true, keys in (((2,), {(1, 2)}), ((1,), {(1, 1), (1, 2)})):
+        true_rvi = ramac.RateVectorIndex(true)
         books_of, _, _ = ramac.sim._draw_block(
-            13, 0, 0, 5, decoder, ramac.RateVectorIndex(true), None)
+            13, 0, 0, 5, decoder, true_rvi, None,
+            ramac.sim._book_buffers(decoder, true_rvi, 5))
         assert set(books_of(5)) == keys, true
     rep = ramac.estimate_errors(region, laws, table, n, 5001, 13,
                                 compound=comp, cfg=TINY_OPT)
