@@ -39,16 +39,14 @@ def main(argv=None):
 
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
-    class_mode = system.cfg.mode == "class"
     # Exponents do not depend on N: one ledger serves every bound and
     # threshold below.
-    ledger = ramac.ExponentLedger(
-        ramac.channel_map(system.envelopes if class_mode else system.compound),
-        system.laws, system.table, system.cfg.optimizer)
-    if not class_mode:
-        se = ramac.system_exponent(system.region, system.compound,
-                                   system.laws, system.table,
-                                   system.cfg.optimizer, ledger=ledger)
+    ledger = ramac.ExponentLedger(system.channels, system.laws, system.table,
+                                  system.cfg.optimizer)
+    finite = ledger.compound is not None
+    bound_at = ramac.pes_bound_finite if finite else ramac.pes_bound_classes
+    if finite:
+        se = ramac.system_exponent(system.region, ledger)
         print(f"asymptotic exponent {se.value:.6g} "
               f"({se.kind}, subset {sorted(se.subset)})")
 
@@ -56,20 +54,10 @@ def main(argv=None):
     print(f"{'N':>5} {'log_bound':>12} {'bound':>10} {'empirical':>10} "
           f"{'+-99%':>9} holds")
     for n in args.N:
-        if class_mode:
-            bound = ramac.pes_bound_classes(system.region, system.envelopes,
-                                            system.laws, system.table, n,
-                                            system.cfg.optimizer, ledger=ledger)
-        else:
-            bound = ramac.pes_bound_finite(system.region, system.compound,
-                                           system.laws, system.table, n,
-                                           system.cfg.optimizer, ledger=ledger)
+        bound = bound_at(system.region, ledger, n)
         report = ramac.estimate_errors(
-            system.region, system.laws, system.table, n, args.trials, seed,
-            compound=system.compound,
-            envelopes=system.envelopes,
-            params=system.cfg.thresholds, cfg=system.cfg.optimizer,
-            bound=bound.clamped_bound, ledger=ledger)
+            system.region, system.compound, ledger, n, args.trials, seed,
+            params=system.cfg.thresholds, bound=bound.clamped_bound)
         rows.append([n, bound.log_bound, bound.clamped_bound,
                      report.system_error_rate, report.system_half_width99,
                      report.bound_holds])

@@ -47,19 +47,13 @@ def main(argv=None):
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     n = system.cfg.defaults.n if args.N is None else args.N
     seed = system.cfg.defaults.seed if args.seed is None else args.seed
-    channels = (system.envelopes if system.cfg.mode == "class"
-                else system.compound)
     # Every grid point picks its competing pairs by the same crossing
     # exponents, so one ledger optimises them once for the whole grid.
-    ledger = ramac.ExponentLedger(
-        ramac.channel_map(channels), system.laws, system.table,
-        system.cfg.optimizer)
-    common = dict(
-        compound=system.compound, envelopes=system.envelopes,
-        cfg=system.cfg.optimizer, ledger=ledger)
+    ledger = ramac.ExponentLedger(system.channels, system.laws, system.table,
+                                  system.cfg.optimizer)
+    common = (system.region, system.compound, ledger, n, args.trials, seed)
 
-    auto = ramac.estimate_errors(system.region, system.laws, system.table, n,
-                                 args.trials, seed, **common)
+    auto = ramac.estimate_errors(*common)
     print(f"automatic thresholds: system error {auto.system_error_rate:.4g} "
           f"(decode {auto.decode_error_rate:.4g}, "
           f"miss {auto.collision_miss_rate:.4g})")
@@ -69,9 +63,7 @@ def main(argv=None):
         for frac in grid(args.s2_frac):
             params = ramac.ThresholdParams(rho_tilde=rho, s2=rho * frac,
                                            source="manual")
-            rep = ramac.estimate_errors(system.region, system.laws,
-                                        system.table, n, args.trials, seed,
-                                        params=params, **common)
+            rep = ramac.estimate_errors(*common, params=params)
             rows.append([rho, frac, rep.decode_error_rate,
                          rep.collision_miss_rate, rep.system_error_rate])
             print(f"rho_tilde {rho:.3g} s2/rho {frac:.3g}: "

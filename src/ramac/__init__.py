@@ -17,7 +17,6 @@ from .bounds import (
     ExponentLedger,
     PartitionBoundResult,
     SystemExponentResult,
-    channel_map,
     pes_bound_classes,
     pes_bound_ddecoder,
     pes_bound_finite,

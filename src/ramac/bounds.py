@@ -9,24 +9,19 @@ raw values are exp of log-domain totals and are additionally clamped at 1.
 Exponents do not depend on the block length, so they live in an
 ExponentLedger that optimises each (kind, subset, true pair, competing pair)
 once and that one system's bounds, asymptotic slope and decoder thresholds
-share; a report at any N reads the ledger and sums e^(-N E) terms.
+share; a report at any N reads the ledger and sums e^(-N E) terms. The
+ledger is every bound's one context: it holds the compound set or the class
+envelopes, the input laws, the rate table, the optimizer settings and the
+decoded set, so each entry takes a region, a ledger and a block length.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from ._record import record
-from .channels import (
-    ChannelClassEnvelope,
-    CompoundSet,
-    Dmc,
-    InputLaws,
-    RateTable,
-    effective_channel,
-)
+from .channels import CompoundSet, InputLaws, RateTable, effective_channel
 from .errors import C1Violation, InfeasibleRegion, ValidationError
 from .exponents import (
     ExponentQuery,
@@ -42,6 +37,7 @@ from .regions import (
     enumerate_partitions,
     feasibility_check,
     pair_universe,
+    proper_subsets,
     subsets_containing,
 )
 
@@ -93,9 +89,9 @@ def _matches(a, b, subset) -> bool:
     return a[0].agrees_on(b[0], subset)
 
 
-def channel_map(source) -> dict:
+def _channel_map(source) -> dict:
     """id -> channel of a CompoundSet, or class id -> envelope of a sequence
-    of class envelopes: the channel map an ExponentLedger is built from."""
+    of class envelopes."""
     if isinstance(source, CompoundSet):
         return {cid: source.by_id(cid) for cid in source.ids}
     out = {}
@@ -107,22 +103,29 @@ def channel_map(source) -> dict:
 
 
 class ExponentLedger:
-    """Every em/ei exponent of one system, each optimised once.
+    """Every em/ei exponent of one system, each optimised once, and the
+    context of every bound and of the slot decoder of that system.
 
     Exponents do not depend on the block length, so one ledger serves every
     bound, the asymptotic slope and the decoder thresholds of a system.
-    Entries are keyed by (kind, subset, true pair, competing pair); a pair is
-    (rate vector, id) and the id names a channel or class envelope of the
-    channel map. With users_d the ledger serves the decoder of the users in
-    D: a pair's channel is its mapped channel averaged over the pair's rates
-    of the users outside D, and subsets are subsets of D. D must be a
-    nonempty set of users 1..K, and its map must hold channels, not class
-    envelopes.
+    channels is what the region's ids name: a CompoundSet (kept as
+    compound) or a sequence of class envelopes (kept as envelopes), and the
+    finite or class variant is read off it. Entries are keyed by (kind,
+    subset, true pair, competing pair); a pair is (rate vector, id) and the
+    id names a channel or class envelope. With users_d the ledger serves the
+    decoder of the users in D: a pair's channel is its channel averaged over
+    the pair's rates of the users outside D, and subsets are subsets of D. D
+    must be a nonempty set of users 1..K over a compound set.
     """
 
-    def __init__(self, channels: Mapping, laws: InputLaws, table: RateTable,
+    def __init__(self, channels, laws: InputLaws, table: RateTable,
                  cfg: OptimizerConfig = OptimizerConfig(), users_d=None):
-        self.channels = dict(channels)
+        finite = isinstance(channels, CompoundSet)
+        self.compound = channels if finite else None
+        self.envelopes = () if finite else tuple(channels)
+        if not (finite or self.envelopes):
+            raise ValidationError("class mode needs envelopes")
+        self.channels = _channel_map(self.compound or self.envelopes)
         self.laws, self.table, self.cfg = laws, table, cfg
         self.users_d = None if users_d is None else frozenset(users_d)
         self._entries = {}
@@ -133,32 +136,18 @@ class ExponentLedger:
                 if not 1 <= u <= table.num_users:
                     raise ValidationError(
                         f"decoded user {u} outside 1..{table.num_users}")
-            if not all(isinstance(ch, Dmc) for ch in self.channels.values()):
+            if not finite:
                 raise ValidationError("a decoded set needs finite channels, "
                                       "not class envelopes")
             self._d = sorted(self.users_d)
             self._reduced = (laws.restrict(self._d), table.restrict(self._d))
             self._effective = {}
 
-    @classmethod
-    def serving(cls, ledger: Optional["ExponentLedger"], channels: Mapping,
-                laws: InputLaws, table: RateTable, cfg: OptimizerConfig,
-                users_d=None) -> "ExponentLedger":
-        """A fresh ledger for these inputs when ledger is None; otherwise
-        ledger itself, which must have been built from the same channel
-        objects, laws and table, an equal cfg and the same decoded set."""
-        if ledger is None:
-            return cls(channels, laws, table, cfg, users_d)
-        same = (ledger.channels.keys() == channels.keys()
-                and all(ledger.channels[k] is v for k, v in channels.items())
-                and ledger.laws is laws and ledger.table is table
-                and ledger.cfg == cfg
-                and ledger.users_d == (None if users_d is None
-                                       else frozenset(users_d)))
-        if not same:
-            raise ValidationError("the exponent ledger was built for other "
-                                  "channels, laws, rates, optimizer or decoded set")
-        return ledger
+    def require_full(self, entry: str):
+        """Raise unless this ledger serves the decoder of every user."""
+        if self.users_d is not None:
+            raise ValidationError(f"{entry} needs a ledger without a decoded "
+                                  "set")
 
     def _channel(self, pair):
         channel = self.channels[pair[1]]
@@ -295,63 +284,61 @@ def _check_n(n: int):
         raise ValidationError(f"block length must be an integer >= 1, got {n!r}")
 
 
-def _bound(region: OperationRegion, channels: Mapping, laws: InputLaws,
-           table: RateTable, n: int, cfg: OptimizerConfig,
-           ledger: Optional[ExponentLedger], users_d=None) -> BoundReport:
-    """The bound of the decoder resolving the users in D (every user when D
-    is None) over every channel or class envelope of the channel map.
+def _bound(region: OperationRegion, ledger: ExponentLedger,
+           n: int) -> BoundReport:
+    """The bound of the ledger's decoder, resolving every user or the users
+    in its decoded set D, over every channel or class envelope it maps.
 
     In pairs are the region's members, out pairs the rest of the pair
-    universe over the map's ids, and conditioning subsets the proper subsets
-    of D. The mode is the region's (finite or class), or subset with a D.
+    universe over the ledger's ids, and conditioning subsets the proper
+    subsets of the decoded users. The mode is the region's (finite or
+    class), or subset with a D.
     """
     _check_n(n)
-    ledger = ExponentLedger.serving(ledger, channels, laws, table, cfg, users_d)
+    table = ledger.table
     for rvi, cid in region.members:
         rvi.check_against(table)
-        if cid not in channels:
+        if cid not in ledger.channels:
             raise ValidationError(f"region references unknown id {cid!r}")
-    users = (range(1, table.num_users + 1) if users_d is None
-             else sorted(ledger.users_d))
-    subsets = tuple(frozenset(combo) for size in range(len(users))
-                    for combo in itertools.combinations(users, size))
-    out_pairs = region.complement(pair_universe(table, tuple(channels)))
-    mode = region.mode if users_d is None else "subset"
-    return _assemble(region.members, out_pairs, subsets, ledger, n, mode)
+    d = ledger.users_d
+    users = range(1, table.num_users + 1) if d is None else sorted(d)
+    out_pairs = region.complement(pair_universe(table, tuple(ledger.channels)))
+    return _assemble(region.members, out_pairs, proper_subsets(users), ledger,
+                     n, region.mode if d is None else "subset")
 
 
-def pes_bound_finite(region: OperationRegion, compound: CompoundSet,
-                     laws: InputLaws, table: RateTable, n: int,
-                     cfg: OptimizerConfig = OptimizerConfig(),
-                     ledger: Optional[ExponentLedger] = None) -> BoundReport:
-    """Slot error bound for a channel-level operation region at block length n."""
+def pes_bound_finite(region: OperationRegion, ledger: ExponentLedger,
+                     n: int) -> BoundReport:
+    """Slot error bound for a channel-level operation region at block length
+    n, over the ledger's compound set."""
     if region.mode != "finite":
         raise ValidationError("pes_bound_finite expects a channel-level region")
-    _require_feasible(region, compound, laws, table)
-    return _bound(region, channel_map(compound), laws, table, n, cfg, ledger)
+    ledger.require_full("pes_bound_finite")
+    if ledger.compound is None:
+        raise ValidationError("pes_bound_finite needs a ledger over a compound "
+                              "set, not class envelopes")
+    _require_feasible(region, ledger.compound, ledger.laws, ledger.table)
+    return _bound(region, ledger, n)
 
 
-def pes_bound_classes(region: OperationRegion,
-                      envelopes: Sequence[ChannelClassEnvelope],
-                      laws: InputLaws, table: RateTable, n: int,
-                      cfg: OptimizerConfig = OptimizerConfig(),
-                      ledger: Optional[ExponentLedger] = None) -> BoundReport:
-    """Class-level bound; the region must already be class-mode (run c1_check
-    first on channel-level input), and feasibility is the caller's channel-level
-    responsibility."""
+def pes_bound_classes(region: OperationRegion, ledger: ExponentLedger,
+                      n: int) -> BoundReport:
+    """Class-level bound over the ledger's class envelopes; the region must
+    already be class-mode (run c1_check first on channel-level input), and
+    feasibility is the caller's channel-level responsibility."""
     if region.mode != "class":
         raise C1Violation(
             "pes_bound_classes needs a class-mode region; convert channel-level "
             "regions through c1_check first"
         )
-    return _bound(region, channel_map(envelopes), laws, table, n, cfg, ledger)
+    ledger.require_full("pes_bound_classes")
+    return _bound(region, ledger, n)
 
 
-def pes_bound_ddecoder(users_d, region: OperationRegion, compound: CompoundSet,
-                       laws: InputLaws, table: RateTable, n: int,
-                       cfg: OptimizerConfig = OptimizerConfig(),
-                       ledger: Optional[ExponentLedger] = None) -> BoundReport:
-    """Bound for a decoder resolving only the users in D over the compound set.
+def pes_bound_ddecoder(region: OperationRegion, ledger: ExponentLedger,
+                       n: int) -> BoundReport:
+    """Bound for a decoder resolving only the users in the ledger's decoded
+    set D over its compound set.
 
     The region is channel-level; its complement is taken inside the pair
     universe over every channel of the compound set. Conditioning subsets
@@ -361,14 +348,14 @@ def pes_bound_ddecoder(users_d, region: OperationRegion, compound: CompoundSet,
     """
     if region.mode != "finite":
         raise ValidationError("pes_bound_ddecoder expects a channel-level region")
-    return _bound(region, channel_map(compound), laws, table, n, cfg, ledger,
-                  users_d)
+    if ledger.users_d is None:
+        raise ValidationError("pes_bound_ddecoder needs a ledger with a "
+                              "decoded set")
+    return _bound(region, ledger, n)
 
 
-def system_exponent(region: OperationRegion, compound: CompoundSet,
-                    laws: InputLaws, table: RateTable,
-                    cfg: OptimizerConfig = OptimizerConfig(),
-                    ledger: Optional[ExponentLedger] = None) -> SystemExponentResult:
+def system_exponent(region: OperationRegion,
+                    ledger: ExponentLedger) -> SystemExponentResult:
     """Asymptotic slope of the finite bound: the smallest exponent among the
     decode-branch terms, the first in term order on ties.
 
@@ -380,7 +367,7 @@ def system_exponent(region: OperationRegion, compound: CompoundSet,
     """
     if region.mode != "finite":
         raise ValidationError("system_exponent expects a channel-level region")
-    report = pes_bound_finite(region, compound, laws, table, 1, cfg, ledger)
+    report = pes_bound_finite(region, ledger, 1)
     decode = [t for t in report.terms if t.branch == "decode"]
     if not decode:
         return SystemExponentResult(float("inf"), None, None, None, None,
@@ -404,17 +391,17 @@ class PartitionBoundResult:
 
 
 def pes_bound_single_user(user: int, region: OperationRegion,
-                          compound: CompoundSet, laws: InputLaws,
-                          table: RateTable, n: int, search: str = "exhaustive",
-                          cfg: OptimizerConfig = OptimizerConfig(),
+                          ledger: ExponentLedger, n: int,
+                          search: str = "exhaustive",
                           allow_drop: bool = False) -> PartitionBoundResult:
     """Best split of the region into per-decoded-set blocks covering `user`.
 
-    Each block is bounded by pes_bound_ddecoder over the whole compound set,
-    so members may name any of its channels. Exhaustive search enumerates
-    every assignment of members to decoded sets containing the user
-    (optionally allowing explicit drops, whose members are always reported as
-    collisions) and returns the smallest total. Greedy assigns each member
+    Each block is bounded by pes_bound_ddecoder over the whole compound set
+    of ledger, so members may name any of its channels. The per-decoded-set
+    ledgers are built from ledger's inputs; ledger itself is never filled.
+    Exhaustive search enumerates every assignment of members to decoded sets
+    containing the user (optionally allowing explicit drops, whose members
+    are always reported as collisions) and returns the smallest total. Greedy assigns each member
     independently to the decoded set minimizing its singleton-block bound,
     then scores the resulting merged partition; it is never below the
     exhaustive optimum.
@@ -424,15 +411,16 @@ def pes_bound_single_user(user: int, region: OperationRegion,
         raise ValidationError(f"search must be 'exhaustive' or 'greedy', got {search!r}")
     if region.mode != "finite":
         raise ValidationError("partition search expects a channel-level region")
-    k = compound.num_users
-    channels = channel_map(compound)
+    ledger.require_full("pes_bound_single_user")
+    k = ledger.table.num_users
     ledgers = {}  # decoded set -> its exponent ledger
 
     def block_bound(users_d, members) -> BoundReport:
         if users_d not in ledgers:
-            ledgers[users_d] = ExponentLedger(channels, laws, table, cfg, users_d)
-        return pes_bound_ddecoder(users_d, OperationRegion(members), compound,
-                                  laws, table, n, cfg, ledger=ledgers[users_d])
+            ledgers[users_d] = ExponentLedger(
+                ledger.compound or ledger.envelopes, ledger.laws, ledger.table,
+                ledger.cfg, users_d)
+        return pes_bound_ddecoder(OperationRegion(members), ledgers[users_d], n)
 
     def score(partition):
         reports = tuple((users_d, block_bound(users_d, members))

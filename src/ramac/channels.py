@@ -170,18 +170,21 @@ class ChannelClassEnvelope:
         object.__setattr__(self, "member_ids", tuple(self.member_ids))
 
 
-def build_envelope(channels: Sequence[Dmc], class_id: str = "class",
-                   member_ids: Sequence[str] | None = None) -> ChannelClassEnvelope:
-    """Elementwise max/min envelopes over a nonempty family of same-shaped channels."""
+def build_envelope(channels: Sequence[Dmc], class_id: str = "class", *,
+                   member_ids: Sequence[str]) -> ChannelClassEnvelope:
+    """Elementwise max/min envelopes over a nonempty family of same-shaped
+    channels; member_ids names each channel, in order, by its compound-set
+    id."""
     if len(channels) == 0:
         raise EmptyClass(f"class {class_id!r} has no member channels")
+    if len(member_ids) != len(channels):
+        raise ValidationError(f"class {class_id!r} names {len(member_ids)} "
+                              f"members for {len(channels)} channels")
     first = channels[0]
     for ch in channels[1:]:
         if ch.probs.shape != first.probs.shape:
             raise DimensionMismatch("class members have different shapes")
     stack = np.stack([ch.probs for ch in channels])
-    if member_ids is None:
-        member_ids = tuple(str(i) for i in range(len(channels)))
     return ChannelClassEnvelope(
         num_users=first.num_users,
         input_size=first.input_size,

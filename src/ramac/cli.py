@@ -15,7 +15,6 @@ from typing import Optional
 from . import config as cfgmod
 from .bounds import (
     ExponentLedger,
-    channel_map,
     pes_bound_classes,
     pes_bound_finite,
     pes_bound_single_user,
@@ -41,10 +40,10 @@ def _parse_subset(text: Optional[str]) -> frozenset:
         raise ValidationError(f"subset {text!r} must be comma-separated users")
 
 
-def _parse_pair_flag(text: str, system) -> tuple:
+def _parse_pair_flag(text: str, system, ledger: ExponentLedger) -> tuple:
     indices, cid = cfgmod._parse_pair(
         text, system.cfg.num_users, system.table.num_classes,
-        set(system.region_ids), "--pair")
+        set(ledger.channels), "--pair")
     return RateVectorIndex(indices), cid
 
 
@@ -68,18 +67,15 @@ def _flag(args, system, name: str):
 def _ledger(system, users_d=None) -> ExponentLedger:
     """One exponent ledger for every bound and threshold of the system, or
     for the decoder of the users in users_d."""
-    channels = system.envelopes if system.cfg.mode == "class" else system.compound
-    return ExponentLedger(channel_map(channels), system.laws, system.table,
+    return ExponentLedger(system.channels, system.laws, system.table,
                           system.cfg.optimizer, users_d)
 
 
-def _bound_report(system, n: int, ledger: Optional[ExponentLedger] = None):
-    if system.cfg.mode == "class":
-        return pes_bound_classes(system.region, system.envelopes, system.laws,
-                                 system.table, n, system.cfg.optimizer,
-                                 ledger=ledger)
-    return pes_bound_finite(system.region, system.compound, system.laws,
-                            system.table, n, system.cfg.optimizer, ledger=ledger)
+def _bound_report(system, n: int, ledger: ExponentLedger):
+    """The system's bound; only a finite one runs the feasibility check."""
+    if ledger.compound is None:
+        return pes_bound_classes(system.region, ledger, n)
+    return pes_bound_finite(system.region, ledger, n)
 
 
 def _channel_region(system):
@@ -98,15 +94,17 @@ def _channel_region(system):
 
 def _cmd_exponent(args, system):
     subset = _parse_subset(args.subset)
+    users_d = _parse_subset(args.users_d) if args.users_d else None
+    ledger = _ledger(system, users_d)
     if args.true_pair:
-        true_pair = _parse_pair_flag(args.true_pair, system)
+        true_pair = _parse_pair_flag(args.true_pair, system, ledger)
     elif system.region.members:
         true_pair = system.region.members[0]
     else:
         raise ValidationError("the region is empty: give --true-pair")
-    comp_pair = _parse_pair_flag(args.comp_pair, system) if args.comp_pair else true_pair
-    users_d = _parse_subset(args.users_d) if args.users_d else None
-    res = _ledger(system, users_d).get(args.kind, subset, true_pair, comp_pair)
+    comp_pair = (_parse_pair_flag(args.comp_pair, system, ledger)
+                 if args.comp_pair else true_pair)
+    res = ledger.get(args.kind, subset, true_pair, comp_pair)
     fields = {"kind": args.kind, "subset": sorted(subset),
               "true_pair": [list(true_pair[0].indices), true_pair[1]],
               "comp_pair": [list(comp_pair[0].indices), comp_pair[1]],
@@ -121,7 +119,7 @@ def _cmd_exponent(args, system):
 
 def _cmd_bound(args, system):
     n = _flag(args, system, "n")
-    report = _bound_report(system, n)
+    report = _bound_report(system, n, _ledger(system))
     rows = [[t.branch, list(t.true_pair[0]) + [t.true_pair[1]],
              sorted(t.subset), t.kind,
              None if t.comp_pair is None
@@ -139,8 +137,7 @@ def _cmd_bound(args, system):
 def _cmd_exponent_limit(args, system):
     if system.cfg.mode == "class":
         raise ValidationError("the asymptotic exponent needs a finite scenario")
-    res = system_exponent(system.region, system.compound, system.laws,
-                         system.table, system.cfg.optimizer)
+    res = system_exponent(system.region, _ledger(system))
     return ({"result": res},
             ["value", "kind", "subset", "true_pair", "comp_pair", "evaluations"],
             [[res.value, res.kind,
@@ -183,9 +180,8 @@ def _cmd_partition(args, system):
     n = _flag(args, system, "n")
     user = _flag(args, system, "partition_user")
     search = _flag(args, system, "partition_search")
-    res = pes_bound_single_user(
-        user, system.region, system.compound, system.laws, system.table, n,
-        search=search, cfg=system.cfg.optimizer, allow_drop=args.allow_drop)
+    res = pes_bound_single_user(user, system.region, _ledger(system), n,
+                                search=search, allow_drop=args.allow_drop)
     return ({"user": user, "n": n, "result": res},
             ["decoded_set", "log_bound", "clamped_bound"],
             [[sorted(users_d), report.log_bound, report.clamped_bound]
@@ -207,12 +203,9 @@ def _cmd_simulate(args, system):
     if args.freeze_codebooks:
         codebooks = generate_codebooks(system.table, system.laws,
                                        system.cfg.input_size, n, seed)
-    report = estimate_errors(
-        system.region, system.laws, system.table, n, trials, seed,
-        compound=system.compound,
-        envelopes=system.envelopes,
-        params=system.cfg.thresholds, cfg=system.cfg.optimizer, bound=bound,
-        codebooks=codebooks, ledger=ledger)
+    report = estimate_errors(system.region, system.compound, ledger, n, trials,
+                             seed, params=system.cfg.thresholds, bound=bound,
+                             codebooks=codebooks)
     rows = [[list(c.rate_indices), c.channel_id, c.in_region, c.trials,
              c.errors, c.decoded_correct, c.decoded_wrong, c.collision,
              c.rate, c.std, c.half_width99] for c in report.cases]
@@ -251,8 +244,8 @@ def _cmd_sweep(args, system):
             menus = [list(m) for m in system.cfg.rates]
             menus[user - 1][index - 1] = value
             fields["rates"] = tuple(tuple(m) for m in menus)
-            report = _bound_report(
-                cfgmod.build_system(cfgmod.RunConfig(**fields)), n)
+            point = cfgmod.build_system(cfgmod.RunConfig(**fields))
+            report = _bound_report(point, n, _ledger(point))
             rows.append([cfgmod.round12(value), report.log_bound,
                          report.clamped_bound])
             value += step

@@ -330,7 +330,8 @@ def load_config(path: str) -> RunConfig:
 
 @record
 class System:
-    """Config materialized into library objects."""
+    """Config materialized into library objects. channels is what the
+    region's ids name: the compound set, or in class mode the envelopes."""
 
     cfg: RunConfig
     table: RateTable
@@ -339,7 +340,7 @@ class System:
     envelopes: tuple
     class_map: Optional[Mapping]
     region: OperationRegion
-    region_ids: tuple
+    channels: object
 
 
 def build_system(cfg: RunConfig) -> System:
@@ -355,14 +356,10 @@ def build_system(cfg: RunConfig) -> System:
         validate_dmc(probs, cfg.num_users, cfg.input_size, cfg.output_size)
         for _, probs in cfg.channels)
     compound = CompoundSet(dmcs, tuple(cid for cid, _ in cfg.channels))
-    envelopes = []
-    class_map = None
-    if cfg.classes:
-        class_map = {kid: members for kid, members in cfg.classes}
-        for kid, members in cfg.classes:
-            envelopes.append(build_envelope(
-                tuple(compound.by_id(m) for m in members), class_id=kid,
-                member_ids=members))
+    class_map = dict(cfg.classes) or None
+    envelopes = tuple(build_envelope(tuple(compound.by_id(m) for m in members),
+                                     class_id=kid, member_ids=members)
+                      for kid, members in cfg.classes)
     if cfg.region_maximal:
         region = maximal_feasible_region(compound, laws, table)
         if cfg.mode == "class":
@@ -371,11 +368,9 @@ def build_system(cfg: RunConfig) -> System:
         members = tuple((RateVectorIndex(idx), cid)
                         for idx, cid in cfg.region_pairs)
         region = OperationRegion(members, cfg.mode)
-    region_ids = (tuple(k for k, _ in cfg.classes) if cfg.mode == "class"
-                  else compound.ids)
     return System(cfg=cfg, table=table, laws=laws, compound=compound,
-                  envelopes=tuple(envelopes), class_map=class_map,
-                  region=region, region_ids=region_ids)
+                  envelopes=envelopes, class_map=class_map, region=region,
+                  channels=envelopes if cfg.mode == "class" else compound)
 
 
 def round12(x: float) -> float:

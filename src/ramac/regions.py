@@ -80,11 +80,11 @@ class FeasibilityReport:
     margins: tuple
 
 
-def proper_subsets(k: int) -> Iterator[frozenset]:
-    users = list(range(1, k + 1))
-    for size in range(k):
-        for combo in itertools.combinations(users, size):
-            yield frozenset(combo)
+def proper_subsets(users: Sequence[int]) -> tuple:
+    """Every proper subset of users, the conditioning subsets of a decoder
+    resolving them, by size and then in combinations order."""
+    return tuple(frozenset(combo) for size in range(len(users))
+                 for combo in itertools.combinations(users, size))
 
 
 def feasibility_check(region: OperationRegion, compound: CompoundSet,
@@ -98,12 +98,13 @@ def feasibility_check(region: OperationRegion, compound: CompoundSet,
     if region.mode != "finite":
         raise ValidationError("feasibility_check expects a channel-level region")
     k = compound.num_users
+    subsets = proper_subsets(range(1, k + 1))
     margins = []
     violations = []
     for rvi, cid in region.members:
         rvi.check_against(table)
         channel = compound.by_id(cid)
-        for subset in proper_subsets(k):
+        for subset in subsets:
             mi = conditional_mi(MiQuery(channel, laws, rvi, subset))
             sum_rate = sum(table.rate(u, rvi.index(u))
                            for u in range(1, k + 1) if u not in subset)

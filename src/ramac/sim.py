@@ -7,9 +7,11 @@ threshold, the subset estimate is the admitted tuple of maximum likelihood
 rival's upper-envelope likelihood), and the slot decodes only when every
 subset produces the same estimate; anything else is reported as a collision.
 SlotDecoder.decide is the one implementation of this rule: Monte Carlo, exact
-enumeration and the single-slot SlotDecoder.decode all run it, and
-SlotDecoder builds every threshold from the crossing exponents of an
-ExponentLedger.
+enumeration and the single-slot SlotDecoder.decode all run it. The
+decoder's one context is an ExponentLedger: its compound set or class
+envelopes give the mode and the channels, and its crossing exponents give
+every threshold. estimate_errors takes the same ledger as the bound of its
+system, plus the compound set of realizable channels.
 
 Likelihoods are joint (input, output) cell counts dotted with a log-propensity
 table in a fixed flat order, so tuples with identical transition counts have
@@ -35,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ._record import record
-from .bounds import ExponentLedger, channel_map
+from .bounds import ExponentLedger
 from .channels import (
     ChannelClassEnvelope,
     CompoundSet,
@@ -392,34 +394,24 @@ class SlotDecoder:
     tested score never exceeds the rival score and at most one message/rate
     tuple can strictly dominate.
 
-    The thresholds read their crossing exponents from ledger, which the bound
-    of the same system may already have filled; None builds a fresh one.
+    The ledger is the decoder's context: its channels or class envelopes
+    (which set the mode), laws and rate table, and the crossing exponents of
+    the thresholds, which the bound of the same system may already have
+    filled.
     """
 
-    def __init__(self, region: OperationRegion, laws: InputLaws,
-                 table: RateTable, n: int,
-                 compound: Optional[CompoundSet] = None,
-                 envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
-                 params: ThresholdParams = ThresholdParams(),
-                 cfg: OptimizerConfig = OptimizerConfig(),
-                 ledger: Optional[ExponentLedger] = None):
+    def __init__(self, region: OperationRegion, ledger: ExponentLedger, n: int,
+                 params: ThresholdParams = ThresholdParams()):
         if n < 1:
             raise ValidationError("block length must be >= 1")
-        if region.mode == "finite":
-            if compound is None:
-                raise ValidationError("finite mode needs a compound set")
-            self.channels = channel_map(compound)
-        else:
-            if not envelopes:
-                raise ValidationError("class mode needs envelopes")
-            self.channels = channel_map(envelopes)
+        ledger.require_full("SlotDecoder")
+        self.channels = ledger.channels
         self.ids = tuple(self.channels)
         ref = next(iter(self.channels.values()))
-        ledger = ExponentLedger.serving(ledger, self.channels, laws, table, cfg)
-        self.mode = region.mode
+        self.mode = "finite" if ledger.compound is not None else "class"
         self.region = region
-        self.laws = laws
-        self.table = table
+        self.laws = ledger.laws
+        self.table = table = ledger.table
         self.n = int(n)
         self.params = params
         self.num_users = ref.num_users
@@ -430,7 +422,7 @@ class SlotDecoder:
             rvi.check_against(table)
             if cid not in self.channels:
                 raise ValidationError(f"region references unknown id {cid!r}")
-        self.subsets = tuple(proper_subsets(self.num_users))
+        self.subsets = proper_subsets(range(1, self.num_users + 1))
         self.out_pairs = region.complement(pair_universe(table, self.ids))
         # flat log-propensities per id: tested, and (class mode) rival
         self.log_tested, self.log_rival = {}, {}
@@ -807,15 +799,11 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     return correct, decoded - correct, trials - decoded
 
 
-def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
-                    n: int, trials: int, seed: int,
-                    compound: Optional[CompoundSet] = None,
-                    envelopes: Optional[Sequence[ChannelClassEnvelope]] = None,
+def estimate_errors(region: OperationRegion, compound: CompoundSet,
+                    ledger: ExponentLedger, n: int, trials: int, seed: int,
                     params: ThresholdParams = ThresholdParams(),
-                    cfg: OptimizerConfig = OptimizerConfig(),
                     bound: Optional[float] = None,
-                    codebooks: Optional[CodebookSet] = None,
-                    ledger: Optional[ExponentLedger] = None) -> SimReport:
+                    codebooks: Optional[CodebookSet] = None) -> SimReport:
     """Per-case Monte Carlo error estimation over the realization schedule
     of build_schedule (never a sampled prior); the system error is the worst
     case.
@@ -827,20 +815,21 @@ def estimate_errors(region: OperationRegion, laws: InputLaws, table: RateTable,
     case also reports its split into correct decodes, wrong decodes and
     collisions. Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and
     decided in batches sized from the _DRAW_UNIFORMS budget, which bounds the
-    memory of the draws and never changes results. The thresholds read their
-    crossing exponents from ledger, which a caller may share with the bound
-    of the same system. A class-mode region needs the class envelopes; they
-    also say which class each realizable channel belongs to.
+    memory of the draws and never changes results. compound holds the
+    realizable channels; the decoder runs on ledger (see SlotDecoder), which
+    a caller may share with the bound of the same system. A finite ledger
+    must map compound's ids; a class ledger's envelopes say which class each
+    realizable channel belongs to.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if compound is None:
-        raise ValidationError("estimate_errors needs the realizable channels")
-    _guard_codewords(table, n)
-    schedule = build_schedule(region, table, compound.ids, envelopes or ())
-    decoder = SlotDecoder(region, laws, table, n, compound=compound,
-                          envelopes=envelopes, params=params, cfg=cfg,
-                          ledger=ledger)
+    if ledger.compound is not None and ledger.compound.ids != compound.ids:
+        raise ValidationError("the ledger's channel ids are not the compound "
+                              "set's")
+    _guard_codewords(ledger.table, n)
+    schedule = build_schedule(region, ledger.table, compound.ids,
+                              ledger.envelopes)
+    decoder = SlotDecoder(region, ledger, n, params)
     cases = []
     for case_idx, (rvi, cid, in_region) in enumerate(schedule):
         correct, wrong, collision = _simulate_case(
@@ -907,9 +896,11 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
-    schedule = build_schedule(region, table, compound.ids, envelopes or ())
-    decoder = SlotDecoder(region, laws, table, n, compound=compound,
-                          envelopes=envelopes, params=params, cfg=cfg)
+    envelopes = envelopes or ()
+    schedule = build_schedule(region, table, compound.ids, envelopes)
+    ledger = ExponentLedger(compound if region.mode == "finite" else envelopes,
+                            laws, table, cfg)
+    decoder = SlotDecoder(region, ledger, n, params)
     b = decoder.output_size
     if b ** n > OUTPUT_ENUM_GUARD:
         raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")

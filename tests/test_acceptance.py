@@ -30,14 +30,13 @@ def scenario4():
     laws = ramac.uniform_laws(table, 2)
     rvi = ramac.RateVectorIndex((1,))
     region = ramac.OperationRegion(((rvi, "clean"), (rvi, "noisy")), "finite")
-    cfg = ramac.OptimizerConfig()
+    ledger = ramac.ExponentLedger(comp, laws, table, ramac.OptimizerConfig())
     state = {"comp": comp, "table": table, "laws": laws, "region": region,
-             "cfg": cfg, "cache": {}}
+             "ledger": ledger, "cache": {}}
 
     def bound(n):
         if n not in state["cache"]:
-            state["cache"][n] = ramac.pes_bound_finite(
-                region, comp, laws, table, n, cfg)
+            state["cache"][n] = ramac.pes_bound_finite(region, ledger, n)
         return state["cache"][n]
 
     state["bound"] = bound
@@ -80,7 +79,8 @@ def test_criterion_02_gallager_reduction():
 
 
 def test_criterion_03_envelopes_and_singleton_classes():
-    env = ramac.build_envelope((bsc(0.1), bsc(0.2)), class_id="pool")
+    env = ramac.build_envelope((bsc(0.1), bsc(0.2)), class_id="pool",
+                               member_ids=("a", "b"))
     stack = np.stack([bsc(0.1).probs, bsc(0.2).probs])
     assert np.array_equal(env.pmax, np.max(stack, axis=0))
     assert np.array_equal(env.pmin, np.min(stack, axis=0))
@@ -89,7 +89,7 @@ def test_criterion_03_envelopes_and_singleton_classes():
     for _ in range(100):
         k = int(rng.integers(1, 3))
         ch = random_dmc(rng, k, 2, 2, floor=0.05)
-        single = ramac.build_envelope((ch,), class_id="one")
+        single = ramac.build_envelope((ch,), class_id="one", member_ids=("c",))
         r1 = float(rng.uniform(0.01, 0.08))
         r2 = r1 + float(rng.uniform(0.01, 0.1))
         table = ramac.RateTable(tuple((r1, r2) for _ in range(k)))
@@ -113,9 +113,8 @@ def test_criterion_04_bound_dominates_simulation(scenario4):
     start = time.perf_counter()
     bound = scenario4["bound"](16).clamped_bound
     report = ramac.estimate_errors(
-        scenario4["region"], scenario4["laws"], scenario4["table"], 16,
-        100000, 2024, compound=scenario4["comp"], cfg=scenario4["cfg"],
-        bound=bound)
+        scenario4["region"], scenario4["comp"], scenario4["ledger"], 16,
+        100000, 2024, bound=bound)
     elapsed = time.perf_counter() - start
     print(f"criterion 04: empirical={report.system_error_rate:.6g} "
           f"(case {report.system_case}), bound={bound:.6g}, "
@@ -128,9 +127,7 @@ def test_criterion_04_bound_dominates_simulation(scenario4):
 def test_criterion_05_bound_slope_matches_exponent(scenario4):
     n = 100000
     report = scenario4["bound"](n)
-    se = ramac.system_exponent(scenario4["region"], scenario4["comp"],
-                               scenario4["laws"], scenario4["table"],
-                               scenario4["cfg"])
+    se = ramac.system_exponent(scenario4["region"], scenario4["ledger"])
     gap = abs(-report.log_bound / n - se.value)
     print(f"criterion 05: -log_bound/N = {-report.log_bound / n:.9g}, "
           f"system exponent = {se.value:.9g}, gap = {gap:.3g}")
@@ -162,18 +159,19 @@ def test_criterion_06_partition_search_is_optimal():
     }
     choices = ramac.subsets_containing(1, 2)
     for label, (region, comp) in cases.items():
-        exhaustive = ramac.pes_bound_single_user(
-            1, region, comp, laws, table, n, search="exhaustive", cfg=SMALL_OPT)
-        greedy = ramac.pes_bound_single_user(
-            1, region, comp, laws, table, n, search="greedy", cfg=SMALL_OPT)
+        ledger = ramac.ExponentLedger(comp, laws, table, SMALL_OPT)
+        exhaustive = ramac.pes_bound_single_user(1, region, ledger, n,
+                                                 search="exhaustive")
+        greedy = ramac.pes_bound_single_user(1, region, ledger, n,
+                                             search="greedy")
         best = math.inf
         for assign in itertools.product(choices, repeat=len(region.members)):
             blocks = {}
             for member, users_d in zip(region.members, assign):
                 blocks.setdefault(users_d, []).append(member)
             logs = [ramac.pes_bound_ddecoder(
-                        users_d, ramac.OperationRegion(block), comp, laws,
-                        table, n, SMALL_OPT).log_bound
+                        ramac.OperationRegion(block), ramac.ExponentLedger(
+                            comp, laws, table, SMALL_OPT, users_d), n).log_bound
                     for users_d, block in blocks.items()]
             best = min(best, logsumexp_list(logs))
         print(f"criterion 06 ({label}): exhaustive={exhaustive.log_bound:.9g}, "
@@ -224,6 +222,10 @@ def scenario8():
             "region": region, "cw": cw, "books": books}
 
 
+def _small_ledger(s):
+    return ramac.ExponentLedger(s["comp"], s["laws"], s["table"], SMALL_OPT)
+
+
 def test_criterion_08_exact_matches_tail_and_monte_carlo(scenario8):
     s = scenario8
     exact = ramac.exact_conditional_errors(
@@ -234,8 +236,8 @@ def test_criterion_08_exact_matches_tail_and_monte_carlo(scenario8):
     brute = 0.5 * (two_codeword_ml_error(s["p"], s["cw"][0], s["cw"][1])
                    + two_codeword_ml_error(s["p"], s["cw"][1], s["cw"][0]))
     mc = ramac.estimate_errors(
-        s["region"], s["laws"], s["table"], s["n"], 100000, 77,
-        compound=s["comp"], cfg=SMALL_OPT, codebooks=s["books"])
+        s["region"], s["comp"], _small_ledger(s), s["n"], 100000, 77,
+        codebooks=s["books"])
     sigma = math.sqrt(truth * (1 - truth) / 100000)
     gap = abs(mc.cases[0].rate - truth)
     print(f"criterion 08: exact={truth:.9g}, tail={tail:.9g}, "
@@ -268,9 +270,7 @@ def test_criterion_09_monotonicity_suite(scenario4):
         ei_hi = ramac.ei_exponent(ramac.ExponentQuery(
             frozenset(), hi, ch, hi, ch, laws, table), SMALL_OPT).value
         assert ei_hi <= ei_lo + tol
-    se = ramac.system_exponent(scenario4["region"], scenario4["comp"],
-                               scenario4["laws"], scenario4["table"],
-                               scenario4["cfg"])
+    se = ramac.system_exponent(scenario4["region"], scenario4["ledger"])
     assert se.value > 0
     bounds = [scenario4["bound"](n).raw_bound for n in (10, 100, 1000)]
     print(f"criterion 09: 200 instances monotone; raw bounds at "
@@ -284,16 +284,15 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path, scenario4,
     paths = []
     for tag in ("one", "two"):
         sim = ramac.estimate_errors(
-            scenario4["region"], scenario4["laws"], scenario4["table"], 16,
-            100000, 2024, compound=scenario4["comp"], cfg=scenario4["cfg"],
-            bound=scenario4["bound"](16).clamped_bound)
+            scenario4["region"], scenario4["comp"], scenario4["ledger"], 16,
+            100000, 2024, bound=scenario4["bound"](16).clamped_bound)
         s = scenario8
         exact = ramac.exact_conditional_errors(
             s["region"], s["laws"], s["table"], s["n"], compound=s["comp"],
             codebooks=s["books"], cfg=SMALL_OPT)
         mc = ramac.estimate_errors(
-            s["region"], s["laws"], s["table"], s["n"], 100000, 77,
-            compound=s["comp"], cfg=SMALL_OPT, codebooks=s["books"])
+            s["region"], s["comp"], _small_ledger(s), s["n"], 100000, 77,
+            codebooks=s["books"])
         path = str(tmp_path / f"runs_{tag}.json")
         cfgmod.write_record(path, {"criterion4": sim,
                                    "criterion8_exact": exact,

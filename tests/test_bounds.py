@@ -1,6 +1,5 @@
 """Slot bound assembly: ledger consistency, branch structure, partitions."""
 
-import itertools
 import math
 from pathlib import Path
 
@@ -8,12 +7,16 @@ import numpy as np
 import pytest
 
 import ramac
-from conftest import FAST_OPT, bsc, random_dmc
+from conftest import bsc, random_dmc
 from ramac import config as cfgmod
 from ramac.logdomain import logsumexp_list
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                  refinement_rounds=0)
+
+
+def _ledger(channels, laws, table, users_d=None):
+    return ramac.ExponentLedger(channels, laws, table, TINY_OPT, users_d)
 
 
 def _pair_scenario():
@@ -37,7 +40,7 @@ def _rich_scenario():
 
 def test_ledger_reproduces_branch_totals():
     comp, table, laws, region = _rich_scenario()
-    report = ramac.pes_bound_finite(region, comp, laws, table, 40, TINY_OPT)
+    report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 40)
     for branch, want in (("decode", report.decode_log),
                          ("collision", report.collision_log)):
         per_pair = {}
@@ -54,7 +57,7 @@ def test_ledger_reproduces_branch_totals():
 
 def test_pair_totals_match_terms():
     comp, table, laws, region = _rich_scenario()
-    report = ramac.pes_bound_finite(region, comp, laws, table, 25, TINY_OPT)
+    report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 25)
     for branch, pair, total in report.pair_totals:
         logs = [t.log_weight for t in report.terms
                 if t.branch == branch and t.true_pair == pair and t.attained]
@@ -63,7 +66,7 @@ def test_pair_totals_match_terms():
 
 def test_bound_branch_max_structure():
     comp, table, laws, region = _rich_scenario()
-    report = ramac.pes_bound_finite(region, comp, laws, table, 30, TINY_OPT)
+    report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 30)
     assert report.log_bound == max(report.decode_log, report.collision_log)
     assert report.raw_bound == math.exp(report.log_bound)
     assert report.clamped_bound == min(1.0, report.raw_bound)
@@ -71,7 +74,7 @@ def test_bound_branch_max_structure():
 
 def test_empty_complement_kills_collision_branch():
     comp, table, laws, region = _pair_scenario()
-    report = ramac.pes_bound_finite(region, comp, laws, table, 30, TINY_OPT)
+    report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 30)
     assert report.collision_log == -math.inf
     assert report.branch == "decode"
     assert all(t.branch == "decode" for t in report.terms)
@@ -85,14 +88,14 @@ def test_infeasible_region_rejected():
     region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),),
                                    "finite")
     with pytest.raises(ramac.InfeasibleRegion):
-        ramac.pes_bound_finite(region, comp, laws, table, 10, TINY_OPT)
+        ramac.pes_bound_finite(region, _ledger(comp, laws, table), 10)
 
 
 def test_bound_monotone_in_n():
     comp, table, laws, region = _pair_scenario()
-    se = ramac.system_exponent(region, comp, laws, table, TINY_OPT)
+    se = ramac.system_exponent(region, _ledger(comp, laws, table))
     assert se.value > 0
-    values = [ramac.pes_bound_finite(region, comp, laws, table, n, TINY_OPT).raw_bound
+    values = [ramac.pes_bound_finite(region, _ledger(comp, laws, table), n).raw_bound
               for n in (10, 100, 1000)]
     assert values[0] >= values[1] >= values[2]
 
@@ -104,7 +107,7 @@ def test_region_growth_inflates_em_sum():
     grown = ramac.OperationRegion(((r1, "a"), (r1, "b")), "finite")
 
     def em_sum(region):
-        report = ramac.pes_bound_finite(region, comp, laws, table, 20, TINY_OPT)
+        report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 20)
         logs = [t.log_weight for t in report.terms
                 if t.branch == "decode" and t.kind == "em"
                 and t.true_pair == ((1,), "a") and t.attained]
@@ -115,8 +118,8 @@ def test_region_growth_inflates_em_sum():
 
 def test_system_exponent_matches_min_term():
     comp, table, laws, region = _rich_scenario()
-    report = ramac.pes_bound_finite(region, comp, laws, table, 17, TINY_OPT)
-    se = ramac.system_exponent(region, comp, laws, table, TINY_OPT)
+    report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 17)
+    se = ramac.system_exponent(region, _ledger(comp, laws, table))
     finite_exps = [t.exponent for t in report.terms
                    if t.branch == "decode" and math.isfinite(t.exponent)]
     assert abs(se.value - min(finite_exps)) < 1e-12
@@ -124,20 +127,22 @@ def test_system_exponent_matches_min_term():
 
 def test_singleton_classes_equal_finite_bound():
     comp, table, laws, region = _rich_scenario()
-    envs = tuple(ramac.build_envelope((comp.by_id(cid),), class_id=cid)
+    envs = tuple(ramac.build_envelope((comp.by_id(cid),), class_id=cid,
+                                      member_ids=(cid,))
                  for cid in comp.ids)
     class_region = ramac.OperationRegion(region.members, "class")
-    finite = ramac.pes_bound_finite(region, comp, laws, table, 33, TINY_OPT)
-    classy = ramac.pes_bound_classes(class_region, envs, laws, table, 33,
-                                     TINY_OPT)
+    finite = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 33)
+    classy = ramac.pes_bound_classes(class_region, _ledger(envs, laws, table),
+                                     33)
     assert abs(finite.log_bound - classy.log_bound) < 1e-9
 
 
 def test_class_bound_requires_class_region():
     comp, table, laws, region = _rich_scenario()
-    envs = (ramac.build_envelope(comp.channels, class_id="k"),)
+    envs = (ramac.build_envelope(comp.channels, class_id="k",
+                                 member_ids=comp.ids),)
     with pytest.raises(ramac.C1Violation):
-        ramac.pes_bound_classes(region, envs, laws, table, 10, TINY_OPT)
+        ramac.pes_bound_classes(region, _ledger(envs, laws, table), 10)
 
 
 def test_ddecoder_full_set_matches_plain_bound():
@@ -158,10 +163,10 @@ def test_ddecoder_full_set_matches_plain_bound():
     ]
     for comp, table, region in cases:
         laws = ramac.uniform_laws(table, 2)
-        plain = ramac.pes_bound_finite(region, comp, laws, table, 21, TINY_OPT)
+        plain = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 21)
         users = frozenset(range(1, table.num_users + 1))
-        viad = ramac.pes_bound_ddecoder(users, region, comp, laws, table, 21,
-                                        TINY_OPT)
+        viad = ramac.pes_bound_ddecoder(
+            region, _ledger(comp, laws, table, users), 21)
         assert viad.log_bound == plain.log_bound
         assert viad.terms == plain.terms
 
@@ -203,11 +208,12 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     optimised = _record_optimisations(monkeypatch)
     for region, comp, laws, table, n in cases:
         optimised.clear()
-        exhaustive = ramac.pes_bound_single_user(
-            1, region, comp, laws, table, n, search="exhaustive", cfg=TINY_OPT)
+        ledger = _ledger(comp, laws, table)
+        exhaustive = ramac.pes_bound_single_user(1, region, ledger, n,
+                                                 search="exhaustive")
         searched = list(optimised)
-        greedy = ramac.pes_bound_single_user(1, region, comp, laws, table, n,
-                                             search="greedy", cfg=TINY_OPT)
+        greedy = ramac.pes_bound_single_user(1, region, ledger, n,
+                                             search="greedy")
         assert math.isfinite(exhaustive.log_bound)
         assert exhaustive.log_bound <= greedy.log_bound + 1e-12
         # every enumerated assignment is at least the exhaustive optimum
@@ -216,8 +222,8 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
             total = 0.0
             for users_d, block in part.blocks().items():
                 rep = ramac.pes_bound_ddecoder(
-                    users_d, ramac.OperationRegion(block), comp, laws, table,
-                    n, TINY_OPT)
+                    ramac.OperationRegion(block),
+                    _ledger(comp, laws, table, users_d), n)
                 total += rep.raw_bound
                 keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
                          for t in rep.terms if t.branch == "decode"}
@@ -233,30 +239,47 @@ def test_assembly_deterministic():
     """A bound is the same from a fresh ledger and from one already holding
     entries the bound reads and entries it does not."""
     comp, table, laws, region = _rich_scenario()
-    a = ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT)
-    ledger = ramac.ExponentLedger(ramac.channel_map(comp), laws, table, TINY_OPT)
+    a = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 12)
+    ledger = _ledger(comp, laws, table)
     small = ramac.OperationRegion(region.members[:1], "finite")
-    ramac.pes_bound_finite(small, comp, laws, table, 30, TINY_OPT, ledger=ledger)
-    ramac.pes_bound_finite(region, comp, laws, table, 50, TINY_OPT, ledger=ledger)
-    b = ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT,
-                               ledger=ledger)
+    ramac.pes_bound_finite(small, ledger, 30)
+    ramac.pes_bound_finite(region, ledger, 50)
+    b = ramac.pes_bound_finite(region, ledger, 12)
     assert a.log_bound == b.log_bound
     assert a.exponent_evaluations == b.exponent_evaluations > 0
     assert a.terms == b.terms
     assert ledger.evaluations() > a.exponent_evaluations
 
 
-def test_ledger_from_other_inputs_rejected(monkeypatch):
+def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
+    """Each entry raises before any optimisation when its ledger is of the
+    wrong kind: a decoded-set ledger where every user is decoded, a ledger
+    without one in pes_bound_ddecoder, class envelopes in pes_bound_finite,
+    and a finite ledger over other ids in estimate_errors."""
     comp, table, laws, region = _rich_scenario()
     optimised = _record_optimisations(monkeypatch)
-    channels = ramac.channel_map(comp)
-    for ledger in (ramac.ExponentLedger(channels, laws, table, FAST_OPT),
-                   ramac.ExponentLedger(channels, ramac.uniform_laws(table, 2),
-                                        table, TINY_OPT)):
-        with pytest.raises(ramac.ValidationError):
-            ramac.pes_bound_finite(region, comp, laws, table, 12, TINY_OPT,
-                                   ledger=ledger)
-        with pytest.raises(ramac.ValidationError):
-            ramac.SlotDecoder(region, laws, table, 12, compound=comp,
-                              cfg=TINY_OPT, ledger=ledger)
+    full, decoded = _ledger(comp, laws, table), _ledger(comp, laws, table, {1})
+    envs = (ramac.build_envelope(comp.channels, class_id="k",
+                                 member_ids=comp.ids),)
+    classes = _ledger(envs, laws, table)
+    class_region = ramac.OperationRegion(
+        ((ramac.RateVectorIndex((1,)), "k"),), "class")
+    renamed = ramac.CompoundSet(comp.channels, ("x", "y"))
+    for call, match in (
+            (lambda: ramac.pes_bound_finite(region, decoded, 12), "decoded set"),
+            (lambda: ramac.pes_bound_classes(class_region, decoded, 12),
+             "decoded set"),
+            (lambda: ramac.system_exponent(region, decoded), "decoded set"),
+            (lambda: ramac.pes_bound_single_user(1, region, decoded, 12),
+             "decoded set"),
+            (lambda: ramac.SlotDecoder(region, decoded, 12), "decoded set"),
+            (lambda: ramac.estimate_errors(region, comp, decoded, 12, 10, 1),
+             "decoded set"),
+            (lambda: ramac.pes_bound_ddecoder(region, full, 12), "decoded set"),
+            (lambda: ramac.pes_bound_finite(region, classes, 12), "compound set"),
+            (lambda: ramac.system_exponent(region, classes), "compound set"),
+            (lambda: ramac.estimate_errors(region, renamed, full, 12, 10, 1),
+             "ids")):
+        with pytest.raises(ramac.ValidationError, match=match):
+            call()
     assert optimised == []

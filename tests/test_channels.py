@@ -42,7 +42,7 @@ def test_compound_set_lookup():
 
 def test_envelope_sandwich_exact():
     members = (bsc(0.1), bsc(0.2), bsc(0.15))
-    env = ramac.build_envelope(members)
+    env = ramac.build_envelope(members, member_ids=("a", "b", "c"))
     for ch in members:
         assert np.all(env.pmin <= ch.probs)
         assert np.all(ch.probs <= env.pmax)
@@ -54,7 +54,18 @@ def test_envelope_rejects_zero_min_with_positive_max():
     ch1 = ramac.Dmc(1, 2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     ch2 = bsc(0.3)
     with pytest.raises(ramac.DegenerateEnvelope):
-        ramac.build_envelope((ch1, ch2))
+        ramac.build_envelope((ch1, ch2), member_ids=("a", "b"))
+
+
+def test_envelope_needs_one_member_id_per_channel():
+    # an id per channel: too few used to leave a channel unnamed, and the
+    # schedule then labelled it out of class
+    a, b = bsc(0.1), bsc(0.2)
+    for ids in (("a",), ("a", "b", "c")):
+        with pytest.raises(ramac.ValidationError, match="members for 2"):
+            ramac.build_envelope((a, b), member_ids=ids)
+    with pytest.raises(TypeError):
+        ramac.build_envelope((a, b))
 
 
 def test_rate_table_contract():

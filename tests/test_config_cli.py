@@ -245,7 +245,7 @@ def test_build_system_class_mode(tmp_path):
     assert system.class_map == {"k": ("good", "bad")}
     assert len(system.envelopes) == 1
     assert system.envelopes[0].class_id == "k"
-    assert system.region_ids == ("k",)
+    assert tuple(env.class_id for env in system.channels) == ("k",)
 
 
 def test_round12_is_idempotent():
@@ -277,10 +277,9 @@ def test_record_round_trip_is_byte_identical(tmp_path):
     laws = ramac.uniform_laws(table, 2)
     region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),),
                                    "finite")
-    report = ramac.pes_bound_finite(
-        region, comp, laws, table, 12,
-        ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
-                              refinement_rounds=0))
+    report = ramac.pes_bound_finite(region, ramac.ExponentLedger(
+        comp, laws, table, ramac.OptimizerConfig(
+            rho_grid_size=8, s_grid_size=8, refinement_rounds=0)), 12)
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     cfgmod.write_record(p1, {"report": report})
     loaded = read_record(p1)
@@ -533,19 +532,24 @@ def test_benchmark_tracer_installs(tmp_path):
     """perfbench/spans.py wraps package names by monkeypatching; a traced
     operation fails if one of them is gone. It skips names that do not
     exist, so the spans each operation must record are asserted too: a
-    finite simulate and a class-mode bound."""
+    finite simulate, a class-mode bound, and exact enumeration, which op.py
+    calls with exact_conditional_errors' keywords."""
     src = str(Path(ramac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     scenarios = ROOT / "perfbench" / "scenarios"
     result = tmp_path / "r.json"
     for args, spans in (
-            (["simulate", "--config", str(scenarios / "mac2.cfg"), "--no-bound",
-              "--trials", "20"], {"sim.threshold_build", "exponents.ei"}),
-            (["bound", "--config", str(scenarios / "class_k1.cfg")],
-             {"exponents.em", "exponents.ei"})):
+            (["cli", "simulate", "--config", str(scenarios / "mac2.cfg"),
+              "--no-bound", "--trials", "20", "--out-dir", str(tmp_path)],
+             {"sim.threshold_build", "exponents.ei"}),
+            (["cli", "bound", "--config", str(scenarios / "class_k1.cfg"),
+              "--out-dir", str(tmp_path)],
+             {"exponents.em", "exponents.ei"}),
+            (["exact", str(scenarios / "bsc_pair.cfg"), "8", "1", "3",
+              str(tmp_path / "exact.json")], {"sim.exact"})):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "op.py"), str(result),
-             "1", "cli", *args, "--out-dir", str(tmp_path)],
+             "1", *args],
             cwd=ROOT / "perfbench", env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         names = {span[0] for span in json.loads(result.read_text())["spans"]}

@@ -128,7 +128,7 @@ def test_singleton_class_equals_finite():
     rng = np.random.default_rng(42)
     for _ in range(20):
         ch = random_dmc(rng, 1, 2, 2, floor=0.05)
-        env = ramac.build_envelope((ch,))
+        env = ramac.build_envelope((ch,), member_ids=("c",))
         rate = float(rng.random() * 0.3)
         table = ramac.RateTable(((rate,),))
         laws = ramac.uniform_laws(table, 2)
@@ -143,7 +143,7 @@ def test_singleton_class_equals_finite():
 
 def test_mixing_envelope_and_dmc_rejected():
     ch = bsc(0.1)
-    env = ramac.build_envelope((ch,))
+    env = ramac.build_envelope((ch,), member_ids=("c",))
     table = ramac.RateTable(((0.1,),))
     laws = ramac.uniform_laws(table, 2)
     rvi = ramac.RateVectorIndex((1,))
@@ -212,8 +212,8 @@ def test_ledger_full_decoded_set_reduces_to_full_query():
     c = ramac.RateVectorIndex((2, 2))
     full = ramac.ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
     want = ramac.em_exponent(full, TINY_OPT)
-    ledger = ramac.ExponentLedger({"c": ch}, laws, table, TINY_OPT,
-                                  users_d={1, 2})
+    ledger = ramac.ExponentLedger(ramac.CompoundSet((ch,), ("c",)), laws,
+                                  table, TINY_OPT, users_d={1, 2})
     got = ledger.get("em", frozenset(), (t, "c"), (c, "c"))
     assert got == want
 
@@ -238,7 +238,7 @@ def _pin_k2_query():
 
 
 def _pin_envelope_query():
-    env = ramac.build_envelope((bsc(0.05), bsc(0.15)))
+    env = ramac.build_envelope((bsc(0.05), bsc(0.15)), member_ids=("a", "b"))
     return _self_query(env, 0.02)[0]
 
 

@@ -36,10 +36,13 @@ def test_pair_universe_order_and_size():
 
 
 def test_proper_subsets_count():
-    subs = list(ramac.proper_subsets(3))
+    subs = ramac.proper_subsets(range(1, 4))
     assert len(subs) == 7  # all but the full set
     assert frozenset() in subs
     assert frozenset({1, 2, 3}) not in subs
+    # a decoded set D = {1, 3}: the subsets of D by size, then in order
+    assert ramac.proper_subsets((1, 3)) == (frozenset(), frozenset({1}),
+                                            frozenset({3}))
 
 
 def test_feasibility_flags_oversized_rate():

@@ -19,6 +19,10 @@ TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
 NOISELESS = ramac.validate_dmc([[1.0, 0.0], [0.0, 1.0]], 1, 2, 2)
 
 
+def _ledger(channels, laws, table):
+    return ramac.ExponentLedger(channels, laws, table, TINY_OPT)
+
+
 def _k1(p, rates, region_idx=(1,), ids=("c",)):
     comp = ramac.CompoundSet(tuple(bsc(q) for q in p), ids)
     table = ramac.RateTable((tuple(rates),))
@@ -203,8 +207,7 @@ def test_noiseless_single_codeword_decoding():
     region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "id"),),
                                    "finite")
     n = 3
-    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     cb = ramac.generate_codebooks(table, laws, 2, n, seed=3)
     cw = cb.codeword(1, 1, 0)
     for bits in np.ndindex(2, 2, 2):
@@ -224,8 +227,7 @@ def test_noiseless_single_codeword_decoding():
 
 def test_score_tie_collides_and_perturbation_decodes():
     comp, table, laws, region = _k1([0.1], (math.log(2) / 4,))
-    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
     y = np.zeros(4, dtype=np.int64)
     tied = ramac.CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
@@ -240,8 +242,7 @@ def test_score_tie_collides_and_perturbation_decodes():
 def test_empty_region_always_collides():
     comp, table, laws, _ = _k1([0.1], (0.05,))
     region = ramac.OperationRegion((), "finite")
-    decoder = ramac.SlotDecoder(region, laws, table, 4, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
     cb = ramac.generate_codebooks(table, laws, 2, 4, seed=1)
     for bits in np.ndindex(2, 2, 2, 2):
         assert decoder.decode(np.array(bits), cb).outcome == "collision"
@@ -268,16 +269,18 @@ def test_class_membership_read_off_the_envelopes():
     # region: system error 0.018, b10 exact 0.003028)
     cfg = Path(__file__).resolve().parents[1] / "perfbench/scenarios/class_k1.cfg"
     system = cfgmod.build_system(cfgmod.load_config(str(cfg)))
-    common = dict(compound=system.compound, envelopes=system.envelopes,
-                  params=system.cfg.thresholds, cfg=system.cfg.optimizer)
-    rep = ramac.estimate_errors(system.region, system.laws, system.table, 24,
-                                2000, 7, **common)
+    ledger = ramac.ExponentLedger(system.envelopes, system.laws, system.table,
+                                  system.cfg.optimizer)
+    rep = ramac.estimate_errors(system.region, system.compound, ledger, 24,
+                                2000, 7, params=system.cfg.thresholds)
     assert [(c.channel_id, c.in_region, c.rate) for c in rep.cases] == [
         ("b05", True, 0.0025), ("b10", True, 0.0415), ("b30", False, 0.018)]
     assert rep.system_error_rate == 0.0415
-    exact = ramac.exact_conditional_errors(system.region, system.laws,
-                                           system.table, 10, seed=3,
-                                           codebook_samples=2, **common)
+    exact = ramac.exact_conditional_errors(
+        system.region, system.laws, system.table, 10,
+        compound=system.compound, envelopes=system.envelopes,
+        params=system.cfg.thresholds, cfg=system.cfg.optimizer, seed=3,
+        codebook_samples=2)
     assert [(c.channel_id, c.in_region) for c in exact.cases] == [
         ("b05", True), ("b10", True), ("b30", False)]
     assert abs(exact.cases[1].probability - 0.0701908264) < 1e-12
@@ -289,16 +292,15 @@ def test_envelope_members_must_be_compound_ids():
     class_region = ramac.OperationRegion(
         ((ramac.RateVectorIndex((1,)), "k"),), "class")
     chans = (comp.by_id("a"), comp.by_id("b"))
-    unnamed = ramac.build_envelope(chans, class_id="k")  # members "0", "1"
+    strangers = ramac.build_envelope(chans, class_id="k", member_ids=("0", "1"))
     twice = (ramac.build_envelope(chans, class_id="k", member_ids=("a", "b")),
              ramac.build_envelope(chans[1:], class_id="j", member_ids=("b",)))
-    for envelopes in ((unnamed,), twice):
+    for envelopes in ((strangers,), twice):
         with pytest.raises(ramac.ValidationError):
             ramac.build_schedule(class_region, table, comp.ids, envelopes)
     with pytest.raises(ramac.ValidationError, match="not a realizable"):
-        ramac.estimate_errors(class_region, laws, table, 8, 10, 1,
-                              compound=comp, envelopes=(unnamed,),
-                              cfg=TINY_OPT)
+        ramac.estimate_errors(class_region, comp,
+                              _ledger((strangers,), laws, table), 8, 10, 1)
 
 
 def _mac(diag):
@@ -382,8 +384,8 @@ def test_batched_decisions_match_scalar_decode():
     n = 6
     for k, mode in itertools.product((1, 2), ("finite", "class")):
         comp, table, laws, region, envs = _decoder_system(k, mode, n)
-        decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
-                                    envelopes=envs, cfg=TINY_OPT)
+        decoder = ramac.SlotDecoder(region, _ledger(envs or comp, laws, table),
+                                    n)
         for subset in decoder.subsets:
             assert any(decoder.thresholds[((rvi.indices, cid), subset)]
                        is not None for rvi, cid in region.members)
@@ -418,8 +420,8 @@ def test_batched_decisions_match_scalar_decode():
 
 def test_outcome_counts_split_every_trial():
     comp, table, laws, region, envs = _decoder_system(2, "class", 6)
-    rep = ramac.estimate_errors(region, laws, table, 6, 40, 3, compound=comp,
-                                envelopes=envs, cfg=TINY_OPT)
+    rep = ramac.estimate_errors(region, comp, _ledger(envs, laws, table), 6,
+                                40, 3)
     for c in rep.cases:
         assert c.decoded_correct + c.decoded_wrong + c.collision == c.trials
         want = c.decoded_wrong + (c.collision if c.in_region else 0)
@@ -435,8 +437,7 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     monkeypatch.setattr(ramac.sim, "_WORD_BLOCK", 37)  # chunks split the 256 words
     rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
                                          cfg=TINY_OPT, codebooks=cb)
-    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     words = list(itertools.product(range(4), repeat=n))
     outcome = {}
     for y in words:
@@ -468,20 +469,19 @@ def test_singleton_class_mode_matches_finite_decisions():
     env = ramac.build_envelope((comp.by_id("c"),), class_id="c",
                                member_ids=("c",))
     class_region = ramac.OperationRegion(region.members, "class")
-    finite = ramac.estimate_errors(region, laws, table, 8, 300, 11,
-                                   compound=comp, cfg=TINY_OPT)
-    classy = ramac.estimate_errors(class_region, laws, table, 8, 300, 11,
-                                   compound=comp, envelopes=(env,),
-                                   cfg=TINY_OPT)
+    finite = ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
+                                   8, 300, 11)
+    classy = ramac.estimate_errors(class_region, comp,
+                                   _ledger((env,), laws, table), 8, 300, 11)
     assert [c.errors for c in finite.cases] == [c.errors for c in classy.cases]
 
 
 def test_simulation_reports_are_deterministic():
     comp, table, laws, region = _k1([0.1], (0.1,))
-    a = ramac.estimate_errors(region, laws, table, 8, 150, 23, compound=comp,
-                              cfg=TINY_OPT, bound=0.9)
-    b = ramac.estimate_errors(region, laws, table, 8, 150, 23, compound=comp,
-                              cfg=TINY_OPT, bound=0.9)
+    a = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), 8,
+                              150, 23, bound=0.9)
+    b = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), 8,
+                              150, 23, bound=0.9)
     assert a == b
     assert a.bound_holds in (True, False)
     assert a.system_case is not None
@@ -496,12 +496,12 @@ def test_batch_size_does_not_change_results(monkeypatch):
 
     def runs():
         # K=1: more trials than one block of draws, so blocks split too
-        yield ramac.estimate_errors(region, laws, table, 8, 5000, 5,
-                                    compound=comp, cfg=TINY_OPT)
+        yield ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
+                                    8, 5000, 5)
         for books in (None, ramac.generate_codebooks(table2, laws2, 2, 6, 5)):
-            yield ramac.estimate_errors(region2, laws2, table2, 6, 30, 5,
-                                        compound=comp2, cfg=TINY_OPT,
-                                        codebooks=books)
+            yield ramac.estimate_errors(region2, comp2,
+                                        _ledger(comp2, laws2, table2), 6, 30,
+                                        5, codebooks=books)
 
     default = list(runs())
     # 16 uniforms a K=1 trial and 60 a K=2 trial: batches of 3 and of 1
@@ -518,8 +518,8 @@ def test_batch_size_bounds_draw_memory(monkeypatch):
     for budget in (ramac.sim._DRAW_UNIFORMS, 2 ** 15):
         monkeypatch.setattr(ramac.sim, "_DRAW_UNIFORMS", budget)
         tracemalloc.start()
-        reports.append(ramac.estimate_errors(region, laws, table, 8, 600, 2,
-                                             compound=comp, cfg=TINY_OPT))
+        reports.append(ramac.estimate_errors(
+            region, comp, _ledger(comp, laws, table), 8, 600, 2))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] * 4 < peaks[0], peaks
@@ -533,8 +533,7 @@ def test_block_draws_read_one_codebook_stream():
     # block's buffers, so the parts are copied before the next call.
     n = 5
     comp, table, laws, region, _ = _decoder_system(2, "finite", n)
-    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     true_rvi = region.members[0][0]
     books_of, _, _ = ramac.sim._draw_block(
         4, 1, 2, 9, decoder, true_rvi, None,
@@ -576,8 +575,8 @@ def test_monte_carlo_outcomes_pinned():
     # of the symbol map, the channel draw or the cell counts must keep every
     # decision, not just the error rates
     comp, table, laws, region = _ternary_system()
-    rep = ramac.estimate_errors(region, laws, table, 7, 5000, 17,
-                                compound=comp, cfg=TINY_OPT)
+    rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), 7,
+                                5000, 17)
     assert _outcomes(rep) == [(4012, 299, 689), (3004, 554, 1442),
                               (3415, 379, 1206), (1312, 910, 2778)]
     comp, table, laws, region, _ = _decoder_system(2, "finite", 6)
@@ -589,8 +588,8 @@ def test_monte_carlo_outcomes_pinned():
     }
     for freeze, counts in want.items():
         books = ramac.generate_codebooks(table, laws, 2, 6, 29) if freeze else None
-        rep = ramac.estimate_errors(region, laws, table, 6, 300, 29,
-                                    compound=comp, cfg=TINY_OPT, codebooks=books)
+        rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
+                                    6, 300, 29, codebooks=books)
         assert _outcomes(rep) == counts, freeze
 
 
@@ -610,8 +609,8 @@ def test_saturated_thresholds_pinned():
     rvi = ramac.RateVectorIndex
     region = ramac.OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
                                     (rvi((1,)), "bad")), "finite")
-    rep = ramac.estimate_errors(region, laws, table, 7, 5000, 31,
-                                compound=comp, cfg=TINY_OPT)
+    rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), 7,
+                                5000, 31)
     assert _outcomes(rep) == [(4409, 311, 280), (3411, 835, 754),
                               (3715, 314, 971), (1486, 950, 2564)]
     books = ramac.generate_codebooks(table, laws, 3, 7, 31)
@@ -626,8 +625,7 @@ def test_unused_codebook_keys_are_not_drawn():
     # The counts were recorded when every key was drawn.
     n = 7
     comp, table, laws, region = _k1([0.1], (0.05, 0.4), region_idx=(2,))
-    decoder = ramac.SlotDecoder(region, laws, table, n, compound=comp,
-                                cfg=TINY_OPT)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     assert decoder.message_counts == {(1, 1): 1, (1, 2): 16}
     for true, keys in (((2,), {(1, 2)}), ((1,), {(1, 1), (1, 2)})):
         true_rvi = ramac.RateVectorIndex(true)
@@ -635,8 +633,8 @@ def test_unused_codebook_keys_are_not_drawn():
             13, 0, 0, 5, decoder, true_rvi, None,
             ramac.sim._book_buffers(decoder, true_rvi, 5))
         assert set(books_of(5)) == keys, true
-    rep = ramac.estimate_errors(region, laws, table, n, 5001, 13,
-                                compound=comp, cfg=TINY_OPT)
+    rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), n,
+                                5001, 13)
     assert [(c.rate_indices, c.in_region, c.errors) for c in rep.cases] == [
         ((1,), False, 2190), ((2,), True, 2147)]
     assert _outcomes(rep) == [(0, 2190, 2811), (2854, 475, 1672)]
