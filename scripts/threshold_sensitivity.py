@@ -20,6 +20,27 @@ import sys
 import ramac
 from ramac import config as cfgmod
 
+# Most points a grid may hold; each point runs a whole simulation.
+GRID_POINTS = 1000
+
+
+def grid(text):
+    """start:step:stop as the points start, start + step, ... up to stop."""
+    try:
+        start, step, stop = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError("grid is start:step:stop")
+    # false for a nan or infinite span as well
+    if not (step > 0 and (stop - start) / step < GRID_POINTS):
+        raise argparse.ArgumentTypeError(
+            f"need step > 0 and at most {GRID_POINTS} points")
+    out = []
+    v = start
+    while v <= stop + 1e-12:
+        out.append(round(v, 12))
+        v += step
+    return out
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -27,22 +48,13 @@ def main(argv=None):
     ap.add_argument("--N", type=int, default=None)
     ap.add_argument("--trials", type=int, default=4000)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--rho", default="0.2:0.2:1.0",
+    ap.add_argument("--rho", type=grid, default="0.2:0.2:1.0",
                     metavar="start:step:stop", help="rho_tilde grid")
-    ap.add_argument("--s2-frac", default="0.25:0.25:0.75",
+    ap.add_argument("--s2-frac", type=grid, default="0.25:0.25:0.75",
                     metavar="start:step:stop",
                     help="s2 as a fraction of rho_tilde")
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args(argv)
-
-    def grid(text):
-        start, step, stop = (float(v) for v in text.split(":"))
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
 
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     n = system.cfg.defaults.n if args.N is None else args.N
@@ -59,8 +71,8 @@ def main(argv=None):
           f"miss {auto.collision_miss_rate:.4g})")
 
     rows = []
-    for rho in grid(args.rho):
-        for frac in grid(args.s2_frac):
+    for rho in args.rho:
+        for frac in args.s2_frac:
             params = ramac.ThresholdParams(rho_tilde=rho, s2=rho * frac,
                                            source="manual")
             rep = ramac.estimate_errors(*common, params=params)

@@ -143,6 +143,18 @@ class ExponentLedger:
             self._reduced = (laws.restrict(self._d), table.restrict(self._d))
             self._effective = {}
 
+    def check_region(self, region: OperationRegion):
+        """Raise unless region is of this ledger's variant and each member
+        pairs a rate vector of the table with one of the ledger's ids."""
+        need = "a compound set" if region.mode == "finite" else "class envelopes"
+        if (region.mode == "finite") != (self.compound is not None):
+            raise ValidationError(f"a {region.mode} region needs a ledger over "
+                                  f"{need}")
+        for rvi, cid in region.members:
+            rvi.check_against(self.table)
+            if cid not in self.channels:
+                raise ValidationError(f"region references unknown id {cid!r}")
+
     def require_full(self, entry: str):
         """Raise unless this ledger serves the decoder of every user."""
         if self.users_d is not None:
@@ -292,15 +304,15 @@ def _bound(region: OperationRegion, ledger: ExponentLedger,
     In pairs are the region's members, out pairs the rest of the pair
     universe over the ledger's ids, and conditioning subsets the proper
     subsets of the decoded users. The mode is the region's (finite or
-    class), or subset with a D.
+    class), or subset with a D. check_region vets the region; a finite one
+    decoded for every user must pass the feasibility check too.
     """
-    _check_n(n)
+    ledger.check_region(region)
     table = ledger.table
-    for rvi, cid in region.members:
-        rvi.check_against(table)
-        if cid not in ledger.channels:
-            raise ValidationError(f"region references unknown id {cid!r}")
     d = ledger.users_d
+    if ledger.compound is not None and d is None:
+        _require_feasible(region, ledger.compound, ledger.laws, table)
+    _check_n(n)
     users = range(1, table.num_users + 1) if d is None else sorted(d)
     out_pairs = region.complement(pair_universe(table, tuple(ledger.channels)))
     return _assemble(region.members, out_pairs, proper_subsets(users), ledger,
@@ -314,10 +326,6 @@ def pes_bound_finite(region: OperationRegion, ledger: ExponentLedger,
     if region.mode != "finite":
         raise ValidationError("pes_bound_finite expects a channel-level region")
     ledger.require_full("pes_bound_finite")
-    if ledger.compound is None:
-        raise ValidationError("pes_bound_finite needs a ledger over a compound "
-                              "set, not class envelopes")
-    _require_feasible(region, ledger.compound, ledger.laws, ledger.table)
     return _bound(region, ledger, n)
 
 
@@ -346,8 +354,6 @@ def pes_bound_ddecoder(region: OperationRegion, ledger: ExponentLedger,
     each pair's channel under the pair's rates. With D = every user this is
     pes_bound_finite's bound, without its feasibility check.
     """
-    if region.mode != "finite":
-        raise ValidationError("pes_bound_ddecoder expects a channel-level region")
     if ledger.users_d is None:
         raise ValidationError("pes_bound_ddecoder needs a ledger with a "
                               "decoded set")
@@ -365,8 +371,6 @@ def system_exponent(region: OperationRegion,
     always an admissible competing pair), so the minimum over decode-branch
     terms is the system exponent.
     """
-    if region.mode != "finite":
-        raise ValidationError("system_exponent expects a channel-level region")
     report = pes_bound_finite(region, ledger, 1)
     decode = [t for t in report.terms if t.branch == "decode"]
     if not decode:

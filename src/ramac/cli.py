@@ -82,11 +82,9 @@ def _channel_region(system):
     """Channel-level view of the region (class regions expand members)."""
     if system.cfg.mode == "finite":
         return system.region
-    members = []
-    for rvi, kid in system.region.members:
-        for cid in system.class_map[kid]:
-            members.append((rvi, cid))
-    return OperationRegion(tuple(members), "finite")
+    members = {env.class_id: env.member_ids for env in system.envelopes}
+    return OperationRegion(tuple((rvi, cid) for rvi, kid in system.region.members
+                                 for cid in members[kid]), "finite")
 
 
 # Each subcommand takes (args, system) and returns its record fields, CSV
@@ -160,9 +158,9 @@ def _cmd_region(args, system):
     summary = (f"region of {len(system.region)} pairs: "
                f"{'feasible' if feas.passed else 'INFEASIBLE'}")
     if system.cfg.mode == "class" or args.classes:
-        if system.class_map is None:
+        if not system.envelopes:
             raise ValidationError("no classes defined for a C1 check")
-        c1 = fields["c1"] = c1_check(channel_region, system.class_map)
+        c1 = fields["c1"] = c1_check(channel_region, system.envelopes)
         rows.append(["c1", None, None, None, c1.passed])
         summary += f"; class consistency {'holds' if c1.passed else 'FAILS'}"
     if args.maximal:
@@ -254,6 +252,8 @@ def _cmd_sweep(args, system):
     else:
         if not args.n_span:
             raise ValidationError("sweep needs --N start:step:stop or --rate")
+        if args.n is not None:
+            raise ValidationError("--n-fixed needs --rate")
         start, step, stop = _colon_fields(args.n_span, "--N", (int, int, int),
                                           "start:step:stop")
         if step <= 0 or start < 1:
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bound table over N or over one rate")
     common(p)
-    p.add_argument("--N", dest="n_span", default=None, metavar="start:step:stop")
-    p.add_argument("--rate", default=None, metavar="user:index:start:step:stop")
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--N", dest="n_span", metavar="start:step:stop")
+    span.add_argument("--rate", metavar="user:index:start:step:stop")
     p.add_argument("--n-fixed", dest="n", metavar="N_FIXED", type=int,
                    default=None, help="block length used by a rate sweep")
     p.set_defaults(fn=_cmd_sweep)
@@ -344,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         system = cfgmod.build_system(cfgmod.load_config(args.config))
         fields, header, rows, summary = args.fn(args, system)

@@ -66,10 +66,6 @@ DEFAULTS_SCHEMA = {
     "rho_grid": (OptimizerConfig, "rho_grid_size", int),
     "s_grid": (OptimizerConfig, "s_grid_size", int),
     "refinement_rounds": (OptimizerConfig, "refinement_rounds", int),
-    "refinement_shrink": (OptimizerConfig, "refinement_shrink", float),
-    "epsilon": (OptimizerConfig, "epsilon", float),
-    "objective_tolerance": (OptimizerConfig, "objective_tolerance", float),
-    "include_gallager_point": (OptimizerConfig, "include_gallager_point", bool),
     "threshold_source": (ThresholdParams, "source", str),
     "rho_tilde": (ThresholdParams, "rho_tilde", float),
     "s2": (ThresholdParams, "s2", float),
@@ -86,7 +82,6 @@ class RunConfig:
     channels: tuple  # (id, probs array) in file order
     classes: tuple  # (class id, member id tuple) in file order
     rates: tuple  # per user, tuple of floats
-    law_default: str
     law_overrides: tuple  # ((user, rate idx), vector)
     region_pairs: Optional[tuple]  # (indices tuple, id) or None for maximal
     region_maximal: bool
@@ -263,13 +258,12 @@ def load_config(path: str) -> RunConfig:
         raise SchemaViolation("all users need rate menus of one common size")
     num_classes = len(rates[0])
 
-    law_default = "uniform"
     overrides = []
     if "laws" in parser:
-        law_default = parser["laws"].get("default", "uniform").strip()
-        if law_default != "uniform":
+        default = parser["laws"].get("default", "uniform").strip()
+        if default != "uniform":
             raise SchemaViolation(
-                f"[laws]: default must be 'uniform', got {law_default!r}")
+                f"[laws]: default must be 'uniform', got {default!r}")
         for key, val in parser["laws"].items():
             if key == "default":
                 continue
@@ -321,7 +315,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         name=name, mode=mode, num_users=num_users, input_size=input_size,
         output_size=output_size, channels=tuple(channels),
-        classes=tuple(classes), rates=tuple(rates), law_default=law_default,
+        classes=tuple(classes), rates=tuple(rates),
         law_overrides=tuple(overrides), region_pairs=region_pairs,
         region_maximal=region_maximal, defaults=built[Defaults],
         optimizer=built[OptimizerConfig], thresholds=built[ThresholdParams],
@@ -331,14 +325,14 @@ def load_config(path: str) -> RunConfig:
 @record
 class System:
     """Config materialized into library objects. channels is what the
-    region's ids name: the compound set, or in class mode the envelopes."""
+    region's ids name: the compound set, or in class mode the envelopes,
+    which hold class membership (one per [class] section, in either mode)."""
 
     cfg: RunConfig
     table: RateTable
     laws: InputLaws
     compound: CompoundSet
     envelopes: tuple
-    class_map: Optional[Mapping]
     region: OperationRegion
     channels: object
 
@@ -356,20 +350,19 @@ def build_system(cfg: RunConfig) -> System:
         validate_dmc(probs, cfg.num_users, cfg.input_size, cfg.output_size)
         for _, probs in cfg.channels)
     compound = CompoundSet(dmcs, tuple(cid for cid, _ in cfg.channels))
-    class_map = dict(cfg.classes) or None
     envelopes = tuple(build_envelope(tuple(compound.by_id(m) for m in members),
                                      class_id=kid, member_ids=members)
                       for kid, members in cfg.classes)
     if cfg.region_maximal:
         region = maximal_feasible_region(compound, laws, table)
         if cfg.mode == "class":
-            region = require_c1(region, class_map)
+            region = require_c1(region, envelopes)
     else:
         members = tuple((RateVectorIndex(idx), cid)
                         for idx, cid in cfg.region_pairs)
         region = OperationRegion(members, cfg.mode)
     return System(cfg=cfg, table=table, laws=laws, compound=compound,
-                  envelopes=envelopes, class_map=class_map, region=region,
+                  envelopes=envelopes, region=region,
                   channels=envelopes if cfg.mode == "class" else compound)
 
 

@@ -48,24 +48,20 @@ from .logdomain import NEG_INF, logsumexp, safe_log
 
 ChannelLike = Union[Dmc, ChannelClassEnvelope]
 
+REFINEMENT_SHRINK = 0.2  # each refinement box over the previous one
+EPSILON = 1e-6  # the smallest rho and s probed, and ei's gap below rho = 1
+OBJECTIVE_TOLERANCE = 1e-8  # a round gaining at most this, relatively, ends
+
 
 @record
 class OptimizerConfig:
     rho_grid_size: int = 64
     s_grid_size: int = 64
     refinement_rounds: int = 3
-    refinement_shrink: float = 0.2
-    epsilon: float = 1e-6
-    objective_tolerance: float = 1e-8
-    include_gallager_point: bool = True
 
     def __post_init__(self):
         if self.rho_grid_size < 2 or self.s_grid_size < 2:
             raise ValidationError("grid sizes must be >= 2")
-        if not 0 < self.refinement_shrink < 1:
-            raise ValidationError("refinement_shrink must be in (0, 1)")
-        if not 0 < self.epsilon < 0.5:
-            raise ValidationError("epsilon must be in (0, 0.5)")
         if self.refinement_rounds < 0:
             raise ValidationError("refinement_rounds must be >= 0")
 
@@ -305,18 +301,17 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
     if strictly larger, which is the same decision as probing point by point.
     The returned value is the objective at the returned (rho, s).
     """
-    eps = cfg.epsilon
-    best_v, best_rho, best_s = NEG_INF, eps, eps
+    best_v, best_rho, best_s = NEG_INF, EPSILON, EPSILON
     evals = 0
-    rho_lo0 = eps
-    s_width0 = max(s_hi_of_rho(rho) for rho in (rho_lo0, rho_hi)) - eps
+    rho_lo0 = EPSILON
+    s_width0 = max(s_hi_of_rho(rho) for rho in (rho_lo0, rho_hi)) - EPSILON
 
     for rnd in range(cfg.refinement_rounds + 1):
         if rnd == 0:
             rho_vals = np.linspace(rho_lo0, rho_hi, cfg.rho_grid_size)
             s_window = None
         else:
-            shrink = cfg.refinement_shrink ** rnd
+            shrink = REFINEMENT_SHRINK ** rnd
             rw = (rho_hi - rho_lo0) * shrink
             lo = min(max(best_rho - rw / 2, rho_lo0), rho_hi)
             hi = max(min(best_rho + rw / 2, rho_hi), rho_lo0)
@@ -327,17 +322,17 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
         for rho in rho_vals:
             rho = float(rho)
             s_hi = s_hi_of_rho(rho)
-            if s_hi < eps:
+            if s_hi < EPSILON:
                 continue
             if s_window is None:
-                s_lo, s_top = eps, s_hi
+                s_lo, s_top = EPSILON, s_hi
             else:
-                s_lo = min(max(s_window[0], eps), s_hi)
+                s_lo = min(max(s_window[0], EPSILON), s_hi)
                 s_top = max(min(s_window[1], s_hi), s_lo)
             s_vals = list(np.linspace(s_lo, s_top, cfg.s_grid_size))
-            if gallager_points and cfg.include_gallager_point:
+            if gallager_points:
                 sg = rho / (1.0 + rho)
-                if eps <= sg <= s_hi:
+                if EPSILON <= sg <= s_hi:
                     s_vals = sorted(set(s_vals) | {sg})
             rows.append((rho, s_vals))
         prev_best = best_v
@@ -347,7 +342,7 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
             i = int(np.argmax(v))
             if v[i] > best_v:
                 best_v, best_rho, best_s = float(v[i]), float(rho_b[i]), float(s_b[i])
-        if rnd > 0 and best_v - prev_best <= cfg.objective_tolerance * max(1.0, abs(prev_best)):
+        if rnd > 0 and best_v - prev_best <= OBJECTIVE_TOLERANCE * max(1.0, abs(prev_best)):
             break
     return best_v, best_rho, best_s, evals
 
@@ -365,7 +360,7 @@ def _optimize(query: ExponentQuery, kind: str,
     else:
         v, rho, s, evals = _maximize_2d(
             _ei_objective(query, t), cfg, probe_size=probe_size,
-            rho_hi=1.0 - cfg.epsilon, s_hi_of_rho=lambda rho: 1.0 - rho,
+            rho_hi=1.0 - EPSILON, s_hi_of_rho=lambda rho: 1.0 - rho,
             gallager_points=False,
         )
     variant = "finite" if isinstance(query.true_channel, Dmc) else "class"

@@ -4,13 +4,14 @@ An operation region is the set of (rate vector, channel-or-class id) pairs the
 receiver commits to decode; everything else in the product universe is treated
 as a collision to be flagged. Feasibility requires every member to satisfy the
 sum-rate conditions against the conditional mutual informations of its channel
-for every proper conditioning subset.
+for every proper conditioning subset. Classes are the class envelopes'
+member_ids, and c1_check converts a region that holds each class whole.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .channels import CompoundSet, InputLaws, RateTable, RateVectorIndex
@@ -124,36 +125,43 @@ class C1Report:
     converted: Optional[OperationRegion]
 
 
-def c1_check(region: OperationRegion, class_map: Mapping[str, Sequence[str]]) -> C1Report:
-    """Whole-class consistency of a channel-level region.
-
-    Every class must be wholly inside or wholly outside the region at each
-    rate vector. On success the converted class-level region is returned;
-    channel ids not covered by the map raise. Class-level input passes
-    through unchanged, so conversion is idempotent.
-    """
-    if region.mode == "class":
-        for _, cid in region.members:
-            if cid not in class_map:
-                raise ValidationError(f"class id {cid!r} not in the class map")
-        return C1Report(True, (), region)
+def class_owner(envelopes: Sequence) -> dict:
+    """channel id -> the class id of the envelope whose member_ids list it;
+    a channel listed by two envelopes raises."""
     owner = {}
-    for class_id, members in class_map.items():
-        for cid in members:
-            cid = str(cid)
+    for env in envelopes:
+        for cid in env.member_ids:
             if cid in owner:
                 raise ValidationError(f"channel id {cid!r} appears in two classes")
-            owner[cid] = str(class_id)
+            owner[cid] = env.class_id
+    return owner
+
+
+def c1_check(region: OperationRegion, envelopes: Sequence) -> C1Report:
+    """Whole-class consistency of a channel-level region.
+
+    Every class, the member_ids of one envelope, must be wholly inside or
+    wholly outside the region at each rate vector. On success the converted
+    class-level region is returned; a channel id that no envelope lists
+    raises. Class-level input passes through unchanged, so conversion is
+    idempotent.
+    """
+    owner = class_owner(envelopes)
+    members = {env.class_id: set(env.member_ids) for env in envelopes}
+    if region.mode == "class":
+        for _, cid in region.members:
+            if cid not in members:
+                raise ValidationError(f"class id {cid!r} has no envelope")
+        return C1Report(True, (), region)
     inside = {}
     for rvi, cid in region.members:
         if cid not in owner:
-            raise ValidationError(f"channel id {cid!r} not covered by the class map")
+            raise ValidationError(f"channel id {cid!r} is in no class")
         inside.setdefault((rvi.indices, owner[cid]), set()).add(cid)
     violations = []
     converted = []
     for (indices, class_id), present in sorted(inside.items()):
-        members = set(str(c) for c in class_map[class_id])
-        missing = members - present
+        missing = members[class_id] - present
         if missing:
             violations.append((RateVectorIndex(indices), class_id,
                                tuple(sorted(present)), tuple(sorted(missing))))
@@ -164,8 +172,8 @@ def c1_check(region: OperationRegion, class_map: Mapping[str, Sequence[str]]) ->
     return C1Report(True, (), OperationRegion(tuple(converted), mode="class"))
 
 
-def require_c1(region: OperationRegion, class_map: Mapping[str, Sequence[str]]) -> OperationRegion:
-    report = c1_check(region, class_map)
+def require_c1(region: OperationRegion, envelopes: Sequence) -> OperationRegion:
+    report = c1_check(region, envelopes)
     if not report.passed:
         raise C1Violation(
             f"{len(report.violations)} rate/class pairs are split by the region; "

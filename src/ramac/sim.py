@@ -54,7 +54,7 @@ from .exponents import (
     law_block,
 )
 from .logdomain import NEG_INF, logsumexp, safe_log
-from .regions import OperationRegion, pair_universe, proper_subsets
+from .regions import OperationRegion, class_owner, pair_universe, proper_subsets
 
 CODEWORD_GUARD = 10 ** 6
 OUTPUT_ENUM_GUARD = 2 ** 20
@@ -405,10 +405,11 @@ class SlotDecoder:
         if n < 1:
             raise ValidationError("block length must be >= 1")
         ledger.require_full("SlotDecoder")
+        ledger.check_region(region)
         self.channels = ledger.channels
         self.ids = tuple(self.channels)
         ref = next(iter(self.channels.values()))
-        self.mode = "finite" if ledger.compound is not None else "class"
+        self.mode = region.mode
         self.region = region
         self.laws = ledger.laws
         self.table = table = ledger.table
@@ -418,10 +419,6 @@ class SlotDecoder:
         self.input_size = ref.input_size
         self.output_size = ref.output_size
         self.cells = self.input_size ** self.num_users * self.output_size
-        for rvi, cid in region.members:
-            rvi.check_against(table)
-            if cid not in self.channels:
-                raise ValidationError(f"region references unknown id {cid!r}")
         self.subsets = proper_subsets(range(1, self.num_users + 1))
         self.out_pairs = region.complement(pair_universe(table, self.ids))
         # flat log-propensities per id: tested, and (class mode) rival
@@ -668,17 +665,13 @@ def build_schedule(region: OperationRegion, table: RateTable, ids: Sequence[str]
     universe order, labeled in/out of region. For a class-mode region,
     realizations stay member channels while membership is judged at class
     level: a channel belongs to the class whose envelope lists it in
-    member_ids. Every envelope member must be one of ids, and in one
-    envelope only."""
-    owner = {}
-    for env in envelopes:
-        for cid in env.member_ids:
-            if cid not in ids:
-                raise ValidationError(f"class {env.class_id!r} member {cid!r} "
-                                      "is not a realizable channel id")
-            if cid in owner:
-                raise ValidationError(f"channel id {cid!r} appears in two classes")
-            owner[cid] = env.class_id
+    member_ids (see class_owner). Every envelope member must be one of
+    ids."""
+    owner = class_owner(envelopes)
+    for cid, class_id in owner.items():
+        if cid not in ids:
+            raise ValidationError(f"class {class_id!r} member {cid!r} is not a "
+                                  "realizable channel id")
     by_class = region.mode == "class"
     cases = []
     for rvi, cid in pair_universe(table, tuple(ids)):

@@ -255,7 +255,8 @@ def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
     """Each entry raises before any optimisation when its ledger is of the
     wrong kind: a decoded-set ledger where every user is decoded, a ledger
     without one in pes_bound_ddecoder, class envelopes in pes_bound_finite,
-    and a finite ledger over other ids in estimate_errors."""
+    a finite ledger over other ids in estimate_errors, and a region of the
+    other kind than its ledger, such as a class region over channel ids."""
     comp, table, laws, region = _rich_scenario()
     optimised = _record_optimisations(monkeypatch)
     full, decoded = _ledger(comp, laws, table), _ledger(comp, laws, table, {1})
@@ -265,6 +266,8 @@ def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
     class_region = ramac.OperationRegion(
         ((ramac.RateVectorIndex((1,)), "k"),), "class")
     renamed = ramac.CompoundSet(comp.channels, ("x", "y"))
+    channel_classes = ramac.OperationRegion(
+        ((ramac.RateVectorIndex((1,)), "a"),), "class")
     for call, match in (
             (lambda: ramac.pes_bound_finite(region, decoded, 12), "decoded set"),
             (lambda: ramac.pes_bound_classes(class_region, decoded, 12),
@@ -279,7 +282,14 @@ def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
             (lambda: ramac.pes_bound_finite(region, classes, 12), "compound set"),
             (lambda: ramac.system_exponent(region, classes), "compound set"),
             (lambda: ramac.estimate_errors(region, renamed, full, 12, 10, 1),
-             "ids")):
+             "ids"),
+            (lambda: ramac.pes_bound_classes(channel_classes, full, 12),
+             "class envelopes"),
+            (lambda: ramac.SlotDecoder(channel_classes, full, 12),
+             "class envelopes"),
+            (lambda: ramac.estimate_errors(channel_classes, comp, full, 12, 10,
+                                           1), "class envelopes"),
+            (lambda: ramac.SlotDecoder(region, classes, 12), "compound set")):
         with pytest.raises(ramac.ValidationError, match=match):
             call()
     assert optimised == []

@@ -242,8 +242,8 @@ def test_build_system_class_mode(tmp_path):
     system = cfgmod.build_system(
         cfgmod.load_config(_write(tmp_path, CLASS_CFG)))
     assert system.region.mode == "class"
-    assert system.class_map == {"k": ("good", "bad")}
     assert len(system.envelopes) == 1
+    assert system.envelopes[0].member_ids == ("good", "bad")
     assert system.envelopes[0].class_id == "k"
     assert tuple(env.class_id for env in system.channels) == ("k",)
 
@@ -391,6 +391,29 @@ def test_cli_class_scenario(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_region_classes_on_a_finite_scenario(tmp_path, capsys):
+    """region --classes checks a finite region against the [class] sections'
+    envelopes: a region holding only part of class k fails C1, one holding
+    all of it passes, and a scenario without classes exits 2."""
+    classed = PAIR_CFG.replace("[rates]", "[class k]\nmembers = good bad\n\n"
+                               "[rates]")
+    out = tmp_path / "out"
+    for pairs, passed, violations in (
+            ("1:good", False, [[[1], "k", ["good"], ["bad"]]]),
+            ("1:good 1:bad", True, [])):
+        cfg = _write(tmp_path, classed.replace("pairs = 1:good 1:bad",
+                                               f"pairs = {pairs}"))
+        assert _run(["region", "--config", cfg, "--out-dir", str(out),
+                     "--classes"]) == 0
+        c1 = read_record(str(out / "pair_region.json"))["c1"]
+        assert (c1["passed"], c1["violations"]) == (passed, violations)
+    plain = _write(tmp_path, PAIR_CFG, "plain.cfg")
+    assert _run(["region", "--config", plain, "--out-dir", str(tmp_path),
+                 "--classes"]) == 2
+    assert "no classes defined" in capsys.readouterr().err
+    assert not list(tmp_path.glob("pair_*"))
+
+
 def test_cli_partition(tmp_path, capsys):
     cfg = _write(tmp_path, TWO_USER_CFG)
     out = str(tmp_path / "out")
@@ -409,6 +432,7 @@ def test_cli_partition(tmp_path, capsys):
     ["--rate", "3:1:0.1:0.1:0.2"],  # bsc_pair has one user
     ["--rate", "0:1:0.1:0.1:0.2"],  # user 0 would index the last user
     ["--rate", "1:0:0.1:0.1:0.2"],  # class 0 would index the last class
+    ["--n-fixed", "10", "--N", "8:8:24"],  # only a rate sweep reads it
 ])
 def test_cli_sweep_rejects_malformed_spans(tmp_path, capsys, span):
     cfg = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
@@ -433,7 +457,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     for argv in (["bound", "--N", "0"], ["simulate", "--trials", "0"],
                  ["simulate", "--N", "0", "--no-bound"],
                  ["partition", "--user", "0"],
-                 ["sweep", "--rate", "1:1:0.1:0.1:0.1", "--n-fixed", "0"]):
+                 ["sweep", "--rate", "1:1:0.1:0.1:0.1", "--n-fixed", "0"],
+                 ["sweep", "--N", "8:8:24", "--rate", "1:1:0.05:0.05:0.1"],
+                 ["sweep", "--N", "8:8:24", "--n-fixed", "10"]):
         assert _run([*argv, "--config", pair, "--out-dir", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("pair_*"))
     typo = _write(tmp_path, PAIR_CFG.replace("s_grid", "s_gird"), "typo.cfg")
@@ -526,6 +552,21 @@ def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
         _script_main("threshold_sensitivity.py")(
             [cfg, "--N", "0", "--trials", "5", "--out-dir", str(tmp_path)])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--rho", "0.2:0:1.0"), ("--rho", "0.2:-0.1:1.0"), ("--s2-frac", "1:2"),
+    ("--rho", "0.2:x:1.0"), ("--s2-frac", "0:1e-9:1"), ("--rho", "0:1:inf"),
+])
+def test_threshold_sensitivity_rejects_bad_grids(flag, text, tmp_path, capsys):
+    """A malformed grid, a step <= 0 or an endless grid exits 2 while the
+    arguments are parsed, before the config is read: the config path here
+    does not exist."""
+    with pytest.raises(SystemExit) as info:
+        _script_main("threshold_sensitivity.py")(
+            [str(tmp_path / "missing.cfg"), flag, text])
+    assert info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_installs(tmp_path):

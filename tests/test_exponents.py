@@ -33,10 +33,6 @@ def test_noiseless_binary_em_is_log2():
 def test_optimizer_config_validation():
     with pytest.raises(ramac.ValidationError):
         ramac.OptimizerConfig(rho_grid_size=1)
-    with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(epsilon=0.7)
-    with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(refinement_shrink=1.0)
 
 
 def test_result_within_constraint_set():

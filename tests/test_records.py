@@ -13,9 +13,7 @@ import pytest
 import ramac
 from ramac import config as cfgmod
 
-OPTIMIZER_FIELDS = ["rho_grid_size", "s_grid_size", "refinement_rounds",
-                    "refinement_shrink", "epsilon", "objective_tolerance",
-                    "include_gallager_point"]
+OPTIMIZER_FIELDS = ["rho_grid_size", "s_grid_size", "refinement_rounds"]
 
 
 def test_eq_record_construction_equality_and_hash():
@@ -52,12 +50,12 @@ def test_records_are_frozen():
     channel = ramac.Dmc(1, 2, 2, np.eye(2))
     cfg = ramac.OptimizerConfig()
     for obj, name in ((rvi, "indices"), (channel, "probs"),
-                      (cfg, "epsilon"), (cfg, "not_a_field")):
+                      (cfg, "rho_grid_size"), (cfg, "not_a_field")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert rvi.indices == (1,) and cfg.epsilon == 1e-6
+    assert rvi.indices == (1,) and cfg.rho_grid_size == 64
     assert not channel.probs.flags.writeable
 
 
@@ -79,7 +77,6 @@ def test_identity_record_equality_and_hash():
 def test_record_defaults_and_declaration_order():
     cfg = ramac.OptimizerConfig()
     assert (cfg.rho_grid_size, cfg.s_grid_size, cfg.refinement_rounds) == (64, 64, 3)
-    assert cfg.include_gallager_point is True
     mixed = ramac.OptimizerConfig(12, refinement_rounds=1)
     assert (mixed.rho_grid_size, mixed.s_grid_size, mixed.refinement_rounds) == (12, 64, 1)
     assert mixed == ramac.OptimizerConfig(rho_grid_size=12, s_grid_size=64,
@@ -89,11 +86,9 @@ def test_record_defaults_and_declaration_order():
     with pytest.raises(ramac.ValidationError):
         ramac.OptimizerConfig(rho_grid_size=1)
     with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(12, 12, 1, 1.5)
+        ramac.OptimizerConfig(12, 12, -1)
     assert repr(cfg) == (
-        "OptimizerConfig(rho_grid_size=64, s_grid_size=64, refinement_rounds=3, "
-        "refinement_shrink=0.2, epsilon=1e-06, objective_tolerance=1e-08, "
-        "include_gallager_point=True)")
+        "OptimizerConfig(rho_grid_size=64, s_grid_size=64, refinement_rounds=3)")
     assert list(cfgmod.jsonable(cfg)) == OPTIMIZER_FIELDS
     result = ramac.ExponentResult(kind="em", variant="finite", evaluations=3,
                                   s_star=0.5, rho_star=0.25, value=0.125)

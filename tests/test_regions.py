@@ -68,31 +68,55 @@ def test_maximal_region_is_feasible_and_tight():
         assert not ramac.feasibility_check(grown, comp, laws, table).passed
 
 
+def _class_k(*member_ids):
+    """One class k over BSCs named member_ids."""
+    chans = tuple(bsc(0.05 * (i + 1)) for i in range(len(member_ids)))
+    return (ramac.build_envelope(chans, class_id="k", member_ids=member_ids),)
+
+
 def test_c1_split_class_detected():
     table = ramac.RateTable(((0.1,),))
     rvi = ramac.RateVectorIndex((1,))
-    class_map = {"k": ("a", "b")}
+    envelopes = _class_k("a", "b")
     split = ramac.OperationRegion(((rvi, "a"),), "finite")
-    report = ramac.c1_check(split, class_map)
+    report = ramac.c1_check(split, envelopes)
     assert not report.passed
     whole = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
-    report2 = ramac.c1_check(whole, class_map)
+    report2 = ramac.c1_check(whole, envelopes)
     assert report2.passed
     assert report2.converted.mode == "class"
     assert (rvi, "k") in report2.converted
     with pytest.raises(ramac.C1Violation):
-        ramac.require_c1(split, class_map)
+        ramac.require_c1(split, envelopes)
 
 
 def test_c1_conversion_idempotent():
     table = ramac.RateTable(((0.1,),))
     rvi = ramac.RateVectorIndex((1,))
-    class_map = {"k": ("a", "b")}
+    envelopes = _class_k("a", "b")
     whole = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
-    converted = ramac.require_c1(whole, class_map)
-    again = ramac.c1_check(converted, class_map)
+    converted = ramac.require_c1(whole, envelopes)
+    again = ramac.c1_check(converted, envelopes)
     assert again.passed
     assert again.converted.members == converted.members
+
+
+def test_channel_in_two_envelopes_rejected_alike():
+    """c1_check and build_schedule read membership through one map, so a
+    channel listed by two envelopes raises the same error from both."""
+    table = ramac.RateTable(((0.1,),))
+    rvi = ramac.RateVectorIndex((1,))
+    twice = _class_k("a", "b") + (ramac.build_envelope(
+        (bsc(0.1),), class_id="j", member_ids=("b",)),)
+    region = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
+    errors = []
+    for call in (lambda: ramac.c1_check(region, twice),
+                 lambda: ramac.build_schedule(region, table, ("a", "b"), twice)):
+        with pytest.raises(ramac.ValidationError,
+                           match="'b' appears in two classes") as info:
+            call()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 @given(st.integers(min_value=0, max_value=1000))
