@@ -1,0 +1,145 @@
+"""The golden record corpus: one sha256 per command run, pinned in
+tests/golden/records.json.
+
+A run's hash covers every file it writes (by name and bytes), its stdout and
+stderr with the output directory and the repository root replaced by
+placeholders, the warnings it raises and its exit code. The runs are every
+CLI command line of COMMANDS on every config of examples_cfg/ and
+perfbench/scenarios/, both experiment scripts on bsc_pair and mac2 at small
+sizes, and exact_conditional_errors at N = 8 on every config. The corpus
+pins today's outputs, defects included: it is a regression gate, not an
+oracle. A change that moves a record regenerates the file and says which runs
+changed and why:
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import runpy
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+import ramac
+from ramac import config as cfgmod
+from ramac.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = Path(__file__).resolve().parent / "golden" / "records.json"
+CONFIGS = tuple(str(p.relative_to(ROOT)) for d in ("examples_cfg", "perfbench/scenarios")
+                for p in sorted((ROOT / d).glob("*.cfg")))
+COMMANDS = (
+    ("bound",),
+    ("bound", "--N", "12"),
+    ("region",),
+    ("region", "--classes"),
+    ("region", "--maximal"),
+    ("simulate", "--trials", "300"),
+    ("simulate", "--no-bound", "--trials", "300", "--seed", "5"),
+    ("simulate", "--freeze-codebooks", "--trials", "300"),
+    ("exponent-limit",),
+    ("partition",),
+    ("sweep", "--N", "8:8:24"),
+    ("exponent",),
+    ("exponent", "--users-d", "1"),
+)
+SCRIPTS = (
+    ("bound_vs_simulation.py", ("--N", "8:8:16", "--trials", "300")),
+    ("threshold_sensitivity.py", ("--trials", "100", "--rho", "0.4:0.4:0.8",
+                                  "--s2-frac", "0.25:0.5:0.75")),
+)
+SCRIPT_CONFIGS = ("examples_cfg/bsc_pair.cfg", "examples_cfg/mac2.cfg")
+EXACT_N, EXACT_SAMPLES, EXACT_SEED = 8, 2, 3
+
+
+def _exact(config: str, out: Path) -> int:
+    system = cfgmod.build_system(cfgmod.load_config(config))
+    report = ramac.exact_conditional_errors(
+        system.region, system.laws, system.table, EXACT_N,
+        compound=system.compound, envelopes=system.envelopes,
+        params=system.cfg.thresholds, cfg=system.cfg.optimizer,
+        seed=EXACT_SEED, codebook_samples=EXACT_SAMPLES)
+    cfgmod.write_record(str(out / "exact.json"), {
+        "command": "exact", "scenario": system.cfg.name, "report": report})
+    return 0
+
+
+def runs():
+    """(name, run) pairs in corpus order; run(out_dir) returns the exit
+    code."""
+    for rel in CONFIGS:
+        path = str(ROOT / rel)
+        for argv in COMMANDS:
+            yield (f"{rel}: {' '.join(argv)}",
+                   lambda out, argv=argv, path=path: cli_main(
+                       [argv[0], "--config", path, "--out-dir", str(out),
+                        *argv[1:]]))
+    for script, args in SCRIPTS:
+        for rel in SCRIPT_CONFIGS:
+            yield (f"{rel}: {script} {' '.join(args)}",
+                   lambda out, script=script, args=args, rel=rel: runpy.run_path(
+                       str(ROOT / "scripts" / script))["main"](
+                       [str(ROOT / rel), *args, "--out-dir", str(out)]))
+    for rel in CONFIGS:
+        yield (f"{rel}: exact_conditional_errors n={EXACT_N} "
+               f"samples={EXACT_SAMPLES} seed={EXACT_SEED}",
+               lambda out, rel=rel: _exact(str(ROOT / rel), out))
+
+
+def digest(run, out: Path) -> str:
+    """Run once with its records under out; the sha256 of what it left."""
+    out.mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run(out)
+        except SystemExit as exc:
+            code = exc.code
+    h = hashlib.sha256()
+
+    def part(label: str, data: bytes):
+        h.update(f"{label} {len(data)}\n".encode())
+        h.update(data)
+
+    for path in sorted(out.iterdir()):
+        part(f"file {path.name}", path.read_bytes())
+    for label, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+        part(label, text.replace(str(out), "<out>").replace(str(ROOT), "<root>").encode())
+    part("warnings", "\n".join(f"{w.category.__name__}: {w.message}"
+                               for w in caught).encode())
+    part("exit", str(code).encode())
+    return h.hexdigest()
+
+
+def environment() -> dict:
+    """The versions that produced a corpus: numbers may move with them."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def compute(work: Path) -> dict:
+    """{run name: hash}, each run's records left under work/<index>."""
+    return {name: digest(run, work / f"{i:03d}")
+            for i, (name, run) in enumerate(runs())}
+
+
+def main(argv=None) -> int:
+    import tempfile
+    with tempfile.TemporaryDirectory() as work:
+        hashes = compute(Path(work))
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps({**environment(), "runs": hashes}, indent=1)
+                      + "\n")
+    print(f"{len(hashes)} runs written to {CORPUS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,0 +1,22 @@
+"""Every record of the golden corpus (see golden_corpus.py) is reproduced
+byte for byte."""
+
+import json
+
+import pytest
+
+import golden_corpus
+
+
+def test_golden_records_unchanged(tmp_path):
+    pinned = json.loads(golden_corpus.CORPUS.read_text())
+    env = golden_corpus.environment()
+    if {key: pinned[key] for key in env} != env:
+        pytest.skip(f"the corpus was made under {pinned['python']}/numpy "
+                    f"{pinned['numpy']}, not {env['python']}/numpy {env['numpy']}")
+    got = golden_corpus.compute(tmp_path)
+    assert list(got) == list(pinned["runs"]), "the run list changed: regenerate"
+    changed = [f"{name} (records under {tmp_path / f'{i:03d}'})"
+               for i, (name, digest) in enumerate(got.items())
+               if digest != pinned["runs"][name]]
+    assert not changed, "changed runs:\n" + "\n".join(changed)

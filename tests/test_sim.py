@@ -418,6 +418,73 @@ def test_batched_decisions_match_scalar_decode():
             assert len(rates_decoded) > 1 and (group < 0).any(), label
 
 
+def _count_system(k, a, b, n):
+    """K users with a inputs and b outputs, two rates per user (2 and 3
+    messages at every n). Each user's rate-1 law gives letter 1 probability
+    zero when a > 2; channel `good` has a zero in every input row, so its
+    score tables have dead cells. The region holds every rate vector on
+    `good` and the all-ones vector on `bad`. Returns (compound, table, laws,
+    region)."""
+    rng = np.random.default_rng(100 * k + a + b)
+    good = rng.random((a,) * k + (b,)) + 0.2
+    good.reshape(-1, b)[np.arange(a ** k), np.arange(a ** k) % b] = 0.0
+    good /= good.sum(axis=-1, keepdims=True)
+    bad = np.full((a,) * k + (b,), 1.0 / b)
+    chans = (ramac.validate_dmc(good, k, a, b), ramac.validate_dmc(bad, k, a, b))
+    comp = ramac.CompoundSet(chans, ("good", "bad"))
+    table = ramac.RateTable(((math.log(2) / n, math.log(3) / n),) * k)
+    zero = np.full(a, 1.0)
+    if a > 2:
+        zero[1] = 0.0
+    zero /= zero.sum()
+    laws = ramac.InputLaws({
+        (u, i): zero if i == 1 else np.full(a, 1.0 / a)
+        for u in range(1, k + 1) for i in (1, 2)})
+    members = tuple((ramac.RateVectorIndex(r), "good")
+                    for r in itertools.product((1, 2), repeat=k))
+    region = ramac.OperationRegion(
+        members + ((ramac.RateVectorIndex((1,) * k), "bad"),), "finite")
+    return comp, table, laws, region
+
+
+@pytest.mark.parametrize("k, a, b, n", [
+    (1, 3, 3, 1), (1, 3, 3, 7), (1, 3, 3, 8), (1, 3, 3, 9), (1, 3, 3, 17),
+    (1, 2, 2, 9), (2, 2, 4, 8), (2, 3, 9, 7), (2, 3, 9, 9),
+])
+def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
+    """decide() against the scalar oracle, which counts cells with its own
+    bincount, across the cell-count kernels' edge cases: words of 1, 7, 8, 9
+    and 17 symbols; a three-letter input alphabet whose rate-1 laws never
+    send letter 1 and a channel with dead cells; a K=2 system of 81 cells;
+    int64 and uint8 symbols; and slices of one trial, whose decisions equal
+    those under the default budget."""
+    rng = np.random.default_rng(n)
+    comp, table, laws, region = _count_system(k, a, b, n)
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
+    assert decoder.cells == a ** k * b
+    trials = 40 if k == 1 else 12
+    books = {key: rng.choice(a, size=(trials, m, n), p=laws.law(*key))
+             for key, m in decoder.message_counts.items()}
+    ys = _send(rng, comp, decoder, books, trials)
+    want = []
+    for t in range(trials):
+        cb = ramac.CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+        oracle = scalar_decode(decoder, ys[t], cb)
+        want.append((-1, -1) if oracle is None else (
+            decoder.group_ids(oracle[1], np.array([oracle[0]]))[0],
+            decoder.ids.index(oracle[2])))
+    want = tuple(np.array(w) for w in zip(*want))
+    assert (want[0] >= 0).any() and (want[0] < 0).any()
+    narrow = ({key: v.astype(np.uint8) for key, v in books.items()},
+              ys.astype(np.uint8))
+    for label, (bk, words) in {"int64": (books, ys), "uint8": narrow}.items():
+        got = decoder.decide(words, bk)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), label
+    monkeypatch.setattr(ramac.sim, "_DECIDE_ELEMENTS", 1)
+    got = decoder.decide(ys, books)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), "1-trial slices"
+
+
 def test_outcome_counts_split_every_trial():
     comp, table, laws, region, envs = _decoder_system(2, "class", 6)
     rep = ramac.estimate_errors(region, comp, _ledger(envs, laws, table), 6,
