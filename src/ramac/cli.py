@@ -30,6 +30,9 @@ from .regions import (
 )
 from .sim import estimate_errors, generate_codebooks
 
+# Most points a sweep may hold; each point runs a whole bound.
+SWEEP_POINTS = 1000
+
 
 def _parse_subset(text: Optional[str]) -> frozenset:
     if not text:
@@ -234,6 +237,8 @@ def _cmd_sweep(args, system):
             raise ValidationError(f"--rate index {index} outside 1..{classes}")
         if step <= 0:
             raise ValidationError("--rate step must be positive")
+        if not (stop - start) / step < SWEEP_POINTS:  # nan and inf spans too
+            raise ValidationError(f"--rate span must hold at most {SWEEP_POINTS} points")
         n = _flag(args, system, "n")
         fields = {name: getattr(system.cfg, name)
                   for name in system.cfg._record_fields}
@@ -258,6 +263,8 @@ def _cmd_sweep(args, system):
                                           "start:step:stop")
         if step <= 0 or start < 1:
             raise ValidationError("--N span must have start >= 1 and step > 0")
+        if len(range(start, stop + 1, step)) > SWEEP_POINTS:
+            raise ValidationError(f"--N span must hold at most {SWEEP_POINTS} points")
         ledger = _ledger(system)
         for n in range(start, stop + 1, step):
             report = _bound_report(system, n, ledger)

@@ -51,6 +51,7 @@ ChannelLike = Union[Dmc, ChannelClassEnvelope]
 REFINEMENT_SHRINK = 0.2  # each refinement box over the previous one
 EPSILON = 1e-6  # the smallest rho and s probed, and ei's gap below rho = 1
 OBJECTIVE_TOLERANCE = 1e-8  # a round gaining at most this, relatively, ends
+GRID_POINTS = 2 ** 20  # most (rho, s) grid points of one optimisation's rounds
 
 
 @record
@@ -64,6 +65,11 @@ class OptimizerConfig:
             raise ValidationError("grid sizes must be >= 2")
         if self.refinement_rounds < 0:
             raise ValidationError("refinement_rounds must be >= 0")
+        points = self.rho_grid_size * self.s_grid_size * (self.refinement_rounds + 1)
+        if points > GRID_POINTS:
+            raise ValidationError(
+                f"rho_grid * s_grid * (refinement_rounds + 1) = {points} "
+                f"exceeds {GRID_POINTS} probes an optimisation")
 
 
 @record

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,13 +63,21 @@ OUTPUT_ENUM_GUARD = 2 ** 20
 _STREAM_BLOCK = 4096
 # Cap on the raw codebook words a batch of Monte Carlo trials draws at once.
 _DRAW_UNIFORMS = 2 ** 20
+# Cap on the raw words one read of a codebook stream holds (one trial's at
+# least); reads follow the stream, so their size never moves a symbol.
+_RAW_WORDS = 2 ** 16
 # Output words per chunk of exact enumeration.
 _WORD_BLOCK = 4096
 # statistics.NormalDist().inv_cdf(0.995), the two-sided 99% normal quantile,
 # as a literal: importing statistics costs every process a few ms.
 Z99 = 2.5758293035489
-# Cap on the (trial, candidate, symbol or cell) entries decide() holds at once.
-_DECIDE_ELEMENTS = 2 ** 16
+# Cap on the bytes of any one array of decide()'s stages (see decide).
+_DECIDE_BYTES = 2 ** 18
+# Blocks whose score classes, the largest left out, hold at most this many
+# cells count them with byte masks; the rest with bincount (see _BlockCounter).
+_MASK_CELLS = 8
+_BYTE_SUM = np.uint64(0x0101010101010101)
+_TOP_BYTE = np.uint64(56)
 # Generator.random on Philox turns the raw word w into (w >> 11) * 2**-53:
 # 2**53 uniforms, each the value of 2**11 consecutive raw words.
 _UNIFORM_BITS = 53
@@ -122,16 +130,18 @@ def _letter_edges(cum: np.ndarray) -> tuple:
     return edges[~always & (edges != _NEVER)], int(always.sum())
 
 
-def _symbols_from_raw(raw: np.ndarray, edges: Sequence, base: int,
+def _symbols_from_raw(raw: np.ndarray, edges: Iterable, base: int,
                       out: np.ndarray) -> np.ndarray:
     """out, set to the letter of each raw word: base plus the number of
-    edges (uint64 scalars or arrays that broadcast against raw) strictly
-    below it."""
-    if not len(edges):
+    edges (uint64 scalars or arrays that broadcast against raw, each read
+    before the next is taken) strictly below it."""
+    edges = iter(edges)
+    first = next(edges, None)
+    if first is None:
         out.fill(base)
         return out
-    np.greater(raw, edges[0], out=out)
-    for e in edges[1:]:
+    np.greater(raw, first, out=out)
+    for e in edges:
         out += raw > e
     if base:
         out += base
@@ -170,9 +180,13 @@ class CodebookSet:
 
 
 def _guard_codewords(table: RateTable, n: int) -> None:
-    total = sum(message_count(n, table.rate(u, i))
-                for u in range(1, table.num_users + 1)
-                for i in range(1, table.num_classes + 1))
+    rates = [table.rate(u, i) for u in range(1, table.num_users + 1)
+             for i in range(1, table.num_classes + 1)]
+    # one count past the guard alone trips it, before exp can overflow
+    if n * max(rates) > math.log(CODEWORD_GUARD + 1):
+        raise TooManyCodewords(f"exp({n} * {max(rates):.9g}) codewords exceed "
+                               f"the guard {CODEWORD_GUARD}")
+    total = sum(message_count(n, rate) for rate in rates)
     if total > CODEWORD_GUARD:
         raise TooManyCodewords(f"{total} codewords exceed the guard {CODEWORD_GUARD}")
 
@@ -347,6 +361,7 @@ class _ScoreContext:
 
     def __init__(self, tables: np.ndarray):
         """tables: (tables, cells) flat log-propensities."""
+        self.tables = tables
         count, cells = tables.shape
         groups = [np.unique(row, return_inverse=True) for row in tables]
         width = max(np.count_nonzero(~np.isneginf(vals)) for vals, _ in groups)
@@ -366,14 +381,86 @@ class _ScoreContext:
 
     def score_rows(self, flat_counts: np.ndarray) -> np.ndarray:
         """Scores of (rows, cells) counts, (tables, rows)."""
+        return self.score_grouped(self.onehot @ flat_counts.T)
+
+    def score_grouped(self, grouped: np.ndarray) -> np.ndarray:
+        """Scores of (value groups, rows) counts, onehot @ counts: integer
+        sums, so any grouping of equal-valued cells gives the same floats."""
         count, width = self.live_values.shape
-        grouped = self.onehot @ flat_counts.T  # integer sums: exact in any order
         # zero padding adds +0.0, which leaves every sum as it was
         live = grouped[:count * width].reshape(width, count, -1).transpose(1, 2, 0)
         out = _ordered_dot(live, self.live_values.T[:, :, None])
         if self.dead:
             out[grouped[count * width:] > 0] = NEG_INF
         return out
+
+
+class _BlockCounter:
+    """How decide() counts the cells of one region block's message tuples.
+
+    A score class is a set of cells with one value in every score table of
+    the block (a symmetric channel has few); scores need only each class's
+    count. When the classes other than the largest hold at most _MASK_CELLS
+    cells, each such class is counted with byte masks and the largest as n
+    minus the rest. Otherwise every cell is counted with one bincount. Rows
+    are (trial, tuple) pairs, trial-major; codes are the cells' flat indices
+    in the narrowest unsigned dtype, and the mask side pads each row to a
+    multiple of 8 with a cell of the largest class.
+    """
+
+    def __init__(self, dims: tuple, keys: tuple, letters: tuple, n: int,
+                 contexts: tuple):
+        self.dims, self.keys, self.contexts = dims, keys, contexts
+        self.tuples = math.prod(dims)
+        self.ids = contexts[0].live_values.shape[0]
+        # the row each tuple reads of each user's codebook (its message, in
+        # itertools.product order) and of the received word
+        self.picks = (*np.unravel_index(np.arange(self.tuples), dims),
+                      np.zeros(self.tuples, dtype=np.intp))
+        self._whole = [np.array_equal(p, np.arange(self.tuples)) for p in self.picks]
+        cells = math.prod(letters)
+        # narrow enough for every cell code and every alphabet size
+        self.dtype = np.min_scalar_type(max(cells - 1, *letters))
+        # code = (x_1 * a + x_2) * a ... * b + y: what each partial sum is
+        # multiplied by, as scalars of the code dtype
+        self.factors = tuple(self.dtype.type(size) for size in letters[1:])
+        values = np.concatenate([ctx.tables for ctx in contexts])
+        _, of = np.unique(values, axis=1, return_inverse=True)
+        of = of.reshape(-1)
+        largest = int(np.bincount(of).argmax())
+        # cells as Python ints, so comparisons keep the codes' dtype
+        self.classes = [np.flatnonzero(of == k).tolist() for k in range(of.max() + 1)
+                        if k != largest] + [np.flatnonzero(of == largest).tolist()]
+        self.masks = sum(map(len, self.classes[:-1])) <= _MASK_CELLS
+        groups = max(ctx.onehot.shape[0] for ctx in contexts)
+        if self.masks:
+            self.width = -(-n // 8) * 8
+            # each context's one-hot columns of one cell of each class
+            reps = [cls[0] for cls in self.classes]
+            self.onehots = tuple(ctx.onehot[:, reps] for ctx in contexts)
+            row_bytes = max(self.width * self.dtype.itemsize, 8 * groups)
+        else:
+            self.width = n
+            row_bytes = 8 * max(n, cells, groups)
+        self._row_bytes = self.tuples * row_bytes
+        self._index = {}
+
+    def slice_trials(self) -> int:
+        """Trials a count slice holds: each of its arrays within
+        _DECIDE_BYTES, and at least one trial."""
+        return max(1, _DECIDE_BYTES // self._row_bytes)
+
+    def index(self, term: int, m: int, shared: bool, size: int) -> Optional[np.ndarray]:
+        """Rows of a (size * m, n) symbol array that the (trial, tuple) rows
+        of size trials read (term K: the received words, m = 1); a shared
+        codebook is one trial's. None when they are the array's own rows."""
+        if not shared and m == self.tuples and self._whole[term]:
+            return None
+        key = (term, shared)
+        if key not in self._index or self._index[key].size < size * self.tuples:
+            trials = np.arange(size, dtype=np.intp)[:, None] * (0 if shared else m)
+            self._index[key] = (trials + self.picks[term]).ravel()
+        return self._index[key][:size * self.tuples]
 
 
 @record
@@ -433,6 +520,7 @@ class SlotDecoder:
         for u in range(1, self.num_users + 1):
             for i in range(1, table.num_classes + 1):
                 self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
+        self._scratch = {}  # decide()'s arrays, by name (see _buffer)
         self._lay_out_candidates()
         self.thresholds = self._build_thresholds(ledger)
         self._tables = []  # per subset: (pair indices, coefficients, constants)
@@ -457,6 +545,7 @@ class SlotDecoder:
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
         self._runs = []  # (first candidate, groups, candidates a group) per block
         self._scorers = []  # per block: its ids' tested (class: and rival) scores
+        self._counters = []  # per block: how decide() counts its cells
         cands = []  # (group, id index, pair index) per candidate
         groups = 0
         for rvi, cids in by_rates.values():
@@ -469,6 +558,10 @@ class SlotDecoder:
                 _ScoreContext(np.stack([logs[cid] for cid in cids]))
                 for logs in ((self.log_tested, self.log_rival) if self.mode == "class"
                              else (self.log_tested,))))
+            self._counters.append(_BlockCounter(
+                dims, tuple((u, rvi.index(u)) for u in range(1, self.num_users + 1)),
+                (self.input_size,) * self.num_users + (self.output_size,), self.n,
+                self._scorers[-1]))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
                       for g in range(groups, groups + math.prod(dims))
                       for j, cid in enumerate(cids)]
@@ -527,9 +620,16 @@ class SlotDecoder:
 
         ys is (T, n); books maps (user, rate index) to (T, m, n) codewords,
         one codebook per trial (a broadcast view shares one). Symbols may
-        have any integer dtype: the cell codes promote them to int64. Returns
-        two (T,) arrays: the decoded group id (see group_ids) and the decoded
-        channel's index in ids, both -1 where the slot is a collision.
+        have any integer dtype; the cell codes are narrow (see _BlockCounter).
+        Returns two (T,) arrays: the decoded group id (see group_ids) and the
+        decoded channel's index in ids, both -1 where the slot is a
+        collision.
+
+        Two stages run per decision slice of trials: the scores of every
+        candidate, written into (candidates, trials) arrays in count slices,
+        then one decision pass over the slice. Every array of either stage
+        holds at most _DECIDE_BYTES, or one trial's worth; the arrays are
+        kept for the next call. No slice size changes a decision.
         """
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
@@ -539,39 +639,132 @@ class SlotDecoder:
         channel = np.full(size, -1, dtype=np.int64)
         if not self._pairs:
             return group, channel
-        step = max(1, _DECIDE_ELEMENTS // (self._group_of.size * max(self.n, self.cells)))
+        step = max(1, _DECIDE_BYTES // (8 * self._group_of.size))
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
-            group[part], channel[part] = self._decide_chunk(
-                ys[part], {key: v[part] for key, v in books.items()})
+            words = ys[part]
+            tested, rival = self._scores(
+                words, {key: v[part] for key, v in books.items()})
+            group[part], channel[part] = self._decisions(words, tested, rival)
         return group, channel
 
-    def _decide_chunk(self, ys, books) -> tuple:
-        """decide() on at most _DECIDE_ELEMENTS entries. Scores are
-        candidate-major, (candidates, T), so every reduction over a group's
-        candidates runs along whole rows."""
+    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """A C-contiguous array of shape and dtype over the decoder's bytes
+        kept under name, grown when too small; its values are left over."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if name not in self._scratch or self._scratch[name].size < size:
+            self._scratch[name] = np.empty(size, dtype=np.uint8)
+        return self._scratch[name][:size].view(dtype).reshape(shape)
+
+    def _scores(self, ys, books) -> tuple:
+        """Tested and rival scores (one array in finite mode) of every
+        candidate against every word, (candidates, T), block by block in
+        count slices."""
+        size = ys.shape[0]
+        kinds = [self._buffer(name, (self._group_of.size, size), np.float64)
+                 for name in ("tested", "rival")[:2 if self.mode == "class" else 1]]
+        first = 0
+        for counter in self._counters:
+            step = counter.slice_trials()
+            block = slice(first, first + counter.tuples * counter.ids)
+            for lo in range(0, size, step):
+                hi = min(lo + step, size)
+                code = self._codes(counter, ys[lo:hi],
+                                   [books[key][lo:hi] for key in counter.keys])
+                rows = code.shape[0]
+                if counter.masks:
+                    counts = self._class_counts(counter, code)
+                    grouped = [onehot @ counts for onehot in counter.onehots]
+                else:
+                    index = self._buffer("index", code.shape, np.intp)
+                    np.add(code, np.arange(0, rows * self.cells, self.cells,
+                                           dtype=np.intp)[:, None], out=index)
+                    counts = np.bincount(index.ravel(), minlength=rows * self.cells)
+                    grouped = [ctx.onehot @ counts.reshape(rows, self.cells).T
+                               for ctx in counter.contexts]
+                for out, ctx, g in zip(kinds, counter.contexts, grouped):
+                    # (ids, trial, tuple) -> candidates (tuple, id) by trial
+                    np.copyto(out[block, lo:hi].reshape(counter.tuples, counter.ids, -1),
+                              ctx.score_grouped(g).reshape(
+                                  counter.ids, hi - lo, counter.tuples).transpose(2, 0, 1))
+            first = block.stop
+        return kinds[0], kinds[-1]
+
+    def _codes(self, counter: _BlockCounter, ys, books) -> np.ndarray:
+        """Cell codes of a block's (trial, tuple) rows, (rows, width) in the
+        block's code dtype: ((x_1 * a + x_2) * a ... + x_K) * b + y, the
+        inputs' and output's letters read off books and ys row by row."""
+        size = ys.shape[0]
+        code = self._buffer("code", (size * counter.tuples, counter.width),
+                            counter.dtype)
+        if counter.width > self.n:
+            code[:, self.n:] = counter.classes[-1][0]
+        view = code[:, :self.n]
+        for term, symbols in enumerate((*books, ys[:, None])):
+            shared = size > 1 and symbols.strides[0] == 0
+            rows = symbols[0] if shared else symbols.reshape(-1, self.n)
+            index = counter.index(term, symbols.shape[1], shared, size)
+            if index is not None:
+                rows = np.take(rows, index, axis=0, mode="wrap", out=self._buffer(
+                    "rows", (index.size, self.n), rows.dtype))
+            if term == 0:
+                np.multiply(rows, counter.factors[0], out=view, casting="unsafe")
+                continue
+            np.add(view, rows, out=view, casting="unsafe")
+            if term < len(counter.factors):
+                view *= counter.factors[term]
+        return code
+
+    def _class_counts(self, counter: _BlockCounter, code) -> np.ndarray:
+        """Counts of each of the block's score classes in each row of code,
+        (classes, rows) floats: byte masks of the classes but the largest,
+        counted eight bytes a word, and the largest as n minus the rest."""
+        rows, width = code.shape
+        counts = self._buffer("counts", (len(counter.classes), rows), np.float64)
+        mask = self._buffer("mask", code.shape, np.bool_)
+        words = mask.view(np.uint64)
+        total = self._buffer("total", (rows,), np.uint64)
+        hit = self._buffer("rows", code.shape, np.bool_)
+        for k, cells in enumerate(counter.classes[:-1]):
+            np.equal(code, cells[0], out=mask)
+            for cell in cells[1:]:
+                mask |= np.equal(code, cell, out=hit)
+            # a word of 0/1 bytes times 0x0101..01 sums them into its top
+            # byte; at most 31 words are added first, so no byte carries
+            for lo in range(0, width // 8, 31):
+                part = words[:, lo:lo + 31]
+                np.copyto(total, part[:, 0])
+                for j in range(1, part.shape[1]):
+                    total += part[:, j]
+                total *= _BYTE_SUM
+                total >>= _TOP_BYTE
+                if lo:
+                    counts[k] += total
+                else:
+                    np.copyto(counts[k], total)
+        np.subtract(self.n, counts[:-1].sum(axis=0), out=counts[-1])
+        return counts
+
+    def _decisions(self, ys, tested, rival) -> tuple:
+        """decide() on scored words: each conditioning subset's estimates
+        (see _subset_decisions), -1 wherever two subsets disagree."""
         size, b = ys.shape[0], self.output_size
         y_counts = None
-        thr = []  # -n * tau per subset, (pairs, T); no tables: the test never rejects
+        group = channel = None
         for pairs, coeff, const in self._tables:
-            thr.append(np.full((len(self._pairs), size), NEG_INF))
+            thr = None  # -n * tau per pair, (pairs, T); None: no test rejects
             if pairs.size:
                 if y_counts is None:
                     y_counts = np.bincount(
                         (np.arange(size)[:, None] * b + ys).ravel(),
                         minlength=size * b).reshape(size, b).astype(float)
-                thr[-1][pairs] = -self.n * _stacked_taus(coeff, const, y_counts, self.n)
-        blocks = []
-        for (rvi, dims, _, cids), scorers in zip(self._blocks.values(), self._scorers):
-            counts = self._cell_counts_batch(rvi, dims, ys, books)
-            # (ids, tuples * T) in (tuple, trial) order -> (tuples * ids, T)
-            blocks.append([ctx.score_rows(counts).reshape(len(cids), -1, size).transpose(
-                1, 0, 2).reshape(-1, size) for ctx in scorers])
-        scores = [np.concatenate(kind) for kind in zip(*blocks)]
-        tested, rival = scores[0], scores[-1]
-        group, channel = self._subset_decisions(thr[0], tested, rival)
-        for t in thr[1:]:
-            g, c = self._subset_decisions(t, tested, rival)
+                thr = np.full((len(self._pairs), size), NEG_INF)
+                thr[pairs] = -self.n * _stacked_taus(coeff, const, y_counts, self.n)
+            g, c = self._subset_decisions(thr, tested, rival)
+            if group is None:
+                group, channel = g, c
+                continue
             agree = (g == group) & (c == channel)
             group, channel = np.where(agree, group, -1), np.where(agree, channel, -1)
         return group, channel
@@ -589,41 +782,46 @@ class SlotDecoder:
         rival score clears its threshold; it dominates when its tested score
         clears its threshold and the best typical rival score of every other
         group. In the dominating group the highest tested score wins, the
-        earliest id on ties. thr is -n * tau per pair, (pairs, T)."""
-        thr = thr[self._pair_of]
-        best = self._per_group(np.maximum, np.where(rival > thr, rival, NEG_INF))
+        earliest id on ties. thr is -n * tau per pair, (pairs, T), or None
+        when no pair's test rejects (tau = +inf)."""
+        if thr is None:  # every score clears -inf, a -inf score included
+            best = self._per_group(np.maximum, rival)
+        else:
+            thr = thr[self._pair_of]
+            best = self._per_group(np.maximum, _keep(rival, rival > thr))
         top = best.max(axis=0)
         first = best == top
-        second = np.where(first, NEG_INF, best).max(axis=0)
+        second = _keep(best, ~first).max(axis=0)
         # every other group's best: the top one, unless this group alone has it
-        others = np.where(first & (first.sum(axis=0) == 1), second, top)
-        dom = (tested > thr) & (tested > others[self._group_of])
+        alone = first & (first.sum(axis=0) == 1)
+        others = _infs(~alone)
+        np.minimum(top, np.maximum(second, others, out=others), out=others)
+        # beating others, which is at least -inf, also clears a -inf threshold
+        dom = tested > others[self._group_of]
+        if thr is not None:
+            dom &= tested > thr
         unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
-        win = np.where(dom, tested, NEG_INF).argmax(axis=0)
+        # the first candidate of the highest dominating tested score
+        scores = _keep(tested, dom)
+        count = len(scores)
+        rank = np.arange(count, 0, -1, dtype=np.min_scalar_type(count))[:, None]
+        win = count - ((scores == scores.max(axis=0)) * rank).max(axis=0)
         return (np.where(unique, self._group_of[win], -1),
                 np.where(unique, self._cid_of[win], -1))
 
-    def _cell_counts_batch(self, rvi, dims, ys, books) -> np.ndarray:
-        """Joint (inputs, output) cell counts of every message tuple at rvi
-        against every word, (tuples * T, cells) in (tuple, trial) order, from
-        one bincount over row * cells + cell code. Each user's term carries
-        its stride and its messages' row offsets, the last user's also the
-        trial offsets; the terms are summed from the last user's, which takes
-        the output word in place, so every full-size array is written once.
-        The terms are int64 whatever the symbols' dtype."""
-        size, cells = ys.shape[0], self.cells
-        code, offset = ys, (np.arange(size) * cells)[:, None]  # trial offsets
-        stride, row = self.output_size, size * cells
-        for u in range(self.num_users, 0, -1):
-            m = dims[u - 1]
-            term = np.multiply(books[(u, rvi.index(u))][:, :m].transpose(1, 0, 2),
-                               stride, dtype=np.int64, order="C")
-            term += (np.arange(m) * row)[:, None, None] + offset
-            term = term.reshape((m,) + (1,) * (code.ndim - 2) + (size, self.n))
-            code = np.add(term, code, out=term if code is ys else None)
-            stride, row, offset = stride * self.input_size, row * m, 0
-        del term  # K > 1: the first user's term, before bincount allocates
-        return np.bincount(code.ravel(), minlength=row).reshape(-1, cells)
+
+def _infs(cond: np.ndarray) -> np.ndarray:
+    """+inf where cond holds, else -inf."""
+    out = np.subtract(cond, 0.5)
+    out *= math.inf
+    return out
+
+
+def _keep(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """values where cond holds, else -inf: np.where's floats, without its
+    branches."""
+    out = _infs(cond)
+    return np.minimum(values, out, out=out)
 
 
 @record
@@ -747,10 +945,17 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
             readers[key] = (bits, *_letter_edges(np.cumsum(decoder.laws.law(*key))),
                             buffers[key])
         skip += size * m * decoder.n
-    return (lambda count: {
-        key: _symbols_from_raw(bits.random_raw((count, *buf.shape[1:])), edges,
-                               base, buf[:count])
-        for key, (bits, edges, base, buf) in readers.items()}, messages, noise)
+
+    def books(count):
+        for bits, edges, base, buf in readers.values():
+            # a few trials' words at a time, in stream order
+            step = max(1, _RAW_WORDS // buf[0].size)
+            for lo in range(0, count, step):
+                part = buf[lo:min(lo + step, count)]
+                _symbols_from_raw(bits.random_raw(part.shape), edges, base, part)
+        return {key: reader[3][:count] for key, reader in readers.items()}
+
+    return books, messages, noise
 
 
 def _simulate_case(decoder: SlotDecoder, case_idx: int,
@@ -769,9 +974,12 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     buffers = None if frozen is not None else _book_buffers(decoder, true_rvi, batch)
     received = np.empty((batch, decoder.n), _symbol_dtype(decoder.output_size))
     # output symbol: the number of cumulative entries of the sent inputs' row
-    # that the uniform strictly exceeds, one edge table per entry
-    edges = np.moveaxis(_raw_edges(np.cumsum(true_channel.probs, axis=-1),
-                                   strict=True), -1, 0)
+    # that the uniform strictly exceeds, one edge table per entry over the
+    # inputs' flat index
+    edges = _raw_edges(np.cumsum(true_channel.probs, axis=-1), strict=True)
+    edges = edges.reshape(-1, decoder.output_size - 1).T
+    inputs = np.empty((batch, decoder.n), np.intp)
+    edge = np.empty((batch, decoder.n), np.uint64)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
         size = min(_STREAM_BLOCK, trials - start)
@@ -780,12 +988,20 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
         truth = decoder.group_ids(true_rvi, messages)
         for lo in range(0, size, batch):
             part = slice(lo, min(lo + batch, size))
-            books = books_of(part.stop - lo)
-            sent = tuple(books[(u, true_rvi.index(u))][
-                np.arange(part.stop - lo), messages[part, u - 1]]
-                for u in range(1, decoder.num_users + 1))  # (trials, n) each
-            ys = _symbols_from_raw(noise[part], [e[sent] for e in edges], 0,
-                                   received[:part.stop - lo])
+            count = part.stop - lo
+            books = books_of(count)
+            x = inputs[:count]
+            for u in range(1, decoder.num_users + 1):
+                sent = books[(u, true_rvi.index(u))][np.arange(count),
+                                                     messages[part, u - 1]]
+                if u == 1:
+                    np.copyto(x, sent)
+                else:
+                    x *= decoder.input_size
+                    x += sent
+            ys = _symbols_from_raw(
+                noise[part], (np.take(e, x, mode="wrap", out=edge[:count])
+                              for e in edges), 0, received[:count])
             group, _ = decoder.decide(ys, books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))

@@ -174,6 +174,9 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
      ramac.SchemaViolation),
     (lambda t: t.replace("s_grid = 10", "s_gird = 10"), ramac.SchemaViolation),
+    # an optimiser grid that would probe 10**10 points
+    (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
+        "s_grid = 10", "s_grid = 100000"), ramac.ValidationError),
     (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
     # sections the schema does not define, and unknown channel or class keys
     (lambda t: t.replace("[defaults]", "[default]"), ramac.SchemaViolation),
@@ -433,6 +436,9 @@ def test_cli_partition(tmp_path, capsys):
     ["--rate", "0:1:0.1:0.1:0.2"],  # user 0 would index the last user
     ["--rate", "1:0:0.1:0.1:0.2"],  # class 0 would index the last class
     ["--n-fixed", "10", "--N", "8:8:24"],  # only a rate sweep reads it
+    ["--N", "8:1:100000000"],  # 10**8 points
+    ["--rate", "1:1:0.05:1e-9:1"],  # about 10**9 points
+    ["--rate", "1:1:0.05:0.05:inf"],
 ])
 def test_cli_sweep_rejects_malformed_spans(tmp_path, capsys, span):
     cfg = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
@@ -471,6 +477,23 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--trials", "5"]) == 3
     assert "guard" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_cli_size_guards_before_work(tmp_path, capsys):
+    # each input used to run on (a sweep of 10**8 points, an optimiser grid
+    # of 10**10 probes) or end in an OverflowError with exit 4
+    pair = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
+    assert _run(["simulate", "--config", pair, "--out-dir", str(tmp_path),
+                 "--N", "10000", "--trials", "10"]) == 3
+    assert "guard exceeded" in capsys.readouterr().err
+    assert _run(["sweep", "--config", pair, "--out-dir", str(tmp_path),
+                 "--N", "8:1:100000000"]) == 2
+    assert "at most 1000 points" in capsys.readouterr().err
+    wide = _write(tmp_path, PAIR_CFG.replace("rho_grid = 10", "rho_grid = 100000")
+                  .replace("s_grid = 10", "s_grid = 100000"), "wide.cfg")
+    assert _run(["bound", "--config", wide, "--out-dir", str(tmp_path)]) == 2
+    assert "probes an optimisation" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_*"))
 
 
 @pytest.mark.parametrize("name, argv, optimisations", [

@@ -35,6 +35,13 @@ def test_optimizer_config_validation():
         ramac.OptimizerConfig(rho_grid_size=1)
 
 
+def test_optimizer_grid_is_capped():
+    ramac.OptimizerConfig(1024, 1024, 0)  # 2**20 probes
+    for sizes in ((1024, 1024, 1), (100000, 100000, 0), (2, 2, 10 ** 9)):
+        with pytest.raises(ramac.ValidationError, match="probes"):
+            ramac.OptimizerConfig(*sizes)
+
+
 def test_result_within_constraint_set():
     q, _, _ = _self_query(bsc(0.08), 0.12)
     em = ramac.em_exponent(q)

@@ -135,6 +135,20 @@ def test_codebook_guard():
         ramac.generate_codebooks(table, laws, 2, 1, seed=0)
 
 
+def test_codebook_guard_before_overflow():
+    # exp(n * rate) overflows a float past n * rate = 709.78; the guard must
+    # trip first (N = 10000 at rate 0.1 used to raise OverflowError)
+    table = ramac.RateTable(((0.05, 0.1),))
+    laws = ramac.uniform_laws(table, 2)
+    comp, _, _, region = _k1([0.1], (0.05, 0.1))
+    for n in (140, 10000, 10 ** 9):
+        with pytest.raises(ramac.TooManyCodewords):
+            ramac.generate_codebooks(table, laws, 2, n, seed=0)
+        with pytest.raises(ramac.TooManyCodewords):
+            ramac.estimate_errors(region, comp, _ledger(comp, laws, table), n,
+                                  10, 0)
+
+
 def test_threshold_params_validation():
     ramac.ThresholdParams()  # from_ei defaults are fine
     ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
@@ -449,7 +463,7 @@ def _count_system(k, a, b, n):
 
 @pytest.mark.parametrize("k, a, b, n", [
     (1, 3, 3, 1), (1, 3, 3, 7), (1, 3, 3, 8), (1, 3, 3, 9), (1, 3, 3, 17),
-    (1, 2, 2, 9), (2, 2, 4, 8), (2, 3, 9, 7), (2, 3, 9, 9),
+    (1, 2, 2, 9), (1, 2, 2, 257), (2, 2, 4, 8), (2, 3, 9, 7), (2, 3, 9, 9),
 ])
 def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     """decide() against the scalar oracle, which counts cells with its own
@@ -480,7 +494,7 @@ def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     for label, (bk, words) in {"int64": (books, ys), "uint8": narrow}.items():
         got = decoder.decide(words, bk)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), label
-    monkeypatch.setattr(ramac.sim, "_DECIDE_ELEMENTS", 1)
+    monkeypatch.setattr(ramac.sim, "_DECIDE_BYTES", 1)
     got = decoder.decide(ys, books)
     assert all(np.array_equal(g, w) for g, w in zip(got, want)), "1-trial slices"
 
