@@ -18,6 +18,16 @@ table in a fixed flat order, so tuples with identical transition counts have
 bit-identical scores and analytic ties really compare equal; ties then
 propagate to a collision rather than an arbitrary winner.
 
+decide() counts cells from narrow cell codes laid out (trial, tuple, symbol).
+A block whose score tables give few distinct classes of cells (symmetric
+channels give two) counts each class with byte masks, eight bytes a word,
+and the largest class as n minus the rest; any other block counts every cell
+with one bincount (see _BlockCounter). The counts are exact integers, so the
+method never moves a score. It runs in two stages per slice of trials: the
+scores of every candidate, then one decision pass over them. Every array of
+either stage holds at most _DECIDE_BYTES, and the decoder keeps them from
+call to call.
+
 All randomness is counter-based: every (role, case, block) triple names a
 Philox stream derived from the master seed, and codebooks regenerate
 bit-identically from per-(user, rate, message) keys. Symbols are read off raw
@@ -410,7 +420,7 @@ class _BlockCounter:
 
     def __init__(self, dims: tuple, keys: tuple, letters: tuple, n: int,
                  contexts: tuple):
-        self.dims, self.keys, self.contexts = dims, keys, contexts
+        self.keys, self.contexts = keys, contexts
         self.tuples = math.prod(dims)
         self.ids = contexts[0].live_values.shape[0]
         # the row each tuple reads of each user's codebook (its message, in
@@ -626,10 +636,11 @@ class SlotDecoder:
         collision.
 
         Two stages run per decision slice of trials: the scores of every
-        candidate, written into (candidates, trials) arrays in count slices,
-        then one decision pass over the slice. Every array of either stage
-        holds at most _DECIDE_BYTES, or one trial's worth; the arrays are
-        kept for the next call. No slice size changes a decision.
+        candidate, written block by block in count slices into
+        (candidates, trials) arrays, then one decision pass over the slice.
+        Every array of either stage holds at most _DECIDE_BYTES, or one
+        trial's worth, and is kept for the next call (see _buffer). No slice
+        size changes a decision.
         """
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
@@ -659,8 +670,9 @@ class SlotDecoder:
 
     def _scores(self, ys, books) -> tuple:
         """Tested and rival scores (one array in finite mode) of every
-        candidate against every word, (candidates, T), block by block in
-        count slices."""
+        candidate against every word, block by block in count slices.
+        Scores are candidate-major, (candidates, T), so every reduction over
+        a group's candidates runs along whole rows."""
         size = ys.shape[0]
         kinds = [self._buffer(name, (self._group_of.size, size), np.float64)
                  for name in ("tested", "rival")[:2 if self.mode == "class" else 1]]
@@ -672,22 +684,23 @@ class SlotDecoder:
                 hi = min(lo + step, size)
                 code = self._codes(counter, ys[lo:hi],
                                    [books[key][lo:hi] for key in counter.keys])
-                rows = code.shape[0]
                 if counter.masks:
                     counts = self._class_counts(counter, code)
-                    grouped = [onehot @ counts for onehot in counter.onehots]
+                    scores = [ctx.score_grouped(onehot @ counts) for ctx, onehot
+                              in zip(counter.contexts, counter.onehots)]
                 else:
+                    rows = code.shape[0]
                     index = self._buffer("index", code.shape, np.intp)
                     np.add(code, np.arange(0, rows * self.cells, self.cells,
                                            dtype=np.intp)[:, None], out=index)
                     counts = np.bincount(index.ravel(), minlength=rows * self.cells)
-                    grouped = [ctx.onehot @ counts.reshape(rows, self.cells).T
-                               for ctx in counter.contexts]
-                for out, ctx, g in zip(kinds, counter.contexts, grouped):
+                    scores = [ctx.score_rows(counts.reshape(rows, self.cells))
+                              for ctx in counter.contexts]
+                for out, score in zip(kinds, scores):
                     # (ids, trial, tuple) -> candidates (tuple, id) by trial
                     np.copyto(out[block, lo:hi].reshape(counter.tuples, counter.ids, -1),
-                              ctx.score_grouped(g).reshape(
-                                  counter.ids, hi - lo, counter.tuples).transpose(2, 0, 1))
+                              score.reshape(counter.ids, hi - lo,
+                                            counter.tuples).transpose(2, 0, 1))
             first = block.stop
         return kinds[0], kinds[-1]
 
@@ -725,7 +738,7 @@ class SlotDecoder:
         mask = self._buffer("mask", code.shape, np.bool_)
         words = mask.view(np.uint64)
         total = self._buffer("total", (rows,), np.uint64)
-        hit = self._buffer("rows", code.shape, np.bool_)
+        hit = self._buffer("rows", code.shape, np.bool_)  # _codes is done with it
         for k, cells in enumerate(counter.classes[:-1]):
             np.equal(code, cells[0], out=mask)
             for cell in cells[1:]:
