@@ -934,7 +934,8 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     books hold only the keys that a region block or the sent codewords read;
     the stream still reserves the words of every key. They are written into
     buffers (see _book_buffers; None with frozen codebooks), so a call's
-    books hold only until the next call.
+    books hold only until the next call, from raw words read at most
+    _RAW_WORDS at a time.
     """
     def stream(role):
         return np.random.Philox(np.random.SeedSequence(
@@ -961,8 +962,7 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
 
     def books(count):
         for bits, edges, base, buf in readers.values():
-            # a few trials' words at a time, in stream order
-            step = max(1, _RAW_WORDS // buf[0].size)
+            step = max(1, _RAW_WORDS // buf[0].size)  # trials a read holds
             for lo in range(0, count, step):
                 part = buf[lo:min(lo + step, count)]
                 _symbols_from_raw(bits.random_raw(part.shape), edges, base, part)
@@ -988,11 +988,12 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     received = np.empty((batch, decoder.n), _symbol_dtype(decoder.output_size))
     # output symbol: the number of cumulative entries of the sent inputs' row
     # that the uniform strictly exceeds, one edge table per entry over the
-    # inputs' flat index
+    # inputs' flat index, drawn in pieces of at most _RAW_WORDS // 8 words
     edges = _raw_edges(np.cumsum(true_channel.probs, axis=-1), strict=True)
     edges = edges.reshape(-1, decoder.output_size - 1).T
-    inputs = np.empty((batch, decoder.n), np.intp)
-    edge = np.empty((batch, decoder.n), np.uint64)
+    piece = max(1, min(batch, _RAW_WORDS // 8 // decoder.n))
+    inputs = np.empty((piece, decoder.n), np.intp)
+    edge = np.empty((piece, decoder.n), np.uint64)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
         size = min(_STREAM_BLOCK, trials - start)
@@ -1003,19 +1004,21 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
             part = slice(lo, min(lo + batch, size))
             count = part.stop - lo
             books = books_of(count)
-            x = inputs[:count]
-            for u in range(1, decoder.num_users + 1):
-                sent = books[(u, true_rvi.index(u))][np.arange(count),
-                                                     messages[part, u - 1]]
-                if u == 1:
-                    np.copyto(x, sent)
-                else:
-                    x *= decoder.input_size
-                    x += sent
-            ys = _symbols_from_raw(
-                noise[part], (np.take(e, x, mode="wrap", out=edge[:count])
-                              for e in edges), 0, received[:count])
-            group, _ = decoder.decide(ys, books)
+            for first in range(0, count, piece):
+                stop = min(first + piece, count)
+                x = inputs[:stop - first]
+                for u in range(1, decoder.num_users + 1):
+                    sent = books[(u, true_rvi.index(u))][
+                        np.arange(first, stop), messages[lo + first:lo + stop, u - 1]]
+                    if u == 1:
+                        np.copyto(x, sent)
+                    else:
+                        x *= decoder.input_size
+                        x += sent
+                _symbols_from_raw(noise[lo + first:lo + stop], (
+                    np.take(e, x, mode="wrap", out=edge[:stop - first]) for e in edges),
+                    0, received[first:stop])
+            group, _ = decoder.decide(received[:count], books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))
     return correct, decoded - correct, trials - decoded
