@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -140,18 +140,16 @@ def _letter_edges(cum: np.ndarray) -> tuple:
     return edges[~always & (edges != _NEVER)], int(always.sum())
 
 
-def _symbols_from_raw(raw: np.ndarray, edges: Iterable, base: int,
+def _symbols_from_raw(raw: np.ndarray, edges: Sequence, base: int,
                       out: np.ndarray) -> np.ndarray:
     """out, set to the letter of each raw word: base plus the number of
-    edges (uint64 scalars or arrays that broadcast against raw, each read
-    before the next is taken) strictly below it."""
-    edges = iter(edges)
-    first = next(edges, None)
-    if first is None:
+    edges (uint64 scalars or arrays that broadcast against raw) strictly
+    below it."""
+    if not len(edges):
         out.fill(base)
         return out
-    np.greater(raw, first, out=out)
-    for e in edges:
+    np.greater(raw, edges[0], out=out)
+    for e in edges[1:]:
         out += raw > e
     if base:
         out += base
@@ -453,7 +451,6 @@ class _BlockCounter:
             self.width = n
             row_bytes = 8 * max(n, cells, groups)
         self._row_bytes = self.tuples * row_bytes
-        self._index = {}
 
     def slice_trials(self) -> int:
         """Trials a count slice holds: each of its arrays within
@@ -466,11 +463,8 @@ class _BlockCounter:
         codebook is one trial's. None when they are the array's own rows."""
         if not shared and m == self.tuples and self._whole[term]:
             return None
-        key = (term, shared)
-        if key not in self._index or self._index[key].size < size * self.tuples:
-            trials = np.arange(size, dtype=np.intp)[:, None] * (0 if shared else m)
-            self._index[key] = (trials + self.picks[term]).ravel()
-        return self._index[key][:size * self.tuples]
+        trials = np.arange(size, dtype=np.intp)[:, None] * (0 if shared else m)
+        return (trials + self.picks[term]).ravel()
 
 
 @record
@@ -993,7 +987,6 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     edges = edges.reshape(-1, decoder.output_size - 1).T
     piece = max(1, min(batch, _RAW_WORDS // 8 // decoder.n))
     inputs = np.empty((piece, decoder.n), np.intp)
-    edge = np.empty((piece, decoder.n), np.uint64)
     correct = decoded = 0
     for block_idx, start in enumerate(range(0, trials, _STREAM_BLOCK)):
         size = min(_STREAM_BLOCK, trials - start)
@@ -1015,9 +1008,9 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
                     else:
                         x *= decoder.input_size
                         x += sent
-                _symbols_from_raw(noise[lo + first:lo + stop], (
-                    np.take(e, x, mode="wrap", out=edge[:stop - first]) for e in edges),
-                    0, received[first:stop])
+                _symbols_from_raw(noise[lo + first:lo + stop],
+                                  [np.take(e, x) for e in edges], 0,
+                                  received[first:stop])
             group, _ = decoder.decide(received[:count], books)
             decoded += int(np.count_nonzero(group >= 0))
             correct += int(np.count_nonzero((group >= 0) & (group == truth[part])))
