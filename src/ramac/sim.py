@@ -412,7 +412,7 @@ class _BlockCounter:
     cells, each such class is counted with byte masks and the largest as n
     minus the rest. Otherwise every cell is counted with one bincount. Rows
     are (trial, tuple) pairs, trial-major; codes are the cells' flat indices
-    in the narrowest unsigned dtype, and the mask side pads each row to a
+    in a narrow unsigned dtype, and the mask side pads each row to a
     multiple of 8 with a cell of the largest class.
     """
 

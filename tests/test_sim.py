@@ -467,11 +467,11 @@ def _count_system(k, a, b, n):
 ])
 def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     """decide() against the scalar oracle, which counts cells with its own
-    bincount, across the cell-count kernels' edge cases: words of 1, 7, 8, 9
-    and 17 symbols; a three-letter input alphabet whose rate-1 laws never
-    send letter 1 and a channel with dead cells; a K=2 system of 81 cells;
-    int64 and uint8 symbols; and slices of one trial, whose decisions equal
-    those under the default budget."""
+    bincount, across the cell-count kernels' edge cases: words of 1, 7, 8, 9,
+    17 and 257 symbols; a three-letter input alphabet whose rate-1 laws never
+    send letter 1 and a channel with dead cells; K=2 systems of 16 and 81
+    cells; int64 and uint8 symbols; and slices of one trial, whose decisions
+    equal those under the default budget."""
     rng = np.random.default_rng(n)
     comp, table, laws, region = _count_system(k, a, b, n)
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
