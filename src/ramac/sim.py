@@ -19,11 +19,11 @@ bit-identical scores and analytic ties really compare equal; ties then
 propagate to a collision rather than an arbitrary winner.
 
 decide() counts cells from narrow cell codes laid out (trial, tuple, symbol).
-A block whose score tables give few distinct classes of cells (symmetric
-channels give two) counts each class with byte masks, eight bytes a word,
-and the largest class as n minus the rest; any other block counts every cell
-with one bincount (see _BlockCounter). The counts are exact integers, so the
-method never moves a score. It runs in two stages per slice of trials: the
+The cells of a block's largest class of equal-scoring cells (symmetric
+channels have two classes) are counted together as n minus the rest, and
+every other cell with a byte mask summed eight bytes a word (see
+_BlockCounter). The counts are exact integers, so the method never moves a
+score. It runs in two stages per slice of trials: the
 scores of every candidate, then one decision pass over them. Every array of
 either stage holds at most _DECIDE_BYTES, and the decoder keeps them from
 call to call.
@@ -83,9 +83,6 @@ _WORD_BLOCK = 4096
 Z99 = 2.5758293035489
 # Cap on the bytes of any one array of decide()'s stages (see decide).
 _DECIDE_BYTES = 2 ** 18
-# Blocks whose score classes, the largest left out, hold at most this many
-# cells count them with byte masks; the rest with bincount (see _BlockCounter).
-_MASK_CELLS = 8
 _BYTE_SUM = np.uint64(0x0101010101010101)
 _TOP_BYTE = np.uint64(56)
 # Generator.random on Philox turns the raw word w into (w >> 11) * 2**-53:
@@ -387,10 +384,6 @@ class _ScoreContext:
                            (np.arange(vals.size) - dead.sum()) * count + t)
             self.onehot[row[inverse], np.arange(cells)] = 1.0
 
-    def score_rows(self, flat_counts: np.ndarray) -> np.ndarray:
-        """Scores of (rows, cells) counts, (tables, rows)."""
-        return self.score_grouped(self.onehot @ flat_counts.T)
-
     def score_grouped(self, grouped: np.ndarray) -> np.ndarray:
         """Scores of (value groups, rows) counts, onehot @ counts: integer
         sums, so any grouping of equal-valued cells gives the same floats."""
@@ -407,12 +400,10 @@ class _BlockCounter:
     """How decide() counts the cells of one region block's message tuples.
 
     A score class is a set of cells with one value in every score table of
-    the block (a symmetric channel has few); scores need only each class's
-    count. When the classes other than the largest hold at most _MASK_CELLS
-    cells, each such class is counted with byte masks and the largest as n
-    minus the rest. Otherwise every cell is counted with one bincount. Rows
-    are (trial, tuple) pairs, trial-major; codes are the cells' flat indices
-    in a narrow unsigned dtype, and the mask side pads each row to a
+    the block (a symmetric channel has few), so scores need only its count.
+    The cells of the largest class are counted together, as n minus the
+    rest, and every other cell with a byte mask. Rows are (trial, tuple) pairs, trial-major; codes are the cells'
+    flat indices in a narrow unsigned dtype, and each row is padded to a
     multiple of 8 with a cell of the largest class.
     """
 
@@ -426,31 +417,24 @@ class _BlockCounter:
         self.picks = (*np.unravel_index(np.arange(self.tuples), dims),
                       np.zeros(self.tuples, dtype=np.intp))
         self._whole = [np.array_equal(p, np.arange(self.tuples)) for p in self.picks]
-        cells = math.prod(letters)
         # narrow enough for every cell code and every alphabet size
-        self.dtype = np.min_scalar_type(max(cells - 1, *letters))
+        self.dtype = np.min_scalar_type(max(math.prod(letters) - 1, *letters))
         # code = (x_1 * a + x_2) * a ... * b + y: what each partial sum is
         # multiplied by, as scalars of the code dtype
         self.factors = tuple(self.dtype.type(size) for size in letters[1:])
         values = np.concatenate([ctx.tables for ctx in contexts])
         _, of = np.unique(values, axis=1, return_inverse=True)
-        of = of.reshape(-1)
-        largest = int(np.bincount(of).argmax())
-        # cells as Python ints, so comparisons keep the codes' dtype
-        self.classes = [np.flatnonzero(of == k).tolist() for k in range(of.max() + 1)
-                        if k != largest] + [np.flatnonzero(of == largest).tolist()]
-        self.masks = sum(map(len, self.classes[:-1])) <= _MASK_CELLS
+        largest = of.reshape(-1) == np.bincount(of.reshape(-1)).argmax()
+        self.cells = np.flatnonzero(~largest).astype(self.dtype)
+        self.pad = np.flatnonzero(largest)[0]
+        # each context's one-hot columns of the counted cells, then of the
+        # largest class
+        self.onehots = tuple(ctx.onehot[:, [*self.cells, self.pad]]
+                             for ctx in contexts)
+        self.width = -(-n // 8) * 8
         groups = max(ctx.onehot.shape[0] for ctx in contexts)
-        if self.masks:
-            self.width = -(-n // 8) * 8
-            # each context's one-hot columns of one cell of each class
-            reps = [cls[0] for cls in self.classes]
-            self.onehots = tuple(ctx.onehot[:, reps] for ctx in contexts)
-            row_bytes = max(self.width * self.dtype.itemsize, 8 * groups)
-        else:
-            self.width = n
-            row_bytes = 8 * max(n, cells, groups)
-        self._row_bytes = self.tuples * row_bytes
+        self._row_bytes = self.tuples * max(
+            self.width * self.dtype.itemsize, 8 * (self.cells.size + 1), 8 * groups)
 
     def slice_trials(self) -> int:
         """Trials a count slice holds: each of its arrays within
@@ -678,18 +662,9 @@ class SlotDecoder:
                 hi = min(lo + step, size)
                 code = self._codes(counter, ys[lo:hi],
                                    [books[key][lo:hi] for key in counter.keys])
-                if counter.masks:
-                    counts = self._class_counts(counter, code)
-                    scores = [ctx.score_grouped(onehot @ counts) for ctx, onehot
-                              in zip(counter.contexts, counter.onehots)]
-                else:
-                    rows = code.shape[0]
-                    index = self._buffer("index", code.shape, np.intp)
-                    np.add(code, np.arange(0, rows * self.cells, self.cells,
-                                           dtype=np.intp)[:, None], out=index)
-                    counts = np.bincount(index.ravel(), minlength=rows * self.cells)
-                    scores = [ctx.score_rows(counts.reshape(rows, self.cells))
-                              for ctx in counter.contexts]
+                counts = self._cell_counts(counter, code)
+                scores = [ctx.score_grouped(onehot @ counts) for ctx, onehot
+                          in zip(counter.contexts, counter.onehots)]
                 for out, score in zip(kinds, scores):
                     # (ids, trial, tuple) -> candidates (tuple, id) by trial
                     np.copyto(out[block, lo:hi].reshape(counter.tuples, counter.ids, -1),
@@ -706,7 +681,7 @@ class SlotDecoder:
         code = self._buffer("code", (size * counter.tuples, counter.width),
                             counter.dtype)
         if counter.width > self.n:
-            code[:, self.n:] = counter.classes[-1][0]
+            code[:, self.n:] = counter.pad
         view = code[:, :self.n]
         for term, symbols in enumerate((*books, ys[:, None])):
             shared = size > 1 and symbols.strides[0] == 0
@@ -716,40 +691,43 @@ class SlotDecoder:
                 rows = np.take(rows, index, axis=0, mode="wrap", out=self._buffer(
                     "rows", (index.size, self.n), rows.dtype))
             if term == 0:
-                np.multiply(rows, counter.factors[0], out=view, casting="unsafe")
+                np.multiply(rows, counter.factors[0], out=view, dtype=counter.dtype,
+                            casting="unsafe")
                 continue
             np.add(view, rows, out=view, casting="unsafe")
             if term < len(counter.factors):
                 view *= counter.factors[term]
         return code
 
-    def _class_counts(self, counter: _BlockCounter, code) -> np.ndarray:
-        """Counts of each of the block's score classes in each row of code,
-        (classes, rows) floats: byte masks of the classes but the largest,
-        counted eight bytes a word, and the largest as n minus the rest."""
+    def _cell_counts(self, counter: _BlockCounter, code) -> np.ndarray:
+        """Counts in each row of code of each of the block's counted cells,
+        then of its largest class as n minus the rest: (cells + 1, rows)
+        floats. A cell's byte mask of a row is summed eight bytes a word;
+        the masks of as many cells as _DECIDE_BYTES holds (one at least) are
+        made at once."""
         rows, width = code.shape
-        counts = self._buffer("counts", (len(counter.classes), rows), np.float64)
-        mask = self._buffer("mask", code.shape, np.bool_)
-        words = mask.view(np.uint64)
-        total = self._buffer("total", (rows,), np.uint64)
-        hit = self._buffer("rows", code.shape, np.bool_)  # _codes is done with it
-        for k, cells in enumerate(counter.classes[:-1]):
-            np.equal(code, cells[0], out=mask)
-            for cell in cells[1:]:
-                mask |= np.equal(code, cell, out=hit)
+        counts = self._buffer("counts", (counter.cells.size + 1, rows), np.float64)
+        step = max(1, _DECIDE_BYTES // code.size)
+        for first in range(0, counter.cells.size, step):
+            cells = counter.cells[first:first + step]
+            mask = self._buffer("mask", (cells.size, rows, width), np.bool_)
+            np.equal(code, cells[:, None, None], out=mask)
+            words = mask.view(np.uint64)
+            total = self._buffer("total", (cells.size, rows), np.uint64)
+            out = counts[first:first + cells.size]
             # a word of 0/1 bytes times 0x0101..01 sums them into its top
             # byte; at most 31 words are added first, so no byte carries
             for lo in range(0, width // 8, 31):
-                part = words[:, lo:lo + 31]
-                np.copyto(total, part[:, 0])
-                for j in range(1, part.shape[1]):
-                    total += part[:, j]
+                part = words[..., lo:lo + 31]
+                np.copyto(total, part[..., 0])
+                for j in range(1, part.shape[-1]):
+                    total += part[..., j]
                 total *= _BYTE_SUM
                 total >>= _TOP_BYTE
                 if lo:
-                    counts[k] += total
+                    out += total
                 else:
-                    np.copyto(counts[k], total)
+                    np.copyto(out, total)
         np.subtract(self.n, counts[:-1].sum(axis=0), out=counts[-1])
         return counts
 
@@ -795,40 +773,20 @@ class SlotDecoder:
             best = self._per_group(np.maximum, rival)
         else:
             thr = thr[self._pair_of]
-            best = self._per_group(np.maximum, _keep(rival, rival > thr))
+            best = self._per_group(np.maximum, np.where(rival > thr, rival, NEG_INF))
         top = best.max(axis=0)
         first = best == top
-        second = _keep(best, ~first).max(axis=0)
+        second = np.where(first, NEG_INF, best).max(axis=0)
         # every other group's best: the top one, unless this group alone has it
-        alone = first & (first.sum(axis=0) == 1)
-        others = _infs(~alone)
-        np.minimum(top, np.maximum(second, others, out=others), out=others)
+        others = np.where(first & (first.sum(axis=0) == 1), second, top)
         # beating others, which is at least -inf, also clears a -inf threshold
         dom = tested > others[self._group_of]
         if thr is not None:
             dom &= tested > thr
         unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
-        # the first candidate of the highest dominating tested score
-        scores = _keep(tested, dom)
-        count = len(scores)
-        rank = np.arange(count, 0, -1, dtype=np.min_scalar_type(count))[:, None]
-        win = count - ((scores == scores.max(axis=0)) * rank).max(axis=0)
+        win = np.where(dom, tested, NEG_INF).argmax(axis=0)
         return (np.where(unique, self._group_of[win], -1),
                 np.where(unique, self._cid_of[win], -1))
-
-
-def _infs(cond: np.ndarray) -> np.ndarray:
-    """+inf where cond holds, else -inf."""
-    out = np.subtract(cond, 0.5)
-    out *= math.inf
-    return out
-
-
-def _keep(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """values where cond holds, else -inf: np.where's floats, without its
-    branches."""
-    out = _infs(cond)
-    return np.minimum(values, out, out=out)
 
 
 @record
@@ -984,7 +942,7 @@ def _simulate_case(decoder: SlotDecoder, case_idx: int,
     # that the uniform strictly exceeds, one edge table per entry over the
     # inputs' flat index, drawn in pieces of at most _RAW_WORDS // 8 words
     edges = _raw_edges(np.cumsum(true_channel.probs, axis=-1), strict=True)
-    edges = edges.reshape(-1, decoder.output_size - 1).T
+    edges = edges.reshape(decoder.input_size ** decoder.num_users, -1).T
     piece = max(1, min(batch, _RAW_WORDS // 8 // decoder.n))
     inputs = np.empty((piece, decoder.n), np.intp)
     correct = decoded = 0

@@ -326,9 +326,9 @@ def scalar_decode(decoder, y, codebooks):
                 code = code * decoder.input_size + codebooks.codeword(
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
-                                 minlength=decoder.cells)[None, :]
-            tested = scorers[0].score_rows(counts)[row, 0]
-            rival = scorers[-1].score_rows(counts)[row, 0]
+                                 minlength=decoder.cells)[:, None]
+            tested, rival = (ctx.score_grouped(ctx.onehot @ counts)[row, 0]
+                             for ctx in (scorers[0], scorers[-1]))
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
     for subset in decoder.subsets:

@@ -464,14 +464,16 @@ def _count_system(k, a, b, n):
 @pytest.mark.parametrize("k, a, b, n", [
     (1, 3, 3, 1), (1, 3, 3, 7), (1, 3, 3, 8), (1, 3, 3, 9), (1, 3, 3, 17),
     (1, 2, 2, 9), (1, 2, 2, 257), (2, 2, 4, 8), (2, 3, 9, 7), (2, 3, 9, 9),
+    (1, 17, 17, 9),
 ])
 def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     """decide() against the scalar oracle, which counts cells with its own
-    bincount, across the cell-count kernels' edge cases: words of 1, 7, 8, 9,
+    bincount, across the cell-count kernel's edge cases: words of 1, 7, 8, 9,
     17 and 257 symbols; a three-letter input alphabet whose rate-1 laws never
     send letter 1 and a channel with dead cells; K=2 systems of 16 and 81
-    cells; int64 and uint8 symbols; and slices of one trial, whose decisions
-    equal those under the default budget."""
+    cells; 289 cells of 17-letter alphabets, whose uint16 codes start from
+    uint8 symbols; int64 and uint8 symbols; and slices of one trial, whose
+    decisions equal those under the default budget."""
     rng = np.random.default_rng(n)
     comp, table, laws, region = _count_system(k, a, b, n)
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
@@ -497,6 +499,18 @@ def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     monkeypatch.setattr(ramac.sim, "_DECIDE_BYTES", 1)
     got = decoder.decide(ys, books)
     assert all(np.array_equal(g, w) for g, w in zip(got, want)), "1-trial slices"
+
+
+def test_one_output_channel_simulates():
+    """A channel with one output letter has no edges to draw it with: every
+    received word is all zeros, and two messages always collide."""
+    comp = ramac.CompoundSet((ramac.validate_dmc(np.ones((2, 1)), 1, 2, 1),), ("c",))
+    table = ramac.RateTable(((math.log(2) / 8,),))
+    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),), "finite")
+    rep = ramac.estimate_errors(
+        region, comp, _ledger(comp, ramac.uniform_laws(table, 2), table), 8, 50, 3)
+    assert [(c.decoded_correct, c.decoded_wrong, c.collision)
+            for c in rep.cases] == [(0, 0, 50)]
 
 
 def test_outcome_counts_split_every_trial():
