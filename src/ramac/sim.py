@@ -784,7 +784,11 @@ class SlotDecoder:
         if thr is not None:
             dom &= tested > thr
         unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
-        win = np.where(dom, tested, NEG_INF).argmax(axis=0)
+        # the first candidate of the highest dominating tested score: argmax
+        # along the candidate axis copies its array, and a float copy of a
+        # batch page-faults anew each time (bool is an eighth of it)
+        scores = np.where(dom, tested, NEG_INF)
+        win = (scores == scores.max(axis=0)).argmax(axis=0)
         return (np.where(unique, self._group_of[win], -1),
                 np.where(unique, self._cid_of[win], -1))
 
