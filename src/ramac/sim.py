@@ -23,10 +23,9 @@ The cells of a block's largest class of equal-scoring cells (symmetric
 channels have two classes) are counted together as n minus the rest, and
 every other cell with a byte mask summed eight bytes a word (see
 _BlockCounter). The counts are exact integers, so the method never moves a
-score. It runs in two stages per slice of trials: the
-scores of every candidate, then one decision pass over them. Every array of
-either stage holds at most _DECIDE_BYTES, and the decoder keeps them from
-call to call.
+score. It runs in two stages per slice of trials: the scores of every
+candidate, then one decision pass over them. Every array of either stage
+holds at most _DECIDE_BYTES, and the decoder keeps them from call to call.
 
 All randomness is counter-based: every (role, case, block) triple names a
 Philox stream derived from the master seed, and codebooks regenerate
@@ -402,9 +401,10 @@ class _BlockCounter:
     A score class is a set of cells with one value in every score table of
     the block (a symmetric channel has few), so scores need only its count.
     The cells of the largest class are counted together, as n minus the
-    rest, and every other cell with a byte mask. Rows are (trial, tuple) pairs, trial-major; codes are the cells'
-    flat indices in a narrow unsigned dtype, and each row is padded to a
-    multiple of 8 with a cell of the largest class.
+    rest, and every other cell with a byte mask. Rows are (trial, tuple)
+    pairs, trial-major; codes are the cells' flat indices in a narrow
+    unsigned dtype, and each row is padded to a multiple of 8 with a cell of
+    the largest class.
     """
 
     def __init__(self, dims: tuple, keys: tuple, letters: tuple, n: int,
