@@ -9,7 +9,13 @@ or flags the slot. Modules: channels (models and validation), infometrics
 regions (operation regions, feasibility, partitions), bounds (slot error
 bounds and asymptotics), sim (threshold decoder, Monte Carlo, exact
 enumeration), config/cli (INI-driven command line).
+
+Every module but sim is imported with the package. The simulator's names
+(and ramac.sim itself) import it on first access, so a process that only
+computes bounds never loads it.
 """
+
+import importlib
 
 from .bounds import (
     BoundReport,
@@ -58,6 +64,7 @@ from .exponents import (
     ExponentQuery,
     ExponentResult,
     OptimizerConfig,
+    ThresholdParams,
     ei_exponent,
     em_exponent,
 )
@@ -76,25 +83,26 @@ from .regions import (
     require_c1,
     subsets_containing,
 )
-from .sim import (
-    CODEWORD_GUARD,
-    OUTPUT_ENUM_GUARD,
-    Z99,
-    CaseReport,
-    CodebookSet,
-    Decision,
-    ExactCase,
-    ExactReport,
-    SimReport,
-    SlotDecoder,
-    ThresholdParams,
-    ThresholdTables,
-    build_schedule,
-    build_threshold_tables,
-    estimate_errors,
-    exact_conditional_errors,
-    generate_codebooks,
-    message_count,
-)
+
+# Served by __getattr__ (PEP 562).
+_SIM_NAMES = frozenset({
+    "CODEWORD_GUARD", "OUTPUT_ENUM_GUARD", "Z99", "CaseReport", "CodebookSet",
+    "Decision", "ExactCase", "ExactReport", "SimReport", "SlotDecoder",
+    "ThresholdTables", "build_schedule", "build_threshold_tables",
+    "estimate_errors", "exact_conditional_errors", "generate_codebooks",
+    "message_count",
+})
+
+
+def __getattr__(name):
+    if name == "sim" or name in _SIM_NAMES:
+        sim = importlib.import_module(".sim", __name__)
+        return sim if name == "sim" else getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIM_NAMES | {"sim"})
+
 
 __version__ = "0.1.0"

@@ -28,10 +28,16 @@ from .regions import (
     feasibility_check,
     maximal_feasible_region,
 )
-from .sim import estimate_errors, generate_codebooks
 
 # Most points a sweep may hold; each point runs a whole bound.
 SWEEP_POINTS = 1000
+
+
+def estimate_errors(*args, **kwargs):
+    """ramac.sim.estimate_errors, importing the simulator on first use: of
+    the subcommands only simulate needs it."""
+    from . import sim
+    return sim.estimate_errors(*args, **kwargs)
 
 
 def _parse_subset(text: Optional[str]) -> frozenset:
@@ -202,6 +208,7 @@ def _cmd_simulate(args, system):
         bound = _bound_report(system, n, ledger).clamped_bound
     codebooks = None
     if args.freeze_codebooks:
+        from .sim import generate_codebooks
         codebooks = generate_codebooks(system.table, system.laws,
                                        system.cfg.input_size, n, seed)
     report = estimate_errors(system.region, system.compound, ledger, n, trials,

@@ -32,9 +32,8 @@ from .channels import (
     validate_dmc,
 )
 from .errors import ConfigParseError, SchemaViolation
-from .exponents import OptimizerConfig
+from .exponents import OptimizerConfig, ThresholdParams
 from .regions import OperationRegion, maximal_feasible_region, require_c1
-from .sim import ThresholdParams
 
 CONFIG_DIR_ENV = "RAMAC_CONFIG_DIR"
 

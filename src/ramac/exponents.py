@@ -30,7 +30,7 @@ tie rule and evaluation count are those of probing point by point.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -70,6 +70,36 @@ class OptimizerConfig:
             raise ValidationError(
                 f"rho_grid * s_grid * (refinement_rounds + 1) = {points} "
                 f"exceeds {GRID_POINTS} probes an optimisation")
+
+
+@record
+class ThresholdParams:
+    """Tilt parameters of the decoder's typicality thresholds.
+
+    source "manual" takes rho_tilde and s2 as given; "from_ei" reads rho_tilde
+    off the crossing-exponent argmax against the selected competing pair and
+    sets s2 = rho_tilde / 2, so it takes neither. s1 is always
+    1 - s2 / rho_tilde.
+    """
+
+    rho_tilde: Optional[float] = None
+    s2: Optional[float] = None
+    source: str = "from_ei"
+
+    def __post_init__(self):
+        if self.source not in ("manual", "from_ei"):
+            raise ValidationError(f"source must be 'manual' or 'from_ei', got {self.source!r}")
+        if self.source == "from_ei":
+            if self.rho_tilde is not None or self.s2 is not None:
+                raise ValidationError(
+                    "rho_tilde and s2 need threshold_source = manual")
+            return
+        if self.rho_tilde is None or self.s2 is None:
+            raise ValidationError("manual thresholds need rho_tilde and s2")
+        if not 0 < self.rho_tilde <= 1:
+            raise ValidationError("rho_tilde must lie in (0, 1]")
+        if not 0 < self.s2 < self.rho_tilde:
+            raise ValidationError("s2 must lie in (0, rho_tilde)")
 
 
 @record

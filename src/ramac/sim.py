@@ -58,6 +58,7 @@ from .channels import (
 from .errors import EnumerationTooLarge, TooManyCodewords, ValidationError
 from .exponents import (
     OptimizerConfig,
+    ThresholdParams,
     _batched_power,
     _envelope_true_factor,
     law_block,
@@ -216,36 +217,6 @@ def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
             rows.flags.writeable = False
             entries[(u, i)] = rows
     return CodebookSet(seed=seed, n=n, entries=entries)
-
-
-@record
-class ThresholdParams:
-    """Tilt parameters of the typicality thresholds.
-
-    source "manual" takes rho_tilde and s2 as given; "from_ei" reads rho_tilde
-    off the crossing-exponent argmax against the selected competing pair and
-    sets s2 = rho_tilde / 2, so it takes neither. s1 is always
-    1 - s2 / rho_tilde.
-    """
-
-    rho_tilde: Optional[float] = None
-    s2: Optional[float] = None
-    source: str = "from_ei"
-
-    def __post_init__(self):
-        if self.source not in ("manual", "from_ei"):
-            raise ValidationError(f"source must be 'manual' or 'from_ei', got {self.source!r}")
-        if self.source == "from_ei":
-            if self.rho_tilde is not None or self.s2 is not None:
-                raise ValidationError(
-                    "rho_tilde and s2 need threshold_source = manual")
-            return
-        if self.rho_tilde is None or self.s2 is None:
-            raise ValidationError("manual thresholds need rho_tilde and s2")
-        if not 0 < self.rho_tilde <= 1:
-            raise ValidationError("rho_tilde must lie in (0, 1]")
-        if not 0 < self.s2 < self.rho_tilde:
-            raise ValidationError("s2 must lie in (0, rho_tilde)")
 
 
 @record
@@ -479,6 +450,7 @@ class SlotDecoder:
                  params: ThresholdParams = ThresholdParams()):
         if n < 1:
             raise ValidationError("block length must be >= 1")
+        _guard_codewords(ledger.table, n)
         ledger.require_full("SlotDecoder")
         ledger.check_region(region)
         self.channels = ledger.channels
@@ -1006,7 +978,6 @@ def estimate_errors(region: OperationRegion, compound: CompoundSet,
     if ledger.compound is not None and ledger.compound.ids != compound.ids:
         raise ValidationError("the ledger's channel ids are not the compound "
                               "set's")
-    _guard_codewords(ledger.table, n)
     schedule = build_schedule(region, ledger.table, compound.ids,
                               ledger.envelopes)
     decoder = SlotDecoder(region, ledger, n, params)
@@ -1076,14 +1047,16 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
+    b = compound.output_size
+    # b ** n > OUTPUT_ENUM_GUARD without building b ** n for a huge n: for
+    # b >= 2 any power past the guard's bit length exceeds it
+    if b ** min(n, OUTPUT_ENUM_GUARD.bit_length()) > OUTPUT_ENUM_GUARD:
+        raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
     envelopes = envelopes or ()
     schedule = build_schedule(region, table, compound.ids, envelopes)
     ledger = ExponentLedger(compound if region.mode == "finite" else envelopes,
                             laws, table, cfg)
     decoder = SlotDecoder(region, ledger, n, params)
-    b = decoder.output_size
-    if b ** n > OUTPUT_ENUM_GUARD:
-        raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
     if codebooks is not None:
         books = [codebooks]
     else:

@@ -605,7 +605,7 @@ def test_benchmark_tracer_installs(tmp_path):
     for args, spans in (
             (["cli", "simulate", "--config", str(scenarios / "mac2.cfg"),
               "--no-bound", "--trials", "20", "--out-dir", str(tmp_path)],
-             {"sim.threshold_build", "exponents.ei"}),
+             {"sim.estimate_errors", "sim.threshold_build", "exponents.ei"}),
             (["cli", "bound", "--config", str(scenarios / "class_k1.cfg"),
               "--out-dir", str(tmp_path)],
              {"exponents.em", "exponents.ei"}),

@@ -101,17 +101,84 @@ def test_z99_is_the_normal_quantile():
     assert ramac.Z99.hex() == exact.hex()
 
 
-def test_package_import_skips_dataclasses_and_statistics():
-    """Every ramac process pays for what the package imports: dataclasses
-    compiles generated source for each class, statistics pulls in fractions
-    and decimal."""
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this ramac."""
     src = str(Path(ramac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_skips_dataclasses_and_statistics():
+    """Every ramac process pays for what the package imports: dataclasses
+    compiles generated source for each class, statistics pulls in fractions
+    and decimal."""
     code = ("import sys, ramac.cli, ramac.config; "
             "print(sorted({'dataclasses', 'statistics'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_analytic_commands_never_import_the_simulator(tmp_path):
+    """Only simulate (and exact enumeration) load ramac.sim, the package's
+    largest module: a process running an analytic command neither imports
+    nor compiles it."""
+    code = """if True:
+        import sys, ramac, ramac.cli, ramac.config
+        cfg, out = sys.argv[1:]
+        seen = [("import", "ramac.sim" in sys.modules)]
+        for argv in (["bound"], ["partition"], ["sweep", "--N", "8:8:16"],
+                     ["exponent"], ["exponent-limit"], ["region"],
+                     ["simulate", "--N", "8", "--trials", "20"]):
+            rc = ramac.cli.main([*argv, "--config", cfg, "--out-dir", out])
+            seen.append((argv[0], rc, "ramac.sim" in sys.modules))
+        print(seen)
+    """
+    cfg = Path(__file__).resolve().parents[1] / "examples_cfg" / "bsc_pair.cfg"
+    out = _fresh_python(code, str(cfg), str(tmp_path)).splitlines()[-1]
+    assert out == repr([
+        ("import", False), ("bound", 0, False), ("partition", 0, False),
+        ("sweep", 0, False), ("exponent", 0, False),
+        ("exponent-limit", 0, False), ("region", 0, False),
+        ("simulate", 0, True)])
+
+
+# Every name ramac exported when it imported ramac.sim eagerly.
+PUBLIC_NAMES = """
+    BoundReport BoundTerm C1Report C1Violation CODEWORD_GUARD CaseReport
+    ChannelClassEnvelope CodebookSet CompoundSet ConfigParseError
+    ConstraintViolation Decision DegenerateEnvelope DimensionMismatch Dmc
+    EmptyClass EnumerationTooLarge ExactCase ExactReport ExponentLedger
+    ExponentQuery ExponentResult FeasibilityReport GuardExceeded
+    InfeasibleRegion InputLaws MiQuery MissingLaw NegativeEntry
+    OUTPUT_ENUM_GUARD OperationRegion OptimizerConfig Partition
+    PartitionBoundResult RamacError RateTable RateVectorIndex
+    RowSumOutOfTolerance SchemaViolation SearchSpaceTooLarge SimReport
+    SlotDecoder SystemExponentResult ThresholdParams ThresholdTables
+    TooManyCodewords ValidationError Z99 build_envelope build_schedule
+    build_threshold_tables c1_check conditional_mi effective_channel
+    ei_exponent em_exponent enumerate_partitions estimate_errors
+    exact_conditional_errors feasibility_check generate_codebooks
+    maximal_feasible_region message_count pair_universe pes_bound_classes
+    pes_bound_ddecoder pes_bound_finite pes_bound_single_user proper_subsets
+    require_c1 subsets_containing system_exponent uniform_laws validate_dmc
+""".split()
+
+
+def test_public_names_resolve_lazily():
+    """The simulator's names stay in the package's surface, served on first
+    access (PEP 562) instead of at import."""
+    namespace = {}
+    exec(f"from ramac import {', '.join(PUBLIC_NAMES)}", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(ramac, name), name
+    assert set(PUBLIC_NAMES) | {"sim"} <= set(dir(ramac))
+    assert ramac.sim.ThresholdParams is ramac.ThresholdParams
+    assert ramac.estimate_errors is ramac.sim.estimate_errors
+    with pytest.raises(AttributeError):
+        ramac.not_a_name
+    code = "import ramac; print(ramac.sim.__name__, ramac.Z99 > 2)"
+    assert _fresh_python(code) == "ramac.sim True"

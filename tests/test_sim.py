@@ -149,6 +149,31 @@ def test_codebook_guard_before_overflow():
                                   10, 0)
 
 
+@pytest.mark.parametrize("name", ["bsc_pair.cfg", "bsc_gate.cfg"])
+def test_guards_trip_before_any_exponent(name, monkeypatch):
+    """The decoder's codeword guard and exact enumeration's output guard
+    raise before any exponent is optimised (bsc_gate's thresholds need ei
+    exponents); N = 10000 used to end in OverflowError from message_count
+    in both."""
+    path = Path(__file__).resolve().parents[1] / "examples_cfg" / name
+    system = cfgmod.build_system(cfgmod.load_config(str(path)))
+
+    def optimised(*args):
+        raise AssertionError("an exponent was optimised")
+
+    for attr in ("em_exponent", "ei_exponent"):  # what the ledger calls
+        monkeypatch.setattr(ramac.bounds, attr, optimised)
+    ledger = ramac.ExponentLedger(system.channels, system.laws, system.table,
+                                  system.cfg.optimizer)
+    with pytest.raises(ramac.TooManyCodewords):
+        ramac.SlotDecoder(system.region, ledger, 10000)
+    for n in (40, 10000, 10 ** 12):
+        with pytest.raises(ramac.EnumerationTooLarge):
+            ramac.exact_conditional_errors(system.region, system.laws,
+                                           system.table, n,
+                                           compound=system.compound)
+
+
 def test_threshold_params_validation():
     ramac.ThresholdParams()  # from_ei defaults are fine
     ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
