@@ -6,34 +6,27 @@ threshold, the subset estimate is the admitted tuple of maximum likelihood
 (class mode: the tuple whose lower-envelope likelihood strictly beats every
 rival's upper-envelope likelihood), and the slot decodes only when every
 subset produces the same estimate; anything else is reported as a collision.
-SlotDecoder.decide is the one implementation of this rule: Monte Carlo, exact
-enumeration and the single-slot SlotDecoder.decode all run it. The
-decoder's one context is an ExponentLedger: its compound set or class
-envelopes give the mode and the channels, and its crossing exponents give
-every threshold. estimate_errors takes the same ledger as the bound of its
-system, plus the compound set of realizable channels.
+SlotDecoder.decide is the one implementation of this rule, which Monte Carlo,
+exact enumeration and SlotDecoder.decode all run. Its one context is an
+ExponentLedger, whose compound set or class envelopes give the mode and the
+channels and whose crossing exponents give every threshold; estimate_errors
+takes the ledger of the system's bound, plus the realizable channels.
 
 Likelihoods are joint (input, output) cell counts dotted with a log-propensity
 table in a fixed flat order, so tuples with identical transition counts have
-bit-identical scores and analytic ties really compare equal; ties then
-propagate to a collision rather than an arbitrary winner.
-
-decide() counts cells from narrow cell codes laid out (trial, tuple, symbol).
-The cells of a block's largest class of equal-scoring cells (symmetric
-channels have two classes) are counted together as n minus the rest, and
-every other cell with a byte mask summed eight bytes a word (see
-_BlockCounter). The counts are exact integers, so the method never moves a
-score. It runs in two stages per slice of trials: the scores of every
-candidate, then one decision pass over them. Every array of either stage
-holds at most _DECIDE_BYTES, and the decoder keeps them from call to call.
+bit-identical scores and analytic ties, which become collisions, compare equal.
+decide() counts a block's cells from bit planes, one a letter of every
+codeword and received word (see _BlockCounter), so counts are exact. It
+scores a slice of trials, then decides it in one pass that looks at the
+candidates of the dominating group alone (see _subset_decisions). Every array
+of either stage holds at most _DECIDE_BYTES and is kept from call to call.
 
 All randomness is counter-based: every (role, case, block) triple names a
 Philox stream derived from the master seed, and codebooks regenerate
 bit-identically from per-(user, rate, message) keys. Symbols are read off raw
 Philox words with integer edges (see _raw_edges) that make exactly the
-letters Generator.random's uniforms would, and are kept in the alphabet's
-narrowest unsigned dtype; Monte Carlo writes them into buffers made once per
-case.
+letters Generator.random's uniforms would, in the alphabet's narrowest
+unsigned dtype; Monte Carlo writes them into buffers made once per case.
 """
 
 from __future__ import annotations
@@ -83,8 +76,10 @@ _WORD_BLOCK = 4096
 Z99 = 2.5758293035489
 # Cap on the bytes of any one array of decide()'s stages (see decide).
 _DECIDE_BYTES = 2 ** 18
-_BYTE_SUM = np.uint64(0x0101010101010101)
-_TOP_BYTE = np.uint64(56)
+# the number of set bits of every 16-bit value, from those of its two bytes
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
+_POPCOUNT = (_BYTE_BITS[:, None] + _BYTE_BITS).ravel()
 # Generator.random on Philox turns the raw word w into (w >> 11) * 2**-53:
 # 2**53 uniforms, each the value of 2**11 consecutive raw words.
 _UNIFORM_BITS = 53
@@ -117,13 +112,11 @@ def _raw_edges(cum: np.ndarray, strict: bool) -> np.ndarray:
     letter or, with strict, u > c for a channel output.
 
     Either test fires exactly when w >> 11 reaches a first index,
-    ceil(c * 2**53), or floor(c * 2**53) + 1 with strict; so it fires exactly
-    when w exceeds the edge, the largest word whose w >> 11 is below the first
-    index. The edges are uint64 (an array, so
-    that no comparison falls back to float64): 2**64 - 1 where the first
-    index reaches 2**53 and the entry never fires. An entry c <= 0 without
-    strict fires on every word and has no edge; _letter_edges counts it
-    apart."""
+    ceil(c * 2**53), or floor(c * 2**53) + 1 with strict: when w exceeds the
+    edge, the largest word whose w >> 11 is below the first index. Edges are
+    a uint64 array, so no comparison falls back to float64, and 2**64 - 1
+    where the entry never fires. An entry c <= 0 without strict fires on
+    every word and has no edge; _letter_edges counts it apart."""
     scaled = np.ldexp(cum[..., :-1], _UNIFORM_BITS)
     first = np.floor(scaled) + 1 if strict else np.ceil(scaled)
     last = np.clip(first, 1, 2.0 ** _UNIFORM_BITS).astype(np.uint64) - np.uint64(1)
@@ -153,15 +146,15 @@ def _symbols_from_raw(raw: np.ndarray, edges: Sequence, base: int,
     return out
 
 
-def _ordered_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """rows @ weights over the last axis, summed term by term from the left.
-
-    A BLAS product rounds by blocks laid out by batch shape, so equal rows can
-    differ in the last bit; this sum gives a row one value in any batch.
-    """
-    out = np.zeros(rows.shape[:-1])
-    for j, w in enumerate(weights):
-        out += rows[..., j] * w
+def _ordered_dot(terms, weights, out: Optional[np.ndarray] = None,
+                 product: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sum of each term times its weight, added from the left, into out
+    if given (each product into product). A BLAS product rounds by blocks laid
+    out by batch shape, so equal rows can differ in the last bit."""
+    terms, weights = iter(terms), iter(weights)
+    out = np.multiply(next(terms), next(weights), out=out)
+    for term, w in zip(terms, weights):
+        out += np.multiply(term, w, out=product)
     return out
 
 
@@ -265,8 +258,7 @@ def _stacked_taus(coeff: np.ndarray, const: np.ndarray, y_counts: np.ndarray,
     counts, as (k, T): -inf where an observed symbol has a -inf coefficient,
     else +inf where one has a +inf coefficient, else the closed form."""
     finite = np.where(np.isfinite(coeff), coeff, 0.0)
-    tau = _ordered_dot(np.broadcast_to(y_counts, (len(coeff),) + y_counts.shape),
-                       finite.T[:, :, None]) / n + const[:, None]
+    tau = _ordered_dot(y_counts.T[:, None], finite.T[:, :, None]) / n + const[:, None]
     for value in (math.inf, NEG_INF):  # -inf last: it overrides +inf
         symbols = coeff == value
         if symbols.any():
@@ -341,10 +333,9 @@ class _ScoreContext:
         groups = [np.unique(row, return_inverse=True) for row in tables]
         width = max(np.count_nonzero(~np.isneginf(vals)) for vals, _ in groups)
         self.dead = bool(np.isneginf(tables).any())
-        # one-hot value groups <- cells, for batched matmul grouping: row
-        # j * tables + t is table t's j-th live value in ascending order
-        # (zero-padded to width), then one dead row per table if any table
-        # has dead cells
+        # one-hot value groups <- cells: row j * tables + t is table t's j-th
+        # live value in ascending order (zero-padded to width), then one dead
+        # row per table if any table has dead cells
         self.live_values = np.zeros((count, width))
         self.onehot = np.zeros((count * (width + self.dead), cells))
         for t, (vals, inverse) in enumerate(groups):
@@ -354,15 +345,24 @@ class _ScoreContext:
                            (np.arange(vals.size) - dead.sum()) * count + t)
             self.onehot[row[inverse], np.arange(cells)] = 1.0
 
-    def score_grouped(self, grouped: np.ndarray) -> np.ndarray:
-        """Scores of (value groups, rows) counts, onehot @ counts: integer
-        sums, so any grouping of equal-valued cells gives the same floats."""
+    def score_counts(self, counts: np.ndarray, onehot: Optional[np.ndarray] = None,
+                     scratch=None) -> np.ndarray:
+        """Scores of (cells, rows) counts as (tables, rows), each table's counts
+        summed per value group by onehot (default self.onehot): integer sums,
+        so any grouping of equal-valued cells gives the same floats. scratch
+        (name, shape, dtype) gives the arrays, the scores among them."""
+        onehot = self.onehot if onehot is None else onehot
+        scratch = scratch or (lambda name, shape, dtype=float: np.empty(shape, dtype))
         count, width = self.live_values.shape
+        shape = (count, counts.shape[1])
+        grouped = np.matmul(onehot, counts, out=scratch(
+            "grouped", (len(onehot), shape[1]), np.result_type(onehot, counts)))
+        grouped = grouped.reshape(-1, *shape)
         # zero padding adds +0.0, which leaves every sum as it was
-        live = grouped[:count * width].reshape(width, count, -1).transpose(1, 2, 0)
-        out = _ordered_dot(live, self.live_values.T[:, :, None])
+        out = _ordered_dot(grouped[:width], self.live_values.T[:, :, None],
+                           scratch("score", shape), scratch("product", shape))
         if self.dead:
-            out[grouped[count * width:] > 0] = NEG_INF
+            out[grouped[width] > 0] = NEG_INF
         return out
 
 
@@ -371,55 +371,44 @@ class _BlockCounter:
 
     A score class is a set of cells with one value in every score table of
     the block (a symmetric channel has few), so scores need only its count.
-    The cells of the largest class are counted together, as n minus the
-    rest, and every other cell with a byte mask. Rows are (trial, tuple)
-    pairs, trial-major; codes are the cells' flat indices in a narrow
-    unsigned dtype, and each row is padded to a multiple of 8 with a cell of
-    the largest class.
+    The largest class is counted as n minus the rest, any other in a (tuple,
+    trial) row as the popcount of the OR of its cells' ANDs of their K + 1
+    letters' planes. A letter's plane of a row of symbols (a codeword or a
+    received word) sets a symbol's bit where it is the letter, in zero-padded
+    16-bit words: the AND of the row's bit-sliced planes, one a bit of the
+    symbols, each complemented where the letter's bit is 0.
     """
 
     def __init__(self, dims: tuple, keys: tuple, letters: tuple, n: int,
                  contexts: tuple):
-        self.keys, self.contexts = keys, contexts
-        self.tuples = math.prod(dims)
-        self.ids = contexts[0].live_values.shape[0]
-        # the row each tuple reads of each user's codebook (its message, in
-        # itertools.product order) and of the received word
-        self.picks = (*np.unravel_index(np.arange(self.tuples), dims),
-                      np.zeros(self.tuples, dtype=np.intp))
-        self._whole = [np.array_equal(p, np.arange(self.tuples)) for p in self.picks]
-        # narrow enough for every cell code and every alphabet size
-        self.dtype = np.min_scalar_type(max(math.prod(letters) - 1, *letters))
-        # code = (x_1 * a + x_2) * a ... * b + y: what each partial sum is
-        # multiplied by, as scalars of the code dtype
-        self.factors = tuple(self.dtype.type(size) for size in letters[1:])
-        values = np.concatenate([ctx.tables for ctx in contexts])
-        _, of = np.unique(values, axis=1, return_inverse=True)
-        largest = of.reshape(-1) == np.bincount(of.reshape(-1)).argmax()
-        self.cells = np.flatnonzero(~largest).astype(self.dtype)
-        self.pad = np.flatnonzero(largest)[0]
-        # each context's one-hot columns of the counted cells, then of the
-        # largest class
-        self.onehots = tuple(ctx.onehot[:, [*self.cells, self.pad]]
-                             for ctx in contexts)
-        self.width = -(-n // 8) * 8
-        groups = max(ctx.onehot.shape[0] for ctx in contexts)
-        self._row_bytes = self.tuples * max(
-            self.width * self.dtype.itemsize, 8 * (self.cells.size + 1), 8 * groups)
-
-    def slice_trials(self) -> int:
-        """Trials a count slice holds: each of its arrays within
-        _DECIDE_BYTES, and at least one trial."""
-        return max(1, _DECIDE_BYTES // self._row_bytes)
-
-    def index(self, term: int, m: int, shared: bool, size: int) -> Optional[np.ndarray]:
-        """Rows of a (size * m, n) symbol array that the (trial, tuple) rows
-        of size trials read (term K: the received words, m = 1); a shared
-        codebook is one trial's. None when they are the array's own rows."""
-        if not shared and m == self.tuples and self._whole[term]:
-            return None
-        trials = np.arange(size, dtype=np.intp)[:, None] * (0 if shared else m)
-        return (trials + self.picks[term]).ravel()
+        self.dims, self.keys, self.contexts = dims, keys, contexts
+        self.tuples, self.ids = math.prod(dims), contexts[0].live_values.shape[0]
+        of = np.unique(np.concatenate([ctx.tables for ctx in contexts]), axis=1,
+                       return_inverse=True)[1].reshape(-1)
+        largest = np.bincount(of).argmax()
+        classes = [np.flatnonzero(of == c) for c in np.unique(of) if c != largest]
+        # each context's one-hot columns: each counted class's, the largest's
+        reps = [c[0] for c in classes] + [np.flatnonzero(of == largest)[0]]
+        self.onehots = tuple(ctx.onehot[:, reps].astype(np.float32) for ctx in contexts)
+        # the K + 1 letters of each counted class's cells, (classes, most
+        # cells, K + 1), a class's first cell repeated where it has fewer
+        most = max(map(len, classes), default=1)
+        self.cells = np.array([np.unravel_index(np.resize(c, most), letters)
+                               for c in classes], dtype=np.intp).reshape(
+                                   -1, len(letters), most).transpose(0, 2, 1)
+        # the letters of each term's planes (a binary alphabet's both) as rows
+        # of their bits, which the cells' letters then index
+        self.letters = []
+        for t, size in enumerate(letters):
+            kept = np.arange(2) if size == 2 else np.unique(self.cells[..., t])
+            self.cells[..., t] = np.searchsorted(kept, self.cells[..., t])
+            self.letters.append(kept[:, None] >> np.arange((size - 1).bit_length() or 1) & 1)
+        self.words = -(-n // 16)
+        self.ones = np.packbits(np.arange(16 * self.words) < n).view(np.uint16)
+        # trials a count slice holds: each of its arrays within _DECIDE_BYTES
+        self.slice = max(1, int(_DECIDE_BYTES // self.tuples // max(
+            4 * max(len(classes) + 1, *map(len, self.onehots)), 8 * self.ids,
+            *(16 * self.words * max(v.shape[1], len(v) / 8) for v in self.letters))))
 
 
 @record
@@ -434,16 +423,13 @@ class SlotDecoder:
     """Precomputed decoding context for one region: log-propensity tables,
     candidate enumeration, and per-(pair, subset) thresholds.
 
-    In class mode each candidate carries two scores: the lower-envelope
-    likelihood when tested and the upper-envelope likelihood when rivaling;
-    finite mode uses one score for both roles. Rounding is monotone, so the
-    tested score never exceeds the rival score and at most one message/rate
-    tuple can strictly dominate.
-
-    The ledger is the decoder's context: its channels or class envelopes
-    (which set the mode), laws and rate table, and the crossing exponents of
-    the thresholds, which the bound of the same system may already have
-    filled.
+    In class mode each candidate carries two scores, the lower-envelope
+    likelihood when tested and the upper-envelope likelihood when rivaling
+    (sums over differently grouped cells, so by rounding the tested one can
+    be the higher); finite mode uses one score for both roles. The ledger is
+    the decoder's context: its channels or class envelopes (which set the
+    mode), laws and rate table, and the crossing exponents of the thresholds,
+    which the bound of the same system may already have filled.
     """
 
     def __init__(self, region: OperationRegion, ledger: ExponentLedger, n: int,
@@ -476,10 +462,9 @@ class SlotDecoder:
             else:
                 self.log_tested[cid] = safe_log(ch.pmin).ravel()
                 self.log_rival[cid] = safe_log(ch.pmax).ravel()
-        self.message_counts = {}
-        for u in range(1, self.num_users + 1):
-            for i in range(1, table.num_classes + 1):
-                self.message_counts[(u, i)] = message_count(self.n, table.rate(u, i))
+        self.message_counts = {(u, i): message_count(self.n, table.rate(u, i))
+                               for u in range(1, self.num_users + 1)
+                               for i in range(1, table.num_classes + 1)}
         self._scratch = {}  # decide()'s arrays, by name (see _buffer)
         self._lay_out_candidates()
         self.thresholds = self._build_thresholds(ledger)
@@ -495,15 +480,16 @@ class SlotDecoder:
 
     def _lay_out_candidates(self):
         """Candidate order of decide(): region rate vectors in first-member
-        order, their message tuples in itertools.product order, each under the
-        vector's region channels in id order. A group (message tuple, rate
-        vector) is a run of candidates; groups are numbered in this order."""
+        order, each vector's region channels in id order, and under each its
+        message tuples in itertools.product order. A group (message tuple,
+        rate vector) is numbered in this order; its candidates are a block's
+        groups apart."""
         by_rates = {}
         for rvi, cid in self.region.members:
             by_rates.setdefault(rvi.indices, (rvi, []))[1].append(cid)
         self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
-        self._runs = []  # (first candidate, groups, candidates a group) per block
+        self._runs = []  # (first candidate, groups, ids) per block
         self._scorers = []  # per block: its ids' tested (class: and rival) scores
         self._counters = []  # per block: how decide() counts its cells
         cands = []  # (group, id index, pair index) per candidate
@@ -523,12 +509,18 @@ class SlotDecoder:
                 (self.input_size,) * self.num_users + (self.output_size,), self.n,
                 self._scorers[-1]))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
-                      for g in range(groups, groups + math.prod(dims))
-                      for j, cid in enumerate(cids)]
+                      for j, cid in enumerate(cids)
+                      for g in range(groups, groups + math.prod(dims))]
             self._pairs += [(rvi.indices, cid) for cid in cids]
             groups += math.prod(dims)
         self._group_of, self._cid_of, self._pair_of = np.array(
             cands, dtype=np.int64).reshape(-1, 3).T
+        # (most candidates, groups): each group's candidates down a column,
+        # its last repeated where it has fewer
+        _, lead, run = np.unique(self._group_of, return_index=True, return_counts=True)
+        spacing = np.repeat(*[[groups for _, groups, _ in self._runs]] * 2)
+        self._members = lead + spacing * np.minimum(
+            np.arange(run.max(initial=1))[:, None], run - 1)
 
     def _build_thresholds(self, ledger: ExponentLedger) -> dict:
         """For each (in pair, subset): pick the matching out pair minimizing
@@ -579,25 +571,20 @@ class SlotDecoder:
         """The threshold decoder's decisions for a batch of received words.
 
         ys is (T, n); books maps (user, rate index) to (T, m, n) codewords,
-        one codebook per trial (a broadcast view shares one). Symbols may
-        have any integer dtype; the cell codes are narrow (see _BlockCounter).
-        Returns two (T,) arrays: the decoded group id (see group_ids) and the
-        decoded channel's index in ids, both -1 where the slot is a
-        collision.
-
-        Two stages run per decision slice of trials: the scores of every
-        candidate, written block by block in count slices into
-        (candidates, trials) arrays, then one decision pass over the slice.
-        Every array of either stage holds at most _DECIDE_BYTES, or one
-        trial's worth, and is kept for the next call (see _buffer). No slice
-        size changes a decision.
+        one codebook per trial (a broadcast view shares one); symbols are of
+        any integer dtype. Returns two (T,) arrays: the decoded group id (see
+        group_ids) and the decoded channel's index in ids, both -1 where the
+        slot is a collision. Per decision slice of trials, the scores of every
+        candidate go block by block in count slices into (candidates, trials)
+        arrays, then one pass decides the slice. Every array holds at most
+        _DECIDE_BYTES, or one trial's worth, and is kept (see _buffer); no
+        slice size changes a decision.
         """
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
             raise ValidationError(f"received words must have length {self.n}")
         size = ys.shape[0]
-        group = np.full(size, -1, dtype=np.int64)
-        channel = np.full(size, -1, dtype=np.int64)
+        group, channel = np.full((2, size), -1, dtype=np.int64)
         if not self._pairs:
             return group, channel
         step = max(1, _DECIDE_BYTES // (8 * self._group_of.size))
@@ -609,13 +596,14 @@ class SlotDecoder:
             group[part], channel[part] = self._decisions(words, tested, rival)
         return group, channel
 
-    def _buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+    def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A C-contiguous array of shape and dtype over the decoder's bytes
-        kept under name, grown when too small; its values are left over."""
+        kept under name, grown when too small; its values are left over
+        (zeros when grown)."""
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
         if name not in self._scratch or self._scratch[name].size < size:
-            self._scratch[name] = np.empty(size, dtype=np.uint8)
+            self._scratch[name] = np.zeros(size, dtype=np.uint8)
         return self._scratch[name][:size].view(dtype).reshape(shape)
 
     def _scores(self, ys, books) -> tuple:
@@ -624,91 +612,89 @@ class SlotDecoder:
         Scores are candidate-major, (candidates, T), so every reduction over
         a group's candidates runs along whole rows."""
         size = ys.shape[0]
-        kinds = [self._buffer(name, (self._group_of.size, size), np.float64)
+        kinds = [self._buffer(name, (self._group_of.size, size))
                  for name in ("tested", "rival")[:2 if self.mode == "class" else 1]]
         first = 0
         for counter in self._counters:
-            step = counter.slice_trials()
             block = slice(first, first + counter.tuples * counter.ids)
-            for lo in range(0, size, step):
-                hi = min(lo + step, size)
-                code = self._codes(counter, ys[lo:hi],
-                                   [books[key][lo:hi] for key in counter.keys])
-                counts = self._cell_counts(counter, code)
-                scores = [ctx.score_grouped(onehot @ counts) for ctx, onehot
-                          in zip(counter.contexts, counter.onehots)]
-                for out, score in zip(kinds, scores):
-                    # (ids, trial, tuple) -> candidates (tuple, id) by trial
-                    np.copyto(out[block, lo:hi].reshape(counter.tuples, counter.ids, -1),
-                              score.reshape(counter.ids, hi - lo,
-                                            counter.tuples).transpose(2, 0, 1))
+            for lo in range(0, size, counter.slice):
+                hi = min(lo + counter.slice, size)
+                counts = self._cell_counts(counter, ys[lo:hi],
+                                           [books[key][lo:hi] for key in counter.keys])
+                for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
+                    np.copyto(out[block, lo:hi].reshape(counter.ids, counter.tuples, -1),
+                              ctx.score_counts(counts, onehot, self._buffer).reshape(
+                                  counter.ids, counter.tuples, -1))
             first = block.stop
         return kinds[0], kinds[-1]
 
-    def _codes(self, counter: _BlockCounter, ys, books) -> np.ndarray:
-        """Cell codes of a block's (trial, tuple) rows, (rows, width) in the
-        block's code dtype: ((x_1 * a + x_2) * a ... + x_K) * b + y, the
-        inputs' and output's letters read off books and ys row by row."""
+    def _cell_counts(self, counter: _BlockCounter, ys, books) -> np.ndarray:
+        """Counts of the block's counted classes, then of its largest, in the
+        (tuple, trial) rows of the words ys against books, (classes + 1,
+        tuples * trials) float32 (exact below 2**24), as many classes at once
+        as _DECIDE_BYTES holds (one at least)."""
         size = ys.shape[0]
-        code = self._buffer("code", (size * counter.tuples, counter.width),
-                            counter.dtype)
-        if counter.width > self.n:
-            code[:, self.n:] = counter.pad
-        view = code[:, :self.n]
-        for term, symbols in enumerate((*books, ys[:, None])):
-            shared = size > 1 and symbols.strides[0] == 0
-            rows = symbols[0] if shared else symbols.reshape(-1, self.n)
-            index = counter.index(term, symbols.shape[1], shared, size)
-            if index is not None:
-                rows = np.take(rows, index, axis=0, mode="wrap", out=self._buffer(
-                    "rows", (index.size, self.n), rows.dtype))
-            if term == 0:
-                np.multiply(rows, counter.factors[0], out=view, dtype=counter.dtype,
-                            casting="unsafe")
-                continue
-            np.add(view, rows, out=view, casting="unsafe")
-            if term < len(counter.factors):
-                view *= counter.factors[term]
-        return code
-
-    def _cell_counts(self, counter: _BlockCounter, code) -> np.ndarray:
-        """Counts in each row of code of each of the block's counted cells,
-        then of its largest class as n minus the rest: (cells + 1, rows)
-        floats. A cell's byte mask of a row is summed eight bytes a word;
-        the masks of as many cells as _DECIDE_BYTES holds (one at least) are
-        made at once."""
-        rows, width = code.shape
-        counts = self._buffer("counts", (counter.cells.size + 1, rows), np.float64)
-        step = max(1, _DECIDE_BYTES // code.size)
-        for first in range(0, counter.cells.size, step):
-            cells = counter.cells[first:first + step]
-            mask = self._buffer("mask", (cells.size, rows, width), np.bool_)
-            np.equal(code, cells[:, None, None], out=mask)
-            words = mask.view(np.uint64)
-            total = self._buffer("total", (cells.size, rows), np.uint64)
-            out = counts[first:first + cells.size]
-            # a word of 0/1 bytes times 0x0101..01 sums them into its top
-            # byte; at most 31 words are added first, so no byte carries
-            for lo in range(0, width // 8, 31):
-                part = words[..., lo:lo + 31]
-                np.copyto(total, part[..., 0])
-                for j in range(1, part.shape[-1]):
-                    total += part[..., j]
-                total *= _BYTE_SUM
-                total >>= _TOP_BYTE
-                if lo:
-                    out += total
-                else:
-                    np.copyto(out, total)
-        np.subtract(self.n, counts[:-1].sum(axis=0), out=counts[-1])
+        planes = [self._planes(counter, term, symbols) for term, symbols
+                  in enumerate((*books, ys[:, None]))]
+        counts = self._buffer("counts", (len(counter.cells) + 1, counter.tuples * size),
+                              np.float32)
+        step = max(1, _DECIDE_BYTES // (2 * counter.tuples * size * counter.words))
+        for lo in range(0, len(counter.cells), step):
+            cells = counter.cells[lo:lo + step]
+            shape = (len(cells), *counter.dims, size, counter.words)
+            bits = self._buffer("bits", shape, np.uint16)
+            for i in range(cells.shape[1]):  # OR in each class's i-th cell
+                out = self._buffer("part", shape, np.uint16) if i else bits
+                for term, plane in enumerate(planes[1:], 1):
+                    np.bitwise_and(planes[0][cells[:, i, 0]] if term == 1 else out,
+                                   plane[cells[:, i, term]], out=out)
+                if i:
+                    bits |= out
+            pop = np.take(_POPCOUNT, bits, out=self._buffer("pop", shape, np.uint8))
+            out = counts[lo:lo + len(cells)].reshape(shape[:-1])
+            np.copyto(out, pop[..., 0])
+            for word in range(1, counter.words):  # (a sum along words is slower)
+                out += pop[..., word]
+        rest = counts[0] if len(counts) == 2 else counts[:-1].sum(axis=0, out=counts[-1])
+        np.subtract(self.n, rest, out=counts[-1])
         return counts
+
+    def _planes(self, counter: _BlockCounter, term: int, symbols) -> np.ndarray:
+        """The planes of term's letters in counter.letters of (trials, rows, n)
+        symbols (a shared codebook: one trial's), as (letters, ..., trials,
+        words) with the rows along term's message axis of the count rows."""
+        if symbols.shape[0] > 1 and symbols.strides[0] == 0:
+            symbols = symbols[:1]
+        trials, rows = symbols.shape[:2]
+        value = counter.letters[term]
+        bits, width = value.shape[1], 16 * counter.words
+        if bits == 1 and symbols.dtype == np.uint8 and width == self.n:
+            packed = np.packbits(symbols)  # binary symbols are their own bit plane
+        else:
+            # rows of width bytes from the buffer's start, whose last width - n
+            # are only ever the zeros it was grown with
+            padded = self._buffer("padded", (bits, trials, rows, width), np.uint8)
+            shifts = np.arange(bits, dtype=symbols.dtype)[:, None, None, None]
+            np.bitwise_and(symbols >> shifts, 1, out=padded[..., :self.n],
+                           casting="unsafe")
+            packed = np.packbits(padded)
+        # the plane of each bit of the symbols, and of its complement
+        sliced = self._buffer(f"sliced{term}", (2, bits, rows, trials, counter.words),
+                              np.uint16)
+        np.copyto(sliced[1], packed.view(np.uint16).reshape(
+            bits, trials, rows, -1).transpose(0, 2, 1, 3))
+        np.bitwise_xor(sliced[1], counter.ones, out=sliced[0])
+        planes = sliced[value[:, 0], 0]
+        for bit in range(1, bits):
+            planes &= sliced[value[:, bit], bit]
+        axes = np.where(np.arange(self.num_users) == term, rows, 1)
+        return planes.reshape(len(value), *axes, trials, counter.words)
 
     def _decisions(self, ys, tested, rival) -> tuple:
         """decide() on scored words: each conditioning subset's estimates
         (see _subset_decisions), -1 wherever two subsets disagree."""
         size, b = ys.shape[0], self.output_size
-        y_counts = None
-        group = channel = None
+        y_counts = group = channel = None
         for pairs, coeff, const in self._tables:
             thr = None  # -n * tau per pair, (pairs, T); None: no test rejects
             if pairs.size:
@@ -726,13 +712,6 @@ class SlotDecoder:
             group, channel = np.where(agree, group, -1), np.where(agree, channel, -1)
         return group, channel
 
-    def _per_group(self, ufunc, values) -> np.ndarray:
-        """ufunc reduced over each group's run of candidates: (candidates, T)
-        to (groups, T). A block's groups are runs of equal length."""
-        return np.concatenate([
-            ufunc.reduce(values[lo:lo + groups * run].reshape(groups, run, -1), axis=1)
-            for lo, groups, run in self._runs])
-
     def _subset_decisions(self, thr, tested, rival) -> tuple:
         """(group, channel) estimates of one conditioning subset, -1 unless
         exactly one group strictly dominates. A candidate is typical when its
@@ -740,29 +719,59 @@ class SlotDecoder:
         clears its threshold and the best typical rival score of every other
         group. In the dominating group the highest tested score wins, the
         earliest id on ties. thr is -n * tau per pair, (pairs, T), or None
-        when no pair's test rejects (tau = +inf)."""
-        if thr is None:  # every score clears -inf, a -inf score included
-            best = self._per_group(np.maximum, rival)
+        when no pair's test rejects (tau = +inf).
+
+        A group dominates when its highest admitted (threshold-clearing)
+        tested score beats every other group's best: the top best, or for g1,
+        the first group holding the top, the second best. In finite mode only
+        g1 can; in class mode a tested score can beat its rival score, so all
+        groups are judged. Only the dominating group's candidates are then
+        looked at."""
+        size, cols = tested.shape[1], np.arange(tested.shape[1])
+        best = self._per_group("best", rival, thr)
+        top, g1 = _first_max(best)
+        at = g1 * size + cols  # g1's flat index in each trial
+        best.reshape(-1)[at] = NEG_INF
+        second = best.max(axis=0)  # the best of every group but g1
+        group, high = g1, top
+        if tested is rival:
+            unique = top > second
         else:
-            thr = thr[self._pair_of]
-            best = self._per_group(np.maximum, np.where(rival > thr, rival, NEG_INF))
-        top = best.max(axis=0)
-        first = best == top
-        second = np.where(first, NEG_INF, best).max(axis=0)
-        # every other group's best: the top one, unless this group alone has it
-        others = np.where(first & (first.sum(axis=0) == 1), second, top)
-        # beating others, which is at least -inf, also clears a -inf threshold
-        dom = tested > others[self._group_of]
+            highs = self._per_group("high", tested, thr)
+            above = highs > top  # g1's row: whether it beats the second
+            above.reshape(-1)[at] = highs.reshape(-1)[at] > second
+            unique = above.sum(axis=0) == 1
+            group = _first_max(above)[1]
+            high = highs.reshape(-1)[group * size + cols]
+        # the group's first candidate of its highest admitted tested score
+        cands = self._members.take(group, axis=1)
+        scores = tested.take(cands * size + cols)
+        hit = scores == high
         if thr is not None:
-            dom &= tested > thr
-        unique = self._per_group(np.logical_or, dom).sum(axis=0) == 1
-        # the first candidate of the highest dominating tested score: argmax
-        # along the candidate axis copies its array, and a float copy of a
-        # batch page-faults anew each time (bool is an eighth of it)
-        scores = np.where(dom, tested, NEG_INF)
-        win = (scores == scores.max(axis=0)).argmax(axis=0)
-        return (np.where(unique, self._group_of[win], -1),
-                np.where(unique, self._cid_of[win], -1))
+            hit &= scores > thr.take(self._pair_of.take(cands) * size + cols)
+        channel = self._cid_of.take(cands.take(_first_max(hit)[1] * size + cols))
+        np.putmask(group, ~unique, -1)  # group and channel are fresh arrays
+        np.putmask(channel, ~unique, -1)
+        return group, channel
+
+    def _per_group(self, name: str, scores, thr) -> np.ndarray:
+        """The highest score of each group's candidates that clears its
+        threshold (-inf if none), (groups, T), kept under name."""
+        out = self._buffer(name, (self._members.shape[1], scores.shape[1]))
+        for lo, groups, ids in self._runs:
+            block = scores[lo:lo + groups * ids].reshape(ids, groups, -1)
+            if thr is not None:  # else every score clears -inf, -inf included
+                block = np.where(block > thr[self._pair_of[lo]:][:ids, None], block, NEG_INF)
+            np.maximum.reduce(block, axis=0, out=out[self._group_of[lo]:][:groups])
+        return out
+
+
+def _first_max(values: np.ndarray) -> tuple:
+    """The maximum along axis 0 of values and the first row holding it
+    (argmax along axis 0 copies values)."""
+    top = values.max(axis=0)
+    rank = np.arange(len(values), 0, -1, dtype=np.min_scalar_type(len(values)))
+    return top, len(values) - ((values == top) * rank[:, None]).max(axis=0).astype(np.intp)
 
 
 @record
@@ -856,14 +865,13 @@ def _draw_block(seed: int, case_idx: int, block_idx: int, size: int,
     noise holds the raw Philox words of the channel draw, (size, n).
 
     Streams are derived as SeedSequence(seed, spawn_key=(role, case, block));
-    within a stream, draws happen in a fixed documented order (codebooks by
-    sorted (user, rate), then trial, message and symbol; messages user by
-    user), so a block regenerates alone, however books() splits it. Fresh
-    books hold only the keys that a region block or the sent codewords read;
-    the stream still reserves the words of every key. They are written into
-    buffers (see _book_buffers; None with frozen codebooks), so a call's
-    books hold only until the next call, from raw words read at most
-    _RAW_WORDS at a time.
+    within a stream, draws happen in a fixed order (codebooks by sorted
+    (user, rate), then trial, message and symbol; messages user by user), so
+    a block regenerates alone, however books() splits it. Fresh books hold
+    only the keys a region block or the sent codewords read, though the
+    stream reserves every key's words, written into buffers (see
+    _book_buffers; None with frozen codebooks) from raw words read at most
+    _RAW_WORDS at a time: a call's books hold until the next call.
     """
     def stream(role):
         return np.random.Philox(np.random.SeedSequence(
@@ -963,15 +971,14 @@ def estimate_errors(region: OperationRegion, compound: CompoundSet,
     In-region cases count every outcome other than a correct (message, rate)
     decode as an error; out-of-region cases count only wrong decodes, since
     reporting the collision is the intended behavior there. Every trial
-    draws a fresh codebook unless codebooks pins one across all trials. Each
-    case also reports its split into correct decodes, wrong decodes and
-    collisions. Trials come in stream blocks of _STREAM_BLOCK, drawn, sent and
-    decided in batches sized from the _DRAW_UNIFORMS budget, which bounds the
-    memory of the draws and never changes results. compound holds the
-    realizable channels; the decoder runs on ledger (see SlotDecoder), which
-    a caller may share with the bound of the same system. A finite ledger
-    must map compound's ids; a class ledger's envelopes say which class each
-    realizable channel belongs to.
+    draws a fresh codebook unless codebooks pins one. Each case also reports
+    its split into correct decodes, wrong decodes and collisions. Trials come
+    in stream blocks of _STREAM_BLOCK, drawn, sent and decided in batches
+    sized from the _DRAW_UNIFORMS budget, which bounds the memory of the
+    draws and never changes results. compound holds the realizable channels;
+    the decoder runs on ledger (see SlotDecoder), which the bound of the same
+    system may share. A finite ledger must map compound's ids; a class
+    ledger's envelopes say which class each realizable channel belongs to.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -1057,27 +1064,21 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     ledger = ExponentLedger(compound if region.mode == "finite" else envelopes,
                             laws, table, cfg)
     decoder = SlotDecoder(region, ledger, n, params)
-    if codebooks is not None:
-        books = [codebooks]
-    else:
-        books = []
-        for i in range(codebook_samples):
-            child = np.random.SeedSequence(entropy=seed,
-                                           spawn_key=(_ROLE_ENSEMBLE, i))
-            books.append(generate_codebooks(table, laws, decoder.input_size, n,
-                                            int(child.generate_state(1)[0])))
+    books = [codebooks] if codebooks is not None else [generate_codebooks(
+        table, laws, decoder.input_size, n, int(np.random.SeedSequence(
+            entropy=seed, spawn_key=(_ROLE_ENSEMBLE, i)).generate_state(1)[0]))
+        for i in range(codebook_samples)]
     users = range(1, decoder.num_users + 1)
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def chunks():  # (first index, words): all output words in lexicographic order
-        for start in range(0, b ** n, _WORD_BLOCK):
-            words = np.arange(start, min(start + _WORD_BLOCK, b ** n))
-            yield start, words[:, None] // place % b
-
+    # (first index, words) of every output word in lexicographic order, made
+    # once for every sample, case and message tuple
+    chunks = [(start, (np.arange(start, min(start + _WORD_BLOCK, b ** n))[:, None]
+                       // place % b).astype(_symbol_dtype(b)))
+              for start in range(0, b ** n, _WORD_BLOCK)]
     per_sample = []
     for cb in books:
         group = np.concatenate([decoder.decide(ys, _shared_books(cb, decoder, len(ys)))[0]
-                                for _, ys in chunks()])
+                                for _, ys in chunks])
         sample_cases = []
         for rvi, cid, in_region in schedule:
             log_p = safe_log(compound.by_id(cid).probs)
@@ -1088,7 +1089,7 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
                 rows = [cb.codeword(u, rvi.index(u), msgs[u - 1]) for u in users]
                 wrong = ((group != key) | (group < 0) if in_region
                          else (group >= 0) & (group != key))
-                for start, ys in chunks():
+                for start, ys in chunks:
                     lp = np.zeros(len(ys))
                     for j in range(n):
                         lp += log_p[tuple(r[j] for r in rows)][ys[:, j]]
@@ -1099,9 +1100,8 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
             sample_cases.append(ExactCase(rvi.indices, cid, in_region,
                                           float(total) / len(tuples)))
         per_sample.append(tuple(sample_cases))
-    averaged = []
-    for i, (rvi, cid, in_region) in enumerate(schedule):
-        mean = sum(s[i].probability for s in per_sample) / len(per_sample)
-        averaged.append(ExactCase(rvi.indices, cid, in_region, mean))
+    averaged = [ExactCase(rvi.indices, cid, in_region, sum(
+        s[i].probability for s in per_sample) / len(per_sample))
+        for i, (rvi, cid, in_region) in enumerate(schedule)]
     return ExactReport(n=n, samples=len(books), cases=tuple(averaged),
                        per_sample=tuple(per_sample))

@@ -327,7 +327,7 @@ def scalar_decode(decoder, y, codebooks):
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
                                  minlength=decoder.cells)[:, None]
-            tested, rival = (ctx.score_grouped(ctx.onehot @ counts)[row, 0]
+            tested, rival = (ctx.score_counts(counts)[row, 0]
                              for ctx in (scorers[0], scorers[-1]))
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
