@@ -346,11 +346,11 @@ class _ScoreContext:
             self.onehot[row[inverse], np.arange(cells)] = 1.0
 
     def score_counts(self, counts: np.ndarray, onehot: Optional[np.ndarray] = None,
-                     scratch=None) -> np.ndarray:
+                     scratch=None, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Scores of (cells, rows) counts as (tables, rows), each table's counts
         summed per value group by onehot (default self.onehot): integer sums,
-        so any grouping of equal-valued cells gives the same floats. scratch
-        (name, shape, dtype) gives the arrays, the scores among them."""
+        so any grouping of equal-valued cells gives the same floats, into out
+        if given. scratch(name, shape, dtype) gives the other arrays."""
         onehot = self.onehot if onehot is None else onehot
         scratch = scratch or (lambda name, shape, dtype=float: np.empty(shape, dtype))
         count, width = self.live_values.shape
@@ -360,7 +360,8 @@ class _ScoreContext:
         grouped = grouped.reshape(-1, *shape)
         # zero padding adds +0.0, which leaves every sum as it was
         out = _ordered_dot(grouped[:width], self.live_values.T[:, :, None],
-                           scratch("score", shape), scratch("product", shape))
+                           scratch("score", shape) if out is None else out,
+                           scratch("product", shape))
         if self.dead:
             out[grouped[width] > 0] = NEG_INF
         return out
@@ -385,10 +386,10 @@ class _BlockCounter:
         self.tuples, self.ids = math.prod(dims), contexts[0].live_values.shape[0]
         of = np.unique(np.concatenate([ctx.tables for ctx in contexts]), axis=1,
                        return_inverse=True)[1].reshape(-1)
-        largest = np.bincount(of).argmax()
-        classes = [np.flatnonzero(of == c) for c in np.unique(of) if c != largest]
+        sizes = np.bincount(of)  # (a plain np.unique would import numpy.ma)
+        classes = [np.flatnonzero(of == c) for c in range(len(sizes)) if c != sizes.argmax()]
         # each context's one-hot columns: each counted class's, the largest's
-        reps = [c[0] for c in classes] + [np.flatnonzero(of == largest)[0]]
+        reps = [c[0] for c in classes] + [np.flatnonzero(of == sizes.argmax())[0]]
         self.onehots = tuple(ctx.onehot[:, reps].astype(np.float32) for ctx in contexts)
         # the K + 1 letters of each counted class's cells, (classes, most
         # cells, K + 1), a class's first cell repeated where it has fewer
@@ -400,12 +401,13 @@ class _BlockCounter:
         # of their bits, which the cells' letters then index
         self.letters = []
         for t, size in enumerate(letters):
-            kept = np.arange(2) if size == 2 else np.unique(self.cells[..., t])
+            kept = np.arange(2) if size == 2 else np.flatnonzero(
+                np.bincount(self.cells[..., t].ravel(), minlength=size))
             self.cells[..., t] = np.searchsorted(kept, self.cells[..., t])
             self.letters.append(kept[:, None] >> np.arange((size - 1).bit_length() or 1) & 1)
         self.words = -(-n // 16)
         self.ones = np.packbits(np.arange(16 * self.words) < n).view(np.uint16)
-        # trials a count slice holds: each of its arrays within _DECIDE_BYTES
+        # trials a slice of decide() holds: each count array within _DECIDE_BYTES
         self.slice = max(1, int(_DECIDE_BYTES // self.tuples // max(
             4 * max(len(classes) + 1, *map(len, self.onehots)), 8 * self.ids,
             *(16 * self.words * max(v.shape[1], len(v) / 8) for v in self.letters))))
@@ -574,11 +576,11 @@ class SlotDecoder:
         one codebook per trial (a broadcast view shares one); symbols are of
         any integer dtype. Returns two (T,) arrays: the decoded group id (see
         group_ids) and the decoded channel's index in ids, both -1 where the
-        slot is a collision. Per decision slice of trials, the scores of every
-        candidate go block by block in count slices into (candidates, trials)
-        arrays, then one pass decides the slice. Every array holds at most
-        _DECIDE_BYTES, or one trial's worth, and is kept (see _buffer); no
-        slice size changes a decision.
+        slot is a collision. Per slice of trials, the scores of every
+        candidate go block by block into (candidates, trials) arrays, then one
+        pass decides the slice. A slice holds as many trials as keep every
+        array within _DECIDE_BYTES (one at least); the arrays are kept (see
+        _buffer), and no slice size changes a decision.
         """
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
@@ -587,7 +589,8 @@ class SlotDecoder:
         group, channel = np.full((2, size), -1, dtype=np.int64)
         if not self._pairs:
             return group, channel
-        step = max(1, _DECIDE_BYTES // (8 * self._group_of.size))
+        step = max(1, min(_DECIDE_BYTES // (8 * self._group_of.size),
+                          *(counter.slice for counter in self._counters)))
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
             words = ys[part]
@@ -608,8 +611,8 @@ class SlotDecoder:
 
     def _scores(self, ys, books) -> tuple:
         """Tested and rival scores (one array in finite mode) of every
-        candidate against every word, block by block in count slices.
-        Scores are candidate-major, (candidates, T), so every reduction over
+        candidate against every word, block by block. Scores are
+        candidate-major, (candidates, T), so every reduction over
         a group's candidates runs along whole rows."""
         size = ys.shape[0]
         kinds = [self._buffer(name, (self._group_of.size, size))
@@ -617,14 +620,10 @@ class SlotDecoder:
         first = 0
         for counter in self._counters:
             block = slice(first, first + counter.tuples * counter.ids)
-            for lo in range(0, size, counter.slice):
-                hi = min(lo + counter.slice, size)
-                counts = self._cell_counts(counter, ys[lo:hi],
-                                           [books[key][lo:hi] for key in counter.keys])
-                for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
-                    np.copyto(out[block, lo:hi].reshape(counter.ids, counter.tuples, -1),
-                              ctx.score_counts(counts, onehot, self._buffer).reshape(
-                                  counter.ids, counter.tuples, -1))
+            counts = self._cell_counts(counter, ys, [books[key] for key in counter.keys])
+            for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
+                ctx.score_counts(counts, onehot, self._buffer,
+                                 out[block].reshape(counter.ids, -1))
             first = block.stop
         return kinds[0], kinds[-1]
 
@@ -684,11 +683,12 @@ class SlotDecoder:
         np.copyto(sliced[1], packed.view(np.uint16).reshape(
             bits, trials, rows, -1).transpose(0, 2, 1, 3))
         np.bitwise_xor(sliced[1], counter.ones, out=sliced[0])
-        planes = sliced[value[:, 0], 0]
+        # (one bit: the letters are 0 and 1, or 0 alone, so no copy is needed)
+        planes = sliced[:, 0] if bits == 1 else sliced[value[:, 0], 0]
         for bit in range(1, bits):
             planes &= sliced[value[:, bit], bit]
-        axes = np.where(np.arange(self.num_users) == term, rows, 1)
-        return planes.reshape(len(value), *axes, trials, counter.words)
+        axes = [rows if u == term else 1 for u in range(self.num_users)]
+        return planes.reshape(len(planes), *axes, trials, counter.words)
 
     def _decisions(self, ys, tested, rival) -> tuple:
         """decide() on scored words: each conditioning subset's estimates
@@ -767,8 +767,7 @@ class SlotDecoder:
 
 
 def _first_max(values: np.ndarray) -> tuple:
-    """The maximum along axis 0 of values and the first row holding it
-    (argmax along axis 0 copies values)."""
+    """values' maximum along axis 0 and its first row (argmax would copy)."""
     top = values.max(axis=0)
     rank = np.arange(len(values), 0, -1, dtype=np.min_scalar_type(len(values)))
     return top, len(values) - ((values == top) * rank[:, None]).max(axis=0).astype(np.intp)
