@@ -355,9 +355,8 @@ class _ScoreContext:
         scratch = scratch or (lambda name, shape, dtype=float: np.empty(shape, dtype))
         count, width = self.live_values.shape
         shape = (count, counts.shape[1])
-        grouped = np.matmul(onehot, counts, out=scratch(
-            "grouped", (len(onehot), shape[1]), np.result_type(onehot, counts)))
-        grouped = grouped.reshape(-1, *shape)
+        grouped = np.matmul(onehot, counts, out=scratch("grouped", (
+            len(onehot), shape[1]), np.result_type(onehot, counts))).reshape(-1, *shape)
         # zero padding adds +0.0, which leaves every sum as it was
         out = _ordered_dot(grouped[:width], self.live_values.T[:, :, None],
                            scratch("score", shape) if out is None else out,
@@ -407,7 +406,7 @@ class _BlockCounter:
             self.letters.append(kept[:, None] >> np.arange((size - 1).bit_length() or 1) & 1)
         self.words = -(-n // 16)
         self.ones = np.packbits(np.arange(16 * self.words) < n).view(np.uint16)
-        # trials a slice of decide() holds: each count array within _DECIDE_BYTES
+        # trials a count slice holds: each of its arrays within _DECIDE_BYTES
         self.slice = max(1, int(_DECIDE_BYTES // self.tuples // max(
             4 * max(len(classes) + 1, *map(len, self.onehots)), 8 * self.ids,
             *(16 * self.words * max(v.shape[1], len(v) / 8) for v in self.letters))))
@@ -444,15 +443,11 @@ class SlotDecoder:
         self.channels = ledger.channels
         self.ids = tuple(self.channels)
         ref = next(iter(self.channels.values()))
-        self.mode = region.mode
-        self.region = region
-        self.laws = ledger.laws
-        self.table = table = ledger.table
+        self.mode, self.region, self.laws, self.params = region.mode, region, ledger.laws, params
+        table = self.table = ledger.table
         self.n = int(n)
-        self.params = params
-        self.num_users = ref.num_users
-        self.input_size = ref.input_size
-        self.output_size = ref.output_size
+        self.num_users, self.input_size, self.output_size = (
+            ref.num_users, ref.input_size, ref.output_size)
         self.cells = self.input_size ** self.num_users * self.output_size
         self.subsets = proper_subsets(range(1, self.num_users + 1))
         self.out_pairs = region.complement(pair_universe(table, self.ids))
@@ -576,11 +571,11 @@ class SlotDecoder:
         one codebook per trial (a broadcast view shares one); symbols are of
         any integer dtype. Returns two (T,) arrays: the decoded group id (see
         group_ids) and the decoded channel's index in ids, both -1 where the
-        slot is a collision. Per slice of trials, the scores of every
-        candidate go block by block into (candidates, trials) arrays, then one
-        pass decides the slice. A slice holds as many trials as keep every
-        array within _DECIDE_BYTES (one at least); the arrays are kept (see
-        _buffer), and no slice size changes a decision.
+        slot is a collision. Per decision slice of trials, the scores of every
+        candidate go block by block in count slices into (candidates, trials)
+        arrays, then one pass decides the slice. Every array holds at most
+        _DECIDE_BYTES, or one trial's worth, and is kept (see _buffer); no
+        slice size changes a decision.
         """
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.n:
@@ -589,8 +584,7 @@ class SlotDecoder:
         group, channel = np.full((2, size), -1, dtype=np.int64)
         if not self._pairs:
             return group, channel
-        step = max(1, min(_DECIDE_BYTES // (8 * self._group_of.size),
-                          *(counter.slice for counter in self._counters)))
+        step = max(1, _DECIDE_BYTES // (8 * self._group_of.size))
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
             words = ys[part]
@@ -611,8 +605,8 @@ class SlotDecoder:
 
     def _scores(self, ys, books) -> tuple:
         """Tested and rival scores (one array in finite mode) of every
-        candidate against every word, block by block. Scores are
-        candidate-major, (candidates, T), so every reduction over
+        candidate against every word, block by block in count slices. Scores
+        are candidate-major, (candidates, T), so every reduction over
         a group's candidates runs along whole rows."""
         size = ys.shape[0]
         kinds = [self._buffer(name, (self._group_of.size, size))
@@ -620,21 +614,28 @@ class SlotDecoder:
         first = 0
         for counter in self._counters:
             block = slice(first, first + counter.tuples * counter.ids)
-            counts = self._cell_counts(counter, ys, [books[key] for key in counter.keys])
-            for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
-                ctx.score_counts(counts, onehot, self._buffer,
-                                 out[block].reshape(counter.ids, -1))
+            whole = counter.slice >= size  # one count slice: score straight into out
+            for lo in range(0, size, counter.slice):
+                part = slice(lo, lo + counter.slice)
+                counts = self._cell_counts(counter, ys, books, part)
+                for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
+                    score = ctx.score_counts(counts, onehot, self._buffer, out[block].reshape(
+                        counter.ids, -1) if whole else None)
+                    if not whole:
+                        np.copyto(out[block, part].reshape(counter.ids, counter.tuples, -1),
+                                  score.reshape(counter.ids, counter.tuples, -1))
             first = block.stop
         return kinds[0], kinds[-1]
 
-    def _cell_counts(self, counter: _BlockCounter, ys, books) -> np.ndarray:
+    def _cell_counts(self, counter: _BlockCounter, ys, books, part) -> np.ndarray:
         """Counts of the block's counted classes, then of its largest, in the
-        (tuple, trial) rows of the words ys against books, (classes + 1,
+        (tuple, trial) rows of the words ys[part] against books, (classes + 1,
         tuples * trials) float32 (exact below 2**24), as many classes at once
         as _DECIDE_BYTES holds (one at least)."""
+        ys = ys[part]
         size = ys.shape[0]
-        planes = [self._planes(counter, term, symbols) for term, symbols
-                  in enumerate((*books, ys[:, None]))]
+        planes = [self._planes(counter, term, symbols) for term, symbols in enumerate(
+            (*(books[key][part] for key in counter.keys), ys[:, None]))]
         counts = self._buffer("counts", (len(counter.cells) + 1, counter.tuples * size),
                               np.float32)
         step = max(1, _DECIDE_BYTES // (2 * counter.tuples * size * counter.words))
