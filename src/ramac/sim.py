@@ -345,14 +345,13 @@ class _ScoreContext:
                            (np.arange(vals.size) - dead.sum()) * count + t)
             self.onehot[row[inverse], np.arange(cells)] = 1.0
 
-    def score_counts(self, counts: np.ndarray, onehot: Optional[np.ndarray] = None,
-                     scratch=None, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Scores of (cells, rows) counts as (tables, rows), each table's counts
-        summed per value group by onehot (default self.onehot): integer sums,
-        so any grouping of equal-valued cells gives the same floats, into out
-        if given. scratch(name, shape, dtype) gives the other arrays."""
-        onehot = self.onehot if onehot is None else onehot
-        scratch = scratch or (lambda name, shape, dtype=float: np.empty(shape, dtype))
+    def score_counts(self, counts: np.ndarray, onehot: np.ndarray, scratch,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Scores of (cells, rows) counts as (tables, rows), into out if given:
+        each table's counts summed per value group by onehot (self.onehot, or
+        its columns of the cells counted), integer sums, so any grouping of
+        equal-valued cells gives the same floats. scratch(name, shape, dtype
+        = float64) gives the other arrays."""
         count, width = self.live_values.shape
         shape = (count, counts.shape[1])
         grouped = np.matmul(onehot, counts, out=scratch("grouped", (

@@ -327,7 +327,7 @@ def scalar_decode(decoder, y, codebooks):
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
                                  minlength=decoder.cells)[:, None]
-            tested, rival = (ctx.score_counts(counts)[row, 0]
+            tested, rival = (ctx.score_counts(counts, ctx.onehot, _scratch)[row, 0]
                              for ctx in (scorers[0], scorers[-1]))
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
@@ -345,6 +345,11 @@ def scalar_decode(decoder, y, codebooks):
     if len({(msgs, rvi.indices, cid) for msgs, rvi, cid in estimates}) > 1:
         return None
     return estimates[0]
+
+
+def _scratch(name, shape, dtype=float):
+    """A fresh array for each of score_counts' arrays."""
+    return np.empty(shape, dtype)
 
 
 def _subset_estimate(scored, thr, ids):
