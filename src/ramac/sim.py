@@ -148,9 +148,9 @@ def _symbols_from_raw(raw: np.ndarray, edges: Sequence, base: int,
 
 def _ordered_dot(terms, weights, out: Optional[np.ndarray] = None,
                  product: Optional[np.ndarray] = None) -> np.ndarray:
-    """The sum of each term times its weight, added from the left, into out
-    if given (each product into product). A BLAS product rounds by blocks laid
-    out by batch shape, so equal rows can differ in the last bit."""
+    """The sum of each term times its weight, added from the left (into out
+    and product if given), not by BLAS, whose blocks follow the batch shape:
+    so equal rows get one value in any batch."""
     terms, weights = iter(terms), iter(weights)
     out = np.multiply(next(terms), next(weights), out=out)
     for term, w in zip(terms, weights):
