@@ -390,7 +390,7 @@ class _BlockCounter:
         reps = [c[0] for c in classes] + [np.flatnonzero(of == sizes.argmax())[0]]
         self.onehots = tuple(ctx.onehot[:, reps].astype(np.float32) for ctx in contexts)
         # the K + 1 letters of each counted class's cells, (classes, most
-        # cells, K + 1), a class's first cell repeated where it has fewer
+        # cells, K + 1), a class's cells repeated where it has fewer
         most = max(map(len, classes), default=1)
         self.cells = np.array([np.unravel_index(np.resize(c, most), letters)
                                for c in classes], dtype=np.intp).reshape(
