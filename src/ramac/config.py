@@ -83,7 +83,6 @@ class RunConfig:
     rates: tuple  # per user, tuple of floats
     law_overrides: tuple  # ((user, rate idx), vector)
     region_pairs: Optional[tuple]  # (indices tuple, id) or None for maximal
-    region_maximal: bool
     defaults: Defaults
     optimizer: OptimizerConfig
     thresholds: ThresholdParams
@@ -283,7 +282,6 @@ def load_config(path: str) -> RunConfig:
 
     region_ids = [kid for kid, _ in classes] if mode == "class" else channel_ids
     region_pairs = None
-    region_maximal = False
     if "region" in parser:
         reg = parser["region"]
         _check_keys(reg, ("pairs", "maximal"), "[region]")
@@ -300,8 +298,6 @@ def load_config(path: str) -> RunConfig:
             region_pairs = tuple(pairs)
         elif not region_maximal:
             raise SchemaViolation("[region] needs pairs or maximal = yes")
-    else:
-        region_maximal = True
 
     d = parser["defaults"] if "defaults" in parser else {}
     _check_keys(d, DEFAULTS_SCHEMA, "[defaults]")
@@ -316,7 +312,7 @@ def load_config(path: str) -> RunConfig:
         output_size=output_size, channels=tuple(channels),
         classes=tuple(classes), rates=tuple(rates),
         law_overrides=tuple(overrides), region_pairs=region_pairs,
-        region_maximal=region_maximal, defaults=built[Defaults],
+        defaults=built[Defaults],
         optimizer=built[OptimizerConfig], thresholds=built[ThresholdParams],
     )
 
@@ -352,7 +348,7 @@ def build_system(cfg: RunConfig) -> System:
     envelopes = tuple(build_envelope(tuple(compound.by_id(m) for m in members),
                                      class_id=kid, member_ids=members)
                       for kid, members in cfg.classes)
-    if cfg.region_maximal:
+    if cfg.region_pairs is None:
         region = maximal_feasible_region(compound, laws, table)
         if cfg.mode == "class":
             region = require_c1(region, envelopes)

@@ -11,11 +11,13 @@ Each is a max over (rho, s) of a rate-penalty term minus a log-moment term; the
 moment is a law-weighted sum over input tuples and outputs, evaluated entirely
 in the log domain. em_exponent and ei_exponent take a query of either
 variant, and the query's channels decide which: Dmc pairs give the finite
-exponent, ChannelClassEnvelope pairs the class one. Class variants replace
-channel probabilities by the class envelopes: true-tuple factors pair the
-upper envelope with a negative power of the lower one, competing factors use
-the upper envelope alone. A singleton class (pmax = pmin) makes every class
-formula collapse to its finite counterpart, which the tests assert to 1e-12.
+exponent, ChannelClassEnvelope pairs the class one. The split lives in
+_channel_logs and _true_factor alone, which the objective and sim's tables
+share: a channel is fed as its own upper and lower envelope, true-tuple
+factors pair the upper envelope with a negative power of the lower one,
+competing factors use the upper envelope alone. A singleton class
+(pmax = pmin) makes every class formula collapse to its finite counterpart,
+which the tests assert to 1e-12.
 
 Optimization is a deterministic grid search with shrinking refinement: the
 incumbent is only ever replaced by a strictly better value, so the returned
@@ -188,14 +190,8 @@ class _QueryTensors:
         self.w_comp = law_block(q.laws, sbar_users, q.comp_rates, k, a)
         # Subset-user laws on the reduced shape left over after the sbar axes
         # are summed out (subset axes in increasing user order, then output).
-        reduced = (a,) * len(self.s_users) + (1,)
-        ws = np.zeros(reduced)
-        for pos, u in enumerate(self.s_users):
-            vec = safe_log(q.laws.law(u, q.true_rates.index(u)))
-            shape = [1] * len(reduced)
-            shape[pos] = a
-            ws = ws + vec.reshape(shape)
-        self.w_subset = ws
+        self.w_subset = law_block(q.laws, self.s_users, q.true_rates, k, a)[
+            tuple(0 if ax in self.sbar_axes else slice(None) for ax in range(k))]
         self.rate_sum_true = sum(
             q.rate_table.rate(u, q.true_rates.index(u)) for u in sbar_users
         )
@@ -241,62 +237,50 @@ def _batched_power(logp: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return np.where(np.isneginf(logp), NEG_INF, out)
 
 
-def _envelope_true_factor(log_pmax: np.ndarray, log_pmin: np.ndarray,
-                          neg_powers: np.ndarray) -> np.ndarray:
-    """log of pmax * pmin^(-neg_power) for each neg_power, stacked on axis 0;
-    -inf wherever pmax vanishes."""
-    e = np.reshape(neg_powers, (-1,) + (1,) * log_pmax.ndim)
+def _channel_logs(channel: ChannelLike) -> tuple:
+    """(log upper, log lower) tables: an envelope's pmax and pmin, a
+    channel's own log p twice (one array)."""
+    if isinstance(channel, Dmc):
+        log_p = safe_log(channel.probs)
+        return log_p, log_p
+    return safe_log(channel.pmax), safe_log(channel.pmin)
+
+
+def _true_factor(channel: ChannelLike, logs: tuple, power,
+                 neg_power) -> np.ndarray:
+    """power * log p for a channel, log pmax - neg_power * log pmin for an
+    envelope (-inf where pmax vanishes), per power, stacked on axis 0; logs
+    is _channel_logs(channel). Both powers are passed, as each variant
+    computes its own, since deriving one from the other would move bits."""
+    log_upper, log_lower = logs
+    if isinstance(channel, Dmc):
+        return _batched_power(log_upper, power)
+    e = np.reshape(neg_power, (-1,) + (1,) * log_upper.ndim)
     with np.errstate(invalid="ignore"):
-        out = log_pmax - e * log_pmin
-    return np.where(np.isneginf(log_pmax), NEG_INF, out)
+        out = log_upper - e * log_lower
+    return np.where(np.isneginf(log_upper), NEG_INF, out)
 
 
 Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _em_objective(q: ExponentQuery, t: _QueryTensors) -> Objective:
-    if isinstance(q.true_channel, Dmc):
-        log_p = safe_log(q.true_channel.probs)
-        log_pc = safe_log(q.comp_channel.probs)
-
-        def true_factor(rho, s):
-            return _batched_power(log_p, 1.0 - s)
-
-    else:
-        log_pmax = safe_log(q.true_channel.pmax)
-        log_pmin = safe_log(q.true_channel.pmin)
-        log_pc = safe_log(q.comp_channel.pmax)
-
-        def true_factor(rho, s):
-            return _envelope_true_factor(log_pmax, log_pmin, s)
+def _objective(q: ExponentQuery, t: _QueryTensors, kind: str) -> Objective:
+    """The em or ei objective -rho * R - log phi at flat (rho, s) probes; R
+    sums the competing (em) or true (ei) rates of the users outside S."""
+    true_logs = _channel_logs(q.true_channel)
+    log_pc = _channel_logs(q.comp_channel)[0]
+    em = kind == "em"
+    rate_sum = t.rate_sum_comp if em else t.rate_sum_true
 
     def objective(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
-        f_comp = _batched_power(log_pc, s / rho)
-        log_phi = t.collect(true_factor(rho, s), 1.0, f_comp, rho)
-        return -rho * t.rate_sum_comp - log_phi
-
-    return objective
-
-
-def _ei_objective(q: ExponentQuery, t: _QueryTensors) -> Objective:
-    if isinstance(q.true_channel, Dmc):
-        log_p = safe_log(q.true_channel.probs)
-        f_comp = safe_log(q.comp_channel.probs)[None]
-
-        def true_factor(rho, s):
-            return _batched_power(log_p, s / (s + rho))
-
-    else:
-        log_pmax = safe_log(q.true_channel.pmax)
-        log_pmin = safe_log(q.true_channel.pmin)
-        f_comp = safe_log(q.comp_channel.pmax)[None]
-
-        def true_factor(rho, s):
-            return _envelope_true_factor(log_pmax, log_pmin, rho / (s + rho))
-
-    def objective(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
-        log_phi = t.collect(true_factor(rho, s), s + rho, f_comp, 1.0 - s)
-        return -rho * t.rate_sum_true - log_phi
+        if em:
+            f_true = _true_factor(q.true_channel, true_logs, 1.0 - s, s)
+            log_phi = t.collect(f_true, 1.0, _batched_power(log_pc, s / rho), rho)
+        else:
+            f_true = _true_factor(q.true_channel, true_logs, s / (s + rho),
+                                  rho / (s + rho))
+            log_phi = t.collect(f_true, s + rho, log_pc[None], 1.0 - s)
+        return -rho * rate_sum - log_phi
 
     return objective
 
@@ -326,7 +310,7 @@ def _flatten(rows):
     return rho, s
 
 
-def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
+def _maximize_2d(objective: Objective, cfg: OptimizerConfig, probe_size: int,
                  rho_hi: float, s_hi_of_rho, gallager_points: bool):
     """Deterministic grid max with shrinking refinement boxes.
 
@@ -383,22 +367,20 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, *, probe_size: int,
     return best_v, best_rho, best_s, evals
 
 
+# Per kind: rho's upper limit, s's upper limit at rho, and whether each rho
+# row also probes Gallager's s = rho / (1 + rho).
+_LIMITS = {
+    "em": (1.0, lambda _: 1.0, True),
+    "ei": (1.0 - EPSILON, lambda rho: 1.0 - rho, False),
+}
+
+
 def _optimize(query: ExponentQuery, kind: str,
               cfg: OptimizerConfig) -> ExponentResult:
-    t = _QueryTensors(query)
     probe_size = query.true_channel.input_size ** query.num_users * \
         query.true_channel.output_size
-    if kind == "em":
-        v, rho, s, evals = _maximize_2d(
-            _em_objective(query, t), cfg, probe_size=probe_size, rho_hi=1.0,
-            s_hi_of_rho=lambda _: 1.0, gallager_points=True,
-        )
-    else:
-        v, rho, s, evals = _maximize_2d(
-            _ei_objective(query, t), cfg, probe_size=probe_size,
-            rho_hi=1.0 - EPSILON, s_hi_of_rho=lambda rho: 1.0 - rho,
-            gallager_points=False,
-        )
+    v, rho, s, evals = _maximize_2d(_objective(query, _QueryTensors(query), kind),
+                                    cfg, probe_size, *_LIMITS[kind])
     variant = "finite" if isinstance(query.true_channel, Dmc) else "class"
     return ExponentResult(v, rho, s, evals, variant, kind)
 

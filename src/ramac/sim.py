@@ -10,7 +10,9 @@ SlotDecoder.decide is the one implementation of this rule, which Monte Carlo,
 exact enumeration and SlotDecoder.decode all run. Its one context is an
 ExponentLedger, whose compound set or class envelopes give the mode and the
 channels and whose crossing exponents give every threshold; estimate_errors
-takes the ledger of the system's bound, plus the realizable channels.
+takes the ledger of the system's bound, plus the realizable channels. Score
+and threshold tables take their log tables from exponents._channel_logs and
+_true_factor, where alone finite and class differ.
 
 Likelihoods are joint (input, output) cell counts dotted with a log-propensity
 table in a fixed flat order, so tuples with identical transition counts have
@@ -53,7 +55,8 @@ from .exponents import (
     OptimizerConfig,
     ThresholdParams,
     _batched_power,
-    _envelope_true_factor,
+    _channel_logs,
+    _true_factor,
     law_block,
 )
 from .logdomain import NEG_INF, logsumexp, safe_log
@@ -230,7 +233,6 @@ class ThresholdTables:
     s1: float
     s2: float
     rate_sum: float
-    comp_pair: Optional[tuple]
 
     @functools.cached_property
     def coeff(self) -> np.ndarray:
@@ -271,8 +273,7 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
                            subset: frozenset, laws: InputLaws, table: RateTable,
                            rho_tilde: float, s2: float,
                            comp_rates: Optional[RateVectorIndex] = None,
-                           comp_channel=None,
-                           comp_key: Optional[tuple] = None) -> ThresholdTables:
+                           comp_channel=None) -> ThresholdTables:
     """Per-symbol expectation tables of the threshold balance equation.
 
     The subset users' symbols are averaged under their input laws, so the
@@ -287,20 +288,14 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     if not 0 < rho_tilde <= 1 or not 0 < s2 < rho_tilde:
         raise ValidationError("threshold tilts need 0 < s2 < rho_tilde <= 1")
     s1 = 1.0 - s2 / rho_tilde
-    # tested pair: self expectation at p^(s2 / rho_tilde) (class: lower
-    # envelope), mixed at p^(1 - s1) (class: pmax * pmin^(-s1))
-    self_power = np.array([s2 / rho_tilde])
-    if isinstance(true_channel, Dmc):
-        log_p = safe_log(true_channel.probs)
-        f_self = _batched_power(log_p, self_power)[0]
-        f_mixed = _batched_power(log_p, np.array([1.0 - s1]))[0]
-        f_comp = safe_log(comp_channel.probs)
-    else:
-        log_pmin = safe_log(true_channel.pmin)
-        f_self = _batched_power(log_pmin, self_power)[0]
-        f_mixed = _envelope_true_factor(safe_log(true_channel.pmax), log_pmin,
-                                        np.array([s1]))[0]
-        f_comp = safe_log(comp_channel.pmax)
+    # tested pair: self expectation at (lower likelihood)^(s2 / rho_tilde),
+    # mixed at p^(1 - s1) (class: pmax * pmin^(-s1)); competing pair: its
+    # upper likelihood
+    true_logs = _channel_logs(true_channel)
+    f_self = _batched_power(true_logs[1], np.array([s2 / rho_tilde]))[0]
+    f_mixed = _true_factor(true_channel, true_logs, np.array([1.0 - s1]),
+                           np.array([s1]))[0]
+    f_comp = _channel_logs(comp_channel)[0]
     users = range(1, k + 1)
     w_true = law_block(laws, users, true_rates, k, a)
     w_comp = law_block(laws, users, RateVectorIndex(tuple(
@@ -312,8 +307,7 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     log_c = np.atleast_1d(logsumexp(w_true + f_mixed, axis=all_axes))
     rate_sum = sum(table.rate(u, true_rates.index(u))
                    for u in users if u not in subset)
-    return ThresholdTables(log_a, log_b, log_c, rho_tilde, s1, s2, rate_sum,
-                           comp_key)
+    return ThresholdTables(log_a, log_b, log_c, rho_tilde, s1, s2, rate_sum)
 
 
 class _ScoreContext:
@@ -450,14 +444,6 @@ class SlotDecoder:
         self.cells = self.input_size ** self.num_users * self.output_size
         self.subsets = proper_subsets(range(1, self.num_users + 1))
         self.out_pairs = region.complement(pair_universe(table, self.ids))
-        # flat log-propensities per id: tested, and (class mode) rival
-        self.log_tested, self.log_rival = {}, {}
-        for cid, ch in self.channels.items():
-            if isinstance(ch, Dmc):
-                self.log_tested[cid] = self.log_rival[cid] = safe_log(ch.probs).ravel()
-            else:
-                self.log_tested[cid] = safe_log(ch.pmin).ravel()
-                self.log_rival[cid] = safe_log(ch.pmax).ravel()
         self.message_counts = {(u, i): message_count(self.n, table.rate(u, i))
                                for u in range(1, self.num_users + 1)
                                for i in range(1, table.num_classes + 1)}
@@ -496,10 +482,11 @@ class SlotDecoder:
                          for u in range(1, self.num_users + 1))
             self._blocks[rvi.indices] = (rvi, dims, groups, cids)
             self._runs.append((len(cands), math.prod(dims), len(cids)))
+            # tested scores read the lower log tables, class rivals the upper
             self._scorers.append(tuple(
-                _ScoreContext(np.stack([logs[cid] for cid in cids]))
-                for logs in ((self.log_tested, self.log_rival) if self.mode == "class"
-                             else (self.log_tested,))))
+                _ScoreContext(np.stack([_channel_logs(self.channels[cid])[side].ravel()
+                                        for cid in cids]))
+                for side in ((1, 0) if self.mode == "class" else (1,))))
             self._counters.append(_BlockCounter(
                 dims, tuple((u, rvi.index(u)) for u in range(1, self.num_users + 1)),
                 (self.input_size,) * self.num_users + (self.output_size,), self.n,
@@ -537,8 +524,7 @@ class SlotDecoder:
                     rho_tilde, s2 = res.rho_star, res.rho_star / 2.0
                 out[key] = build_threshold_tables(
                     t[0], self.channels[t[1]], subset, self.laws, self.table,
-                    rho_tilde, s2, o_star[0], self.channels[o_star[1]],
-                    (o_star[0].indices, o_star[1]))
+                    rho_tilde, s2, o_star[0], self.channels[o_star[1]])
         return out
 
     def decode(self, y, codebooks: CodebookSet) -> Decision:
@@ -834,6 +820,9 @@ def _shared_books(frozen: CodebookSet, decoder: SlotDecoder, size: int) -> dict:
         arr = frozen.entries.get(key)
         if arr is None or arr.shape[0] < m:
             raise ValidationError(f"frozen codebooks lack entries for {key}")
+        if arr.shape[1] != decoder.n:
+            raise ValidationError(f"frozen codebooks for {key} have block length "
+                                  f"{arr.shape[1]}, not the decoder's {decoder.n}")
         books[key] = np.broadcast_to(arr[:m], (size, m, decoder.n))
     return books
 

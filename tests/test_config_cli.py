@@ -122,7 +122,7 @@ def test_load_config_happy_path(tmp_path):
     assert [cid for cid, _ in cfg.channels] == ["good", "bad"]
     assert cfg.rates == ((0.1,),)
     assert cfg.region_pairs == (((1,), "good"), ((1,), "bad"))
-    assert not cfg.region_maximal
+    assert cfg.region_pairs is not None
     assert cfg.defaults.n == 8
     assert cfg.defaults.trials == 50
     assert cfg.optimizer.rho_grid_size == 10
@@ -233,7 +233,7 @@ def test_config_dir_fallback(tmp_path, monkeypatch):
 def test_missing_region_section_means_maximal(tmp_path):
     text = PAIR_CFG.replace("[region]\npairs = 1:good 1:bad\n", "")
     cfg = cfgmod.load_config(_write(tmp_path, text))
-    assert cfg.region_maximal
+    assert cfg.region_pairs is None
     system = cfgmod.build_system(cfg)
     assert len(system.region) >= 1
     report = ramac.feasibility_check(system.region, system.compound,

@@ -142,6 +142,20 @@ def test_singleton_class_equals_finite():
                    - ramac.em_exponent(qc, TINY_OPT).value) < 1e-12
         assert abs(ramac.ei_exponent(qf, TINY_OPT).value
                    - ramac.ei_exponent(qc, TINY_OPT).value) < 1e-12
+        # the decoder's threshold tables, against a rival rate vector and
+        # channel, so that log_a reads the competing side
+        rival = random_dmc(rng, 1, 2, 2, floor=0.05)
+        env_rival = ramac.build_envelope((rival,), member_ids=("r",))
+        table2 = ramac.RateTable(((rate, rate + 0.1),))
+        laws2 = random_laws(rng, table2, 2)
+        rho_tilde = float(rng.random() * 0.9 + 0.05)
+        s2 = rho_tilde * float(rng.random() * 0.9 + 0.05)
+        tf, tc = (ramac.build_threshold_tables(
+            rvi, true, frozenset(), laws2, table2, rho_tilde, s2,
+            ramac.RateVectorIndex((2,)), comp)
+            for true, comp in ((ch, rival), (env, env_rival)))
+        for name in ("log_a", "log_b", "log_c"):
+            assert np.max(np.abs(getattr(tf, name) - getattr(tc, name))) < 1e-12
 
 
 def test_mixing_envelope_and_dmc_rejected():

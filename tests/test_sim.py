@@ -176,6 +176,23 @@ def test_guards_trip_before_any_exponent(name, monkeypatch):
                                            compound=system.compound)
 
 
+def test_frozen_codebooks_of_another_block_length_rejected():
+    """Books made at n = 16 fed to a decoder at n = 12 raise ValidationError;
+    they used to end in a raw ValueError from np.broadcast_to."""
+    path = Path(__file__).resolve().parents[1] / "examples_cfg" / "bsc_pair.cfg"
+    system = cfgmod.build_system(cfgmod.load_config(str(path)))
+    books = ramac.generate_codebooks(system.table, system.laws, 2, 16, seed=4)
+    ledger = _ledger(system.channels, system.laws, system.table)
+    with pytest.raises(ramac.ValidationError, match="block length 16"):
+        ramac.estimate_errors(system.region, system.compound, ledger, 12, 10,
+                              0, codebooks=books)
+    with pytest.raises(ramac.ValidationError, match="block length 16"):
+        ramac.exact_conditional_errors(system.region, system.laws,
+                                       system.table, 12,
+                                       compound=system.compound,
+                                       cfg=TINY_OPT, codebooks=books)
+
+
 def test_threshold_params_validation():
     ramac.ThresholdParams()  # from_ei defaults are fine
     ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
