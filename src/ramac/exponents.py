@@ -277,9 +277,9 @@ def _objective(q: ExponentQuery, t: _QueryTensors, kind: str) -> Objective:
             f_true = _true_factor(q.true_channel, true_logs, 1.0 - s, s)
             log_phi = t.collect(f_true, 1.0, _batched_power(log_pc, s / rho), rho)
         else:
-            f_true = _true_factor(q.true_channel, true_logs, s / (s + rho),
-                                  rho / (s + rho))
-            log_phi = t.collect(f_true, s + rho, log_pc[None], 1.0 - s)
+            total = s + rho
+            f_true = _true_factor(q.true_channel, true_logs, s / total, rho / total)
+            log_phi = t.collect(f_true, total, log_pc[None], 1.0 - s)
         return -rho * rate_sum - log_phi
 
     return objective
