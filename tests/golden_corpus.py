@@ -45,6 +45,7 @@ COMMANDS = (
     ("simulate", "--freeze-codebooks", "--trials", "300"),
     ("exponent-limit",),
     ("partition",),
+    ("partition", "--search", "greedy"),
     ("sweep", "--N", "8:8:24"),
     ("exponent",),
     ("exponent", "--users-d", "1"),
