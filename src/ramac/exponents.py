@@ -22,12 +22,12 @@ which the tests assert to 1e-12.
 Optimization is a deterministic grid search with shrinking refinement: the
 incumbent is only ever replaced by a strictly better value, so the returned
 value is exactly the objective at the returned (rho_star, s_star). Each
-refinement round is evaluated as one batch: its probes, in (rho ascending,
-s ascending) order, are flat rho and s arrays, and one broadcast over
-(probes, input tuples, outputs) evaluates them all. The variants (finite or
-class, em or ei) differ only in the factor tensors they build. The batch's
-first argmax replaces the incumbent only if strictly better, so probe order,
-tie rule and evaluation count are those of probing point by point.
+refinement round's probes, in (rho ascending, s ascending) order, are two
+flat rho and s arrays built by array operations, and one broadcast over
+(probes, input tuples, outputs) evaluates each chunk of them. The variants
+(finite or class, em or ei) differ only in the factor tensors they build. A
+chunk's first argmax replaces the incumbent only if strictly better, so probe
+order, tie rule and evaluation count are those of probing point by point.
 """
 
 from __future__ import annotations
@@ -285,29 +285,36 @@ def _objective(q: ExponentQuery, t: _QueryTensors, kind: str) -> Objective:
     return objective
 
 
-# Cap on probes x tensor entries evaluated in one batch; whole rho rows are
-# kept together, so a single row may exceed it.
+# Cap on probes x tensor entries evaluated in one chunk (at least one probe).
 _BATCH_ELEMENTS = 1 << 18
 
 
-def _batches(rows, probe_size: int):
-    """Group consecutive (rho, s_values) rows into flat (rho, s) probe arrays."""
-    batch, size = [], 0
-    for rho, s_vals in rows:
-        n = len(s_vals) * probe_size
-        if batch and size + n > _BATCH_ELEMENTS:
-            yield _flatten(batch)
-            batch, size = [], 0
-        batch.append((rho, s_vals))
-        size += n
-    if batch:
-        yield _flatten(batch)
+def _probes(rho: np.ndarray, s_window: tuple, s_grid: int, s_hi_of_rho,
+            gallager_points: bool):
+    """One round's flat (rho, s) probes, in (rho ascending, s ascending) order.
 
-
-def _flatten(rows):
-    rho = np.concatenate([np.full(len(s_vals), rho) for rho, s_vals in rows])
-    s = np.concatenate([np.asarray(s_vals, dtype=float) for _, s_vals in rows])
-    return rho, s
+    Each rho row with an s limit >= EPSILON probes s_grid points over the
+    window clipped to [EPSILON, limit], by np.linspace's scalar arithmetic
+    (array endpoints would switch every row to (i / div) * delta once one
+    row's step is zero). With gallager_points, a row also probes
+    rho / (1 + rho) if it lies in [EPSILON, limit], and drops its duplicates.
+    """
+    s_hi = s_hi_of_rho(rho)
+    rows = s_hi >= EPSILON
+    rho, s_hi = rho[rows], s_hi[rows]
+    s_lo = np.minimum(np.maximum(s_window[0], EPSILON), s_hi)
+    s_top = np.maximum(np.minimum(s_window[1], s_hi), s_lo)
+    step = (s_top - s_lo) / (s_grid - 1)
+    s = np.empty((rho.size, s_grid + 1))
+    s[:, :-1] = np.arange(s_grid) * step[:, None] + s_lo[:, None]
+    s[:, -2] = s_top
+    sg = rho / (1.0 + rho)
+    extra = (EPSILON <= sg) & (sg <= s_hi) & gallager_points
+    s[:, -1] = np.where(extra, sg, np.inf)
+    s[extra] = np.sort(s[extra], axis=1)
+    keep = np.isfinite(s)
+    keep[extra, 1:] = s[extra, 1:] != s[extra, :-1]
+    return np.broadcast_to(rho[:, None], s.shape)[keep], s[keep]
 
 
 def _maximize_2d(objective: Objective, cfg: OptimizerConfig, probe_size: int,
@@ -316,61 +323,44 @@ def _maximize_2d(objective: Objective, cfg: OptimizerConfig, probe_size: int,
 
     Probes in (rho ascending, s ascending) order; only a strictly larger value
     replaces the incumbent, so ties resolve to the first point probed. Each
-    refinement round is evaluated as one batch (split into chunks of whole rho
-    rows when large): the first argmax of the batch replaces the incumbent only
-    if strictly larger, which is the same decision as probing point by point.
-    The returned value is the objective at the returned (rho, s).
+    refinement round's probes are built as two flat arrays (_probes) and
+    evaluated in chunks of at most _BATCH_ELEMENTS // probe_size probes: the
+    first argmax of a chunk replaces the incumbent only if strictly larger,
+    which is the same decision as probing point by point, wherever the chunks
+    split. The returned value is the objective at the returned (rho, s).
     """
     best_v, best_rho, best_s = NEG_INF, EPSILON, EPSILON
     evals = 0
-    rho_lo0 = EPSILON
-    s_width0 = max(s_hi_of_rho(rho) for rho in (rho_lo0, rho_hi)) - EPSILON
+    s_width0 = float(np.max(s_hi_of_rho(np.array([EPSILON, rho_hi])))) - EPSILON
+    chunk = max(1, _BATCH_ELEMENTS // probe_size)
+    rho_lo, rho_top, s_window = EPSILON, rho_hi, (-np.inf, np.inf)
 
     for rnd in range(cfg.refinement_rounds + 1):
-        if rnd == 0:
-            rho_vals = np.linspace(rho_lo0, rho_hi, cfg.rho_grid_size)
-            s_window = None
-        else:
+        if rnd > 0:
             shrink = REFINEMENT_SHRINK ** rnd
-            rw = (rho_hi - rho_lo0) * shrink
-            lo = min(max(best_rho - rw / 2, rho_lo0), rho_hi)
-            hi = max(min(best_rho + rw / 2, rho_hi), rho_lo0)
-            rho_vals = np.linspace(lo, hi, cfg.rho_grid_size)
+            rw = (rho_hi - EPSILON) * shrink
+            rho_lo = min(max(best_rho - rw / 2, EPSILON), rho_hi)
+            rho_top = max(min(best_rho + rw / 2, rho_hi), EPSILON)
             sw = s_width0 * shrink
             s_window = (best_s - sw / 2, best_s + sw / 2)
-        rows = []
-        for rho in rho_vals:
-            rho = float(rho)
-            s_hi = s_hi_of_rho(rho)
-            if s_hi < EPSILON:
-                continue
-            if s_window is None:
-                s_lo, s_top = EPSILON, s_hi
-            else:
-                s_lo = min(max(s_window[0], EPSILON), s_hi)
-                s_top = max(min(s_window[1], s_hi), s_lo)
-            s_vals = list(np.linspace(s_lo, s_top, cfg.s_grid_size))
-            if gallager_points:
-                sg = rho / (1.0 + rho)
-                if EPSILON <= sg <= s_hi:
-                    s_vals = sorted(set(s_vals) | {sg})
-            rows.append((rho, s_vals))
+        rho, s = _probes(np.linspace(rho_lo, rho_top, cfg.rho_grid_size),
+                         s_window, cfg.s_grid_size, s_hi_of_rho, gallager_points)
         prev_best = best_v
-        for rho_b, s_b in _batches(rows, probe_size):
-            v = objective(rho_b, s_b)
+        for lo in range(0, rho.size, chunk):
+            v = objective(rho[lo:lo + chunk], s[lo:lo + chunk])
             evals += v.size
             i = int(np.argmax(v))
             if v[i] > best_v:
-                best_v, best_rho, best_s = float(v[i]), float(rho_b[i]), float(s_b[i])
+                best_v, best_rho, best_s = float(v[i]), float(rho[lo + i]), float(s[lo + i])
         if rnd > 0 and best_v - prev_best <= OBJECTIVE_TOLERANCE * max(1.0, abs(prev_best)):
             break
     return best_v, best_rho, best_s, evals
 
 
-# Per kind: rho's upper limit, s's upper limit at rho, and whether each rho
-# row also probes Gallager's s = rho / (1 + rho).
+# Per kind: rho's upper limit, s's upper limit at each rho of an array, and
+# whether each rho row also probes Gallager's s = rho / (1 + rho).
 _LIMITS = {
-    "em": (1.0, lambda _: 1.0, True),
+    "em": (1.0, np.ones_like, True),
     "ei": (1.0 - EPSILON, lambda rho: 1.0 - rho, False),
 }
 

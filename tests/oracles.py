@@ -221,6 +221,36 @@ def ei_objective_direct(subset, true_idx, comp_idx, probs_true, probs_comp,
     return -rho * rate_sum - math.log(outer)
 
 
+def probe_rows(rho_vals, s_window, s_grid, s_limit, gallager_points, eps):
+    """One optimiser round's flat (rho, s) probes, built a rho row at a time.
+
+    Rows with s_limit(rho) < eps are skipped. Each other row is an
+    np.linspace of s_grid points over s_window clipped to [eps,
+    s_limit(rho)] (s_window None: the whole of it). With gallager_points the
+    row is merged, as a set, with rho / (1 + rho) when that lies in
+    [eps, s_limit(rho)]; other rows keep any duplicate points.
+    """
+    rows = []
+    for rho in rho_vals:
+        rho = float(rho)
+        s_hi = s_limit(rho)
+        if s_hi < eps:
+            continue
+        if s_window is None:
+            s_lo, s_top = eps, s_hi
+        else:
+            s_lo = min(max(s_window[0], eps), s_hi)
+            s_top = max(min(s_window[1], s_hi), s_lo)
+        s_vals = list(np.linspace(s_lo, s_top, s_grid))
+        if gallager_points:
+            sg = rho / (1.0 + rho)
+            if eps <= sg <= s_hi:
+                s_vals = sorted(set(s_vals) | {sg})
+        rows.append((rho, s_vals))
+    return (np.array([rho for rho, s_vals in rows for _ in s_vals], dtype=float),
+            np.array([s for _, s_vals in rows for s in s_vals], dtype=float))
+
+
 def pairwise_tail(p, d):
     """Error probability of binary ML between two codewords at Hamming
     distance d over a crossover-p channel, ties counted as errors."""

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import ramac
 from conftest import FAST_OPT, bsc, random_dmc, random_laws
-from oracles import ei_objective_direct, em_objective_direct, gallager_exponent_sweep
+from oracles import (ei_objective_direct, em_objective_direct,
+                     gallager_exponent_sweep, probe_rows)
 
 TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                                  refinement_rounds=0)
@@ -125,6 +126,43 @@ def test_grid_max_dominates_probes(seed):
                                     1, 2)
         # coarse grid: the max can only miss by the grid's resolution
         assert em.value >= probe - 0.05
+
+
+EPS = ramac.exponents.EPSILON
+# s's upper limit at one rho: em takes s <= 1, ei s <= 1 - rho
+ROW_LIMITS = {"em": lambda rho: 1.0, "ei": lambda rho: 1.0 - rho}
+
+
+@given(kind=st.sampled_from(("em", "ei")),
+       rho_lo=st.floats(EPS, 1.0), rho_hi=st.floats(EPS, 1.0),
+       rho_grid=st.integers(2, 12), s_grid=st.integers(2, 12),
+       window=st.one_of(st.none(), st.tuples(
+           st.floats(-0.5, 1.5), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))))
+# rho = 0.6's window collapses to its limit s = 0.4, the other rows' do not:
+# np.linspace with array endpoints would move bits in those
+@example("ei", 0.3, 0.6, 4, 7, (0.55, 0.3))
+@example("em", EPS, 1.0, 3, 4, (1.3, 0.2))  # every row collapsed at s = 1
+@example("em", 0.25, 1.0, 2, 3, (0.5, 0.5))  # 1 / (1 + 1) is a grid point
+@example("em", EPS, 1.0, 3, 3, (0.3, 0.0))  # rho = EPS: its point is below EPS
+@example("ei", EPS, 1.0 - EPS, 4, 3, None)  # the last row's limit is below EPS
+@example("ei", 0.5, 1.0, 3, 3, (0.15, 0.1))
+@example("em", EPS, 1.0, 2, 2, None)
+@example("ei", EPS, 1.0 - EPS, 2, 2, None)
+def test_round_probes_match_per_row_reference(kind, rho_lo, rho_hi, rho_grid,
+                                              s_grid, window):
+    """A round's probe arrays equal, bit for bit, the row-at-a-time build:
+    an np.linspace per row and a set merge of the Gallager point. window is
+    (centre, width), None for round 0's whole range."""
+    rho = np.linspace(min(rho_lo, rho_hi), max(rho_lo, rho_hi), rho_grid)
+    s_window = None if window is None else (window[0] - window[1] / 2,
+                                            window[0] + window[1] / 2)
+    _, s_limit, gallager = ramac.exponents._LIMITS[kind]
+    got = ramac.exponents._probes(rho, s_window or (-np.inf, np.inf), s_grid,
+                                  s_limit, gallager)
+    want = probe_rows(rho, s_window, s_grid, ROW_LIMITS[kind], kind == "em", EPS)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert (g == w).all()
 
 
 def test_singleton_class_equals_finite():
