@@ -396,18 +396,16 @@ class PartitionBoundResult:
 
 def pes_bound_single_user(user: int, region: OperationRegion,
                           ledger: ExponentLedger, n: int,
-                          search: str = "exhaustive",
-                          allow_drop: bool = False) -> PartitionBoundResult:
+                          search: str = "exhaustive") -> PartitionBoundResult:
     """Best split of the region into per-decoded-set blocks covering `user`.
 
     Each block is bounded by pes_bound_ddecoder over the whole compound set
     of ledger, so members may name any of its channels. The per-decoded-set
     ledgers are built from ledger's inputs; ledger itself is never filled.
     Exhaustive search enumerates every assignment of members to decoded sets
-    containing the user (optionally allowing explicit drops, whose members
-    are always reported as collisions) and returns the smallest total. Greedy assigns each member
-    independently to the decoded set minimizing its singleton-block bound,
-    then scores the resulting merged partition; it is never below the
+    containing the user and returns the smallest total. Greedy assigns each
+    member independently to the decoded set minimizing its singleton-block
+    bound, then scores the resulting merged partition; it is never below the
     exhaustive optimum.
     """
     _check_n(n)
@@ -447,8 +445,7 @@ def pes_bound_single_user(user: int, region: OperationRegion,
     else:
         best_total, best_partition, best_reports = None, None, None
         considered = 0
-        for partition in enumerate_partitions(region, user, k,
-                                              allow_drop=allow_drop):
+        for partition in enumerate_partitions(region, user, k):
             total, reports = score(partition)
             considered += 1
             if best_total is None or total < best_total:

@@ -188,7 +188,7 @@ def _cmd_partition(args, system):
     user = _flag(args, system, "partition_user")
     search = _flag(args, system, "partition_search")
     res = pes_bound_single_user(user, system.region, _ledger(system), n,
-                                search=search, allow_drop=args.allow_drop)
+                                search=search)
     return ({"user": user, "n": n, "result": res},
             ["decoded_set", "log_bound", "clamped_bound"],
             [[sorted(users_d), report.log_bound, report.clamped_bound]
@@ -202,6 +202,8 @@ def _cmd_simulate(args, system):
     n = _flag(args, system, "n")
     trials = _flag(args, system, "trials")
     seed = _flag(args, system, "seed")
+    if seed < 0:
+        raise ValidationError("--seed must be >= 0")
     ledger = _ledger(system)
     bound = None
     if not args.no_bound:
@@ -334,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="n", type=int, default=None)
     p.add_argument("--search", dest="partition_search",
                    choices=("exhaustive", "greedy"), default=None)
-    p.add_argument("--allow-drop", action="store_true")
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the slot decoder")

@@ -48,6 +48,8 @@ class Defaults:
     partition_search: str = "exhaustive"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SchemaViolation("[defaults]: seed must be >= 0")
         if self.partition_search not in ("exhaustive", "greedy"):
             raise SchemaViolation(
                 "[defaults]: partition_search must be exhaustive or greedy")

@@ -197,9 +197,8 @@ def maximal_feasible_region(compound: CompoundSet, laws: InputLaws,
 class Partition:
     """Assignment of region members to decoded sets containing a fixed user.
 
-    assignment[i] is the decoded set D for the i-th region member (a frozenset
-    containing `user`), or None when the member is dropped (always reported as
-    a collision; only produced when enumeration allows dropping).
+    assignment[i] is the decoded set D for the i-th region member: a set
+    containing `user`, stored as a frozenset.
     """
 
     region: OperationRegion
@@ -210,21 +209,17 @@ class Partition:
         if len(self.assignment) != len(self.region.members):
             raise ValidationError("assignment length differs from region size")
         for d in self.assignment:
-            if d is None:
-                continue
+            if not isinstance(d, (set, frozenset)):
+                raise ValidationError(f"decoded set {d!r} is not a set")
             if self.user not in d:
                 raise ValidationError("every decoded set must contain the target user")
-        object.__setattr__(
-            self, "assignment",
-            tuple(None if d is None else frozenset(int(u) for u in d)
-                  for d in self.assignment))
+        object.__setattr__(self, "assignment", tuple(
+            frozenset(int(u) for u in d) for d in self.assignment))
 
     def blocks(self) -> dict:
         """decoded set -> tuple of member pairs mapped to it (region order)."""
         out = {}
         for (rvi, cid), d in zip(self.region.members, self.assignment):
-            if d is None:
-                continue
             out.setdefault(d, []).append((rvi, cid))
         return {d: tuple(v) for d, v in out.items()}
 
@@ -240,19 +235,16 @@ def subsets_containing(user: int, num_users: int) -> tuple:
 
 
 def enumerate_partitions(region: OperationRegion, user: int, num_users: int,
-                         allow_drop: bool = False,
                          guard: int = PARTITION_GUARD) -> Iterator[Partition]:
     """All assignments of members to decoded sets containing `user`.
 
     The count is (number of admissible sets) ** len(region); anything past
-    `guard` raises SearchSpaceTooLarge before any work. allow_drop adds the
-    explicit drop choice. An empty region has one assignment, the empty one.
+    `guard` raises SearchSpaceTooLarge before any work. An empty region has
+    one assignment, the empty one.
     """
     if not 1 <= user <= num_users:
         raise ValidationError(f"user {user} outside 1..{num_users}")
-    choices = list(subsets_containing(user, num_users))
-    if allow_drop:
-        choices = [None] + choices
+    choices = subsets_containing(user, num_users)
     total = len(choices) ** len(region.members) if region.members else 1
     if total > guard:
         raise SearchSpaceTooLarge(

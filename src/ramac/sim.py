@@ -192,10 +192,18 @@ def _guard_codewords(table: RateTable, n: int) -> None:
         raise TooManyCodewords(f"{total} codewords exceed the guard {CODEWORD_GUARD}")
 
 
+def _check_seed(seed: int) -> None:
+    """Philox streams are keyed by SeedSequence, which takes no negative
+    entropy."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
                        n: int, seed: int) -> CodebookSet:
     if n < 1:
         raise ValidationError("block length must be >= 1")
+    _check_seed(seed)
     _guard_codewords(table, n)
     entries = {}
     for u in range(1, table.num_users + 1):
@@ -970,6 +978,7 @@ def estimate_errors(region: OperationRegion, compound: CompoundSet,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    _check_seed(seed)
     if ledger.compound is not None and ledger.compound.ids != compound.ids:
         raise ValidationError("the ledger's channel ids are not the compound "
                               "set's")
@@ -1042,6 +1051,9 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
+    if codebook_samples < 1:
+        raise ValidationError("codebook_samples must be >= 1")
+    _check_seed(seed)
     b = compound.output_size
     # b ** n > OUTPUT_ENUM_GUARD without building b ** n for a huge n: for
     # b >= 2 any power past the guard's bit length exceeds it

@@ -178,6 +178,7 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
         "s_grid = 10", "s_grid = 100000"), ramac.ValidationError),
     (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
+    (lambda t: t.replace("seed = 3", "seed = -2"), ramac.SchemaViolation),
     # sections the schema does not define, and unknown channel or class keys
     (lambda t: t.replace("[defaults]", "[default]"), ramac.SchemaViolation),
     (lambda t: t.replace("[defaults]", "[DEFAULT]"), ramac.SchemaViolation),
@@ -427,6 +428,27 @@ def test_cli_partition(tmp_path, capsys):
     rec = read_record(str(tmp_path / "out" / "duo_partition.json"))
     assert rec["result"]["search"] == "greedy"
     capsys.readouterr()
+
+
+def test_cli_rejects_negative_seeds_and_allow_drop(tmp_path, capsys):
+    """A negative seed, from the flag or the config, exits 2 before any bound
+    (it used to exit 4 with SeedSequence's ValueError, bound computed);
+    --allow-drop, whose exhaustive search always chose the empty partition,
+    is gone."""
+    pair = _write(tmp_path, PAIR_CFG)
+    assert _run(["simulate", "--config", pair, "--out-dir", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
+    negative = _write(tmp_path, PAIR_CFG.replace("seed = 3", "seed = -2"),
+                      "negative.cfg")
+    assert _run(["simulate", "--config", negative, "--out-dir",
+                 str(tmp_path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    duo = _write(tmp_path, TWO_USER_CFG, "duo.cfg")
+    assert _run(["partition", "--config", duo, "--out-dir", str(tmp_path),
+                 "--allow-drop"]) == 2
+    assert "--allow-drop" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 @pytest.mark.parametrize("span", [

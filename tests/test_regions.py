@@ -160,12 +160,13 @@ def test_partition_guard_raises_before_iterating():
         ramac.enumerate_partitions(region, 1, 4)
 
 
-def test_partition_allow_drop_grows_count():
-    table = ramac.RateTable(((0.1, 0.2), (0.1, 0.2)))
+def test_partition_entries_must_be_decoded_sets():
     region = ramac.OperationRegion(
         ((ramac.RateVectorIndex((1, 1)), "c"),
          (ramac.RateVectorIndex((2, 2)), "c")), "finite")
-    plain = list(ramac.enumerate_partitions(region, 1, 2))
-    dropped = list(ramac.enumerate_partitions(region, 1, 2, allow_drop=True))
-    assert len(plain) == 4
-    assert len(dropped) == 9  # one extra "drop" choice per member
+    part = ramac.Partition(region, 1, ({1}, frozenset({1, 2})))
+    assert part.assignment == (frozenset({1}), frozenset({1, 2}))
+    for entry, match in ((None, "not a set"), ((1,), "not a set"),
+                         ({2}, "target user")):
+        with pytest.raises(ramac.ValidationError, match=match):
+            ramac.Partition(region, 1, ({1}, entry))

@@ -193,6 +193,32 @@ def test_frozen_codebooks_of_another_block_length_rejected():
                                        cfg=TINY_OPT, codebooks=books)
 
 
+def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
+        monkeypatch):
+    """A negative seed used to reach SeedSequence's ValueError, and
+    codebook_samples < 1 a ZeroDivisionError, both after the decoder's ei
+    thresholds were optimised."""
+    path = Path(__file__).resolve().parents[1] / "examples_cfg" / "bsc_gate.cfg"
+    system = cfgmod.build_system(cfgmod.load_config(str(path)))
+
+    def optimised(*args):
+        raise AssertionError("an exponent was optimised")
+
+    for attr in ("em_exponent", "ei_exponent"):  # what the ledger calls
+        monkeypatch.setattr(ramac.bounds, attr, optimised)
+    ledger = _ledger(system.channels, system.laws, system.table)
+    with pytest.raises(ramac.ValidationError, match="seed"):
+        ramac.estimate_errors(system.region, system.compound, ledger, 8, 10, -1)
+    with pytest.raises(ramac.ValidationError, match="seed"):
+        ramac.generate_codebooks(system.table, system.laws, 2, 8, seed=-1)
+    for kwargs in ({"seed": -1}, {"codebook_samples": 0},
+                   {"codebook_samples": -1}):
+        with pytest.raises(ramac.ValidationError, match=next(iter(kwargs))):
+            ramac.exact_conditional_errors(system.region, system.laws,
+                                           system.table, 8,
+                                           compound=system.compound, **kwargs)
+
+
 def test_threshold_params_validation():
     ramac.ThresholdParams()  # from_ei defaults are fine
     ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
