@@ -10,88 +10,29 @@ regions (operation regions, feasibility, partitions), bounds (slot error
 bounds and asymptotics), sim (threshold decoder, Monte Carlo, exact
 enumeration), config/cli (INI-driven command line).
 
-Every module but sim is imported with the package. The simulator's names
-(and ramac.sim itself) import it on first access, so a process that only
-computes bounds never loads it.
+The package exports the entries its scripts and README use: the exponent
+ledger, the slot bounds and system exponent, the em/ei exponents, class
+envelopes, the C1 check and the decoder's estimators. Every other name is
+imported from its module. Every module but sim is imported with the
+package; the simulator's names (and ramac.sim itself) import it on first
+access, so a process that only computes bounds never loads it.
 """
 
 import importlib
 
 from .bounds import (
-    BoundReport,
-    BoundTerm,
     ExponentLedger,
-    PartitionBoundResult,
-    SystemExponentResult,
     pes_bound_classes,
-    pes_bound_ddecoder,
     pes_bound_finite,
-    pes_bound_single_user,
     system_exponent,
 )
-from .channels import (
-    ChannelClassEnvelope,
-    CompoundSet,
-    Dmc,
-    InputLaws,
-    RateTable,
-    RateVectorIndex,
-    build_envelope,
-    effective_channel,
-    uniform_laws,
-    validate_dmc,
-)
-from .errors import (
-    C1Violation,
-    ConfigParseError,
-    ConstraintViolation,
-    DegenerateEnvelope,
-    DimensionMismatch,
-    EmptyClass,
-    EnumerationTooLarge,
-    GuardExceeded,
-    InfeasibleRegion,
-    MissingLaw,
-    NegativeEntry,
-    RamacError,
-    RowSumOutOfTolerance,
-    SchemaViolation,
-    SearchSpaceTooLarge,
-    TooManyCodewords,
-    ValidationError,
-)
-from .exponents import (
-    ExponentQuery,
-    ExponentResult,
-    OptimizerConfig,
-    ThresholdParams,
-    ei_exponent,
-    em_exponent,
-)
-from .infometrics import MiQuery, conditional_mi
-from .regions import (
-    C1Report,
-    FeasibilityReport,
-    OperationRegion,
-    Partition,
-    c1_check,
-    enumerate_partitions,
-    feasibility_check,
-    maximal_feasible_region,
-    pair_universe,
-    proper_subsets,
-    require_c1,
-    subsets_containing,
-)
+from .channels import build_envelope
+from .exponents import ThresholdParams, ei_exponent, em_exponent
+from .regions import c1_check
 
 # Served by __getattr__ (PEP 562).
 _SIM_NAMES = frozenset({
-    "CODEWORD_GUARD", "OUTPUT_ENUM_GUARD", "Z99", "CaseReport", "CodebookSet",
-    "Decision", "ExactCase", "ExactReport", "SimReport", "SlotDecoder",
-    "ThresholdTables", "build_schedule", "build_threshold_tables",
-    "estimate_errors", "exact_conditional_errors", "generate_codebooks",
-    "message_count",
-})
+    "SlotDecoder", "estimate_errors", "exact_conditional_errors"})
 
 
 def __getattr__(name):

@@ -314,15 +314,6 @@ class InputLaws:
         return InputLaws(out)
 
 
-def uniform_laws(table: RateTable, input_size: int) -> InputLaws:
-    vec = np.full(input_size, 1.0 / input_size)
-    return InputLaws({
-        (u, i): vec
-        for u in range(1, table.num_users + 1)
-        for i in range(1, table.num_classes + 1)
-    })
-
-
 def effective_channel(channel: Dmc, users: Sequence[int],
                       comp_rates: Mapping[int, int], laws: InputLaws) -> Dmc:
     """Channel seen by the users in `users` after averaging the rest out.

@@ -12,25 +12,31 @@ import numpy as np
 import pytest
 
 import ramac
-from ramac import config as cfgmod
-from ramac.logdomain import logsumexp_list
-from conftest import bsc, random_dmc
+from conftest import bsc, random_dmc, uniform_laws
 from oracles import (gallager_exponent_sweep, pairwise_tail, tau_by_bisection,
                      two_codeword_ml_error)
+from ramac import config as cfgmod
+from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
+from ramac.channels import (CompoundSet, Dmc, RateTable, RateVectorIndex,
+                            validate_dmc)
+from ramac.exponents import ExponentQuery, OptimizerConfig
+from ramac.logdomain import logsumexp_list
+from ramac.regions import OperationRegion, subsets_containing
+from ramac.sim import CodebookSet, build_threshold_tables
 
-SMALL_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
-                                  refinement_rounds=0)
+SMALL_OPT = OptimizerConfig(rho_grid_size=8, s_grid_size=8,
+                            refinement_rounds=0)
 
 
 @pytest.fixture(scope="module")
 def scenario4():
     """Criterion-4 system: K=1, {BSC(0.05), BSC(0.15)}, r=0.1, both pairs."""
-    comp = ramac.CompoundSet((bsc(0.05), bsc(0.15)), ("clean", "noisy"))
-    table = ramac.RateTable(((0.1,),))
-    laws = ramac.uniform_laws(table, 2)
-    rvi = ramac.RateVectorIndex((1,))
-    region = ramac.OperationRegion(((rvi, "clean"), (rvi, "noisy")), "finite")
-    ledger = ramac.ExponentLedger(comp, laws, table, ramac.OptimizerConfig())
+    comp = CompoundSet((bsc(0.05), bsc(0.15)), ("clean", "noisy"))
+    table = RateTable(((0.1,),))
+    laws = uniform_laws(table, 2)
+    rvi = RateVectorIndex((1,))
+    region = OperationRegion(((rvi, "clean"), (rvi, "noisy")), "finite")
+    ledger = ramac.ExponentLedger(comp, laws, table, OptimizerConfig())
     state = {"comp": comp, "table": table, "laws": laws, "region": region,
              "ledger": ledger, "cache": {}}
 
@@ -44,13 +50,13 @@ def scenario4():
 
 
 def test_criterion_01_noiseless_em_is_log2():
-    ch = ramac.validate_dmc([[1.0, 0.0], [0.0, 1.0]], 1, 2, 2)
-    table = ramac.RateTable(((0.0,),))
-    laws = ramac.uniform_laws(table, 2)
-    rvi = ramac.RateVectorIndex((1,))
+    ch = validate_dmc([[1.0, 0.0], [0.0, 1.0]], 1, 2, 2)
+    table = RateTable(((0.0,),))
+    laws = uniform_laws(table, 2)
+    rvi = RateVectorIndex((1,))
     start = time.perf_counter()
     res = ramac.em_exponent(
-        ramac.ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table))
+        ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table))
     elapsed = time.perf_counter() - start
     err = abs(res.value - math.log(2))
     print(f"criterion 01: em={res.value:.12f}, |err|={err:.3g}, "
@@ -65,11 +71,11 @@ def test_criterion_02_gallager_reduction():
     start = time.perf_counter()
     worst = 0.0
     for rate in (0.05, 0.1, 0.2):
-        table = ramac.RateTable(((rate,),))
-        laws = ramac.uniform_laws(table, 2)
-        rvi = ramac.RateVectorIndex((1,))
+        table = RateTable(((rate,),))
+        laws = uniform_laws(table, 2)
+        rvi = RateVectorIndex((1,))
         em = ramac.em_exponent(
-            ramac.ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table))
+            ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table))
         ref = gallager_exponent_sweep(ch.probs.tolist(), law.tolist(), rate)
         worst = max(worst, abs(em.value - ref))
     elapsed = time.perf_counter() - start
@@ -92,14 +98,14 @@ def test_criterion_03_envelopes_and_singleton_classes():
         single = ramac.build_envelope((ch,), class_id="one", member_ids=("c",))
         r1 = float(rng.uniform(0.01, 0.08))
         r2 = r1 + float(rng.uniform(0.01, 0.1))
-        table = ramac.RateTable(tuple((r1, r2) for _ in range(k)))
-        laws = ramac.uniform_laws(table, 2)
-        t = ramac.RateVectorIndex(tuple(int(v) for v in
-                                        rng.integers(1, 3, size=k)))
-        c = ramac.RateVectorIndex(tuple(int(v) for v in
-                                        rng.integers(1, 3, size=k)))
-        qf = ramac.ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
-        qc = ramac.ExponentQuery(frozenset(), t, single, c, single, laws, table)
+        table = RateTable(tuple((r1, r2) for _ in range(k)))
+        laws = uniform_laws(table, 2)
+        t = RateVectorIndex(tuple(int(v) for v in
+                                  rng.integers(1, 3, size=k)))
+        c = RateVectorIndex(tuple(int(v) for v in
+                                  rng.integers(1, 3, size=k)))
+        qf = ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
+        qc = ExponentQuery(frozenset(), t, single, c, single, laws, table)
         worst = max(worst, abs(ramac.em_exponent(qf, SMALL_OPT).value
                                - ramac.em_exponent(qc, SMALL_OPT).value))
         worst = max(worst, abs(ramac.ei_exponent(qf, SMALL_OPT).value
@@ -141,36 +147,36 @@ def test_criterion_06_partition_search_is_optimal():
             p = p_low if x2 == 0 else p_high
             probs[x1, x2, 1 - x1] = p
             probs[x1, x2, x1] = 1 - p
-        return ramac.Dmc(2, 2, 2, probs)
+        return Dmc(2, 2, 2, probs)
 
-    table = ramac.RateTable(((0.02, 0.05), (0.02, 0.05)))
-    laws = ramac.uniform_laws(table, 2)
-    r11, r21 = ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1))
+    table = RateTable(((0.02, 0.05), (0.02, 0.05)))
+    laws = uniform_laws(table, 2)
+    r11, r21 = RateVectorIndex((1, 1)), RateVectorIndex((2, 1))
     n = 60
     # one channel; and two, the region naming both and leaving (2,1):d out
     cases = {
-        "one channel": (ramac.OperationRegion(((r11, "c"), (r21, "c")),
-                                              "finite"),
-                        ramac.CompoundSet((channel(0.05, 0.2),), ("c",))),
-        "two channels": (ramac.OperationRegion(((r11, "c"), (r21, "c"),
-                                                (r11, "d")), "finite"),
-                         ramac.CompoundSet((channel(0.05, 0.2),
-                                            channel(0.1, 0.25)), ("c", "d"))),
+        "one channel": (OperationRegion(((r11, "c"), (r21, "c")),
+                                        "finite"),
+                        CompoundSet((channel(0.05, 0.2),), ("c",))),
+        "two channels": (OperationRegion(((r11, "c"), (r21, "c"),
+                                          (r11, "d")), "finite"),
+                         CompoundSet((channel(0.05, 0.2),
+                                      channel(0.1, 0.25)), ("c", "d"))),
     }
-    choices = ramac.subsets_containing(1, 2)
+    choices = subsets_containing(1, 2)
     for label, (region, comp) in cases.items():
         ledger = ramac.ExponentLedger(comp, laws, table, SMALL_OPT)
-        exhaustive = ramac.pes_bound_single_user(1, region, ledger, n,
-                                                 search="exhaustive")
-        greedy = ramac.pes_bound_single_user(1, region, ledger, n,
-                                             search="greedy")
+        exhaustive = pes_bound_single_user(1, region, ledger, n,
+                                           search="exhaustive")
+        greedy = pes_bound_single_user(1, region, ledger, n,
+                                       search="greedy")
         best = math.inf
         for assign in itertools.product(choices, repeat=len(region.members)):
             blocks = {}
             for member, users_d in zip(region.members, assign):
                 blocks.setdefault(users_d, []).append(member)
-            logs = [ramac.pes_bound_ddecoder(
-                        ramac.OperationRegion(block), ramac.ExponentLedger(
+            logs = [pes_bound_ddecoder(
+                        OperationRegion(block), ramac.ExponentLedger(
                             comp, laws, table, SMALL_OPT, users_d), n).log_bound
                     for users_d, block in blocks.items()]
             best = min(best, logsumexp_list(logs))
@@ -188,16 +194,16 @@ def test_criterion_07_threshold_closed_form_vs_bisection():
         b = int(rng.integers(2, 5))
         probs = rng.uniform(0.05, 1.0, size=(a, b))
         probs /= probs.sum(axis=1, keepdims=True)
-        ch = ramac.validate_dmc(probs, 1, a, b)
+        ch = validate_dmc(probs, 1, a, b)
         r1 = float(rng.uniform(0.01, 0.2))
-        table = ramac.RateTable(((r1, r1 + 0.1),))
-        laws = ramac.uniform_laws(table, a)
+        table = RateTable(((r1, r1 + 0.1),))
+        laws = uniform_laws(table, a)
         rho = float(rng.uniform(0.15, 1.0))
         s2 = rho * float(rng.uniform(0.05, 0.95))
         y = rng.integers(0, b, size=int(rng.integers(4, 30)))
-        tables = ramac.build_threshold_tables(
-            ramac.RateVectorIndex((1,)), ch, frozenset(), laws, table, rho, s2,
-            ramac.RateVectorIndex((2,)), ch)
+        tables = build_threshold_tables(
+            RateVectorIndex((1,)), ch, frozenset(), laws, table, rho, s2,
+            RateVectorIndex((2,)), ch)
         counts = np.bincount(y, minlength=b).astype(float)
         tau = float(tables.taus(counts[None], len(y))[0])
         direct = tau_by_bisection(y, tables, len(y))
@@ -211,13 +217,13 @@ def test_criterion_07_threshold_closed_form_vs_bisection():
 def scenario8():
     """Criterion-8 system: BSC(0.1), two fixed codewords at distance 4, N=8."""
     p, n = 0.1, 8
-    comp = ramac.CompoundSet((bsc(p),), ("bsc",))
-    table = ramac.RateTable(((math.log(2) / n,),))
-    laws = ramac.uniform_laws(table, 2)
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "bsc"),),
-                                   "finite")
+    comp = CompoundSet((bsc(p),), ("bsc",))
+    table = RateTable(((math.log(2) / n,),))
+    laws = uniform_laws(table, 2)
+    region = OperationRegion(((RateVectorIndex((1,)), "bsc"),),
+                             "finite")
     cw = np.array([[0] * n, [1, 1, 1, 1, 0, 0, 0, 0]])
-    books = ramac.CodebookSet(seed=0, n=n, entries={(1, 1): cw})
+    books = CodebookSet(seed=0, n=n, entries={(1, 1): cw})
     return {"p": p, "n": n, "comp": comp, "table": table, "laws": laws,
             "region": region, "cw": cw, "books": books}
 
@@ -256,18 +262,18 @@ def test_criterion_09_monotonicity_suite(scenario4):
         ch = random_dmc(rng, k, 2, 2, floor=0.05)
         r1 = float(rng.uniform(0.005, 0.05))
         r2 = r1 + float(rng.uniform(0.01, 0.15))
-        table = ramac.RateTable(tuple((r1, r2) for _ in range(k)))
-        laws = ramac.uniform_laws(table, 2)
-        lo = ramac.RateVectorIndex((1,) * k)
-        hi = ramac.RateVectorIndex((2,) * k)
-        em_lo = ramac.em_exponent(ramac.ExponentQuery(
+        table = RateTable(tuple((r1, r2) for _ in range(k)))
+        laws = uniform_laws(table, 2)
+        lo = RateVectorIndex((1,) * k)
+        hi = RateVectorIndex((2,) * k)
+        em_lo = ramac.em_exponent(ExponentQuery(
             frozenset(), lo, ch, lo, ch, laws, table), SMALL_OPT).value
-        em_hi = ramac.em_exponent(ramac.ExponentQuery(
+        em_hi = ramac.em_exponent(ExponentQuery(
             frozenset(), lo, ch, hi, ch, laws, table), SMALL_OPT).value
         assert em_hi <= em_lo + tol
-        ei_lo = ramac.ei_exponent(ramac.ExponentQuery(
+        ei_lo = ramac.ei_exponent(ExponentQuery(
             frozenset(), lo, ch, hi, ch, laws, table), SMALL_OPT).value
-        ei_hi = ramac.ei_exponent(ramac.ExponentQuery(
+        ei_hi = ramac.ei_exponent(ExponentQuery(
             frozenset(), hi, ch, hi, ch, laws, table), SMALL_OPT).value
         assert ei_hi <= ei_lo + tol
     se = ramac.system_exponent(scenario4["region"], scenario4["ledger"])

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 import ramac
-from conftest import bsc, random_dmc
+from conftest import bsc, random_dmc, uniform_laws
 from ramac import config as cfgmod
+from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
+from ramac.channels import CompoundSet, RateTable, RateVectorIndex
+from ramac.errors import C1Violation, InfeasibleRegion, ValidationError
+from ramac.exponents import OptimizerConfig
 from ramac.logdomain import logsumexp_list
+from ramac.regions import OperationRegion, enumerate_partitions
 
-TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
-                                 refinement_rounds=0)
+TINY_OPT = OptimizerConfig(rho_grid_size=8, s_grid_size=8,
+                           refinement_rounds=0)
 
 
 def _ledger(channels, laws, table, users_d=None):
@@ -20,21 +25,21 @@ def _ledger(channels, laws, table, users_d=None):
 
 
 def _pair_scenario():
-    comp = ramac.CompoundSet((bsc(0.05), bsc(0.15)), ("a", "b"))
-    table = ramac.RateTable(((0.1,),))
-    laws = ramac.uniform_laws(table, 2)
-    rvi = ramac.RateVectorIndex((1,))
-    region = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
+    comp = CompoundSet((bsc(0.05), bsc(0.15)), ("a", "b"))
+    table = RateTable(((0.1,),))
+    laws = uniform_laws(table, 2)
+    rvi = RateVectorIndex((1,))
+    region = OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
     return comp, table, laws, region
 
 
 def _rich_scenario():
     """Two rate classes so the region has a nonempty complement."""
-    comp = ramac.CompoundSet((bsc(0.05), bsc(0.2)), ("a", "b"))
-    table = ramac.RateTable(((0.05, 0.3),))
-    laws = ramac.uniform_laws(table, 2)
-    r1, r2 = ramac.RateVectorIndex((1,)), ramac.RateVectorIndex((2,))
-    region = ramac.OperationRegion(((r1, "a"), (r1, "b"), (r2, "a")), "finite")
+    comp = CompoundSet((bsc(0.05), bsc(0.2)), ("a", "b"))
+    table = RateTable(((0.05, 0.3),))
+    laws = uniform_laws(table, 2)
+    r1, r2 = RateVectorIndex((1,)), RateVectorIndex((2,))
+    region = OperationRegion(((r1, "a"), (r1, "b"), (r2, "a")), "finite")
     return comp, table, laws, region
 
 
@@ -82,12 +87,12 @@ def test_empty_complement_kills_collision_branch():
 
 
 def test_infeasible_region_rejected():
-    comp = ramac.CompoundSet((bsc(0.5),), ("c",))
-    table = ramac.RateTable(((0.3,),))
-    laws = ramac.uniform_laws(table, 2)
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),),
-                                   "finite")
-    with pytest.raises(ramac.InfeasibleRegion):
+    comp = CompoundSet((bsc(0.5),), ("c",))
+    table = RateTable(((0.3,),))
+    laws = uniform_laws(table, 2)
+    region = OperationRegion(((RateVectorIndex((1,)), "c"),),
+                             "finite")
+    with pytest.raises(InfeasibleRegion):
         ramac.pes_bound_finite(region, _ledger(comp, laws, table), 10)
 
 
@@ -102,9 +107,9 @@ def test_bound_monotone_in_n():
 
 def test_region_growth_inflates_em_sum():
     comp, table, laws, _ = _rich_scenario()
-    r1 = ramac.RateVectorIndex((1,))
-    small = ramac.OperationRegion(((r1, "a"),), "finite")
-    grown = ramac.OperationRegion(((r1, "a"), (r1, "b")), "finite")
+    r1 = RateVectorIndex((1,))
+    small = OperationRegion(((r1, "a"),), "finite")
+    grown = OperationRegion(((r1, "a"), (r1, "b")), "finite")
 
     def em_sum(region):
         report = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 20)
@@ -130,7 +135,7 @@ def test_singleton_classes_equal_finite_bound():
     envs = tuple(ramac.build_envelope((comp.by_id(cid),), class_id=cid,
                                       member_ids=(cid,))
                  for cid in comp.ids)
-    class_region = ramac.OperationRegion(region.members, "class")
+    class_region = OperationRegion(region.members, "class")
     finite = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 33)
     classy = ramac.pes_bound_classes(class_region, _ledger(envs, laws, table),
                                      33)
@@ -141,7 +146,7 @@ def test_class_bound_requires_class_region():
     comp, table, laws, region = _rich_scenario()
     envs = (ramac.build_envelope(comp.channels, class_id="k",
                                  member_ids=comp.ids),)
-    with pytest.raises(ramac.C1Violation):
+    with pytest.raises(C1Violation):
         ramac.pes_bound_classes(region, _ledger(envs, laws, table), 10)
 
 
@@ -151,21 +156,21 @@ def test_ddecoder_full_set_matches_plain_bound():
     region names one channel (the shape of examples_cfg/bsc_gate.cfg)."""
     rng = np.random.default_rng(11)
     ch = random_dmc(rng, 2, 2, 2, floor=0.1)
-    table2 = ramac.RateTable(((0.02, 0.08), (0.02, 0.08)))
-    members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((1, 2)))
+    table2 = RateTable(((0.02, 0.08), (0.02, 0.08)))
+    members = (RateVectorIndex((1, 1)), RateVectorIndex((1, 2)))
     cases = [
-        (ramac.CompoundSet((ch,), ("c",)), table2,
-         ramac.OperationRegion(tuple((m, "c") for m in members), "finite")),
-        (ramac.CompoundSet((bsc(0.05), bsc(0.3)), ("good", "bad")),
-         ramac.RateTable(((0.1,),)),
-         ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "good"),),
-                               "finite")),
+        (CompoundSet((ch,), ("c",)), table2,
+         OperationRegion(tuple((m, "c") for m in members), "finite")),
+        (CompoundSet((bsc(0.05), bsc(0.3)), ("good", "bad")),
+         RateTable(((0.1,),)),
+         OperationRegion(((RateVectorIndex((1,)), "good"),),
+                         "finite")),
     ]
     for comp, table, region in cases:
-        laws = ramac.uniform_laws(table, 2)
+        laws = uniform_laws(table, 2)
         plain = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 21)
         users = frozenset(range(1, table.num_users + 1))
-        viad = ramac.pes_bound_ddecoder(
+        viad = pes_bound_ddecoder(
             region, _ledger(comp, laws, table, users), 21)
         assert viad.log_bound == plain.log_bound
         assert viad.terms == plain.terms
@@ -192,16 +197,16 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     whose members name two channels of the compound set."""
     rng = np.random.default_rng(23)
     ch = random_dmc(rng, 2, 2, 2, floor=0.1)
-    table = ramac.RateTable(((0.02, 0.06), (0.02, 0.06)))
-    members = (ramac.RateVectorIndex((1, 1)), ramac.RateVectorIndex((2, 1)))
+    table = RateTable(((0.02, 0.06), (0.02, 0.06)))
+    members = (RateVectorIndex((1, 1)), RateVectorIndex((2, 1)))
     system = cfgmod.build_system(cfgmod.load_config(
         str(Path(__file__).resolve().parents[1] / "examples_cfg" / "mac2.cfg")))
-    mixed = ramac.OperationRegion(((ramac.RateVectorIndex((1, 1)), "good"),
-                                   (ramac.RateVectorIndex((1, 2)), "bad")),
-                                  "finite")
+    mixed = OperationRegion(((RateVectorIndex((1, 1)), "good"),
+                             (RateVectorIndex((1, 2)), "bad")),
+                            "finite")
     cases = [
-        (ramac.OperationRegion(tuple((m, "c") for m in members), "finite"),
-         ramac.CompoundSet((ch,), ("c",)), ramac.uniform_laws(table, 2), table,
+        (OperationRegion(tuple((m, "c") for m in members), "finite"),
+         CompoundSet((ch,), ("c",)), uniform_laws(table, 2), table,
          19),
         (mixed, system.compound, system.laws, system.table, 16),
     ]
@@ -209,20 +214,20 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     for region, comp, laws, table, n in cases:
         optimised.clear()
         ledger = _ledger(comp, laws, table)
-        exhaustive = ramac.pes_bound_single_user(1, region, ledger, n,
-                                                 search="exhaustive")
+        exhaustive = pes_bound_single_user(1, region, ledger, n,
+                                           search="exhaustive")
         searched = list(optimised)
-        greedy = ramac.pes_bound_single_user(1, region, ledger, n,
-                                             search="greedy")
+        greedy = pes_bound_single_user(1, region, ledger, n,
+                                       search="greedy")
         assert math.isfinite(exhaustive.log_bound)
         assert exhaustive.log_bound <= greedy.log_bound + 1e-12
         # every enumerated assignment is at least the exhaustive optimum
         keys = set()
-        for part in ramac.enumerate_partitions(region, 1, 2):
+        for part in enumerate_partitions(region, 1, 2):
             total = 0.0
             for users_d, block in part.blocks().items():
-                rep = ramac.pes_bound_ddecoder(
-                    ramac.OperationRegion(block),
+                rep = pes_bound_ddecoder(
+                    OperationRegion(block),
                     _ledger(comp, laws, table, users_d), n)
                 total += rep.raw_bound
                 keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
@@ -241,7 +246,7 @@ def test_assembly_deterministic():
     comp, table, laws, region = _rich_scenario()
     a = ramac.pes_bound_finite(region, _ledger(comp, laws, table), 12)
     ledger = _ledger(comp, laws, table)
-    small = ramac.OperationRegion(region.members[:1], "finite")
+    small = OperationRegion(region.members[:1], "finite")
     ramac.pes_bound_finite(small, ledger, 30)
     ramac.pes_bound_finite(region, ledger, 50)
     b = ramac.pes_bound_finite(region, ledger, 12)
@@ -263,22 +268,22 @@ def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
     envs = (ramac.build_envelope(comp.channels, class_id="k",
                                  member_ids=comp.ids),)
     classes = _ledger(envs, laws, table)
-    class_region = ramac.OperationRegion(
-        ((ramac.RateVectorIndex((1,)), "k"),), "class")
-    renamed = ramac.CompoundSet(comp.channels, ("x", "y"))
-    channel_classes = ramac.OperationRegion(
-        ((ramac.RateVectorIndex((1,)), "a"),), "class")
+    class_region = OperationRegion(
+        ((RateVectorIndex((1,)), "k"),), "class")
+    renamed = CompoundSet(comp.channels, ("x", "y"))
+    channel_classes = OperationRegion(
+        ((RateVectorIndex((1,)), "a"),), "class")
     for call, match in (
             (lambda: ramac.pes_bound_finite(region, decoded, 12), "decoded set"),
             (lambda: ramac.pes_bound_classes(class_region, decoded, 12),
              "decoded set"),
             (lambda: ramac.system_exponent(region, decoded), "decoded set"),
-            (lambda: ramac.pes_bound_single_user(1, region, decoded, 12),
+            (lambda: pes_bound_single_user(1, region, decoded, 12),
              "decoded set"),
             (lambda: ramac.SlotDecoder(region, decoded, 12), "decoded set"),
             (lambda: ramac.estimate_errors(region, comp, decoded, 12, 10, 1),
              "decoded set"),
-            (lambda: ramac.pes_bound_ddecoder(region, full, 12), "decoded set"),
+            (lambda: pes_bound_ddecoder(region, full, 12), "decoded set"),
             (lambda: ramac.pes_bound_finite(region, classes, 12), "compound set"),
             (lambda: ramac.system_exponent(region, classes), "compound set"),
             (lambda: ramac.estimate_errors(region, renamed, full, 12, 10, 1),
@@ -290,6 +295,6 @@ def test_wrong_kind_of_ledger_rejected_before_work(monkeypatch):
             (lambda: ramac.estimate_errors(channel_classes, comp, full, 12, 10,
                                            1), "class envelopes"),
             (lambda: ramac.SlotDecoder(region, classes, 12), "compound set")):
-        with pytest.raises(ramac.ValidationError, match=match):
+        with pytest.raises(ValidationError, match=match):
             call()
     assert optimised == []

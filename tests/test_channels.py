@@ -8,22 +8,26 @@ from hypothesis import strategies as st
 import ramac
 from conftest import bsc, random_dmc, random_laws
 from oracles import effective_rows
+from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
+                            RateVectorIndex, effective_channel, validate_dmc)
+from ramac.errors import (DegenerateEnvelope, DimensionMismatch, MissingLaw,
+                          NegativeEntry, RowSumOutOfTolerance, ValidationError)
 
 
 def test_validate_dmc_rejects_bad_shapes():
-    with pytest.raises(ramac.DimensionMismatch):
-        ramac.validate_dmc(np.ones((2, 3)) / 3, 1, 2, 2)
-    with pytest.raises(ramac.NegativeEntry):
-        ramac.validate_dmc(np.array([[1.1, -0.1], [0.5, 0.5]]), 1, 2, 2)
-    with pytest.raises(ramac.RowSumOutOfTolerance):
-        ramac.validate_dmc(np.array([[0.6, 0.6], [0.5, 0.5]]), 1, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        validate_dmc(np.ones((2, 3)) / 3, 1, 2, 2)
+    with pytest.raises(NegativeEntry):
+        validate_dmc(np.array([[1.1, -0.1], [0.5, 0.5]]), 1, 2, 2)
+    with pytest.raises(RowSumOutOfTolerance):
+        validate_dmc(np.array([[0.6, 0.6], [0.5, 0.5]]), 1, 2, 2)
 
 
 def test_validate_dmc_idempotent():
     raw = np.array([[0.3, 0.7], [0.9, 0.1]])
     raw[0] += 1e-13  # inside tolerance, triggers renormalization
-    once = ramac.validate_dmc(raw, 1, 2, 2)
-    twice = ramac.validate_dmc(once.probs, 1, 2, 2)
+    once = validate_dmc(raw, 1, 2, 2)
+    twice = validate_dmc(once.probs, 1, 2, 2)
     assert np.array_equal(once.probs, twice.probs)
 
 
@@ -34,9 +38,9 @@ def test_dmc_probs_frozen():
 
 
 def test_compound_set_lookup():
-    comp = ramac.CompoundSet((bsc(0.1), bsc(0.2)), ("a", "b"))
+    comp = CompoundSet((bsc(0.1), bsc(0.2)), ("a", "b"))
     assert comp.by_id("b").probs[0, 1] == 0.2
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         comp.by_id("c")
 
 
@@ -51,9 +55,9 @@ def test_envelope_sandwich_exact():
 
 
 def test_envelope_rejects_zero_min_with_positive_max():
-    ch1 = ramac.Dmc(1, 2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    ch1 = Dmc(1, 2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     ch2 = bsc(0.3)
-    with pytest.raises(ramac.DegenerateEnvelope):
+    with pytest.raises(DegenerateEnvelope):
         ramac.build_envelope((ch1, ch2), member_ids=("a", "b"))
 
 
@@ -62,53 +66,53 @@ def test_envelope_needs_one_member_id_per_channel():
     # schedule then labelled it out of class
     a, b = bsc(0.1), bsc(0.2)
     for ids in (("a",), ("a", "b", "c")):
-        with pytest.raises(ramac.ValidationError, match="members for 2"):
+        with pytest.raises(ValidationError, match="members for 2"):
             ramac.build_envelope((a, b), member_ids=ids)
     with pytest.raises(TypeError):
         ramac.build_envelope((a, b))
 
 
 def test_rate_table_contract():
-    table = ramac.RateTable(((0.1, 0.2), (0.05, 0.3)))
+    table = RateTable(((0.1, 0.2), (0.05, 0.3)))
     assert table.num_users == 2
     assert table.num_classes == 2
     assert table.rate(2, 1) == 0.05
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateTable(((0.2, 0.1),))  # not increasing
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateTable(((-0.1, 0.2),))
+    with pytest.raises(ValidationError):
+        RateTable(((0.2, 0.1),))  # not increasing
+    with pytest.raises(ValidationError):
+        RateTable(((-0.1, 0.2),))
 
 
 def test_rate_vector_index_checks():
-    table = ramac.RateTable(((0.1, 0.2),))
-    rvi = ramac.RateVectorIndex((2,))
+    table = RateTable(((0.1, 0.2),))
+    rvi = RateVectorIndex((2,))
     rvi.check_against(table)
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateVectorIndex((3,)).check_against(table)
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateVectorIndex((0,))
+    with pytest.raises(ValidationError):
+        RateVectorIndex((3,)).check_against(table)
+    with pytest.raises(ValidationError):
+        RateVectorIndex((0,))
 
 
 def test_rate_vector_agrees_on():
-    a = ramac.RateVectorIndex((1, 2, 1))
-    b = ramac.RateVectorIndex((1, 1, 1))
+    a = RateVectorIndex((1, 2, 1))
+    b = RateVectorIndex((1, 1, 1))
     assert a.agrees_on(b, frozenset({1, 3}))
     assert not a.agrees_on(b, frozenset({2}))
     assert a.agrees_on(b, frozenset())
 
 
 def test_input_laws_restriction_renumbers():
-    laws = ramac.InputLaws({(1, 1): np.array([0.5, 0.5]),
-                            (2, 1): np.array([0.6, 0.4]),
-                            (3, 1): np.array([0.7, 0.3])})
+    laws = InputLaws({(1, 1): np.array([0.5, 0.5]),
+                      (2, 1): np.array([0.6, 0.4]),
+                      (3, 1): np.array([0.7, 0.3])})
     sub = laws.restrict((1, 3))
     assert np.array_equal(sub.law(1, 1), laws.law(1, 1))
     assert np.array_equal(sub.law(2, 1), laws.law(3, 1))
 
 
 def test_missing_law_raises():
-    laws = ramac.InputLaws({(1, 1): np.array([0.5, 0.5])})
-    with pytest.raises(ramac.MissingLaw):
+    laws = InputLaws({(1, 1): np.array([0.5, 0.5])})
+    with pytest.raises(MissingLaw):
         laws.law(1, 2)
 
 
@@ -119,12 +123,12 @@ def test_effective_channel_rows_sum_to_one(seed):
     a = int(rng.integers(2, 4))
     b = int(rng.integers(2, 4))
     ch = random_dmc(rng, k, a, b)
-    table = ramac.RateTable(tuple((0.1,) for _ in range(k)))
+    table = RateTable(tuple((0.1,) for _ in range(k)))
     laws = random_laws(rng, table, a)
     keep = sorted(rng.choice(np.arange(1, k + 1), size=int(rng.integers(1, k)),
                              replace=False).tolist())
     comp_rates = {u: 1 for u in range(1, k + 1) if u not in keep}
-    eff = ramac.effective_channel(ch, tuple(keep), comp_rates, laws)
+    eff = effective_channel(ch, tuple(keep), comp_rates, laws)
     flat = eff.probs.reshape(-1, b)
     assert np.all(np.abs(flat.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -135,12 +139,12 @@ def test_effective_channel_matches_loop_oracle(seed):
     k = int(rng.integers(2, 4))
     a, b = 2, 3
     ch = random_dmc(rng, k, a, b)
-    table = ramac.RateTable(tuple((0.1,) for _ in range(k)))
+    table = RateTable(tuple((0.1,) for _ in range(k)))
     laws = random_laws(rng, table, a)
     keep = sorted(rng.choice(np.arange(1, k + 1), size=int(rng.integers(1, k)),
                              replace=False).tolist())
     comp_rates = {u: 1 for u in range(1, k + 1) if u not in keep}
-    eff = ramac.effective_channel(ch, tuple(keep), comp_rates, laws)
+    eff = effective_channel(ch, tuple(keep), comp_rates, laws)
     law_list = [laws.law(u, 1) for u in range(1, k + 1)]
     expect = effective_rows(ch.probs, law_list, [u - 1 for u in keep])
     assert np.max(np.abs(eff.probs - expect)) < 1e-12
@@ -152,10 +156,10 @@ def test_effective_channel_composes(seed):
     rng = np.random.default_rng(seed)
     k, a, b = 3, 2, 2
     ch = random_dmc(rng, k, a, b)
-    table = ramac.RateTable(tuple((0.1,) for _ in range(k)))
+    table = RateTable(tuple((0.1,) for _ in range(k)))
     laws = random_laws(rng, table, a)
-    step1 = ramac.effective_channel(ch, (1, 2), {3: 1}, laws)
+    step1 = effective_channel(ch, (1, 2), {3: 1}, laws)
     sub_laws = laws.restrict((1, 2))
-    step2 = ramac.effective_channel(step1, (1,), {2: 1}, sub_laws)
-    direct = ramac.effective_channel(ch, (1,), {2: 1, 3: 1}, laws)
+    step2 = effective_channel(step1, (1,), {2: 1}, sub_laws)
+    direct = effective_channel(ch, (1,), {2: 1, 3: 1}, laws)
     assert np.max(np.abs(step2.probs - direct.probs)) < 1e-12

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 import ramac
+from conftest import uniform_laws
 from ramac import config as cfgmod
+from ramac.channels import (CompoundSet, RateTable, RateVectorIndex,
+                            validate_dmc)
 from ramac.cli import main
+from ramac.errors import ConfigParseError, SchemaViolation, ValidationError
+from ramac.exponents import OptimizerConfig
+from ramac.regions import OperationRegion, feasibility_check
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -144,52 +150,52 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
 
 
 @pytest.mark.parametrize("mutate, exc", [
-    (lambda t: t.replace("[scenario]\n", "[intro]\n"), ramac.SchemaViolation),
-    (lambda t: t.replace("input_size = 2\n", ""), ramac.SchemaViolation),
-    (lambda t: t.replace("mode = finite", "mode = open"), ramac.SchemaViolation),
+    (lambda t: t.replace("[scenario]\n", "[intro]\n"), SchemaViolation),
+    (lambda t: t.replace("input_size = 2\n", ""), SchemaViolation),
+    (lambda t: t.replace("mode = finite", "mode = open"), SchemaViolation),
     (lambda t: t.replace("0.95 0.05; 0.05 0.95", "0.95 0.05"),
-     ramac.SchemaViolation),
+     SchemaViolation),
     (lambda t: t.replace("0.95 0.05;", "0.95 0.05 0.1;"),
-     ramac.SchemaViolation),
-    (lambda t: t.replace("0.95", "ninety"), ramac.ConfigParseError),
+     SchemaViolation),
+    (lambda t: t.replace("0.95", "ninety"), ConfigParseError),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:ugly"),
-     ramac.SchemaViolation),
+     SchemaViolation),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 3:good"),
-     ramac.SchemaViolation),
+     SchemaViolation),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1good"),
-     ramac.ConfigParseError),
+     ConfigParseError),
     (lambda t: t.replace("pairs = 1:good 1:bad",
                          "pairs = 1:good\nmaximal = yes"),
-     ramac.SchemaViolation),
-    (lambda t: t.replace("pairs = 1:good 1:bad", ""), ramac.SchemaViolation),
-    (lambda t: t.replace("user1 = 0.1\n", ""), ramac.SchemaViolation),
-    (lambda t: t.replace("n = 8", "n = eight"), ramac.ConfigParseError),
-    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", ramac.SchemaViolation),
-    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", ramac.SchemaViolation),
-    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", ramac.SchemaViolation),
+     SchemaViolation),
+    (lambda t: t.replace("pairs = 1:good 1:bad", ""), SchemaViolation),
+    (lambda t: t.replace("user1 = 0.1\n", ""), SchemaViolation),
+    (lambda t: t.replace("n = 8", "n = eight"), ConfigParseError),
+    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", SchemaViolation),
+    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", SchemaViolation),
+    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", SchemaViolation),
     # keys a section does not define, misspelt or retired
-    (lambda t: t.replace("users = 1", "user = 1"), ramac.SchemaViolation),
+    (lambda t: t.replace("users = 1", "user = 1"), SchemaViolation),
     (lambda t: t.replace("user1 = 0.1", "user1 = 0.1\nuser2 = 0.1"),
-     ramac.SchemaViolation),
+     SchemaViolation),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
-     ramac.SchemaViolation),
-    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), ramac.SchemaViolation),
+     SchemaViolation),
+    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), SchemaViolation),
     # an optimiser grid that would probe 10**10 points
     (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
-        "s_grid = 10", "s_grid = 100000"), ramac.ValidationError),
-    (lambda t: t + "batch_size = 64\n", ramac.SchemaViolation),
-    (lambda t: t.replace("seed = 3", "seed = -2"), ramac.SchemaViolation),
+        "s_grid = 10", "s_grid = 100000"), ValidationError),
+    (lambda t: t + "batch_size = 64\n", SchemaViolation),
+    (lambda t: t.replace("seed = 3", "seed = -2"), SchemaViolation),
     # sections the schema does not define, and unknown channel or class keys
-    (lambda t: t.replace("[defaults]", "[default]"), ramac.SchemaViolation),
-    (lambda t: t.replace("[defaults]", "[DEFAULT]"), ramac.SchemaViolation),
+    (lambda t: t.replace("[defaults]", "[default]"), SchemaViolation),
+    (lambda t: t.replace("[defaults]", "[DEFAULT]"), SchemaViolation),
     (lambda t: t.replace("[channel bad]\n", "[channel bad]\nrow = 1 0; 0 1\n"),
-     ramac.SchemaViolation),
+     SchemaViolation),
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
-                         "[rates]"), ramac.SchemaViolation),
+                         "[rates]"), SchemaViolation),
     # a channel in two classes
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good bad\n\n"
                          "[class j]\nmembers = bad\n\n[rates]"),
-     ramac.SchemaViolation),
+     SchemaViolation),
 ])
 def test_load_config_rejections(tmp_path, mutate, exc):
     with pytest.raises(exc):
@@ -200,7 +206,7 @@ def test_load_config_names_a_DEFAULT_section(tmp_path):
     # configparser copies [DEFAULT] keys into every section; the error must
     # name [DEFAULT], not the first section that received a copy
     text = PAIR_CFG.replace("[defaults]", "[DEFAULT]")
-    with pytest.raises(ramac.SchemaViolation, match=r"^\[DEFAULT\]"):
+    with pytest.raises(SchemaViolation, match=r"^\[DEFAULT\]"):
         cfgmod.load_config(_write(tmp_path, text))
 
 
@@ -214,12 +220,12 @@ def test_defaults_schema_maps_each_key_to_one_field(tmp_path):
     head = PAIR_CFG[:PAIR_CFG.index("[defaults]")]
     cfg = cfgmod.load_config(_write(tmp_path, head + "[defaults]\n"))
     assert cfg.defaults == cfgmod.Defaults()
-    assert cfg.optimizer == ramac.OptimizerConfig()
+    assert cfg.optimizer == OptimizerConfig()
     assert cfg.thresholds == ramac.ThresholdParams()
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ramac.ConfigParseError):
+    with pytest.raises(ConfigParseError):
         cfgmod.load_config(str(tmp_path / "absent.cfg"))
 
 
@@ -237,8 +243,8 @@ def test_missing_region_section_means_maximal(tmp_path):
     assert cfg.region_pairs is None
     system = cfgmod.build_system(cfg)
     assert len(system.region) >= 1
-    report = ramac.feasibility_check(system.region, system.compound,
-                                     system.laws, system.table)
+    report = feasibility_check(system.region, system.compound,
+                               system.laws, system.table)
     assert report.passed
 
 
@@ -263,8 +269,8 @@ def test_round12_is_idempotent():
 
 
 def test_jsonable_shapes():
-    rvi = ramac.RateVectorIndex((2, 1))
-    region = ramac.OperationRegion(((rvi, "c"),), "finite")
+    rvi = RateVectorIndex((2, 1))
+    region = OperationRegion(((rvi, "c"),), "finite")
     out = cfgmod.jsonable({"region": region, "set": frozenset({2, 1}),
                            "arr": np.array([1.5, 2.5]),
                            "pair": (rvi, "c"), "x": 0.1234567890123456789})
@@ -275,14 +281,14 @@ def test_jsonable_shapes():
 
 
 def test_record_round_trip_is_byte_identical(tmp_path):
-    comp = ramac.CompoundSet(
-        (ramac.validate_dmc([[0.95, 0.05], [0.05, 0.95]], 1, 2, 2),), ("c",))
-    table = ramac.RateTable(((0.1,),))
-    laws = ramac.uniform_laws(table, 2)
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),),
-                                   "finite")
+    comp = CompoundSet(
+        (validate_dmc([[0.95, 0.05], [0.05, 0.95]], 1, 2, 2),), ("c",))
+    table = RateTable(((0.1,),))
+    laws = uniform_laws(table, 2)
+    region = OperationRegion(((RateVectorIndex((1,)), "c"),),
+                             "finite")
     report = ramac.pes_bound_finite(region, ramac.ExponentLedger(
-        comp, laws, table, ramac.OptimizerConfig(
+        comp, laws, table, OptimizerConfig(
             rho_grid_size=8, s_grid_size=8, refinement_rounds=0)), 12)
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     cfgmod.write_record(p1, {"report": report})
@@ -593,7 +599,7 @@ def test_bound_vs_simulation_reads_config_thresholds(tmp_path, capsys):
 def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
     """--N 0 reaches the validators instead of falling back to the default."""
     cfg = str(ROOT / "examples_cfg" / "bsc_gate.cfg")
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         _script_main("threshold_sensitivity.py")(
             [cfg, "--N", "0", "--trials", "5", "--out-dir", str(tmp_path)])
     capsys.readouterr()
@@ -669,6 +675,6 @@ def test_shipped_example_configs_build(name):
     path = os.path.join(os.path.dirname(__file__), "..", "examples_cfg", name)
     system = cfgmod.build_system(cfgmod.load_config(path))
     assert system.region.members
-    rep = ramac.feasibility_check(system.region, system.compound,
-                                  system.laws, system.table)
+    rep = feasibility_check(system.region, system.compound,
+                            system.laws, system.table)
     assert rep.passed

@@ -8,39 +8,44 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import FAST_OPT, bsc, random_dmc, random_laws
+from conftest import FAST_OPT, bsc, random_dmc, random_laws, uniform_laws
 from oracles import (ei_objective_direct, em_objective_direct,
                      gallager_exponent_sweep, probe_rows)
+from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
+                            RateVectorIndex)
+from ramac.errors import ConstraintViolation, ValidationError
+from ramac.exponents import ExponentQuery, OptimizerConfig
+from ramac.sim import build_threshold_tables
 
-TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
-                                 refinement_rounds=0)
+TINY_OPT = OptimizerConfig(rho_grid_size=8, s_grid_size=8,
+                           refinement_rounds=0)
 
 
 def _self_query(channel, rate):
-    table = ramac.RateTable(((rate,),))
-    laws = ramac.uniform_laws(table, channel.input_size)
-    rvi = ramac.RateVectorIndex((1,))
-    return ramac.ExponentQuery(frozenset(), rvi, channel, rvi, channel,
-                               laws, table), table, laws
+    table = RateTable(((rate,),))
+    laws = uniform_laws(table, channel.input_size)
+    rvi = RateVectorIndex((1,))
+    return ExponentQuery(frozenset(), rvi, channel, rvi, channel,
+                         laws, table), table, laws
 
 
 def test_noiseless_binary_em_is_log2():
-    ch = ramac.Dmc(1, 2, 2, np.eye(2))
+    ch = Dmc(1, 2, 2, np.eye(2))
     q, _, _ = _self_query(ch, 0.0)
     res = ramac.em_exponent(q)
     assert abs(res.value - math.log(2)) < 1e-9
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(rho_grid_size=1)
+    with pytest.raises(ValidationError):
+        OptimizerConfig(rho_grid_size=1)
 
 
 def test_optimizer_grid_is_capped():
-    ramac.OptimizerConfig(1024, 1024, 0)  # 2**20 probes
+    OptimizerConfig(1024, 1024, 0)  # 2**20 probes
     for sizes in ((1024, 1024, 1), (100000, 100000, 0), (2, 2, 10 ** 9)):
-        with pytest.raises(ramac.ValidationError, match="probes"):
-            ramac.OptimizerConfig(*sizes)
+        with pytest.raises(ValidationError, match="probes"):
+            OptimizerConfig(*sizes)
 
 
 def test_result_within_constraint_set():
@@ -55,16 +60,16 @@ def test_result_within_constraint_set():
 
 
 def test_mismatched_subset_rates_rejected():
-    table = ramac.RateTable(((0.1, 0.2), (0.1, 0.2)))
-    laws = ramac.uniform_laws(table, 2)
+    table = RateTable(((0.1, 0.2), (0.1, 0.2)))
+    laws = uniform_laws(table, 2)
     rng = np.random.default_rng(0)
     ch = random_dmc(rng, 2, 2, 2)
-    t = ramac.RateVectorIndex((1, 1))
-    c = ramac.RateVectorIndex((2, 1))
-    with pytest.raises(ramac.ConstraintViolation):
-        ramac.ExponentQuery(frozenset({1}), t, ch, c, ch, laws, table)
+    t = RateVectorIndex((1, 1))
+    c = RateVectorIndex((2, 1))
+    with pytest.raises(ConstraintViolation):
+        ExponentQuery(frozenset({1}), t, ch, c, ch, laws, table)
     # agreement outside the subset is not required
-    ramac.ExponentQuery(frozenset({2}), t, ch, c, ch, laws, table)
+    ExponentQuery(frozenset({2}), t, ch, c, ch, laws, table)
 
 
 def test_gallager_reduction_tight():
@@ -84,7 +89,7 @@ def test_em_value_reproduced_by_direct_objective(seed):
     k = int(rng.integers(1, 3))
     a, b = 2, 2
     ch = random_dmc(rng, k, a, b, floor=0.02)
-    table = ramac.RateTable(
+    table = RateTable(
         tuple(tuple(sorted(rng.random(2) * 0.3)) for _ in range(k)))
     laws = random_laws(rng, table, a)
     t_idx = tuple(int(v) for v in rng.integers(1, 3, size=k))
@@ -93,9 +98,9 @@ def test_em_value_reproduced_by_direct_objective(seed):
                                    size=int(rng.integers(0, k)), replace=False))
     c_idx = tuple(t_idx[u - 1] if u in subset else int(rng.integers(1, 3))
                   for u in range(1, k + 1))
-    t = ramac.RateVectorIndex(t_idx)
-    c = ramac.RateVectorIndex(c_idx)
-    q = ramac.ExponentQuery(subset, t, ch, c, ch, laws, table)
+    t = RateVectorIndex(t_idx)
+    c = RateVectorIndex(c_idx)
+    q = ExponentQuery(subset, t, ch, c, ch, laws, table)
     em = ramac.em_exponent(q, TINY_OPT)
     law_map = {(u, i): laws.law(u, i) for u in range(1, k + 1) for i in (1, 2)}
     direct = em_objective_direct(subset, t_idx, c_idx, ch.probs, ch.probs,
@@ -171,11 +176,11 @@ def test_singleton_class_equals_finite():
         ch = random_dmc(rng, 1, 2, 2, floor=0.05)
         env = ramac.build_envelope((ch,), member_ids=("c",))
         rate = float(rng.random() * 0.3)
-        table = ramac.RateTable(((rate,),))
-        laws = ramac.uniform_laws(table, 2)
-        rvi = ramac.RateVectorIndex((1,))
-        qf = ramac.ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table)
-        qc = ramac.ExponentQuery(frozenset(), rvi, env, rvi, env, laws, table)
+        table = RateTable(((rate,),))
+        laws = uniform_laws(table, 2)
+        rvi = RateVectorIndex((1,))
+        qf = ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table)
+        qc = ExponentQuery(frozenset(), rvi, env, rvi, env, laws, table)
         assert abs(ramac.em_exponent(qf, TINY_OPT).value
                    - ramac.em_exponent(qc, TINY_OPT).value) < 1e-12
         assert abs(ramac.ei_exponent(qf, TINY_OPT).value
@@ -184,13 +189,13 @@ def test_singleton_class_equals_finite():
         # channel, so that log_a reads the competing side
         rival = random_dmc(rng, 1, 2, 2, floor=0.05)
         env_rival = ramac.build_envelope((rival,), member_ids=("r",))
-        table2 = ramac.RateTable(((rate, rate + 0.1),))
+        table2 = RateTable(((rate, rate + 0.1),))
         laws2 = random_laws(rng, table2, 2)
         rho_tilde = float(rng.random() * 0.9 + 0.05)
         s2 = rho_tilde * float(rng.random() * 0.9 + 0.05)
-        tf, tc = (ramac.build_threshold_tables(
+        tf, tc = (build_threshold_tables(
             rvi, true, frozenset(), laws2, table2, rho_tilde, s2,
-            ramac.RateVectorIndex((2,)), comp)
+            RateVectorIndex((2,)), comp)
             for true, comp in ((ch, rival), (env, env_rival)))
         for name in ("log_a", "log_b", "log_c"):
             assert np.max(np.abs(getattr(tf, name) - getattr(tc, name))) < 1e-12
@@ -199,11 +204,11 @@ def test_singleton_class_equals_finite():
 def test_mixing_envelope_and_dmc_rejected():
     ch = bsc(0.1)
     env = ramac.build_envelope((ch,), member_ids=("c",))
-    table = ramac.RateTable(((0.1,),))
-    laws = ramac.uniform_laws(table, 2)
-    rvi = ramac.RateVectorIndex((1,))
-    with pytest.raises(ramac.ValidationError):
-        ramac.ExponentQuery(frozenset(), rvi, ch, rvi, env, laws, table)
+    table = RateTable(((0.1,),))
+    laws = uniform_laws(table, 2)
+    rvi = RateVectorIndex((1,))
+    with pytest.raises(ValidationError):
+        ExponentQuery(frozenset(), rvi, ch, rvi, env, laws, table)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -212,15 +217,15 @@ def test_em_monotone_in_competing_rate(seed):
     rng = np.random.default_rng(seed)
     ch = random_dmc(rng, 1, 2, 2, floor=0.02)
     lo, hi = sorted(rng.random(2) * 0.4 + 0.01)
-    table = ramac.RateTable(((lo, lo + hi + 0.01),))
+    table = RateTable(((lo, lo + hi + 0.01),))
     laws_vec = rng.random(2) + 0.1
     laws_vec /= laws_vec.sum()
-    laws = ramac.InputLaws({(1, 1): laws_vec, (1, 2): laws_vec})
-    t = ramac.RateVectorIndex((1,))
-    q_lo = ramac.ExponentQuery(frozenset(), t, ch, ramac.RateVectorIndex((1,)),
-                               ch, laws, table)
-    q_hi = ramac.ExponentQuery(frozenset(), t, ch, ramac.RateVectorIndex((2,)),
-                               ch, laws, table)
+    laws = InputLaws({(1, 1): laws_vec, (1, 2): laws_vec})
+    t = RateVectorIndex((1,))
+    q_lo = ExponentQuery(frozenset(), t, ch, RateVectorIndex((1,)),
+                         ch, laws, table)
+    q_hi = ExponentQuery(frozenset(), t, ch, RateVectorIndex((2,)),
+                         ch, laws, table)
     assert ramac.em_exponent(q_hi, FAST_OPT).value <= \
         ramac.em_exponent(q_lo, FAST_OPT).value + 1e-12
 
@@ -231,15 +236,15 @@ def test_ei_monotone_in_true_rate(seed):
     rng = np.random.default_rng(seed)
     ch = random_dmc(rng, 1, 2, 2, floor=0.02)
     lo, hi = sorted(rng.random(2) * 0.4 + 0.01)
-    table = ramac.RateTable(((lo, lo + hi + 0.01),))
+    table = RateTable(((lo, lo + hi + 0.01),))
     laws_vec = rng.random(2) + 0.1
     laws_vec /= laws_vec.sum()
-    laws = ramac.InputLaws({(1, 1): laws_vec, (1, 2): laws_vec})
-    comp = ramac.RateVectorIndex((1,))
-    q_lo = ramac.ExponentQuery(frozenset(), ramac.RateVectorIndex((1,)), ch,
-                               comp, ch, laws, table)
-    q_hi = ramac.ExponentQuery(frozenset(), ramac.RateVectorIndex((2,)), ch,
-                               comp, ch, laws, table)
+    laws = InputLaws({(1, 1): laws_vec, (1, 2): laws_vec})
+    comp = RateVectorIndex((1,))
+    q_lo = ExponentQuery(frozenset(), RateVectorIndex((1,)), ch,
+                         comp, ch, laws, table)
+    q_hi = ExponentQuery(frozenset(), RateVectorIndex((2,)), ch,
+                         comp, ch, laws, table)
     assert ramac.ei_exponent(q_hi, FAST_OPT).value <= \
         ramac.ei_exponent(q_lo, FAST_OPT).value + 1e-12
 
@@ -247,10 +252,10 @@ def test_ei_monotone_in_true_rate(seed):
 def test_objectives_finite_on_larger_alphabets():
     rng = np.random.default_rng(9)
     ch = random_dmc(rng, 2, 5, 16)
-    table = ramac.RateTable(((0.2,), (0.3,)))
+    table = RateTable(((0.2,), (0.3,)))
     laws = random_laws(rng, table, 5)
-    rvi = ramac.RateVectorIndex((1, 1))
-    q = ramac.ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table)
+    rvi = RateVectorIndex((1, 1))
+    q = ExponentQuery(frozenset(), rvi, ch, rvi, ch, laws, table)
     em = ramac.em_exponent(q, TINY_OPT)
     ei = ramac.ei_exponent(q, TINY_OPT)
     assert math.isfinite(em.value)
@@ -261,13 +266,13 @@ def test_ledger_full_decoded_set_reduces_to_full_query():
     """Decoding every user leaves the channel untouched."""
     rng = np.random.default_rng(3)
     ch = random_dmc(rng, 2, 2, 2, floor=0.05)
-    table = ramac.RateTable(((0.1, 0.2), (0.1, 0.2)))
-    laws = ramac.uniform_laws(table, 2)
-    t = ramac.RateVectorIndex((1, 2))
-    c = ramac.RateVectorIndex((2, 2))
-    full = ramac.ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
+    table = RateTable(((0.1, 0.2), (0.1, 0.2)))
+    laws = uniform_laws(table, 2)
+    t = RateVectorIndex((1, 2))
+    c = RateVectorIndex((2, 2))
+    full = ExponentQuery(frozenset(), t, ch, c, ch, laws, table)
     want = ramac.em_exponent(full, TINY_OPT)
-    ledger = ramac.ExponentLedger(ramac.CompoundSet((ch,), ("c",)), laws,
+    ledger = ramac.ExponentLedger(CompoundSet((ch,), ("c",)), laws,
                                   table, TINY_OPT, users_d={1, 2})
     got = ledger.get("em", frozenset(), (t, "c"), (c, "c"))
     assert got == want
@@ -276,20 +281,20 @@ def test_ledger_full_decoded_set_reduces_to_full_query():
 # Exact (value, rho_star, s_star, evaluations) of the per-point scalar grid
 # search, recorded before the optimiser evaluated each refinement round as one
 # batch: the batch must keep the probe order and the strictly-better tie rule.
-PIN_OPT = ramac.OptimizerConfig(rho_grid_size=16, s_grid_size=16,
-                                refinement_rounds=3)
+PIN_OPT = OptimizerConfig(rho_grid_size=16, s_grid_size=16,
+                          refinement_rounds=3)
 
 
 def _pin_k2_query():
-    ch = ramac.Dmc(2, 2, 3, np.array([[[0.7, 0.3, 0.0], [0.2, 0.5, 0.3]],
-                                      [[0.1, 0.1, 0.8], [0.0, 0.4, 0.6]]]))
-    table = ramac.RateTable(((0.01, 0.05), (0.02, 0.08)))
-    laws = ramac.InputLaws({(1, 1): np.array([0.5, 0.5]),
-                            (1, 2): np.array([0.3, 0.7]),
-                            (2, 1): np.array([0.6, 0.4]),
-                            (2, 2): np.array([0.5, 0.5])})
-    rvi = ramac.RateVectorIndex((2, 2))
-    return ramac.ExponentQuery(frozenset({1}), rvi, ch, rvi, ch, laws, table)
+    ch = Dmc(2, 2, 3, np.array([[[0.7, 0.3, 0.0], [0.2, 0.5, 0.3]],
+                                [[0.1, 0.1, 0.8], [0.0, 0.4, 0.6]]]))
+    table = RateTable(((0.01, 0.05), (0.02, 0.08)))
+    laws = InputLaws({(1, 1): np.array([0.5, 0.5]),
+                      (1, 2): np.array([0.3, 0.7]),
+                      (2, 1): np.array([0.6, 0.4]),
+                      (2, 2): np.array([0.5, 0.5])})
+    rvi = RateVectorIndex((2, 2))
+    return ExponentQuery(frozenset({1}), rvi, ch, rvi, ch, laws, table)
 
 
 def _pin_envelope_query():
@@ -299,11 +304,11 @@ def _pin_envelope_query():
 
 @pytest.mark.parametrize("solve, make_query, cfg, want", [
     (ramac.em_exponent,
-     lambda: _self_query(ramac.Dmc(1, 2, 2, np.eye(2)), 0.0)[0],
-     ramac.OptimizerConfig(),
+     lambda: _self_query(Dmc(1, 2, 2, np.eye(2)), 0.0)[0],
+     OptimizerConfig(),
      (0.6931471805599453, 1.0, 1e-06, 8319)),
     (ramac.ei_exponent, lambda: _self_query(bsc(0.1), 0.1)[0],
-     ramac.OptimizerConfig(),
+     OptimizerConfig(),
      (0.06371771498978279, 0.42857157142857144, 0.5714284285714286, 8192)),
     (ramac.em_exponent, _pin_envelope_query, PIN_OPT,
      (-0.06862146241803133, 0.95111116, 0.208000792, 1087)),

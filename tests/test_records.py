@@ -1,6 +1,9 @@
 """The frozen value types: construction, immutability, equality and repr,
-and the modules a ramac process must not import."""
+the modules a ramac process must not import, and the package's surface."""
 
+import ast
+import importlib.util
+import inspect
 import os
 import statistics
 import subprocess
@@ -12,43 +15,47 @@ import pytest
 
 import ramac
 from ramac import config as cfgmod
+from ramac.channels import Dmc, RateVectorIndex
+from ramac.errors import DimensionMismatch, ValidationError
+from ramac.exponents import ExponentResult, OptimizerConfig
+from ramac.sim import Z99
 
 OPTIMIZER_FIELDS = ["rho_grid_size", "s_grid_size", "refinement_rounds"]
 
 
 def test_eq_record_construction_equality_and_hash():
-    a = ramac.RateVectorIndex((1, 2))
-    b = ramac.RateVectorIndex(indices=(np.int64(1), 2))
+    a = RateVectorIndex((1, 2))
+    b = RateVectorIndex(indices=(np.int64(1), 2))
     assert a == b and not a != b
     assert b.indices == (1, 2) and type(b.indices[0]) is int
     assert hash(a) == hash(b) == hash(((1, 2),))
-    assert a != ramac.RateVectorIndex((2, 1))
+    assert a != RateVectorIndex((2, 1))
     assert a != (1, 2) and a.__eq__((1, 2)) is NotImplemented
     table = {a: "first"}
     table[b] = "second"
-    assert table == {ramac.RateVectorIndex((1, 2)): "second"}
+    assert table == {RateVectorIndex((1, 2)): "second"}
     assert repr(a) == "RateVectorIndex(indices=(1, 2))"
 
 
 def test_records_reject_bad_arguments():
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateVectorIndex(())
-    with pytest.raises(ramac.ValidationError):
-        ramac.RateVectorIndex((0,))
+    with pytest.raises(ValidationError):
+        RateVectorIndex(())
+    with pytest.raises(ValidationError):
+        RateVectorIndex((0,))
     with pytest.raises(TypeError):
-        ramac.RateVectorIndex()
+        RateVectorIndex()
     with pytest.raises(TypeError):
-        ramac.RateVectorIndex((1,), (2,))
+        RateVectorIndex((1,), (2,))
     with pytest.raises(TypeError):
-        ramac.RateVectorIndex((1,), indices=(2,))
+        RateVectorIndex((1,), indices=(2,))
     with pytest.raises(TypeError):
-        ramac.RateVectorIndex(index=(1,))
+        RateVectorIndex(index=(1,))
 
 
 def test_records_are_frozen():
-    rvi = ramac.RateVectorIndex((1,))
-    channel = ramac.Dmc(1, 2, 2, np.eye(2))
-    cfg = ramac.OptimizerConfig()
+    rvi = RateVectorIndex((1,))
+    channel = Dmc(1, 2, 2, np.eye(2))
+    cfg = OptimizerConfig()
     for obj, name in ((rvi, "indices"), (channel, "probs"),
                       (cfg, "rho_grid_size"), (cfg, "not_a_field")):
         with pytest.raises(AttributeError):
@@ -61,8 +68,8 @@ def test_records_are_frozen():
 
 def test_identity_record_equality_and_hash():
     probs = np.array([[0.9, 0.1], [0.1, 0.9]])
-    a = ramac.Dmc(1, 2, 2, probs)
-    b = ramac.Dmc(num_users=1, input_size=2, output_size=2, probs=probs)
+    a = Dmc(1, 2, 2, probs)
+    b = Dmc(num_users=1, input_size=2, output_size=2, probs=probs)
     assert a == a and a != b
     assert hash(a) == object.__hash__(a)
     assert len({a, b}) == 2
@@ -70,35 +77,35 @@ def test_identity_record_equality_and_hash():
     assert np.array_equal(a.probs, b.probs)
     assert repr(a).startswith("Dmc(num_users=1, input_size=2, output_size=2, "
                               "probs=array(")
-    with pytest.raises(ramac.DimensionMismatch):
-        ramac.Dmc(1, 2, 3, probs)
+    with pytest.raises(DimensionMismatch):
+        Dmc(1, 2, 3, probs)
 
 
 def test_record_defaults_and_declaration_order():
-    cfg = ramac.OptimizerConfig()
+    cfg = OptimizerConfig()
     assert (cfg.rho_grid_size, cfg.s_grid_size, cfg.refinement_rounds) == (64, 64, 3)
-    mixed = ramac.OptimizerConfig(12, refinement_rounds=1)
+    mixed = OptimizerConfig(12, refinement_rounds=1)
     assert (mixed.rho_grid_size, mixed.s_grid_size, mixed.refinement_rounds) == (12, 64, 1)
-    assert mixed == ramac.OptimizerConfig(rho_grid_size=12, s_grid_size=64,
-                                          refinement_rounds=1)
+    assert mixed == OptimizerConfig(rho_grid_size=12, s_grid_size=64,
+                                    refinement_rounds=1)
     assert mixed != cfg
     assert hash(mixed) == hash(tuple(getattr(mixed, f) for f in OPTIMIZER_FIELDS))
-    with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(rho_grid_size=1)
-    with pytest.raises(ramac.ValidationError):
-        ramac.OptimizerConfig(12, 12, -1)
+    with pytest.raises(ValidationError):
+        OptimizerConfig(rho_grid_size=1)
+    with pytest.raises(ValidationError):
+        OptimizerConfig(12, 12, -1)
     assert repr(cfg) == (
         "OptimizerConfig(rho_grid_size=64, s_grid_size=64, refinement_rounds=3)")
     assert list(cfgmod.jsonable(cfg)) == OPTIMIZER_FIELDS
-    result = ramac.ExponentResult(kind="em", variant="finite", evaluations=3,
-                                  s_star=0.5, rho_star=0.25, value=0.125)
+    result = ExponentResult(kind="em", variant="finite", evaluations=3,
+                            s_star=0.5, rho_star=0.25, value=0.125)
     assert list(cfgmod.jsonable(result)) == [
         "value", "rho_star", "s_star", "evaluations", "variant", "kind"]
 
 
 def test_z99_is_the_normal_quantile():
     exact = statistics.NormalDist().inv_cdf(0.995)
-    assert ramac.Z99.hex() == exact.hex()
+    assert Z99.hex() == exact.hex()
 
 
 def _fresh_python(code: str, *args: str) -> str:
@@ -146,39 +153,59 @@ def test_analytic_commands_never_import_the_simulator(tmp_path):
         ("simulate", 0, True)])
 
 
-# Every name ramac exported when it imported ramac.sim eagerly.
+# The package's surface: what README, scripts/ and perfbench/ use.
 PUBLIC_NAMES = """
-    BoundReport BoundTerm C1Report C1Violation CODEWORD_GUARD CaseReport
-    ChannelClassEnvelope CodebookSet CompoundSet ConfigParseError
-    ConstraintViolation Decision DegenerateEnvelope DimensionMismatch Dmc
-    EmptyClass EnumerationTooLarge ExactCase ExactReport ExponentLedger
-    ExponentQuery ExponentResult FeasibilityReport GuardExceeded
-    InfeasibleRegion InputLaws MiQuery MissingLaw NegativeEntry
-    OUTPUT_ENUM_GUARD OperationRegion OptimizerConfig Partition
-    PartitionBoundResult RamacError RateTable RateVectorIndex
-    RowSumOutOfTolerance SchemaViolation SearchSpaceTooLarge SimReport
-    SlotDecoder SystemExponentResult ThresholdParams ThresholdTables
-    TooManyCodewords ValidationError Z99 build_envelope build_schedule
-    build_threshold_tables c1_check conditional_mi effective_channel
-    ei_exponent em_exponent enumerate_partitions estimate_errors
-    exact_conditional_errors feasibility_check generate_codebooks
-    maximal_feasible_region message_count pair_universe pes_bound_classes
-    pes_bound_ddecoder pes_bound_finite pes_bound_single_user proper_subsets
-    require_c1 subsets_containing system_exponent uniform_laws validate_dmc
+    ExponentLedger SlotDecoder ThresholdParams build_envelope c1_check
+    ei_exponent em_exponent estimate_errors exact_conditional_errors
+    pes_bound_classes pes_bound_finite system_exponent
 """.split()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_resolve_lazily():
-    """The simulator's names stay in the package's surface, served on first
-    access (PEP 562) instead of at import."""
+    """The package exports exactly PUBLIC_NAMES and sim; the simulator's
+    names are served on first access (PEP 562) instead of at import."""
     namespace = {}
-    exec(f"from ramac import {', '.join(PUBLIC_NAMES)}", namespace)
+    exec(f"from ramac import {', '.join(PUBLIC_NAMES)}, sim", namespace)
     for name in PUBLIC_NAMES:
         assert namespace[name] is getattr(ramac, name), name
-    assert set(PUBLIC_NAMES) | {"sim"} <= set(dir(ramac))
+    exported = {name for name in dir(ramac) if not name.startswith("_")
+                and not inspect.ismodule(getattr(ramac, name))}
+    assert exported == set(PUBLIC_NAMES)
+    assert "sim" in dir(ramac) and namespace["sim"] is ramac.sim
     assert ramac.sim.ThresholdParams is ramac.ThresholdParams
     assert ramac.estimate_errors is ramac.sim.estimate_errors
     with pytest.raises(AttributeError):
         ramac.not_a_name
-    code = "import ramac; print(ramac.sim.__name__, ramac.Z99 > 2)"
-    assert _fresh_python(code) == "ramac.sim True"
+    code = ("import sys, ramac; print('ramac.sim' in sys.modules, "
+            "ramac.sim.__name__, ramac.estimate_errors.__module__)")
+    assert _fresh_python(code) == "False ramac.sim ramac.sim"
+
+
+def _ramac_reads(path):
+    """Names path reads off the package: ramac.<name>, and the (ramac,
+    "<name>") pairs that the benchmark tracer patches."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "ramac"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and len(node.args) > 1
+              and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == "ramac"
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_scripts_and_benchmark_read_resolvable_names():
+    """Every ramac.<name> that scripts/ and perfbench/ read resolves, so the
+    surface cannot drift away from its users."""
+    paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    reads = {(path.name, name) for path in paths for name in _ramac_reads(path)}
+    names = {name for _, name in reads}
+    assert {"ExponentLedger", "exact_conditional_errors"} <= names
+    for where, name in sorted(reads):
+        if importlib.util.find_spec(f"ramac.{name}") is not None:
+            importlib.import_module(f"ramac.{name}")  # as the file imports it
+        assert hasattr(ramac, name), (where, name)

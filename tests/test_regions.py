@@ -4,53 +4,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import bsc, random_dmc, random_laws
+from conftest import bsc, random_dmc, random_laws, uniform_laws
 from oracles import partition_count
+from ramac.channels import CompoundSet, RateTable, RateVectorIndex
+from ramac.errors import C1Violation, SearchSpaceTooLarge, ValidationError
+from ramac.regions import (OperationRegion, Partition, enumerate_partitions,
+                           feasibility_check, maximal_feasible_region,
+                           pair_universe, proper_subsets, require_c1)
+from ramac.sim import build_schedule
 
 
 def _two_user_setup(seed=0):
     rng = np.random.default_rng(seed)
     ch = random_dmc(rng, 2, 2, 2, floor=0.05)
-    comp = ramac.CompoundSet((ch,), ("c",))
-    table = ramac.RateTable(((0.05, 0.4), (0.05, 0.4)))
-    laws = ramac.uniform_laws(table, 2)
+    comp = CompoundSet((ch,), ("c",))
+    table = RateTable(((0.05, 0.4), (0.05, 0.4)))
+    laws = uniform_laws(table, 2)
     return comp, table, laws
 
 
 def test_region_dedup_and_membership():
-    rvi = ramac.RateVectorIndex((1,))
-    with pytest.raises(ramac.ValidationError):
-        ramac.OperationRegion(((rvi, "a"), (rvi, "a")), "finite")
-    region = ramac.OperationRegion(((rvi, "a"),), "finite")
+    rvi = RateVectorIndex((1,))
+    with pytest.raises(ValidationError):
+        OperationRegion(((rvi, "a"), (rvi, "a")), "finite")
+    region = OperationRegion(((rvi, "a"),), "finite")
     assert (rvi, "a") in region
     assert (rvi, "b") not in region
     assert len(region) == 1
 
 
 def test_pair_universe_order_and_size():
-    table = ramac.RateTable(((0.1, 0.2), (0.1, 0.2)))
-    uni = ramac.pair_universe(table, ("a", "b"))
+    table = RateTable(((0.1, 0.2), (0.1, 0.2)))
+    uni = pair_universe(table, ("a", "b"))
     assert len(uni) == 4 * 2
     assert [u[0].indices for u in uni[:2]] == [(1, 1), (1, 1)]
     assert [u[1] for u in uni[:2]] == ["a", "b"]
 
 
 def test_proper_subsets_count():
-    subs = ramac.proper_subsets(range(1, 4))
+    subs = proper_subsets(range(1, 4))
     assert len(subs) == 7  # all but the full set
     assert frozenset() in subs
     assert frozenset({1, 2, 3}) not in subs
     # a decoded set D = {1, 3}: the subsets of D by size, then in order
-    assert ramac.proper_subsets((1, 3)) == (frozenset(), frozenset({1}),
-                                            frozenset({3}))
+    assert proper_subsets((1, 3)) == (frozenset(), frozenset({1}),
+                                      frozenset({3}))
 
 
 def test_feasibility_flags_oversized_rate():
-    comp = ramac.CompoundSet((bsc(0.5),), ("c",))  # zero-capacity channel
-    table = ramac.RateTable(((0.2,),))
-    laws = ramac.uniform_laws(table, 2)
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),), "finite")
-    report = ramac.feasibility_check(region, comp, laws, table)
+    comp = CompoundSet((bsc(0.5),), ("c",))  # zero-capacity channel
+    table = RateTable(((0.2,),))
+    laws = uniform_laws(table, 2)
+    region = OperationRegion(((RateVectorIndex((1,)), "c"),), "finite")
+    report = feasibility_check(region, comp, laws, table)
     assert not report.passed
     assert report.violations
     # slack convention: mi minus rate sum
@@ -59,13 +65,13 @@ def test_feasibility_flags_oversized_rate():
 
 def test_maximal_region_is_feasible_and_tight():
     comp, table, laws = _two_user_setup(7)
-    maximal = ramac.maximal_feasible_region(comp, laws, table)
-    report = ramac.feasibility_check(maximal, comp, laws, table)
+    maximal = maximal_feasible_region(comp, laws, table)
+    report = feasibility_check(maximal, comp, laws, table)
     assert report.passed
-    universe = ramac.pair_universe(table, comp.ids)
+    universe = pair_universe(table, comp.ids)
     for pair in maximal.complement(universe):
-        grown = ramac.OperationRegion(maximal.members + (pair,), "finite")
-        assert not ramac.feasibility_check(grown, comp, laws, table).passed
+        grown = OperationRegion(maximal.members + (pair,), "finite")
+        assert not feasibility_check(grown, comp, laws, table).passed
 
 
 def _class_k(*member_ids):
@@ -75,27 +81,27 @@ def _class_k(*member_ids):
 
 
 def test_c1_split_class_detected():
-    table = ramac.RateTable(((0.1,),))
-    rvi = ramac.RateVectorIndex((1,))
+    table = RateTable(((0.1,),))
+    rvi = RateVectorIndex((1,))
     envelopes = _class_k("a", "b")
-    split = ramac.OperationRegion(((rvi, "a"),), "finite")
+    split = OperationRegion(((rvi, "a"),), "finite")
     report = ramac.c1_check(split, envelopes)
     assert not report.passed
-    whole = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
+    whole = OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
     report2 = ramac.c1_check(whole, envelopes)
     assert report2.passed
     assert report2.converted.mode == "class"
     assert (rvi, "k") in report2.converted
-    with pytest.raises(ramac.C1Violation):
-        ramac.require_c1(split, envelopes)
+    with pytest.raises(C1Violation):
+        require_c1(split, envelopes)
 
 
 def test_c1_conversion_idempotent():
-    table = ramac.RateTable(((0.1,),))
-    rvi = ramac.RateVectorIndex((1,))
+    table = RateTable(((0.1,),))
+    rvi = RateVectorIndex((1,))
     envelopes = _class_k("a", "b")
-    whole = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
-    converted = ramac.require_c1(whole, envelopes)
+    whole = OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
+    converted = require_c1(whole, envelopes)
     again = ramac.c1_check(converted, envelopes)
     assert again.passed
     assert again.converted.members == converted.members
@@ -104,15 +110,15 @@ def test_c1_conversion_idempotent():
 def test_channel_in_two_envelopes_rejected_alike():
     """c1_check and build_schedule read membership through one map, so a
     channel listed by two envelopes raises the same error from both."""
-    table = ramac.RateTable(((0.1,),))
-    rvi = ramac.RateVectorIndex((1,))
+    table = RateTable(((0.1,),))
+    rvi = RateVectorIndex((1,))
     twice = _class_k("a", "b") + (ramac.build_envelope(
         (bsc(0.1),), class_id="j", member_ids=("b",)),)
-    region = ramac.OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
+    region = OperationRegion(((rvi, "a"), (rvi, "b")), "finite")
     errors = []
     for call in (lambda: ramac.c1_check(region, twice),
-                 lambda: ramac.build_schedule(region, table, ("a", "b"), twice)):
-        with pytest.raises(ramac.ValidationError,
+                 lambda: build_schedule(region, table, ("a", "b"), twice)):
+        with pytest.raises(ValidationError,
                            match="'b' appears in two classes") as info:
             call()
         errors.append(str(info.value))
@@ -124,9 +130,9 @@ def test_channel_in_two_envelopes_rejected_alike():
 def test_partition_enumeration_count_and_invariants(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 4))
-    table = ramac.RateTable(tuple((0.1, 0.2) for _ in range(k)))
+    table = RateTable(tuple((0.1, 0.2) for _ in range(k)))
     size = int(rng.integers(1, 4))
-    universe = [ramac.RateVectorIndex(tuple(int(v) for v in idx))
+    universe = [RateVectorIndex(tuple(int(v) for v in idx))
                 for idx in rng.integers(1, 3, size=(8, k))]
     members = []
     seen = set()
@@ -136,9 +142,9 @@ def test_partition_enumeration_count_and_invariants(seed):
             members.append((rvi, "c"))
         if len(members) == size:
             break
-    region = ramac.OperationRegion(tuple(members), "finite")
+    region = OperationRegion(tuple(members), "finite")
     user = int(rng.integers(1, k + 1))
-    parts = list(ramac.enumerate_partitions(region, user, k))
+    parts = list(enumerate_partitions(region, user, k))
     assert len(parts) == partition_count(k, len(region))
     for part in parts:
         blocks = part.blocks()
@@ -149,24 +155,24 @@ def test_partition_enumeration_count_and_invariants(seed):
 
 
 def test_partition_guard_raises_before_iterating():
-    table = ramac.RateTable(tuple((0.1, 0.2) for _ in range(4)))
+    table = RateTable(tuple((0.1, 0.2) for _ in range(4)))
     members = tuple(
-        (ramac.RateVectorIndex(idx), "c")
+        (RateVectorIndex(idx), "c")
         for idx in [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1),
                     (1, 1, 2, 1), (2, 1, 2, 1), (1, 2, 2, 1), (2, 2, 2, 1)])
-    region = ramac.OperationRegion(members, "finite")
+    region = OperationRegion(members, "finite")
     # 8^8 = 16.7M assignments exceed the default guard
-    with pytest.raises(ramac.SearchSpaceTooLarge):
-        ramac.enumerate_partitions(region, 1, 4)
+    with pytest.raises(SearchSpaceTooLarge):
+        enumerate_partitions(region, 1, 4)
 
 
 def test_partition_entries_must_be_decoded_sets():
-    region = ramac.OperationRegion(
-        ((ramac.RateVectorIndex((1, 1)), "c"),
-         (ramac.RateVectorIndex((2, 2)), "c")), "finite")
-    part = ramac.Partition(region, 1, ({1}, frozenset({1, 2})))
+    region = OperationRegion(
+        ((RateVectorIndex((1, 1)), "c"),
+         (RateVectorIndex((2, 2)), "c")), "finite")
+    part = Partition(region, 1, ({1}, frozenset({1, 2})))
     assert part.assignment == (frozenset({1}), frozenset({1, 2}))
     for entry, match in ((None, "not a set"), ((1,), "not a set"),
-                         ({2}, "target user")):
-        with pytest.raises(ramac.ValidationError, match=match):
-            ramac.Partition(region, 1, ({1}, entry))
+                         ({2}, "target user"), ({1, 7}, "outside 1..2")):
+        with pytest.raises(ValidationError, match=match):
+            Partition(region, 1, ({1}, entry))

@@ -11,14 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramac
-from ramac import config as cfgmod
-from conftest import FAST_OPT, bsc
+from conftest import FAST_OPT, bsc, uniform_laws
 from oracles import (pairwise_tail, scalar_decode, symbols_by_searchsorted,
                      tau_by_bisection)
+from ramac import config as cfgmod
+from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
+                            RateVectorIndex, validate_dmc)
+from ramac.errors import EnumerationTooLarge, TooManyCodewords, ValidationError
+from ramac.exponents import OptimizerConfig
+from ramac.regions import OperationRegion
+from ramac.sim import (Z99, CodebookSet, build_schedule,
+                       build_threshold_tables, generate_codebooks,
+                       message_count)
 
-TINY_OPT = ramac.OptimizerConfig(rho_grid_size=8, s_grid_size=8,
-                                 refinement_rounds=0)
-NOISELESS = ramac.validate_dmc([[1.0, 0.0], [0.0, 1.0]], 1, 2, 2)
+TINY_OPT = OptimizerConfig(rho_grid_size=8, s_grid_size=8,
+                           refinement_rounds=0)
+NOISELESS = validate_dmc([[1.0, 0.0], [0.0, 1.0]], 1, 2, 2)
 
 
 def _ledger(channels, laws, table):
@@ -26,12 +34,12 @@ def _ledger(channels, laws, table):
 
 
 def _k1(p, rates, region_idx=(1,), ids=("c",)):
-    comp = ramac.CompoundSet(tuple(bsc(q) for q in p), ids)
-    table = ramac.RateTable((tuple(rates),))
-    laws = ramac.uniform_laws(table, 2)
-    members = tuple((ramac.RateVectorIndex((i,)), cid)
+    comp = CompoundSet(tuple(bsc(q) for q in p), ids)
+    table = RateTable((tuple(rates),))
+    laws = uniform_laws(table, 2)
+    members = tuple((RateVectorIndex((i,)), cid)
                     for i in region_idx for cid in ids)
-    region = ramac.OperationRegion(members, "finite")
+    region = OperationRegion(members, "finite")
     return comp, table, laws, region
 
 
@@ -41,17 +49,17 @@ def _closed_form_tau(y, tables):
 
 
 def test_message_count_examples():
-    assert ramac.message_count(10, 0.0) == 1
-    assert ramac.message_count(4, math.log(2)) == 16
-    assert ramac.message_count(8, math.log(2) / 8) == 2
-    assert ramac.message_count(5, 0.1) == 1  # floor(e^0.5) = 1
+    assert message_count(10, 0.0) == 1
+    assert message_count(4, math.log(2)) == 16
+    assert message_count(8, math.log(2) / 8) == 2
+    assert message_count(5, 0.1) == 1  # floor(e^0.5) = 1
 
 
 def test_codebooks_deterministic_and_addressable():
-    table = ramac.RateTable(((0.0, math.log(2) / 4), (0.0, math.log(3) / 4)))
-    laws = ramac.uniform_laws(table, 3)
-    a = ramac.generate_codebooks(table, laws, 3, 4, seed=99)
-    b = ramac.generate_codebooks(table, laws, 3, 4, seed=99)
+    table = RateTable(((0.0, math.log(2) / 4), (0.0, math.log(3) / 4)))
+    laws = uniform_laws(table, 3)
+    a = generate_codebooks(table, laws, 3, 4, seed=99)
+    b = generate_codebooks(table, laws, 3, 4, seed=99)
     for key in a.entries:
         assert a.entries[key].dtype == np.uint8
         assert np.array_equal(a.entries[key], b.entries[key])
@@ -64,7 +72,7 @@ def test_codebooks_deterministic_and_addressable():
     idx = np.searchsorted(cum, gen.random(4), side="right")
     want = np.minimum(idx, 2)
     assert np.array_equal(a.codeword(2, 2, 1), want)
-    c = ramac.generate_codebooks(table, laws, 3, 4, seed=100)
+    c = generate_codebooks(table, laws, 3, 4, seed=100)
     assert not all(np.array_equal(a.entries[k], c.entries[k]) for k in a.entries)
 
 
@@ -131,22 +139,22 @@ def test_random_is_shifted_raw_philox_words():
 
 
 def test_codebook_guard():
-    table = ramac.RateTable(((math.log(2e6),),))
-    laws = ramac.uniform_laws(table, 2)
-    with pytest.raises(ramac.TooManyCodewords):
-        ramac.generate_codebooks(table, laws, 2, 1, seed=0)
+    table = RateTable(((math.log(2e6),),))
+    laws = uniform_laws(table, 2)
+    with pytest.raises(TooManyCodewords):
+        generate_codebooks(table, laws, 2, 1, seed=0)
 
 
 def test_codebook_guard_before_overflow():
     # exp(n * rate) overflows a float past n * rate = 709.78; the guard must
     # trip first (N = 10000 at rate 0.1 used to raise OverflowError)
-    table = ramac.RateTable(((0.05, 0.1),))
-    laws = ramac.uniform_laws(table, 2)
+    table = RateTable(((0.05, 0.1),))
+    laws = uniform_laws(table, 2)
     comp, _, _, region = _k1([0.1], (0.05, 0.1))
     for n in (140, 10000, 10 ** 9):
-        with pytest.raises(ramac.TooManyCodewords):
-            ramac.generate_codebooks(table, laws, 2, n, seed=0)
-        with pytest.raises(ramac.TooManyCodewords):
+        with pytest.raises(TooManyCodewords):
+            generate_codebooks(table, laws, 2, n, seed=0)
+        with pytest.raises(TooManyCodewords):
             ramac.estimate_errors(region, comp, _ledger(comp, laws, table), n,
                                   10, 0)
 
@@ -167,10 +175,10 @@ def test_guards_trip_before_any_exponent(name, monkeypatch):
         monkeypatch.setattr(ramac.bounds, attr, optimised)
     ledger = ramac.ExponentLedger(system.channels, system.laws, system.table,
                                   system.cfg.optimizer)
-    with pytest.raises(ramac.TooManyCodewords):
+    with pytest.raises(TooManyCodewords):
         ramac.SlotDecoder(system.region, ledger, 10000)
     for n in (40, 10000, 10 ** 12):
-        with pytest.raises(ramac.EnumerationTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             ramac.exact_conditional_errors(system.region, system.laws,
                                            system.table, n,
                                            compound=system.compound)
@@ -181,12 +189,12 @@ def test_frozen_codebooks_of_another_block_length_rejected():
     they used to end in a raw ValueError from np.broadcast_to."""
     path = Path(__file__).resolve().parents[1] / "examples_cfg" / "bsc_pair.cfg"
     system = cfgmod.build_system(cfgmod.load_config(str(path)))
-    books = ramac.generate_codebooks(system.table, system.laws, 2, 16, seed=4)
+    books = generate_codebooks(system.table, system.laws, 2, 16, seed=4)
     ledger = _ledger(system.channels, system.laws, system.table)
-    with pytest.raises(ramac.ValidationError, match="block length 16"):
+    with pytest.raises(ValidationError, match="block length 16"):
         ramac.estimate_errors(system.region, system.compound, ledger, 12, 10,
                               0, codebooks=books)
-    with pytest.raises(ramac.ValidationError, match="block length 16"):
+    with pytest.raises(ValidationError, match="block length 16"):
         ramac.exact_conditional_errors(system.region, system.laws,
                                        system.table, 12,
                                        compound=system.compound,
@@ -207,13 +215,13 @@ def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
     for attr in ("em_exponent", "ei_exponent"):  # what the ledger calls
         monkeypatch.setattr(ramac.bounds, attr, optimised)
     ledger = _ledger(system.channels, system.laws, system.table)
-    with pytest.raises(ramac.ValidationError, match="seed"):
+    with pytest.raises(ValidationError, match="seed"):
         ramac.estimate_errors(system.region, system.compound, ledger, 8, 10, -1)
-    with pytest.raises(ramac.ValidationError, match="seed"):
-        ramac.generate_codebooks(system.table, system.laws, 2, 8, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        generate_codebooks(system.table, system.laws, 2, 8, seed=-1)
     for kwargs in ({"seed": -1}, {"codebook_samples": 0},
                    {"codebook_samples": -1}):
-        with pytest.raises(ramac.ValidationError, match=next(iter(kwargs))):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             ramac.exact_conditional_errors(system.region, system.laws,
                                            system.table, 8,
                                            compound=system.compound, **kwargs)
@@ -222,18 +230,18 @@ def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
 def test_threshold_params_validation():
     ramac.ThresholdParams()  # from_ei defaults are fine
     ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(source="manual")
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(rho_tilde=0.5, s2=0.5, source="manual")
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(rho_tilde=1.5, s2=0.2, source="manual")
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(s2=0.2)
     # tilts are for manual thresholds only; from_ei sets them itself
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(rho_tilde=1.0, s2=0.95)
-    with pytest.raises(ramac.ValidationError):
+    with pytest.raises(ValidationError):
         ramac.ThresholdParams(rho_tilde=0.5)
 
 
@@ -241,9 +249,9 @@ def test_threshold_matches_hand_formula():
     p = 0.1
     comp, table, laws, _ = _k1([p], (0.05, 0.4), region_idx=(1,))
     y = [0, 1, 0, 0, 1, 0]
-    tables = ramac.build_threshold_tables(
-        ramac.RateVectorIndex((1,)), comp.by_id("c"), frozenset(), laws, table,
-        0.5, 0.25, ramac.RateVectorIndex((2,)), comp.by_id("c"))
+    tables = build_threshold_tables(
+        RateVectorIndex((1,)), comp.by_id("c"), frozenset(), laws, table,
+        0.5, 0.25, RateVectorIndex((2,)), comp.by_id("c"))
     tau = _closed_form_tau(y, tables)
     n = len(y)
     s1, s2, rho = 0.5, 0.25, 0.5
@@ -260,14 +268,14 @@ def test_threshold_bisection_agrees_randomly():
     for _ in range(50):
         probs = rng.uniform(0.05, 1.0, size=(3, 4))
         probs /= probs.sum(axis=1, keepdims=True)
-        ch = ramac.validate_dmc(probs, 1, 3, 4)
-        table = ramac.RateTable(((0.03, 0.2),))
-        laws = ramac.uniform_laws(table, 3)
+        ch = validate_dmc(probs, 1, 3, 4)
+        table = RateTable(((0.03, 0.2),))
+        laws = uniform_laws(table, 3)
         rho = float(rng.uniform(0.2, 1.0))
         s2 = float(rng.uniform(0.05, 0.95)) * rho
         y = rng.integers(0, 4, size=12)
-        tables = ramac.build_threshold_tables(ramac.RateVectorIndex((1,)), ch,
-                                              frozenset(), laws, table, rho, s2)
+        tables = build_threshold_tables(RateVectorIndex((1,)), ch,
+                                        frozenset(), laws, table, rho, s2)
         tau = _closed_form_tau(y, tables)
         direct = tau_by_bisection(y, tables, 12)
         assert abs(direct - tau) <= 1e-9 * max(1.0, abs(tau))
@@ -276,23 +284,23 @@ def test_threshold_bisection_agrees_randomly():
 def test_degenerate_expectation_rejects_every_tuple():
     # the dead channel never outputs 1, so seeing it makes tau -inf: the
     # threshold -n * tau is +inf and no candidate clears it
-    dead = ramac.validate_dmc([[1.0, 0.0], [1.0, 0.0]], 1, 2, 2)
-    table = ramac.RateTable(((0.05,),))
-    laws = ramac.uniform_laws(table, 2)
-    tables = ramac.build_threshold_tables(ramac.RateVectorIndex((1,)), dead,
-                                          frozenset(), laws, table, 0.5, 0.25)
+    dead = validate_dmc([[1.0, 0.0], [1.0, 0.0]], 1, 2, 2)
+    table = RateTable(((0.05,),))
+    laws = uniform_laws(table, 2)
+    tables = build_threshold_tables(RateVectorIndex((1,)), dead,
+                                    frozenset(), laws, table, 0.5, 0.25)
     assert _closed_form_tau([0, 1], tables) == -math.inf
 
 
 def test_noiseless_single_codeword_decoding():
-    comp = ramac.CompoundSet((NOISELESS,), ("id",))
-    table = ramac.RateTable(((0.0,),))
-    laws = ramac.uniform_laws(table, 2)
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "id"),),
-                                   "finite")
+    comp = CompoundSet((NOISELESS,), ("id",))
+    table = RateTable(((0.0,),))
+    laws = uniform_laws(table, 2)
+    region = OperationRegion(((RateVectorIndex((1,)), "id"),),
+                             "finite")
     n = 3
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
-    cb = ramac.generate_codebooks(table, laws, 2, n, seed=3)
+    cb = generate_codebooks(table, laws, 2, n, seed=3)
     cw = cb.codeword(1, 1, 0)
     for bits in np.ndindex(2, 2, 2):
         d = decoder.decode(np.array(bits), cb)
@@ -313,10 +321,10 @@ def test_score_tie_collides_and_perturbation_decodes():
     comp, table, laws, region = _k1([0.1], (math.log(2) / 4,))
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
     y = np.zeros(4, dtype=np.int64)
-    tied = ramac.CodebookSet(seed=0, n=4, entries={
+    tied = CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
     assert decoder.decode(y, tied).outcome == "collision"
-    split = ramac.CodebookSet(seed=0, n=4, entries={
+    split = CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 1]])})
     d = decoder.decode(y, split)
     assert d.outcome == "decoded"
@@ -325,9 +333,9 @@ def test_score_tie_collides_and_perturbation_decodes():
 
 def test_empty_region_always_collides():
     comp, table, laws, _ = _k1([0.1], (0.05,))
-    region = ramac.OperationRegion((), "finite")
+    region = OperationRegion((), "finite")
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
-    cb = ramac.generate_codebooks(table, laws, 2, 4, seed=1)
+    cb = generate_codebooks(table, laws, 2, 4, seed=1)
     for bits in np.ndindex(2, 2, 2, 2):
         assert decoder.decode(np.array(bits), cb).outcome == "collision"
 
@@ -335,15 +343,15 @@ def test_empty_region_always_collides():
 def test_schedule_covers_universe_with_labels():
     comp, table, laws, region = _k1([0.05, 0.15], (0.05, 0.3),
                                     region_idx=(1,), ids=("a", "b"))
-    sched = ramac.build_schedule(region, table, comp.ids)
+    sched = build_schedule(region, table, comp.ids)
     assert len(sched) == 4
     assert [s[2] for s in sched] == [True, True, False, False]
     # envelopes: realizations stay channel-level, membership turns class-level
-    class_region = ramac.OperationRegion(
-        ((ramac.RateVectorIndex((1,)), "k"),), "class")
+    class_region = OperationRegion(
+        ((RateVectorIndex((1,)), "k"),), "class")
     env = ramac.build_envelope(tuple(comp.by_id(c) for c in comp.ids),
                                class_id="k", member_ids=comp.ids)
-    sched2 = ramac.build_schedule(class_region, table, comp.ids, (env,))
+    sched2 = build_schedule(class_region, table, comp.ids, (env,))
     assert [s[2] for s in sched2] == [True, True, False, False]
 
 
@@ -373,16 +381,16 @@ def test_class_membership_read_off_the_envelopes():
 def test_envelope_members_must_be_compound_ids():
     comp, table, laws, region = _k1([0.05, 0.15], (0.05, 0.3),
                                     region_idx=(1,), ids=("a", "b"))
-    class_region = ramac.OperationRegion(
-        ((ramac.RateVectorIndex((1,)), "k"),), "class")
+    class_region = OperationRegion(
+        ((RateVectorIndex((1,)), "k"),), "class")
     chans = (comp.by_id("a"), comp.by_id("b"))
     strangers = ramac.build_envelope(chans, class_id="k", member_ids=("0", "1"))
     twice = (ramac.build_envelope(chans, class_id="k", member_ids=("a", "b")),
              ramac.build_envelope(chans[1:], class_id="j", member_ids=("b",)))
     for envelopes in ((strangers,), twice):
-        with pytest.raises(ramac.ValidationError):
-            ramac.build_schedule(class_region, table, comp.ids, envelopes)
-    with pytest.raises(ramac.ValidationError, match="not a realizable"):
+        with pytest.raises(ValidationError):
+            build_schedule(class_region, table, comp.ids, envelopes)
+    with pytest.raises(ValidationError, match="not a realizable"):
         ramac.estimate_errors(class_region, comp,
                               _ledger((strangers,), laws, table), 8, 10, 1)
 
@@ -391,7 +399,7 @@ def _mac(diag):
     """Two binary users, output 2*x1 + x2 with probability diag."""
     rows = np.full((4, 4), (1.0 - diag) / 3)
     np.fill_diagonal(rows, diag)
-    return ramac.Dmc(2, 2, 4, rows.reshape(2, 2, 4))
+    return Dmc(2, 2, 4, rows.reshape(2, 2, 4))
 
 
 MAC_GOOD = _mac(0.8)
@@ -399,8 +407,8 @@ MAC_BAD = _mac(0.55)
 
 
 def _mixed(ch, other, w):
-    return ramac.Dmc(ch.num_users, ch.input_size, ch.output_size,
-                     (1 - w) * ch.probs + w * other.probs)
+    return Dmc(ch.num_users, ch.input_size, ch.output_size,
+               (1 - w) * ch.probs + w * other.probs)
 
 
 def _decoder_system(k, mode, n):
@@ -424,8 +432,8 @@ def _decoder_system(k, mode, n):
         inside = {"good": ((1, 1), (1, 2), (2, 1), (2, 2)), "bad": ((1, 1),)}
         classes = {"lo": ("good", "good2"), "hi": ("bad", "bad2")}
         class_inside = {"lo": inside["good"], "hi": inside["bad"]}
-    table = ramac.RateTable(((math.log(2) / n, math.log(3) / n),) * k)
-    laws = ramac.uniform_laws(table, 2)
+    table = RateTable(((math.log(2) / n, math.log(3) / n),) * k)
+    laws = uniform_laws(table, 2)
     envelopes = None
     if mode == "class":
         ids = tuple(c for members in classes.values() for c in members)
@@ -435,10 +443,10 @@ def _decoder_system(k, mode, n):
         inside = class_inside
     else:
         ids = tuple(inside)
-    comp = ramac.CompoundSet(tuple(chans[c] for c in ids), ids)
-    members = tuple((ramac.RateVectorIndex(r), cid)
+    comp = CompoundSet(tuple(chans[c] for c in ids), ids)
+    members = tuple((RateVectorIndex(r), cid)
                     for cid, rates in inside.items() for r in rates)
-    region = ramac.OperationRegion(members, mode)
+    region = OperationRegion(members, mode)
     return comp, table, laws, region, envelopes
 
 
@@ -448,7 +456,7 @@ def _send(rng, comp, decoder, books, trials):
     k = decoder.num_users
     ys = np.empty((trials, decoder.n), dtype=np.int64)
     for t in range(trials):
-        rvi = ramac.RateVectorIndex(tuple(
+        rvi = RateVectorIndex(tuple(
             int(i) for i in rng.integers(1, 3, size=k)))
         ch = comp.channels[int(rng.integers(len(comp.channels)))]
         xs = tuple(books[(u, rvi.index(u))][t, int(rng.integers(
@@ -474,7 +482,7 @@ def test_batched_decisions_match_scalar_decode():
             assert any(decoder.thresholds[((rvi.indices, cid), subset)]
                        is not None for rvi, cid in region.members)
         trials = 150 if k == 1 else 60
-        frozen = ramac.generate_codebooks(table, laws, 2, n, seed=k)
+        frozen = generate_codebooks(table, laws, 2, n, seed=k)
         for fresh in (True, False):
             books = {key: (rng.integers(0, 2, size=(trials, m, n)) if fresh
                            else np.broadcast_to(frozen.entries[key],
@@ -485,7 +493,7 @@ def test_batched_decisions_match_scalar_decode():
             label = f"K={k} {mode} {'fresh' if fresh else 'frozen'}"
             rates_decoded = set()
             for t in range(trials):
-                cb = ramac.CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+                cb = CodebookSet(0, n, {key: v[t] for key, v in books.items()})
                 oracle = scalar_decode(decoder, ys[t], cb)
                 want = (-1, -1)
                 if oracle is not None:
@@ -514,20 +522,20 @@ def _count_system(k, a, b, n):
     good.reshape(-1, b)[np.arange(a ** k), np.arange(a ** k) % b] = 0.0
     good /= good.sum(axis=-1, keepdims=True)
     bad = np.full((a,) * k + (b,), 1.0 / b)
-    chans = (ramac.validate_dmc(good, k, a, b), ramac.validate_dmc(bad, k, a, b))
-    comp = ramac.CompoundSet(chans, ("good", "bad"))
-    table = ramac.RateTable(((math.log(2) / n, math.log(3) / n),) * k)
+    chans = (validate_dmc(good, k, a, b), validate_dmc(bad, k, a, b))
+    comp = CompoundSet(chans, ("good", "bad"))
+    table = RateTable(((math.log(2) / n, math.log(3) / n),) * k)
     zero = np.full(a, 1.0)
     if a > 2:
         zero[1] = 0.0
     zero /= zero.sum()
-    laws = ramac.InputLaws({
+    laws = InputLaws({
         (u, i): zero if i == 1 else np.full(a, 1.0 / a)
         for u in range(1, k + 1) for i in (1, 2)})
-    members = tuple((ramac.RateVectorIndex(r), "good")
+    members = tuple((RateVectorIndex(r), "good")
                     for r in itertools.product((1, 2), repeat=k))
-    region = ramac.OperationRegion(
-        members + ((ramac.RateVectorIndex((1,) * k), "bad"),), "finite")
+    region = OperationRegion(
+        members + ((RateVectorIndex((1,) * k), "bad"),), "finite")
     return comp, table, laws, region
 
 
@@ -554,7 +562,7 @@ def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     ys = _send(rng, comp, decoder, books, trials)
     want = []
     for t in range(trials):
-        cb = ramac.CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+        cb = CodebookSet(0, n, {key: v[t] for key, v in books.items()})
         oracle = scalar_decode(decoder, ys[t], cb)
         want.append((-1, -1) if oracle is None else (
             decoder.group_ids(oracle[1], np.array([oracle[0]]))[0],
@@ -576,7 +584,7 @@ def _oracle_decisions(decoder, ys, books):
     arrays, -1 on a collision."""
     want = []
     for t in range(len(ys)):
-        cb = ramac.CodebookSet(0, decoder.n, {key: v[t] for key, v in books.items()})
+        cb = CodebookSet(0, decoder.n, {key: v[t] for key, v in books.items()})
         oracle = scalar_decode(decoder, ys[t], cb)
         want.append((-1, -1) if oracle is None else (
             decoder.group_ids(oracle[1], np.array([oracle[0]]))[0],
@@ -590,8 +598,8 @@ def _system(chans, classes, rates, k, n):
     first id and the all-ones vector on the second; with classes (class id
     -> member ids) it is a class region over them, else a finite one.
     Returns (compound, table, laws, region, envelopes)."""
-    table = ramac.RateTable((tuple(math.log(m) / n for m in rates),) * k)
-    laws = ramac.uniform_laws(table, next(iter(chans.values())).input_size)
+    table = RateTable((tuple(math.log(m) / n for m in rates),) * k)
+    laws = uniform_laws(table, next(iter(chans.values())).input_size)
     envelopes = None
     if classes:
         envelopes = tuple(ramac.build_envelope(
@@ -599,11 +607,11 @@ def _system(chans, classes, rates, k, n):
             for cls, members in classes.items())
     ids = tuple(classes or chans)
     vectors = itertools.product(range(1, len(rates) + 1), repeat=k)
-    members = tuple((ramac.RateVectorIndex(r), ids[0]) for r in vectors)
-    region = ramac.OperationRegion(
-        members + ((ramac.RateVectorIndex((1,) * k), ids[1]),),
+    members = tuple((RateVectorIndex(r), ids[0]) for r in vectors)
+    region = OperationRegion(
+        members + ((RateVectorIndex((1,) * k), ids[1]),),
         "class" if classes else "finite")
-    comp = ramac.CompoundSet(tuple(chans.values()), tuple(chans))
+    comp = CompoundSet(tuple(chans.values()), tuple(chans))
     return comp, table, laws, region, envelopes
 
 
@@ -618,7 +626,7 @@ def test_class_decisions_where_tested_beats_rival(n, ulps, seed):
     base = np.array([[0.9, 0.1], [0.1, 0.9]])
     near = base.copy()
     near[0] += np.array([1, -1]) * ulps * np.spacing(0.9)
-    chans = {"a": ramac.Dmc(1, 2, 2, base), "a2": ramac.Dmc(1, 2, 2, near),
+    chans = {"a": Dmc(1, 2, 2, base), "a2": Dmc(1, 2, 2, near),
              "b": bsc(0.3)}
     comp, table, laws, region, envs = _system(
         chans, {"lo": ("a", "a2"), "hi": ("b",)}, (2, 3), 1, n)
@@ -648,12 +656,12 @@ def test_class_top_tie_lifted_by_rounding_collides():
     base = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
     near = base.copy()
     near[0, [0, 2]] += np.array([2, -2]) * np.spacing(0.7)
-    env = ramac.build_envelope((ramac.Dmc(1, 2, 3, base), ramac.Dmc(1, 2, 3, near)),
+    env = ramac.build_envelope((Dmc(1, 2, 3, base), Dmc(1, 2, 3, near)),
                                class_id="lo", member_ids=("a", "a2"))
-    table = ramac.RateTable(((math.log(4) / n,),))
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "lo"),), "class")
+    table = RateTable(((math.log(4) / n,),))
+    region = OperationRegion(((RateVectorIndex((1,)), "lo"),), "class")
     decoder = ramac.SlotDecoder(
-        region, _ledger((env,), ramac.uniform_laws(table, 2), table), n)
+        region, _ledger((env,), uniform_laws(table, 2), table), n)
     rows = np.array([[int(c) for c in word] for word in
                      ("1101111100", "1101111111", "1001100000", "1110001101")])
     y = np.array([int(c) for c in "2200112001"])
@@ -661,7 +669,7 @@ def test_class_top_tie_lifted_by_rounding_collides():
     top = rival.max()
     assert list(np.flatnonzero(rival[:, 0] == top)) == [0, 3]
     assert (tested[[0, 3], 0] > top).all()
-    cb = ramac.CodebookSet(0, n, {(1, 1): rows})
+    cb = CodebookSet(0, n, {(1, 1): rows})
     assert scalar_decode(decoder, y, cb) is None
     assert decoder.decode(y, cb).outcome == "collision"
 
@@ -681,7 +689,7 @@ def test_decisions_match_scalar_decode_property(k, a, b, n, classy, seed):
         probs = rng.random((a,) * k + (b,)) + 0.05
         if seed % 2:
             probs.reshape(-1, b)[np.arange(a ** k), dead] = 0
-        chans[cid] = ramac.Dmc(k, a, b, probs / probs.sum(axis=-1, keepdims=True))
+        chans[cid] = Dmc(k, a, b, probs / probs.sum(axis=-1, keepdims=True))
     classes = {"lo": ("c0", "c1"), "hi": ("c2",)} if classy else None
     comp, table, laws, region, envs = _system(chans, classes, (2, 3), k, n)
     decoder = ramac.SlotDecoder(region, _ledger(envs or comp, laws, table), n)
@@ -700,11 +708,11 @@ def test_decisions_match_scalar_decode_property(k, a, b, n, classy, seed):
 def test_one_output_channel_simulates():
     """A channel with one output letter has no edges to draw it with: every
     received word is all zeros, and two messages always collide."""
-    comp = ramac.CompoundSet((ramac.validate_dmc(np.ones((2, 1)), 1, 2, 1),), ("c",))
-    table = ramac.RateTable(((math.log(2) / 8,),))
-    region = ramac.OperationRegion(((ramac.RateVectorIndex((1,)), "c"),), "finite")
+    comp = CompoundSet((validate_dmc(np.ones((2, 1)), 1, 2, 1),), ("c",))
+    table = RateTable(((math.log(2) / 8,),))
+    region = OperationRegion(((RateVectorIndex((1,)), "c"),), "finite")
     rep = ramac.estimate_errors(
-        region, comp, _ledger(comp, ramac.uniform_laws(table, 2), table), 8, 50, 3)
+        region, comp, _ledger(comp, uniform_laws(table, 2), table), 8, 50, 3)
     assert [(c.decoded_correct, c.decoded_wrong, c.collision)
             for c in rep.cases] == [(0, 0, 50)]
 
@@ -724,7 +732,7 @@ def test_outcome_counts_split_every_trial():
 def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     n = 4
     comp, table, laws, region, _ = _decoder_system(2, "finite", n)
-    cb = ramac.generate_codebooks(table, laws, 2, n, seed=21)
+    cb = generate_codebooks(table, laws, 2, n, seed=21)
     monkeypatch.setattr(ramac.sim, "_WORD_BLOCK", 37)  # chunks split the 256 words
     rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
                                          cfg=TINY_OPT, codebooks=cb)
@@ -734,7 +742,7 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     for y in words:
         d = scalar_decode(decoder, np.array(y), cb)
         outcome[y] = None if d is None else (d[0], d[1].indices)
-    schedule = ramac.build_schedule(region, table, comp.ids)
+    schedule = build_schedule(region, table, comp.ids)
     for case, (rvi, cid, in_region) in zip(rep.cases, schedule):
         probs = comp.by_id(cid).probs
         tuples = list(itertools.product(
@@ -759,7 +767,7 @@ def test_singleton_class_mode_matches_finite_decisions():
     comp, table, laws, region = _k1([0.08], (0.1,))
     env = ramac.build_envelope((comp.by_id("c"),), class_id="c",
                                member_ids=("c",))
-    class_region = ramac.OperationRegion(region.members, "class")
+    class_region = OperationRegion(region.members, "class")
     finite = ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
                                    8, 300, 11)
     classy = ramac.estimate_errors(class_region, comp,
@@ -776,7 +784,7 @@ def test_simulation_reports_are_deterministic():
     assert a == b
     assert a.bound_holds in (True, False)
     assert a.system_case is not None
-    assert a.system_half_width99 == ramac.Z99 * a.system_std
+    assert a.system_half_width99 == Z99 * a.system_std
 
 
 def test_batch_size_does_not_change_results(monkeypatch):
@@ -789,7 +797,7 @@ def test_batch_size_does_not_change_results(monkeypatch):
         # K=1: more trials than one block of draws, so blocks split too
         yield ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
                                     8, 5000, 5)
-        for books in (None, ramac.generate_codebooks(table2, laws2, 2, 6, 5)):
+        for books in (None, generate_codebooks(table2, laws2, 2, 6, 5)):
             yield ramac.estimate_errors(region2, comp2,
                                         _ledger(comp2, laws2, table2), 6, 30,
                                         5, codebooks=books)
@@ -851,16 +859,16 @@ def test_block_draws_read_one_codebook_stream():
 def _ternary_system():
     """K=1 with three inputs and three outputs; rate 1's input law gives its
     middle letter probability zero."""
-    table = ramac.RateTable(((math.log(2) / 7, math.log(5) / 7),))
-    laws = ramac.InputLaws({(1, 1): (0.5, 0.0, 0.5), (1, 2): (0.2, 0.3, 0.5)})
-    good = ramac.validate_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
-                               [0.1, 0.1, 0.8]], 1, 3, 3)
-    bad = ramac.validate_dmc([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2],
-                              [0.1, 0.3, 0.6]], 1, 3, 3)
-    comp = ramac.CompoundSet((good, bad), ("good", "bad"))
-    rvi = ramac.RateVectorIndex
-    region = ramac.OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
-                                    (rvi((1,)), "bad")), "finite")
+    table = RateTable(((math.log(2) / 7, math.log(5) / 7),))
+    laws = InputLaws({(1, 1): (0.5, 0.0, 0.5), (1, 2): (0.2, 0.3, 0.5)})
+    good = validate_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                         [0.1, 0.1, 0.8]], 1, 3, 3)
+    bad = validate_dmc([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2],
+                        [0.1, 0.3, 0.6]], 1, 3, 3)
+    comp = CompoundSet((good, bad), ("good", "bad"))
+    rvi = RateVectorIndex
+    region = OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
+                              (rvi((1,)), "bad")), "finite")
     return comp, table, laws, region
 
 
@@ -886,7 +894,7 @@ def test_monte_carlo_outcomes_pinned():
                (193, 55, 52), (74, 130, 96), (167, 36, 97), (34, 93, 173)],
     }
     for freeze, counts in want.items():
-        books = ramac.generate_codebooks(table, laws, 2, 6, 29) if freeze else None
+        books = generate_codebooks(table, laws, 2, 6, 29) if freeze else None
         rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table),
                                     6, 300, 29, codebooks=books)
         assert _outcomes(rep) == counts, freeze
@@ -898,21 +906,21 @@ def test_saturated_thresholds_pinned():
     # 1.0 never fires either. 5000 trials make two blocks of draws that reuse
     # one set of buffers. The counts were recorded before the symbol maps
     # moved to raw Philox words.
-    table = ramac.RateTable(((math.log(2) / 7, math.log(5) / 7),))
-    laws = ramac.InputLaws({(1, 1): (0.5, 0.5, 0.0), (1, 2): (0.2, 0.3, 0.5)})
-    good = ramac.validate_dmc([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
-                               [0.1, 0.1, 0.8]], 1, 3, 3)
-    bad = ramac.validate_dmc([[0.6, 0.4, 0.0], [0.2, 0.6, 0.2],
-                              [0.1, 0.3, 0.6]], 1, 3, 3)
-    comp = ramac.CompoundSet((good, bad), ("good", "bad"))
-    rvi = ramac.RateVectorIndex
-    region = ramac.OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
-                                    (rvi((1,)), "bad")), "finite")
+    table = RateTable(((math.log(2) / 7, math.log(5) / 7),))
+    laws = InputLaws({(1, 1): (0.5, 0.5, 0.0), (1, 2): (0.2, 0.3, 0.5)})
+    good = validate_dmc([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
+                         [0.1, 0.1, 0.8]], 1, 3, 3)
+    bad = validate_dmc([[0.6, 0.4, 0.0], [0.2, 0.6, 0.2],
+                        [0.1, 0.3, 0.6]], 1, 3, 3)
+    comp = CompoundSet((good, bad), ("good", "bad"))
+    rvi = RateVectorIndex
+    region = OperationRegion(((rvi((1,)), "good"), (rvi((2,)), "good"),
+                              (rvi((1,)), "bad")), "finite")
     rep = ramac.estimate_errors(region, comp, _ledger(comp, laws, table), 7,
                                 5000, 31)
     assert _outcomes(rep) == [(4409, 311, 280), (3411, 835, 754),
                               (3715, 314, 971), (1486, 950, 2564)]
-    books = ramac.generate_codebooks(table, laws, 3, 7, 31)
+    books = generate_codebooks(table, laws, 3, 7, 31)
     assert books.entries[(1, 1)].tolist() == [[1, 0, 1, 0, 0, 0, 1],
                                               [0, 0, 1, 0, 1, 0, 0]]
 
@@ -927,7 +935,7 @@ def test_unused_codebook_keys_are_not_drawn():
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     assert decoder.message_counts == {(1, 1): 1, (1, 2): 16}
     for true, keys in (((2,), {(1, 2)}), ((1,), {(1, 1), (1, 2)})):
-        true_rvi = ramac.RateVectorIndex(true)
+        true_rvi = RateVectorIndex(true)
         books_of, _, _ = ramac.sim._draw_block(
             13, 0, 0, 5, decoder, true_rvi, None,
             ramac.sim._book_buffers(decoder, true_rvi, 5))
@@ -941,7 +949,7 @@ def test_unused_codebook_keys_are_not_drawn():
 
 def test_exact_enumeration_guard():
     comp, table, laws, region = _k1([0.1], (0.0,))
-    with pytest.raises(ramac.EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge):
         ramac.exact_conditional_errors(region, laws, table, 21, compound=comp,
                                        cfg=TINY_OPT)
 
@@ -950,7 +958,7 @@ def test_exact_two_codeword_case_matches_binomial_tail():
     p = 0.1
     n = 8
     comp, table, laws, region = _k1([p], (math.log(2) / n,))
-    cb = ramac.CodebookSet(seed=0, n=n, entries={
+    cb = CodebookSet(seed=0, n=n, entries={
         (1, 1): np.array([[0] * n, [1, 1, 1, 1, 0, 0, 0, 0]])})
     exact = ramac.exact_conditional_errors(region, laws, table, n,
                                            compound=comp, codebooks=cb,
