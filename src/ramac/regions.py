@@ -209,14 +209,15 @@ class Partition:
         if len(self.assignment) != len(self.region.members):
             raise ValidationError("assignment length differs from region size")
         k = len(self.region.members[0][0].indices) if self.region.members else 0
+        users = frozenset(range(1, k + 1))
         for d in self.assignment:
             if not isinstance(d, (set, frozenset)):
                 raise ValidationError(f"decoded set {d!r} is not a set")
             if self.user not in d:
                 raise ValidationError("every decoded set must contain the target user")
-            if not all(1 <= u <= k for u in d):
+            if not d <= users:
                 raise ValidationError(
-                    f"decoded set {sorted(d)} names a user outside 1..{k}")
+                    f"decoded set {d!r} names a user outside 1..{k}")
         object.__setattr__(self, "assignment", tuple(
             frozenset(int(u) for u in d) for d in self.assignment))
 

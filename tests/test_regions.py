@@ -173,6 +173,7 @@ def test_partition_entries_must_be_decoded_sets():
     part = Partition(region, 1, ({1}, frozenset({1, 2})))
     assert part.assignment == (frozenset({1}), frozenset({1, 2}))
     for entry, match in ((None, "not a set"), ((1,), "not a set"),
-                         ({2}, "target user"), ({1, 7}, "outside 1..2")):
+                         ({2}, "target user"), ({1, 7}, "outside 1..2"),
+                         ({1, "a"}, "outside 1..2")):
         with pytest.raises(ValidationError, match=match):
             Partition(region, 1, ({1}, entry))
