@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import bsc, random_dmc, random_laws, uniform_laws
+from conftest import bsc, random_dmc, uniform_laws
 from oracles import partition_count
 from ramac.channels import CompoundSet, RateTable, RateVectorIndex
 from ramac.errors import C1Violation, SearchSpaceTooLarge, ValidationError

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import FAST_OPT, bsc, uniform_laws
+from conftest import bsc, uniform_laws
 from oracles import (pairwise_tail, scalar_decode, symbols_by_searchsorted,
                      tau_by_bisection)
 from ramac import config as cfgmod
