@@ -7,12 +7,12 @@ pair, the worst atypicality term again). The bound is the larger branch;
 raw values are exp of log-domain totals and are additionally clamped at 1.
 
 Exponents do not depend on the block length, so they live in an
-ExponentLedger that optimises each (kind, subset, true pair, competing pair)
-once and that one system's bounds, asymptotic slope and decoder thresholds
-share; a report at any N reads the ledger and sums e^(-N E) terms. The
-ledger is every bound's one context: it holds the compound set or the class
-envelopes, the input laws, the rate table, the optimizer settings and the
-decoded set, so each entry takes a region, a ledger and a block length.
+ExponentLedger that optimises each distinct exponent objective once and that
+one system's bounds, asymptotic slope and decoder thresholds share; a report
+at any N reads the ledger and sums e^(-N E) terms. The ledger is every
+bound's one context: it holds the compound set or the class envelopes, the
+input laws, the rate table, the optimizer settings and the decoded set, so
+each entry takes a region, a ledger and a block length.
 """
 
 from __future__ import annotations
@@ -102,9 +102,25 @@ def _channel_map(source) -> dict:
     return out
 
 
+def _objective_key(kind: str, q: ExponentQuery) -> tuple:
+    """Everything q's kind objective reads: the subset, the two channels by
+    identity (a ledger keeps the objects it maps, effective ones included),
+    every user's law at the true rates, the outside users' laws at the
+    competing rates, and R, summed in user order like the optimiser's."""
+    users = range(1, q.num_users + 1)
+    outside = [u for u in users if u not in q.subset]
+    rates = q.comp_rates if kind == "em" else q.true_rates
+    return (kind, q.subset, id(q.true_channel), id(q.comp_channel),
+            tuple(q.laws.law(u, q.true_rates.index(u)).tobytes() for u in users),
+            tuple(q.laws.law(u, q.comp_rates.index(u)).tobytes()
+                  for u in outside),
+            sum(q.rate_table.rate(u, rates.index(u)) for u in outside))
+
+
 class ExponentLedger:
-    """Every em/ei exponent of one system, each optimised once, and the
-    context of every bound and of the slot decoder of that system.
+    """Every em/ei exponent of one system, each distinct objective optimised
+    once, and the context of every bound and of the slot decoder of that
+    system.
 
     Exponents do not depend on the block length, so one ledger serves every
     bound, the asymptotic slope and the decoder thresholds of a system.
@@ -112,10 +128,13 @@ class ExponentLedger:
     compound) or a sequence of class envelopes (kept as envelopes), and the
     finite or class variant is read off it. Entries are keyed by (kind,
     subset, true pair, competing pair); a pair is (rate vector, id) and the
-    id names a channel or class envelope. With users_d the ledger serves the
-    decoder of the users in D: a pair's channel is its channel averaged over
-    the pair's rates of the users outside D, and subsets are subsets of D. D
-    must be a nonempty set of users 1..K over a compound set.
+    id names a channel or class envelope. Entries whose queries share an
+    objective (_objective_key) share one optimisation and one result, so the
+    ledger optimises each distinct objective once; evaluations() still sums
+    over entries. With users_d the ledger serves the decoder of the users in
+    D: a pair's channel is its channel averaged over the pair's rates of the
+    users outside D, and subsets are subsets of D. D must be a nonempty set
+    of users 1..K over a compound set.
     """
 
     def __init__(self, channels, laws: InputLaws, table: RateTable,
@@ -129,6 +148,7 @@ class ExponentLedger:
         self.laws, self.table, self.cfg = laws, table, cfg
         self.users_d = None if users_d is None else frozenset(users_d)
         self._entries = {}
+        self._optimised = {}  # _objective_key -> its one ExponentResult
         if self.users_d is not None:
             if not self.users_d:
                 raise ValidationError("the decoded set must be nonempty")
@@ -190,8 +210,11 @@ class ExponentLedger:
                 q = ExponentQuery(frozenset(d.index(u) + 1 for u in subset),
                                   t[0].restrict(d), true_ch, c[0].restrict(d),
                                   comp_ch, *self._reduced)
-            fn = em_exponent if kind == "em" else ei_exponent
-            self._entries[key] = fn(q, self.cfg)
+            objective = _objective_key(kind, q)
+            if objective not in self._optimised:
+                fn = em_exponent if kind == "em" else ei_exponent
+                self._optimised[objective] = fn(q, self.cfg)
+            self._entries[key] = self._optimised[objective]
         return self._entries[key]
 
     def best_ei(self, subset, t, out_pairs):

@@ -5,16 +5,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ramac
 from conftest import bsc, random_dmc, uniform_laws
 from ramac import config as cfgmod
 from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
-from ramac.channels import CompoundSet, RateTable, RateVectorIndex
+from ramac.channels import (CompoundSet, InputLaws, RateTable,
+                            RateVectorIndex, effective_channel)
 from ramac.errors import C1Violation, InfeasibleRegion, ValidationError
-from ramac.exponents import OptimizerConfig
+from ramac.exponents import (ExponentQuery, OptimizerConfig, ei_exponent,
+                             em_exponent)
 from ramac.logdomain import logsumexp_list
-from ramac.regions import OperationRegion, enumerate_partitions
+from ramac.regions import (OperationRegion, enumerate_partitions,
+                           pair_universe, proper_subsets)
 
 TINY_OPT = OptimizerConfig(rho_grid_size=8, s_grid_size=8,
                            refinement_rounds=0)
@@ -177,19 +182,55 @@ def test_ddecoder_full_set_matches_plain_bound():
 
 
 def _record_optimisations(monkeypatch) -> list:
-    """Results of every em/ei optimisation the bounds make from now on."""
-    results = []
+    """(query, result) of every em/ei optimisation the bounds make from now
+    on, through the names the benchmark tracer wraps."""
+    calls = []
 
     def recorded(fn):
         def wrapper(query, cfg):
-            results.append(fn(query, cfg))
-            return results[-1]
+            calls.append((query, fn(query, cfg)))
+            return calls[-1][1]
         return wrapper
 
     for attr in ("em_exponent", "ei_exponent"):
         monkeypatch.setattr(ramac.bounds, attr,
                             recorded(getattr(ramac.bounds, attr)))
-    return results
+    return calls
+
+
+def _query_objective(query, kind) -> tuple:
+    """What an optimisation of query reads: its subset, its two channel
+    objects, every user's law at the true rates, the outside users' laws at
+    the competing rates, and the governing rate sum."""
+    users = range(1, query.num_users + 1)
+    outside = [u for u in users if u not in query.subset]
+    rates = query.comp_rates if kind == "em" else query.true_rates
+    return (kind, query.subset, id(query.true_channel), id(query.comp_channel),
+            tuple(query.laws.law(u, query.true_rates.index(u)).tobytes()
+                  for u in users),
+            tuple(query.laws.law(u, query.comp_rates.index(u)).tobytes()
+                  for u in outside),
+            sum(query.rate_table.rate(u, rates.index(u)) for u in outside))
+
+
+def _term_objective(users_d, kind, subset, true_pair, comp_pair, laws,
+                    table) -> tuple:
+    """The same inputs for a decode term of a decoded-set block, named from
+    its pairs: a pair's channel is its id and the rate indices of the users
+    outside D, which fix the averaged channel."""
+    inside = sorted(users_d)
+    outside = [u for u in inside if u not in subset]
+    (ti, tid), (ci, cid) = true_pair, comp_pair
+    rates = ci if kind == "em" else ti
+
+    def channel(indices, cid):
+        return cid, tuple(i for u, i in enumerate(indices, 1)
+                          if u not in users_d)
+
+    return (users_d, kind, subset, channel(ti, tid), channel(ci, cid),
+            tuple(laws.law(u, ti[u - 1]).tobytes() for u in inside),
+            tuple(laws.law(u, ci[u - 1]).tobytes() for u in outside),
+            sum(table.rate(u, rates[u - 1]) for u in outside))
 
 
 def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
@@ -223,21 +264,129 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
         assert exhaustive.log_bound <= greedy.log_bound + 1e-12
         # every enumerated assignment is at least the exhaustive optimum
         keys = set()
+        ledgers = {}
         for part in enumerate_partitions(region, 1, 2):
             total = 0.0
             for users_d, block in part.blocks().items():
-                rep = pes_bound_ddecoder(
-                    OperationRegion(block),
-                    _ledger(comp, laws, table, users_d), n)
+                if users_d not in ledgers:
+                    ledgers[users_d] = _ledger(comp, laws, table, users_d)
+                rep = pes_bound_ddecoder(OperationRegion(block),
+                                         ledgers[users_d], n)
                 total += rep.raw_bound
                 keys |= {(users_d, t.kind, t.subset, t.true_pair, t.comp_pair)
                          for t in rep.terms if t.branch == "decode"}
             assert exhaustive.raw_bound <= total + 1e-12
-        # the search optimises each (D, kind, subset, true, competing) once
-        # and reports the evaluations it made
-        assert len(searched) == len(keys)
-        assert exhaustive.exponent_evaluations == sum(r.evaluations
-                                                      for r in searched)
+        # the search optimises each distinct objective it reads once: the
+        # queries it optimised read pairwise distinct inputs, as many as
+        # the decode terms of its blocks read
+        optimised_objectives = {_query_objective(q, r.kind)
+                                for q, r in searched}
+        assert len(optimised_objectives) == len(searched)
+        assert len(searched) == len({_term_objective(*key, laws, table)
+                                     for key in keys})
+        # and reports the evaluations behind every entry its blocks read
+        assert exhaustive.exponent_evaluations == sum(
+            ledgers[d].get(kind, subset, (RateVectorIndex(ti), tid),
+                           (RateVectorIndex(ci), cid)).evaluations
+            for d, kind, subset, (ti, tid), (ci, cid) in keys)
+
+
+def test_mac2_optimises_each_distinct_objective_once(monkeypatch):
+    """The benchmark's mac2 scenario: its bound reads 80 ledger entries of 30
+    distinct objectives and its decoder's thresholds 29 of 10, and each
+    objective is optimised once, through the names the tracer wraps."""
+    system = cfgmod.build_system(cfgmod.load_config(str(
+        Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+        / "mac2.cfg")))
+    optimised = _record_optimisations(monkeypatch)
+
+    def ledger():
+        return ramac.ExponentLedger(system.channels, system.laws,
+                                    system.table, system.cfg.optimizer)
+
+    report = ramac.pes_bound_finite(system.region, ledger(), 16)
+    assert len({(t.kind, t.subset, t.true_pair, t.comp_pair)
+                for t in report.terms if t.branch == "decode"}) == 80
+    assert len(optimised) == 30
+    optimised.clear()
+    decoder = ramac.SlotDecoder(system.region, ledger(), 16)
+    assert sum(o[0].agrees_on(t[0], subset) for t in system.region.members
+               for subset in decoder.subsets for o in decoder.out_pairs) == 29
+    assert len(optimised) == 10
+
+
+ORACLE_OPT = OptimizerConfig(rho_grid_size=3, s_grid_size=3,
+                             refinement_rounds=0)
+MENUS = ((0.02, 0.05), (0.05, 0.1))  # shared menus repeat rate sums at K = 2
+
+
+def _fresh_exponent(kind, subset, t, c, channels, laws, table, users_d):
+    """The kind exponent of one ledger key from a query built afresh; with a
+    decoded set D each pair's channel is averaged anew over the users
+    outside D."""
+    if users_d is None:
+        q = ExponentQuery(subset, t[0], channels[t[1]], c[0], channels[c[1]],
+                          laws, table)
+    else:
+        d = sorted(users_d)
+
+        def channel(pair):
+            outside = {u: pair[0].index(u)
+                       for u in range(1, table.num_users + 1)
+                       if u not in users_d}
+            return effective_channel(channels[pair[1]], d, outside, laws)
+
+        q = ExponentQuery(frozenset(d.index(u) + 1 for u in subset),
+                          t[0].restrict(d), channel(t), c[0].restrict(d),
+                          channel(c), laws.restrict(d), table.restrict(d))
+    return (em_exponent if kind == "em" else ei_exponent)(q, ORACLE_OPT)
+
+
+@settings(max_examples=12)
+@given(k=st.sampled_from((1, 2)), seed=st.integers(0, 10_000),
+       menus=st.lists(st.sampled_from(MENUS), min_size=2, max_size=2),
+       law_picks=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+       variant=st.sampled_from(("full", "class", (1,), (2,), (1, 2))))
+# em keys (1, a) and (2, a) against (1, b) differ only in user 1's true law
+@example(1, 0, [MENUS[0]] * 2, [0, 1, 0, 0], "full")
+# one law everywhere: (1, a) against (1, a) and (2, a) differ only in R,
+# and against (1, a) and (1, b) only in the channel
+@example(1, 0, [MENUS[0]] * 2, [0, 0, 0, 0], "full")
+@example(1, 0, [MENUS[0]] * 2, [0, 0, 0, 0], "class")
+# D = {1}: ((1, 1), a) and ((1, 2), a) differ only in their averaged channel
+@example(2, 0, [MENUS[0]] * 2, [0, 0, 0, 1], (1,))
+def test_ledger_entries_equal_fresh_optimisations(k, seed, menus, law_picks,
+                                                  variant):
+    """Every entry of a ledger equals, evaluations included, a fresh
+    optimisation of its own query, whatever entries share an optimisation.
+    Random K = 1, 2 systems draw non-uniform laws from two vectors and rate
+    menus from two; the ledger is over the compound set ("full"), over two
+    class envelopes ("class"), or serves a decoded set (users past K
+    dropped)."""
+    rng = np.random.default_rng(seed)
+    pool = [v / v.sum() for v in rng.random((2, 2)) + 0.05]
+    table = RateTable(tuple(menus[:k]))
+    laws = InputLaws({(u, i): pool[law_picks[2 * u + i - 3]]
+                      for u in range(1, k + 1) for i in (1, 2)})
+    ch = tuple(random_dmc(rng, k, 2, 3, floor=0.1) for _ in range(2))
+    if variant == "class":
+        channels = (ramac.build_envelope(ch, "ab", member_ids=("a", "b")),
+                    ramac.build_envelope(ch[1:], "b", member_ids=("b",)))
+    else:
+        channels = CompoundSet(ch, ("a", "b"))
+    users_d = None if isinstance(variant, str) else \
+        {u for u in variant if u <= k} or {1}
+    ledger = ramac.ExponentLedger(channels, laws, table, ORACLE_OPT, users_d)
+    universe = pair_universe(table, tuple(ledger.channels))
+    for subset in proper_subsets(sorted(ledger.users_d or range(1, k + 1))):
+        for t in universe:
+            for c in universe:
+                if not c[0].agrees_on(t[0], subset):
+                    continue
+                for kind in ("em", "ei"):
+                    assert ledger.get(kind, subset, t, c) == _fresh_exponent(
+                        kind, subset, t, c, ledger.channels, laws, table,
+                        ledger.users_d)
 
 
 def test_assembly_deterministic():
