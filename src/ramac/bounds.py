@@ -187,7 +187,9 @@ class ExponentLedger:
             return channel
         outside = {u: pair[0].index(u) for u in range(1, channel.num_users + 1)
                    if u not in self.users_d}
-        key = (pair[1], tuple(outside.values()))
+        # what the average reads: equal outside laws give one channel object
+        key = (pair[1], tuple(self.laws.law(u, i).tobytes()
+                              for u, i in outside.items()))
         if key not in self._effective:
             self._effective[key] = effective_channel(channel, self._d, outside,
                                                      self.laws)

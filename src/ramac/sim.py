@@ -72,8 +72,6 @@ _DRAW_UNIFORMS = 2 ** 20
 # Cap on the raw words one read of a codebook stream holds (one trial's at
 # least); reads follow the stream, so their size never moves a symbol.
 _RAW_WORDS = 2 ** 16
-# Output words per chunk of exact enumeration.
-_WORD_BLOCK = 4096
 # statistics.NormalDist().inv_cdf(0.995), the two-sided 99% normal quantile,
 # as a literal: importing statistics costs every process a few ms.
 Z99 = 2.5758293035489
@@ -1044,15 +1042,18 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
 
     Conditions on a fixed codebook (given, or drawn from derived seeds for a
     small ensemble average) and a uniform message tuple; sums the channel law
-    over every output word. Output words are decided _WORD_BLOCK at a time,
-    in lexicographic order. Guarded to output_size ** n <= 2 ** 20. Cases
-    are those of build_schedule, so a class-mode region judges each channel
-    by the envelope listing it.
+    over every output word, in lexicographic order. Each codebook decides
+    every word in one decide() call; each message tuple's log-likelihoods of
+    all words are an outer sum over symbols, added in symbol order. Guarded
+    to output_size ** n <= 2 ** 20. Cases are those of build_schedule, so a
+    class-mode region judges each channel by the envelope listing it.
     """
     if compound is None:
         raise ValidationError("exact evaluation needs the realizable channels")
     if codebook_samples < 1:
         raise ValidationError("codebook_samples must be >= 1")
+    if codebooks is not None and codebook_samples != 1:
+        raise ValidationError("codebook_samples must be 1 with given codebooks")
     _check_seed(seed)
     b = compound.output_size
     # b ** n > OUTPUT_ENUM_GUARD without building b ** n for a huge n: for
@@ -1069,16 +1070,15 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
             entropy=seed, spawn_key=(_ROLE_ENSEMBLE, i)).generate_state(1)[0]))
         for i in range(codebook_samples)]
     users = range(1, decoder.num_users + 1)
-    place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # (first index, words) of every output word in lexicographic order, made
-    # once for every sample, case and message tuple
-    chunks = [(start, (np.arange(start, min(start + _WORD_BLOCK, b ** n))[:, None]
-                       // place % b).astype(_symbol_dtype(b)))
-              for start in range(0, b ** n, _WORD_BLOCK)]
+    # every output word in lexicographic order: symbol j repeats each letter
+    # b ** (n - 1 - j) times
+    words = np.empty((b ** n, n), _symbol_dtype(b))
+    for j in range(n):
+        words[:, j] = np.tile(np.repeat(np.arange(b, dtype=words.dtype),
+                                        b ** (n - 1 - j)), b ** j)
     per_sample = []
     for cb in books:
-        group = np.concatenate([decoder.decide(ys, _shared_books(cb, decoder, len(ys)))[0]
-                                for _, ys in chunks])
+        group = decoder.decide(words, _shared_books(cb, decoder, len(words)))[0]
         sample_cases = []
         for rvi, cid, in_region in schedule:
             log_p = safe_log(compound.by_id(cid).probs)
@@ -1087,16 +1087,13 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
             total = 0.0
             for msgs, key in zip(tuples, decoder.group_ids(rvi, np.array(tuples))):
                 rows = [cb.codeword(u, rvi.index(u), msgs[u - 1]) for u in users]
-                wrong = ((group != key) | (group < 0) if in_region
-                         else (group >= 0) & (group != key))
-                for start, ys in chunks:
-                    lp = np.zeros(len(ys))
-                    for j in range(n):
-                        lp += log_p[tuple(r[j] for r in rows)][ys[:, j]]
-                    # word by word in word order, so the sum does not depend
-                    # on _WORD_BLOCK
-                    p_err = np.exp(lp[wrong[start:start + len(ys)]])
-                    total = np.add.accumulate(np.append(total, p_err))[-1]
+                # every word's log-likelihood in word order, an outer sum that
+                # adds each word's symbols in j order
+                lp = np.zeros(1)
+                for x in zip(*rows):
+                    lp = (lp[:, None] + log_p[x]).ravel()
+                wrong = group != key if in_region else (group >= 0) & (group != key)
+                total = np.add.accumulate(np.append(total, np.exp(lp[wrong])))[-1]
             sample_cases.append(ExactCase(rvi.indices, cid, in_region,
                                           float(total) / len(tuples)))
         per_sample.append(tuple(sample_cases))

@@ -5,7 +5,8 @@ loops and no imports from the package under test, so a shared bug cannot
 cancel out. Slow on purpose; only run at test scale. Two oracles read a
 package object they are handed, and nothing else of it: tau_by_bisection
 reads the per-symbol tables of a ThresholdTables, and scalar_decode reads a
-SlotDecoder's thresholds and score contexts.
+SlotDecoder's thresholds and score contexts. exact_errors_by_chunks calls a
+SlotDecoder's decide() and group_ids().
 """
 
 import itertools
@@ -410,3 +411,43 @@ def _subset_estimate(scored, thr, ids):
                                   and ids.index(cid) < ids.index(best[2])):
             best = (msgs, rvi, cid, tested)
     return None if best is None else best[:3]
+
+
+def exact_errors_by_chunks(decoder, schedule, channels, codebooks, block=4096):
+    """The exact conditional error probability of each (rate vector, id,
+    in region) case of schedule under one fixed codebook, by the chunked
+    per-symbol loop: output words in lexicographic order, `block` at a time,
+    made by integer division and decided chunk by chunk; every message
+    tuple's log-likelihood of a chunk gathered symbol by symbol, and the
+    probabilities of its wrong words added word by word in word order.
+    channels maps an id to its probs array (inputs..., outputs); codebooks
+    needs entries and codeword(user, rate index, message).
+    """
+    n, b = decoder.n, decoder.output_size
+    users = range(1, decoder.num_users + 1)
+    place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    chunks = [(start, np.arange(start, min(start + block, b ** n))[:, None]
+               // place % b) for start in range(0, b ** n, block)]
+    group = np.concatenate([decoder.decide(ys, {
+        key: np.broadcast_to(codebooks.entries[key][:m], (len(ys), m, n))
+        for key, m in decoder.message_counts.items()})[0] for _, ys in chunks])
+    probabilities = []
+    for rvi, cid, in_region in schedule:
+        probs = np.asarray(channels[cid], dtype=float)
+        log_p = np.full(probs.shape, -np.inf)
+        np.log(probs, out=log_p, where=probs > 0)
+        tuples = list(itertools.product(*(
+            range(decoder.message_counts[(u, rvi.index(u))]) for u in users)))
+        total = 0.0
+        for msgs, key in zip(tuples, decoder.group_ids(rvi, np.array(tuples))):
+            rows = [codebooks.codeword(u, rvi.index(u), msgs[u - 1]) for u in users]
+            wrong = ((group != key) | (group < 0) if in_region
+                     else (group >= 0) & (group != key))
+            for start, ys in chunks:
+                lp = np.zeros(len(ys))
+                for j in range(n):
+                    lp += log_p[tuple(r[j] for r in rows)][ys[:, j]]
+                p_err = np.exp(lp[wrong[start:start + len(ys)]])
+                total = np.add.accumulate(np.append(total, p_err))[-1]
+        probabilities.append(float(total) / len(tuples))
+    return probabilities

@@ -216,16 +216,16 @@ def _query_objective(query, kind) -> tuple:
 def _term_objective(users_d, kind, subset, true_pair, comp_pair, laws,
                     table) -> tuple:
     """The same inputs for a decode term of a decoded-set block, named from
-    its pairs: a pair's channel is its id and the rate indices of the users
-    outside D, which fix the averaged channel."""
+    its pairs: a pair's channel is its id and the bytes of the laws of the
+    users outside D at the pair's rates, which fix the averaged channel."""
     inside = sorted(users_d)
     outside = [u for u in inside if u not in subset]
     (ti, tid), (ci, cid) = true_pair, comp_pair
     rates = ci if kind == "em" else ti
 
     def channel(indices, cid):
-        return cid, tuple(i for u, i in enumerate(indices, 1)
-                          if u not in users_d)
+        return cid, tuple(laws.law(u, i).tobytes()
+                          for u, i in enumerate(indices, 1) if u not in users_d)
 
     return (users_d, kind, subset, channel(ti, tid), channel(ci, cid),
             tuple(laws.law(u, ti[u - 1]).tobytes() for u in inside),
@@ -294,10 +294,11 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
 def test_mac2_optimises_each_distinct_objective_once(monkeypatch):
     """The benchmark's mac2 scenario: its bound reads 80 ledger entries of 30
     distinct objectives and its decoder's thresholds 29 of 10, and each
-    objective is optimised once, through the names the tracer wraps."""
-    system = cfgmod.build_system(cfgmod.load_config(str(
-        Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
-        / "mac2.cfg")))
+    objective is optimised once, through the names the tracer wraps. The
+    exhaustive partition search of part_k2 reads 30 entries of 14 objectives:
+    its uniform laws make the averaged channels of both outside rates equal."""
+    scenarios = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+    system = cfgmod.build_system(cfgmod.load_config(str(scenarios / "mac2.cfg")))
     optimised = _record_optimisations(monkeypatch)
 
     def ledger():
@@ -313,6 +314,21 @@ def test_mac2_optimises_each_distinct_objective_once(monkeypatch):
     assert sum(o[0].agrees_on(t[0], subset) for t in system.region.members
                for subset in decoder.subsets for o in decoder.out_pairs) == 29
     assert len(optimised) == 10
+    part = cfgmod.build_system(cfgmod.load_config(str(scenarios / "part_k2.cfg")))
+    entries = set()
+    get = ramac.ExponentLedger.get
+
+    def read(ledger, kind, subset, t, c):
+        entries.add((ledger.users_d, kind, subset, t, c))
+        return get(ledger, kind, subset, t, c)
+
+    monkeypatch.setattr(ramac.ExponentLedger, "get", read)
+    optimised.clear()
+    pes_bound_single_user(1, part.region, ramac.ExponentLedger(
+        part.channels, part.laws, part.table, part.cfg.optimizer), 40,
+        search="exhaustive")
+    assert len(entries) == 30
+    assert len(optimised) == 14
 
 
 ORACLE_OPT = OptimizerConfig(rho_grid_size=3, s_grid_size=3,

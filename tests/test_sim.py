@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import ramac
 from conftest import bsc, uniform_laws
-from oracles import (pairwise_tail, scalar_decode, symbols_by_searchsorted,
-                     tau_by_bisection)
+from oracles import (exact_errors_by_chunks, pairwise_tail, scalar_decode,
+                     symbols_by_searchsorted, tau_by_bisection)
 from ramac import config as cfgmod
 from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
                             RateVectorIndex, validate_dmc)
@@ -205,7 +205,8 @@ def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
         monkeypatch):
     """A negative seed used to reach SeedSequence's ValueError, and
     codebook_samples < 1 a ZeroDivisionError, both after the decoder's ei
-    thresholds were optimised."""
+    thresholds were optimised; a sample count other than 1 with given
+    codebooks was ignored."""
     path = Path(__file__).resolve().parents[1] / "examples_cfg" / "bsc_gate.cfg"
     system = cfgmod.build_system(cfgmod.load_config(str(path)))
 
@@ -219,8 +220,10 @@ def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
         ramac.estimate_errors(system.region, system.compound, ledger, 8, 10, -1)
     with pytest.raises(ValidationError, match="seed"):
         generate_codebooks(system.table, system.laws, 2, 8, seed=-1)
+    books = generate_codebooks(system.table, system.laws, 2, 8, seed=4)
     for kwargs in ({"seed": -1}, {"codebook_samples": 0},
-                   {"codebook_samples": -1}):
+                   {"codebook_samples": -1},
+                   {"codebook_samples": 3, "codebooks": books}):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             ramac.exact_conditional_errors(system.region, system.laws,
                                            system.table, 8,
@@ -733,10 +736,11 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
     n = 4
     comp, table, laws, region, _ = _decoder_system(2, "finite", n)
     cb = generate_codebooks(table, laws, 2, n, seed=21)
-    monkeypatch.setattr(ramac.sim, "_WORD_BLOCK", 37)  # chunks split the 256 words
+    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
+    # decide's slices of 37 words split the 256 words
+    monkeypatch.setattr(ramac.sim, "_DECIDE_BYTES", 8 * decoder._group_of.size * 37)
     rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
                                          cfg=TINY_OPT, codebooks=cb)
-    decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), n)
     words = list(itertools.product(range(4), repeat=n))
     outcome = {}
     for y in words:
@@ -761,6 +765,36 @@ def test_k2_exact_matches_scalar_enumeration(monkeypatch):
                 total += p
         assert abs(case.probability - total / len(tuples)) < 1e-12
     assert any(0 < case.probability < 1 for case in rep.cases)
+
+
+@pytest.mark.parametrize("k, classy", [(1, False), (1, True), (2, False),
+                                      (2, True)])
+def test_exact_matches_chunked_reference(k, classy):
+    """Exact enumeration equals, by ==, the chunked per-symbol loop on
+    random systems with 2 inputs and 3 outputs and the same dead cell in
+    every input row of each channel: K = 1 at n = 9 (19683 words) and K = 2
+    at n = 8 (6561 words), so the reference's 4096-word chunks split them."""
+    a, b, n = 2, 3, 10 - k
+    rng = np.random.default_rng(40 + 2 * k + classy)
+    dead = rng.integers(b, size=a ** k)
+    chans = {}
+    for cid in ("c0", "c1", "c2"):
+        probs = rng.random((a,) * k + (b,)) + 0.05
+        probs.reshape(-1, b)[np.arange(a ** k), dead] = 0
+        chans[cid] = Dmc(k, a, b, probs / probs.sum(axis=-1, keepdims=True))
+    classes = {"lo": ("c0", "c1"), "hi": ("c2",)} if classy else None
+    comp, table, laws, region, envs = _system(chans, classes, (2, 3), k, n)
+    cb = generate_codebooks(table, laws, a, n, seed=k)
+    rep = ramac.exact_conditional_errors(region, laws, table, n, compound=comp,
+                                         envelopes=envs, cfg=TINY_OPT,
+                                         codebooks=cb)
+    decoder = ramac.SlotDecoder(region, _ledger(envs or comp, laws, table), n)
+    want = exact_errors_by_chunks(
+        decoder, build_schedule(region, table, comp.ids, envs or ()),
+        {cid: ch.probs for cid, ch in chans.items()}, cb)
+    assert [c.probability for c in rep.cases] == want
+    assert [c.probability for c in rep.per_sample[0]] == want
+    assert any(0 < p < 1 for p in want)
 
 
 def test_singleton_class_mode_matches_finite_decisions():
