@@ -3,11 +3,16 @@
 Every subcommand writes a structured JSON record and a flat CSV table under
 the configured output directory, prints a short human summary, and returns
 0 on success, 2 on validation failure, 3 on an exceeded guard, 4 otherwise.
+Importing this module registers gc.freeze at exit, so the interpreter's final
+collections skip the imported heap; every record file is closed before main
+returns, so a command's output never depends on those collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from typing import Optional
@@ -28,6 +33,9 @@ from .regions import (
     feasibility_check,
     maximal_feasible_region,
 )
+
+# Freeze the heap at exit so the interpreter's final collections skip it.
+atexit.register(gc.freeze)
 
 # Most points a sweep may hold; each point runs a whole bound.
 SWEEP_POINTS = 1000
@@ -204,6 +212,8 @@ def _cmd_simulate(args, system):
     seed = _flag(args, system, "seed")
     if seed < 0:
         raise ValidationError("--seed must be >= 0")
+    if trials < 1:
+        raise ValidationError("--trials must be >= 1")
     ledger = _ledger(system)
     bound = None
     if not args.no_bound:

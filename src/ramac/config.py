@@ -50,6 +50,8 @@ class Defaults:
     def __post_init__(self):
         if self.seed < 0:
             raise SchemaViolation("[defaults]: seed must be >= 0")
+        if self.trials < 1:
+            raise SchemaViolation("[defaults]: trials must be >= 1")
         if self.partition_search not in ("exhaustive", "greedy"):
             raise SchemaViolation(
                 "[defaults]: partition_search must be exhaustive or greedy")

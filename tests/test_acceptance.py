@@ -7,6 +7,7 @@ per test is the pass/fail line of the corresponding criterion.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,6 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path, scenario4,
                                    "criterion8_exact": exact,
                                    "criterion8_mc": mc})
         paths.append(path)
-    same = open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    same = Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
     print(f"criterion 10: records byte-identical = {same}")
     assert same

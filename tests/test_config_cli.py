@@ -185,6 +185,7 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
         "s_grid = 10", "s_grid = 100000"), ValidationError),
     (lambda t: t + "batch_size = 64\n", SchemaViolation),
     (lambda t: t.replace("seed = 3", "seed = -2"), SchemaViolation),
+    (lambda t: t.replace("trials = 50", "trials = 0"), SchemaViolation),
     # sections the schema does not define, and unknown channel or class keys
     (lambda t: t.replace("[defaults]", "[default]"), SchemaViolation),
     (lambda t: t.replace("[defaults]", "[DEFAULT]"), SchemaViolation),
@@ -295,14 +296,14 @@ def test_record_round_trip_is_byte_identical(tmp_path):
     loaded = read_record(p1)
     assert loaded["report"]["collision_log"] == -math.inf
     cfgmod.write_record(p2, loaded)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_write_table_formatting(tmp_path):
     path = str(tmp_path / "t.csv")
     cfgmod.write_table(path, ["flag", "value", "items", "gap"],
                        [[True, 0.1234567890123456, ["a", 2], None]])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "flag,value,items,gap"
     assert lines[1] == "yes,0.123456789012,a|2,"
 
@@ -436,20 +437,31 @@ def test_cli_partition(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_rejects_negative_seeds_and_allow_drop(tmp_path, capsys):
-    """A negative seed, from the flag or the config, exits 2 before any bound
-    (it used to exit 4 with SeedSequence's ValueError, bound computed);
-    --allow-drop, whose exhaustive search always chose the empty partition,
-    is gone."""
+def test_cli_rejects_negative_seeds_and_allow_drop(tmp_path, monkeypatch,
+                                                  capsys):
+    """A negative seed or a trial count below 1, from the flag or the config,
+    exits 2 before any exponent work (a negative seed used to exit 4 with
+    SeedSequence's ValueError, and a zero trial count to exit 2 only after
+    the bound); --allow-drop, whose exhaustive search always chose the empty
+    partition, is gone."""
+    def no_exponents(query, cfg):
+        raise AssertionError("exponent work before the size guards")
+
+    for attr in ("em_exponent", "ei_exponent"):
+        monkeypatch.setattr(ramac.bounds, attr, no_exponents)
     pair = _write(tmp_path, PAIR_CFG)
     assert _run(["simulate", "--config", pair, "--out-dir", str(tmp_path),
                  "--seed", "-1"]) == 2
     assert "error: --seed must be >= 0" in capsys.readouterr().err
-    negative = _write(tmp_path, PAIR_CFG.replace("seed = 3", "seed = -2"),
-                      "negative.cfg")
-    assert _run(["simulate", "--config", negative, "--out-dir",
-                 str(tmp_path)]) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    for trials in ("0", "-5"):
+        assert _run(["simulate", "--config", pair, "--out-dir",
+                     str(tmp_path), "--trials", trials]) == 2
+        assert "error: --trials must be >= 1" in capsys.readouterr().err
+    for key, value in (("seed = 3", "seed = -2"), ("trials = 50", "trials = 0")):
+        bad = _write(tmp_path, PAIR_CFG.replace(key, value), "bad.cfg")
+        assert _run(["simulate", "--config", bad, "--out-dir",
+                     str(tmp_path)]) == 2
+        assert f"{key.split()[0]} must be >= " in capsys.readouterr().err
     duo = _write(tmp_path, TWO_USER_CFG, "duo.cfg")
     assert _run(["partition", "--config", duo, "--out-dir", str(tmp_path),
                  "--allow-drop"]) == 2
@@ -657,7 +669,7 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     for ext in (".json", ".csv"):
         pa = os.path.join(a, "pair_simulate" + ext)
         pb = os.path.join(b, "pair_simulate" + ext)
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
     capsys.readouterr()
 
 

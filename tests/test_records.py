@@ -129,6 +129,19 @@ def test_package_import_skips_dataclasses_and_statistics():
     assert _fresh_python(code) == "[]"
 
 
+@pytest.mark.parametrize("module, frozen", [("ramac.cli", "True"),
+                                            ("ramac", "False")])
+def test_cli_import_freezes_the_heap_at_exit(module, frozen):
+    """Importing ramac.cli registers gc.freeze at exit, so the interpreter's
+    final collections skip numpy's tracked objects; importing ramac alone
+    registers nothing. atexit runs handlers last in, first out, so a handler
+    registered before the import sees the heap after the freeze."""
+    code = ("import atexit, gc; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            f"import {module}")
+    assert _fresh_python(code) == frozen
+
+
 def test_analytic_commands_never_import_the_simulator(tmp_path):
     """Only simulate (and exact enumeration) load ramac.sim, the package's
     largest module: a process running an analytic command neither imports
