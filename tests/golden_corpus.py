@@ -4,7 +4,8 @@ tests/golden/records.json.
 A run's hash covers every file it writes (by name and bytes), its stdout and
 stderr with the output directory and the repository root replaced by
 placeholders, the warnings it raises and its exit code. The runs are every
-CLI command line of COMMANDS on every config of examples_cfg/ and
+CLI command line of COMMANDS on every config of examples_cfg/,
+tests/golden/configs/ (systems no shipped config has, such as K = 3) and
 perfbench/scenarios/, both experiment scripts on bsc_pair and mac2 at small
 sizes, and exact_conditional_errors at N = 8 on every config. The corpus
 pins today's outputs, defects included: it is a regression gate, not an
@@ -32,7 +33,8 @@ from ramac.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).resolve().parent / "golden" / "records.json"
-CONFIGS = tuple(str(p.relative_to(ROOT)) for d in ("examples_cfg", "perfbench/scenarios")
+CONFIGS = tuple(str(p.relative_to(ROOT))
+                for d in ("examples_cfg", "tests/golden/configs", "perfbench/scenarios")
                 for p in sorted((ROOT / d).glob("*.cfg")))
 COMMANDS = (
     ("bound",),
