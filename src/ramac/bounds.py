@@ -181,7 +181,10 @@ class ExponentLedger:
             raise ValidationError(f"{entry} needs a ledger without a decoded "
                                   "set")
 
-    def _channel(self, pair):
+    def channel(self, pair):
+        """The channel of pair (rate vector, id) that bounds and decoder
+        read: the id's channel or class envelope, averaged over the pair's
+        rates of the users outside D when the ledger has a decoded set."""
         channel = self.channels[pair[1]]
         if self.users_d is None:
             return channel
@@ -203,7 +206,7 @@ class ExponentLedger:
             if self.users_d is not None and not subset <= self.users_d:
                 raise ValidationError(f"subset {sorted(subset)} is not inside "
                                       f"the decoded set {self._d}")
-            true_ch, comp_ch = self._channel(t), self._channel(c)
+            true_ch, comp_ch = self.channel(t), self.channel(c)
             if self.users_d is None:
                 q = ExponentQuery(subset, t[0], true_ch, c[0], comp_ch,
                                   self.laws, self.table)

@@ -9,58 +9,41 @@ chain rule H(Y | X_S) - H(Y | X).
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from ._record import record
 from .channels import Dmc, InputLaws, RateVectorIndex
 from .errors import ValidationError
 from .logdomain import safe_log
 
 
-@record
-class MiQuery:
-    channel: Dmc
-    laws: InputLaws
-    rate_vector: RateVectorIndex
-    subset: frozenset
-
-    def __post_init__(self):
-        if len(self.rate_vector.indices) != self.channel.num_users:
-            raise ValidationError("rate vector length differs from channel user count")
-        for u in self.subset:
-            if not 1 <= u <= self.channel.num_users:
-                raise ValidationError(f"subset user {u} outside 1..{self.channel.num_users}")
-
-
-def _joint(q: MiQuery) -> np.ndarray:
-    """Joint law over (x_1 .. x_K, y) under independent inputs."""
-    ch = q.channel
-    joint = np.array(ch.probs)
-    for u in range(1, ch.num_users + 1):
-        vec = q.laws.law(u, q.rate_vector.index(u))
-        shape = [1] * joint.ndim
-        shape[u - 1] = ch.input_size
-        joint = joint * vec.reshape(shape)
-    return joint
-
-
-def conditional_mi(q: MiQuery) -> float:
-    """I(X_Sc; Y | X_S) by direct joint evaluation.
+def conditional_mi(channel: Dmc, laws: InputLaws, rate_vector: RateVectorIndex,
+                   subset: frozenset) -> float:
+    """I(X_Sc; Y | X_S) by direct joint evaluation, each user u's input drawn
+    from its law at rate index rate_vector.index(u).
 
     Sum over (x, y) of p(x, y) * [log p(y | x) - log p(y | x_S)], with the
     0 log 0 terms dropped. Nonnegative up to float rounding; clamped at 0.
     """
-    ch = q.channel
-    sc_axes = tuple(u - 1 for u in range(1, ch.num_users + 1) if u not in q.subset)
+    k = channel.num_users
+    if len(rate_vector.indices) != k:
+        raise ValidationError("rate vector length differs from channel user count")
+    for u in subset:
+        if not 1 <= u <= k:
+            raise ValidationError(f"subset user {u} outside 1..{k}")
+    sc_axes = tuple(u - 1 for u in range(1, k + 1) if u not in subset)
     if not sc_axes:  # conditioning on everything leaves nothing to learn
         return 0.0
-    joint = _joint(q)
+    # the joint law over (x_1 .. x_K, y) under independent inputs
+    joint = np.array(channel.probs)
+    for u in range(1, k + 1):
+        shape = [1] * joint.ndim
+        shape[u - 1] = channel.input_size
+        joint = joint * laws.law(u, rate_vector.index(u)).reshape(shape)
     # p(x_S, y): marginalize the complement users out of the joint.
     cond_marg = joint.sum(axis=sc_axes, keepdims=True)
     denom = cond_marg.sum(axis=-1, keepdims=True)  # p(x_S)
     with np.errstate(invalid="ignore"):
         log_cond = safe_log(cond_marg) - safe_log(denom)  # log p(y | x_S)
-        log_full = safe_log(ch.probs)  # log p(y | x)
+        log_full = safe_log(channel.probs)  # log p(y | x)
         terms = np.where(joint > 0, joint * (log_full - log_cond), 0.0)
     return max(0.0, float(terms.sum()))

@@ -20,7 +20,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ValidationError,
 )
-from .infometrics import MiQuery, conditional_mi
+from .infometrics import conditional_mi
 
 PARTITION_GUARD = 10 ** 6
 
@@ -106,7 +106,7 @@ def feasibility_check(region: OperationRegion, compound: CompoundSet,
         rvi.check_against(table)
         channel = compound.by_id(cid)
         for subset in subsets:
-            mi = conditional_mi(MiQuery(channel, laws, rvi, subset))
+            mi = conditional_mi(channel, laws, rvi, subset)
             sum_rate = sum(table.rate(u, rvi.index(u))
                            for u in range(1, k + 1) if u not in subset)
             margin = mi - sum_rate
@@ -239,21 +239,21 @@ def subsets_containing(user: int, num_users: int) -> tuple:
     return tuple(found)
 
 
-def enumerate_partitions(region: OperationRegion, user: int, num_users: int,
-                         guard: int = PARTITION_GUARD) -> Iterator[Partition]:
+def enumerate_partitions(region: OperationRegion, user: int,
+                         num_users: int) -> Iterator[Partition]:
     """All assignments of members to decoded sets containing `user`.
 
     The count is (number of admissible sets) ** len(region); anything past
-    `guard` raises SearchSpaceTooLarge before any work. An empty region has
+    PARTITION_GUARD raises SearchSpaceTooLarge before any work. An empty region has
     one assignment, the empty one.
     """
     if not 1 <= user <= num_users:
         raise ValidationError(f"user {user} outside 1..{num_users}")
     choices = subsets_containing(user, num_users)
     total = len(choices) ** len(region.members) if region.members else 1
-    if total > guard:
+    if total > PARTITION_GUARD:
         raise SearchSpaceTooLarge(
-            f"{total} assignments exceed the enumeration guard {guard}"
+            f"{total} assignments exceed the enumeration guard {PARTITION_GUARD}"
         )
 
     return (Partition(region, user, combo)

@@ -253,11 +253,6 @@ class ThresholdTables:
     def const(self) -> float:
         return -self.rho_tilde * self.rate_sum / (self.s1 + self.s2)
 
-    def taus(self, y_counts: np.ndarray, n: int) -> np.ndarray:
-        """tau for each row of (T, output_size) symbol counts (see
-        _stacked_taus)."""
-        return _stacked_taus(self.coeff[None], np.array([self.const]), y_counts, n)[0]
-
 
 def _stacked_taus(coeff: np.ndarray, const: np.ndarray, y_counts: np.ndarray,
                   n: int) -> np.ndarray:
@@ -428,7 +423,8 @@ class SlotDecoder:
     (sums over differently grouped cells, so by rounding the tested one can
     be the higher); finite mode uses one score for both roles. The ledger is
     the decoder's context: its channels or class envelopes (which set the
-    mode), laws and rate table, and the crossing exponents of the thresholds,
+    mode), laws and rate table, each pair's channel (ExponentLedger.channel,
+    the map the bounds read) and the crossing exponents of the thresholds,
     which the bound of the same system may already have filled.
     """
 
@@ -439,22 +435,21 @@ class SlotDecoder:
         _guard_codewords(ledger.table, n)
         ledger.require_full("SlotDecoder")
         ledger.check_region(region)
-        self.channels = ledger.channels
-        self.ids = tuple(self.channels)
-        ref = next(iter(self.channels.values()))
+        self.ids = tuple(ledger.channels)
         self.mode, self.region, self.laws, self.params = region.mode, region, ledger.laws, params
         table = self.table = ledger.table
         self.n = int(n)
+        universe = pair_universe(table, self.ids)
+        ref = ledger.channel(universe[0])
         self.num_users, self.input_size, self.output_size = (
             ref.num_users, ref.input_size, ref.output_size)
-        self.cells = self.input_size ** self.num_users * self.output_size
         self.subsets = proper_subsets(range(1, self.num_users + 1))
-        self.out_pairs = region.complement(pair_universe(table, self.ids))
+        self.out_pairs = region.complement(universe)
         self.message_counts = {(u, i): message_count(self.n, table.rate(u, i))
                                for u in range(1, self.num_users + 1)
                                for i in range(1, table.num_classes + 1)}
         self._scratch = {}  # decide()'s arrays, by name (see _buffer)
-        self._lay_out_candidates()
+        self._lay_out_candidates(ledger)
         self.thresholds = self._build_thresholds(ledger)
         self._tables = []  # per subset: (pair indices, coefficients, constants)
         for subset in self.subsets:  # of the pairs whose test can reject
@@ -466,7 +461,7 @@ class SlotDecoder:
                 np.array([t.coeff for _, t in tables]).reshape(-1, self.output_size),
                 np.array([t.const for _, t in tables])))
 
-    def _lay_out_candidates(self):
+    def _lay_out_candidates(self, ledger: ExponentLedger):
         """Candidate order of decide(): region rate vectors in first-member
         order, each vector's region channels in id order, and under each its
         message tuples in itertools.product order. A group (message tuple,
@@ -478,8 +473,7 @@ class SlotDecoder:
         self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
         self._runs = []  # (first candidate, groups, ids) per block
-        self._scorers = []  # per block: its ids' tested (class: and rival) scores
-        self._counters = []  # per block: how decide() counts its cells
+        self._counters = []  # per block: how decide() counts and scores its cells
         cands = []  # (group, id index, pair index) per candidate
         groups = 0
         for rvi, cids in by_rates.values():
@@ -489,14 +483,12 @@ class SlotDecoder:
             self._blocks[rvi.indices] = (rvi, dims, groups, cids)
             self._runs.append((len(cands), math.prod(dims), len(cids)))
             # tested scores read the lower log tables, class rivals the upper
-            self._scorers.append(tuple(
-                _ScoreContext(np.stack([_channel_logs(self.channels[cid])[side].ravel()
-                                        for cid in cids]))
-                for side in ((1, 0) if self.mode == "class" else (1,))))
+            logs = [_channel_logs(ledger.channel((rvi, cid))) for cid in cids]
             self._counters.append(_BlockCounter(
                 dims, tuple((u, rvi.index(u)) for u in range(1, self.num_users + 1)),
                 (self.input_size,) * self.num_users + (self.output_size,), self.n,
-                self._scorers[-1]))
+                tuple(_ScoreContext(np.stack([log[side].ravel() for log in logs]))
+                      for side in ((1, 0) if self.mode == "class" else (1,)))))
             cands += [(g, self.ids.index(cid), len(self._pairs) + j)
                       for j, cid in enumerate(cids)
                       for g in range(groups, groups + math.prod(dims))]
@@ -529,8 +521,8 @@ class SlotDecoder:
                 else:
                     rho_tilde, s2 = res.rho_star, res.rho_star / 2.0
                 out[key] = build_threshold_tables(
-                    t[0], self.channels[t[1]], subset, self.laws, self.table,
-                    rho_tilde, s2, o_star[0], self.channels[o_star[1]])
+                    t[0], ledger.channel(t), subset, self.laws, self.table,
+                    rho_tilde, s2, o_star[0], ledger.channel(o_star))
         return out
 
     def decode(self, y, codebooks: CodebookSet) -> Decision:

@@ -5,14 +5,18 @@ loops and no imports from the package under test, so a shared bug cannot
 cancel out. Slow on purpose; only run at test scale. Two oracles read a
 package object they are handed, and nothing else of it: tau_by_bisection
 reads the per-symbol tables of a ThresholdTables, and scalar_decode reads a
-SlotDecoder's thresholds and score contexts. exact_errors_by_chunks calls a
-SlotDecoder's decide() and group_ids().
+SlotDecoder's thresholds and its blocks' score contexts. exact_errors_by_chunks
+calls a SlotDecoder's decide() and group_ids(). taus is no oracle: it runs the
+decoder's own closed form on one ThresholdTables, for the tests that hold it
+to one.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from ramac.sim import _stacked_taus
 
 
 def gallager_e0(rows, law, rho):
@@ -293,6 +297,12 @@ def symbols_by_searchsorted(cum, u):
     return np.minimum(idx, len(cum) - 1)
 
 
+def taus(tables, y_counts, n):
+    """The decoder's tau of one ThresholdTables for each row of (T,
+    output_size) symbol counts (see sim._stacked_taus)."""
+    return _stacked_taus(tables.coeff[None], np.array([tables.const]), y_counts, n)[0]
+
+
 def tau_by_bisection(y, tables, n, tol=1e-12, max_iter=400):
     """Root of the threshold balance equation by bracketing bisection.
 
@@ -337,17 +347,18 @@ def scalar_decode(decoder, y, codebooks):
     for a collision.
 
     It shares the SlotDecoder's thresholds (None: the test never rejects)
-    and per-block score contexts on purpose: analytically tied likelihoods
+    and its blocks' score contexts (_BlockCounter.contexts) on purpose: analytically tied likelihoods
     must tie bit for bit on both sides. What it checks is the decision rule
     applied to them. codebooks needs only codeword(user, rate index, message).
     """
     y = np.asarray(y, dtype=np.int64)
     k, n = decoder.num_users, decoder.n
     y_counts = np.bincount(y, minlength=decoder.output_size).astype(float)
-    blocks = list(decoder._blocks)  # the rate vectors' order in _scorers
+    cells = decoder.input_size ** k * decoder.output_size
+    blocks = list(decoder._blocks)  # the rate vectors' order in _counters
     scored = []
     for rvi, cid in decoder.region.members:
-        scorers = decoder._scorers[blocks.index(rvi.indices)]
+        contexts = decoder._counters[blocks.index(rvi.indices)].contexts
         row = decoder._blocks[rvi.indices][3].index(cid)  # cid's table there
         ranges = [range(decoder.message_counts[(u, rvi.index(u))])
                   for u in range(1, k + 1)]
@@ -357,9 +368,9 @@ def scalar_decode(decoder, y, codebooks):
                 code = code * decoder.input_size + codebooks.codeword(
                     u, rvi.index(u), msgs[u - 1])
             counts = np.bincount(code * decoder.output_size + y,
-                                 minlength=decoder.cells)[:, None]
+                                 minlength=cells)[:, None]
             tested, rival = (ctx.score_counts(counts, ctx.onehot, _scratch)[row, 0]
-                             for ctx in (scorers[0], scorers[-1]))
+                             for ctx in (contexts[0], contexts[-1]))
             scored.append((msgs, rvi, cid, tested, rival))
     estimates = []
     for subset in decoder.subsets:
@@ -367,7 +378,7 @@ def scalar_decode(decoder, y, codebooks):
         for (pair, key_subset), tables in decoder.thresholds.items():
             if key_subset == subset:
                 tau = math.inf if tables is None \
-                    else tables.taus(y_counts[None, :], n)[0]
+                    else taus(tables, y_counts[None, :], n)[0]
                 thr[pair] = -n * tau
         est = _subset_estimate(scored, thr, decoder.ids)
         if est is None:

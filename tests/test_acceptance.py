@@ -15,7 +15,7 @@ import pytest
 import ramac
 from conftest import bsc, random_dmc, uniform_laws
 from oracles import (gallager_exponent_sweep, pairwise_tail, tau_by_bisection,
-                     two_codeword_ml_error)
+                     taus, two_codeword_ml_error)
 from ramac import config as cfgmod
 from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
 from ramac.channels import (CompoundSet, Dmc, RateTable, RateVectorIndex,
@@ -206,7 +206,7 @@ def test_criterion_07_threshold_closed_form_vs_bisection():
             RateVectorIndex((1,)), ch, frozenset(), laws, table, rho, s2,
             RateVectorIndex((2,)), ch)
         counts = np.bincount(y, minlength=b).astype(float)
-        tau = float(tables.taus(counts[None], len(y))[0])
+        tau = float(taus(tables, counts[None], len(y))[0])
         direct = tau_by_bisection(y, tables, len(y))
         worst = max(worst, abs(direct - tau) / max(1.0, abs(tau)))
     print(f"criterion 07: worst relative tau gap = {worst:.3g} "

@@ -7,26 +7,27 @@ from hypothesis import strategies as st
 from conftest import bsc, random_dmc, random_laws, uniform_laws
 from oracles import conditional_mi_chain, mi_conditional
 from ramac.channels import Dmc, RateTable, RateVectorIndex
-from ramac.infometrics import MiQuery, conditional_mi
+from ramac.infometrics import conditional_mi
 
 
-def _query(channel, laws, subset, k):
-    rvi = RateVectorIndex((1,) * k)
-    return MiQuery(channel, laws, rvi, frozenset(subset))
+def _mi(channel, laws, subset, k):
+    """conditional_mi with every user at rate index 1."""
+    return conditional_mi(channel, laws, RateVectorIndex((1,) * k),
+                          frozenset(subset))
 
 
 def test_noiseless_binary_capacity():
     ch = Dmc(1, 2, 2, np.eye(2))
     table = RateTable(((0.0,),))
     laws = uniform_laws(table, 2)
-    assert abs(conditional_mi(_query(ch, laws, (), 1)) - math.log(2)) < 1e-12
+    assert abs(_mi(ch, laws, (), 1) - math.log(2)) < 1e-12
 
 
 def test_useless_channel_zero():
     ch = bsc(0.5)
     table = RateTable(((0.0,),))
     laws = uniform_laws(table, 2)
-    assert abs(conditional_mi(_query(ch, laws, (), 1))) < 1e-12
+    assert abs(_mi(ch, laws, (), 1)) < 1e-12
 
 
 def test_xor_channel_conditioned():
@@ -37,9 +38,9 @@ def test_xor_channel_conditioned():
     ch = Dmc(2, 2, 2, probs)
     table = RateTable(((0.0,), (0.0,)))
     laws = uniform_laws(table, 2)
-    assert abs(conditional_mi(_query(ch, laws, (1,), 2)) - math.log(2)) < 1e-12
+    assert abs(_mi(ch, laws, (1,), 2) - math.log(2)) < 1e-12
     # unconditioned, Y is an unbiased coin independent of X1 alone
-    assert abs(conditional_mi(_query(ch, laws, (), 2)) - math.log(2)) < 1e-12
+    assert abs(_mi(ch, laws, (), 2) - math.log(2)) < 1e-12
 
 
 def test_full_subset_is_exactly_zero():
@@ -47,7 +48,7 @@ def test_full_subset_is_exactly_zero():
     ch = random_dmc(rng, 2, 2, 3)
     table = RateTable(((0.1,), (0.1,)))
     laws = random_laws(rng, table, 2)
-    assert conditional_mi(_query(ch, laws, (1, 2), 2)) == 0.0
+    assert _mi(ch, laws, (1, 2), 2) == 0.0
 
 
 @given(st.integers(min_value=0, max_value=20_000))
@@ -67,8 +68,7 @@ def test_mi_bounds_and_dual_paths(seed):
     subset = tuple(int(u) for u in
                    rng.choice(np.arange(1, k + 1),
                               size=int(rng.integers(0, k + 1)), replace=False))
-    q = _query(ch, laws, subset, k)
-    direct = conditional_mi(q)
+    direct = _mi(ch, laws, subset, k)
     chained = conditional_mi_chain(ch.probs,
                                    [laws.law(u, 1) for u in range(1, k + 1)],
                                    [u - 1 for u in subset])
@@ -85,7 +85,7 @@ def test_mi_matches_loop_oracle(seed):
     table = RateTable(tuple((0.1,) for _ in range(k)))
     laws = random_laws(rng, table, 2)
     subset = () if k == 1 else (1,)
-    got = conditional_mi(_query(ch, laws, subset, k))
+    got = _mi(ch, laws, subset, k)
     want = mi_conditional(ch.probs, [laws.law(u, 1) for u in range(1, k + 1)],
                           [u - 1 for u in subset])
     assert abs(got - want) < 1e-10
