@@ -444,13 +444,19 @@ def pes_bound_single_user(user: int, region: OperationRegion,
     ledger.require_full("pes_bound_single_user")
     k = ledger.table.num_users
     ledgers = {}  # decoded set -> its exponent ledger
+    # (decoded set, members) -> its block's report, which does not depend on
+    # what the ledger held before, so a block is bounded once
+    bounded = {}
 
     def block_bound(users_d, members) -> BoundReport:
-        if users_d not in ledgers:
-            ledgers[users_d] = ExponentLedger(
-                ledger.compound or ledger.envelopes, ledger.laws, ledger.table,
-                ledger.cfg, users_d)
-        return pes_bound_ddecoder(OperationRegion(members), ledgers[users_d], n)
+        if (users_d, members) not in bounded:
+            if users_d not in ledgers:
+                ledgers[users_d] = ExponentLedger(
+                    ledger.compound or ledger.envelopes, ledger.laws,
+                    ledger.table, ledger.cfg, users_d)
+            bounded[users_d, members] = pes_bound_ddecoder(
+                OperationRegion(members), ledgers[users_d], n)
+        return bounded[users_d, members]
 
     def score(partition):
         reports = tuple((users_d, block_bound(users_d, members))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,6 +44,21 @@ def random_dmc(rng, k, a, b, floor=0.0):
     raw = rng.random((a,) * k + (b,)) + floor
     raw /= raw.sum(axis=-1, keepdims=True)
     return Dmc(k, a, b, raw)
+
+
+def split_k3_channel():
+    """Three binary users, four outputs 2 * y1 + y2: y1 is x1 through a BSC
+    of crossover 0.02 when x2 = 0 and 0.2 when x2 = 1, and y2 is x2 xor x3
+    through a BSC of 0.1. With rates (0.02, 0.06) per user, n = 60 and the
+    region (1,1,1) (2,1,1) (1,2,1), the best partition for user 1 decodes
+    {1, 2, 3} on the first two members and {1} on the third, and greedy
+    search scores higher."""
+    probs = np.empty((2, 2, 2, 4))
+    for x1, x2, x3, y1, y2 in itertools.product(range(2), repeat=5):
+        p1 = 0.02 if x2 == 0 else 0.2
+        probs[x1, x2, x3, 2 * y1 + y2] = (1 - p1 if y1 == x1 else p1) * (
+            0.9 if y2 == x2 ^ x3 else 0.1)
+    return Dmc(3, 2, 4, probs)
 
 
 def random_laws(rng, table, a):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ramac
-from conftest import bsc, random_dmc, uniform_laws
+from conftest import bsc, random_dmc, split_k3_channel, uniform_laws
 from oracles import (gallager_exponent_sweep, pairwise_tail, tau_by_bisection,
                      taus, two_codeword_ml_error)
 from ramac import config as cfgmod
@@ -151,21 +151,27 @@ def test_criterion_06_partition_search_is_optimal():
         return Dmc(2, 2, 2, probs)
 
     table = RateTable(((0.02, 0.05), (0.02, 0.05)))
-    laws = uniform_laws(table, 2)
     r11, r21 = RateVectorIndex((1, 1)), RateVectorIndex((2, 1))
     n = 60
-    # one channel; and two, the region naming both and leaving (2,1):d out
+    # one channel; two, the region naming both and leaving (2,1):d out; and
+    # three users, whose best partition splits the region (see
+    # split_k3_channel)
     cases = {
         "one channel": (OperationRegion(((r11, "c"), (r21, "c")),
                                         "finite"),
-                        CompoundSet((channel(0.05, 0.2),), ("c",))),
+                        CompoundSet((channel(0.05, 0.2),), ("c",)), table),
         "two channels": (OperationRegion(((r11, "c"), (r21, "c"),
                                           (r11, "d")), "finite"),
                          CompoundSet((channel(0.05, 0.2),
-                                      channel(0.1, 0.25)), ("c", "d"))),
+                                      channel(0.1, 0.25)), ("c", "d")), table),
+        "three users": (OperationRegion(tuple(
+            (RateVectorIndex(i), "c") for i in ((1, 1, 1), (2, 1, 1), (1, 2, 1)))),
+            CompoundSet((split_k3_channel(),), ("c",)),
+            RateTable(((0.02, 0.06),) * 3)),
     }
-    choices = subsets_containing(1, 2)
-    for label, (region, comp) in cases.items():
+    for label, (region, comp, table) in cases.items():
+        laws = uniform_laws(table, 2)
+        choices = subsets_containing(1, table.num_users)
         ledger = ramac.ExponentLedger(comp, laws, table, SMALL_OPT)
         exhaustive = pes_bound_single_user(1, region, ledger, n,
                                            search="exhaustive")

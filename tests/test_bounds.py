@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import bsc, random_dmc, uniform_laws
+from conftest import bsc, random_dmc, split_k3_channel, uniform_laws
 from ramac import config as cfgmod
 from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
 from ramac.channels import (CompoundSet, InputLaws, RateTable,
@@ -233,6 +233,16 @@ def _term_objective(users_d, kind, subset, true_pair, comp_pair, laws,
             sum(table.rate(u, rates[u - 1]) for u in outside))
 
 
+def _split_k3():
+    """(region, compound set, laws, table, n) of three users whose best
+    partition splits the region (see split_k3_channel)."""
+    table = RateTable(((0.02, 0.06),) * 3)
+    region = OperationRegion(tuple((RateVectorIndex(i), "c") for i in (
+        (1, 1, 1), (2, 1, 1), (1, 2, 1))))
+    return (region, CompoundSet((split_k3_channel(),), ("c",)),
+            uniform_laws(table, 2), table, 60)
+
+
 def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     """On one channel, and on the mac2.cfg region {(1,1):good, (1,2):bad}
     whose members name two channels of the compound set."""
@@ -250,6 +260,7 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
          CompoundSet((ch,), ("c",)), uniform_laws(table, 2), table,
          19),
         (mixed, system.compound, system.laws, system.table, 16),
+        _split_k3(),
     ]
     optimised = _record_optimisations(monkeypatch)
     for region, comp, laws, table, n in cases:
@@ -265,7 +276,7 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
         # every enumerated assignment is at least the exhaustive optimum
         keys = set()
         ledgers = {}
-        for part in enumerate_partitions(region, 1, 2):
+        for part in enumerate_partitions(region, 1, table.num_users):
             total = 0.0
             for users_d, block in part.blocks().items():
                 if users_d not in ledgers:
@@ -289,6 +300,39 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
             ledgers[d].get(kind, subset, (RateVectorIndex(ti), tid),
                            (RateVectorIndex(ci), cid)).evaluations
             for d, kind, subset, (ti, tid), (ci, cid) in keys)
+
+
+@pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+def test_partition_search_bounds_each_block_once(search, monkeypatch):
+    """The search calls pes_bound_ddecoder once per distinct (decoded set,
+    members) block it scores, and picks the partition, with the same block
+    reports, that a search bounding every block afresh on a fresh ledger
+    picks (whose own ledgers stay empty, so its evaluation total is not
+    compared)."""
+    region, comp, laws, table, n = _split_k3()
+    calls = []
+    bound = ramac.bounds.pes_bound_ddecoder
+
+    def counted(block, ledger, n):
+        calls.append((ledger.users_d, block.members))
+        return bound(block, ledger, n)
+
+    monkeypatch.setattr(ramac.bounds, "pes_bound_ddecoder", counted)
+    got = pes_bound_single_user(1, region, _ledger(comp, laws, table), n,
+                                search=search)
+    assert len(calls) == len(set(calls))
+    if search == "exhaustive":
+        assert set(calls) == {(d, block) for part in enumerate_partitions(
+            region, 1, 3) for d, block in part.blocks().items()}
+    monkeypatch.setattr(ramac.bounds, "pes_bound_ddecoder",
+                        lambda block, ledger, n: bound(block, _ledger(
+                            comp, laws, table, ledger.users_d), n))
+    fresh = pes_bound_single_user(1, region, _ledger(comp, laws, table), n,
+                                  search=search)
+    assert (got.log_bound, got.partition, got.block_reports,
+            got.partitions_considered) == (
+        fresh.log_bound, fresh.partition, fresh.block_reports,
+        fresh.partitions_considered)
 
 
 def test_mac2_optimises_each_distinct_objective_once(monkeypatch):
