@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -373,7 +373,14 @@ def round12(x: float) -> float:
 
 
 def jsonable(obj):
-    """Recursive conversion to JSON-serializable values with rounded floats."""
+    """Recursive conversion to JSON-serializable values with rounded floats.
+
+    Leaves come first, floats (np.float64 among them) before the rest, since
+    a record is mostly leaves."""
+    if isinstance(obj, float):
+        return round12(obj)
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return obj
     if isinstance(obj, RateVectorIndex):
         return list(obj.indices)
     if isinstance(obj, OperationRegion):
@@ -382,7 +389,7 @@ def jsonable(obj):
     fields = getattr(type(obj), "_record_fields", None)
     if fields is not None:
         return {name: jsonable(getattr(obj, name)) for name in fields}
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         return {_key_str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, frozenset):
         return sorted(obj)
@@ -390,14 +397,10 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return round12(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, float):
-        return round12(obj)
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
     return str(obj)
 
 
