@@ -685,6 +685,22 @@ def test_decisions_match_scalar_decode_property(k, a, b, n, classy, seed):
     alphabets of 2 to 5 letters, any n up to 70 (rows of one to five 16-bit
     words), finite or class mode, channels with dead cells on odd seeds, and
     uint8 or int64 symbols."""
+    _assert_random_decisions_match(k, a, b, n, classy, seed, (2, 3))
+
+
+@given(st.integers(2, 3), st.integers(2, 4), st.integers(1, 24), st.booleans(),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=12)
+def test_k3_decisions_match_scalar_decode_property(a, b, n, classy, seed):
+    """The same at K = 3: 2 or 3 input letters, n up to 24, 1 or 2 messages
+    a user."""
+    _assert_random_decisions_match(3, a, b, n, classy, seed, (1, 2))
+
+
+def _assert_random_decisions_match(k, a, b, n, classy, seed, rates):
+    """decide() against the scalar oracle on 12 trials of a random system
+    of K users over three channels, with rates (message counts) in each
+    rate class (see _system)."""
     rng = np.random.default_rng(seed)
     dead = rng.integers(b, size=a ** k)  # one in every input row, odd seeds
     chans = {}
@@ -694,7 +710,7 @@ def test_decisions_match_scalar_decode_property(k, a, b, n, classy, seed):
             probs.reshape(-1, b)[np.arange(a ** k), dead] = 0
         chans[cid] = Dmc(k, a, b, probs / probs.sum(axis=-1, keepdims=True))
     classes = {"lo": ("c0", "c1"), "hi": ("c2",)} if classy else None
-    comp, table, laws, region, envs = _system(chans, classes, (2, 3), k, n)
+    comp, table, laws, region, envs = _system(chans, classes, rates, k, n)
     decoder = ramac.SlotDecoder(region, _ledger(envs or comp, laws, table), n)
     trials = 12
     books = {key: rng.integers(0, a, size=(trials, m, n))
