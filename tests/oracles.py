@@ -347,9 +347,10 @@ def scalar_decode(decoder, y, codebooks):
     for a collision.
 
     It shares the SlotDecoder's thresholds (None: the test never rejects)
-    and its blocks' score contexts (_BlockCounter.contexts) on purpose: analytically tied likelihoods
-    must tie bit for bit on both sides. What it checks is the decision rule
-    applied to them. codebooks needs only codeword(user, rate index, message).
+    and its blocks' score contexts (_BlockCounter.contexts) on purpose:
+    analytically tied likelihoods must tie bit for bit on both sides. What
+    it checks is the decision rule applied to them. codebooks needs only
+    codeword(user, rate index, message).
     """
     y = np.asarray(y, dtype=np.int64)
     k, n = decoder.num_users, decoder.n
