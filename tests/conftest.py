@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ramac.channels import Dmc, InputLaws, RateTable, RateVectorIndex
+from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
+                            RateVectorIndex)
 from ramac.exponents import OptimizerConfig
+from ramac.regions import OperationRegion
 
 settings.register_profile(
     "suite", deadline=None,
@@ -46,19 +48,24 @@ def random_dmc(rng, k, a, b, floor=0.0):
     return Dmc(k, a, b, raw)
 
 
-def split_k3_channel():
-    """Three binary users, four outputs 2 * y1 + y2: y1 is x1 through a BSC
-    of crossover 0.02 when x2 = 0 and 0.2 when x2 = 1, and y2 is x2 xor x3
-    through a BSC of 0.1. With rates (0.02, 0.06) per user, n = 60 and the
-    region (1,1,1) (2,1,1) (1,2,1), the best partition for user 1 decodes
-    {1, 2, 3} on the first two members and {1} on the third, and greedy
-    search scores higher."""
+def split_k3_system():
+    """(region, compound set, laws, table) of three binary users on one
+    channel with four outputs 2 * y1 + y2: y1 is x1 through a BSC of
+    crossover 0.02 when x2 = 0 and 0.2 when x2 = 1, and y2 is x2 xor x3
+    through a BSC of 0.1. Rates are (0.02, 0.06) per user, laws uniform, and
+    the region is (1,1,1) (2,1,1) (1,2,1). At n = 60 the best partition for
+    user 1 decodes {1, 2, 3} on the first two members and {1} on the third,
+    and greedy search scores higher."""
     probs = np.empty((2, 2, 2, 4))
     for x1, x2, x3, y1, y2 in itertools.product(range(2), repeat=5):
         p1 = 0.02 if x2 == 0 else 0.2
         probs[x1, x2, x3, 2 * y1 + y2] = (1 - p1 if y1 == x1 else p1) * (
             0.9 if y2 == x2 ^ x3 else 0.1)
-    return Dmc(3, 2, 4, probs)
+    table = RateTable(((0.02, 0.06),) * 3)
+    region = OperationRegion(tuple((RateVectorIndex(i), "c") for i in (
+        (1, 1, 1), (2, 1, 1), (1, 2, 1))))
+    return (region, CompoundSet((Dmc(3, 2, 4, probs),), ("c",)),
+            uniform_laws(table, 2), table)
 
 
 def random_laws(rng, table, a):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ramac
-from conftest import bsc, random_dmc, split_k3_channel, uniform_laws
+from conftest import bsc, random_dmc, split_k3_system, uniform_laws
 from oracles import (gallager_exponent_sweep, pairwise_tail, tau_by_bisection,
                      taus, two_codeword_ml_error)
 from ramac import config as cfgmod
@@ -154,8 +154,8 @@ def test_criterion_06_partition_search_is_optimal():
     r11, r21 = RateVectorIndex((1, 1)), RateVectorIndex((2, 1))
     n = 60
     # one channel; two, the region naming both and leaving (2,1):d out; and
-    # three users, whose best partition splits the region (see
-    # split_k3_channel)
+    # three users, whose best partition splits the region
+    k3_region, k3_comp, _, k3_table = split_k3_system()
     cases = {
         "one channel": (OperationRegion(((r11, "c"), (r21, "c")),
                                         "finite"),
@@ -164,10 +164,7 @@ def test_criterion_06_partition_search_is_optimal():
                                           (r11, "d")), "finite"),
                          CompoundSet((channel(0.05, 0.2),
                                       channel(0.1, 0.25)), ("c", "d")), table),
-        "three users": (OperationRegion(tuple(
-            (RateVectorIndex(i), "c") for i in ((1, 1, 1), (2, 1, 1), (1, 2, 1)))),
-            CompoundSet((split_k3_channel(),), ("c",)),
-            RateTable(((0.02, 0.06),) * 3)),
+        "three users": (k3_region, k3_comp, k3_table),
     }
     for label, (region, comp, table) in cases.items():
         laws = uniform_laws(table, 2)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ramac
-from conftest import bsc, random_dmc, split_k3_channel, uniform_laws
+from conftest import bsc, random_dmc, split_k3_system, uniform_laws
 from ramac import config as cfgmod
 from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
 from ramac.channels import (CompoundSet, InputLaws, RateTable,
@@ -233,16 +233,6 @@ def _term_objective(users_d, kind, subset, true_pair, comp_pair, laws,
             sum(table.rate(u, rates[u - 1]) for u in outside))
 
 
-def _split_k3():
-    """(region, compound set, laws, table, n) of three users whose best
-    partition splits the region (see split_k3_channel)."""
-    table = RateTable(((0.02, 0.06),) * 3)
-    region = OperationRegion(tuple((RateVectorIndex(i), "c") for i in (
-        (1, 1, 1), (2, 1, 1), (1, 2, 1))))
-    return (region, CompoundSet((split_k3_channel(),), ("c",)),
-            uniform_laws(table, 2), table, 60)
-
-
 def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
     """On one channel, and on the mac2.cfg region {(1,1):good, (1,2):bad}
     whose members name two channels of the compound set."""
@@ -260,7 +250,7 @@ def test_partition_exhaustive_beats_greedy_and_every_assignment(monkeypatch):
          CompoundSet((ch,), ("c",)), uniform_laws(table, 2), table,
          19),
         (mixed, system.compound, system.laws, system.table, 16),
-        _split_k3(),
+        (*split_k3_system(), 60),
     ]
     optimised = _record_optimisations(monkeypatch)
     for region, comp, laws, table, n in cases:
@@ -309,7 +299,8 @@ def test_partition_search_bounds_each_block_once(search, monkeypatch):
     reports, that a search bounding every block afresh on a fresh ledger
     picks (whose own ledgers stay empty, so its evaluation total is not
     compared)."""
-    region, comp, laws, table, n = _split_k3()
+    region, comp, laws, table = split_k3_system()
+    n = 60
     calls = []
     bound = ramac.bounds.pes_bound_ddecoder
 
