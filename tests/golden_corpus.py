@@ -10,7 +10,8 @@ perfbench/scenarios/, both experiment scripts on bsc_pair and mac2 at small
 sizes, and exact_conditional_errors at N = 8 on every config. The corpus
 pins today's outputs, defects included: it is a regression gate, not an
 oracle. A change that moves a record regenerates the file and says which runs
-changed and why:
+changed and why; the script prints each run it adds, removes or changes
+against the pinned file before it overwrites the file:
 
     PYTHONPATH=src python tests/golden_corpus.py
 """
@@ -133,10 +134,22 @@ def compute(work: Path) -> dict:
             for i, (name, run) in enumerate(runs())}
 
 
+def diff(pinned: dict, got: dict) -> list:
+    """'added', 'removed' and 'changed' lines, one a run, for the runs of got
+    against the pinned {run name: hash}."""
+    return ([f"added: {name}" for name in got if name not in pinned]
+            + [f"removed: {name}" for name in pinned if name not in got]
+            + [f"changed: {name}" for name in got
+               if name in pinned and got[name] != pinned[name]])
+
+
 def main(argv=None) -> int:
     import tempfile
     with tempfile.TemporaryDirectory() as work:
         hashes = compute(Path(work))
+    pinned = json.loads(CORPUS.read_text())["runs"] if CORPUS.exists() else {}
+    for line in diff(pinned, hashes):
+        print(line)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps({**environment(), "runs": hashes}, indent=1)
                       + "\n")

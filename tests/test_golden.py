@@ -20,3 +20,11 @@ def test_golden_records_unchanged(tmp_path):
                for i, (name, digest) in enumerate(got.items())
                if digest != pinned["runs"][name]]
     assert not changed, "changed runs:\n" + "\n".join(changed)
+
+
+def test_corpus_diff_names_added_removed_and_changed_runs():
+    pinned = {"a": "1", "b": "2", "c": "3"}
+    got = {"a": "1", "c": "4", "d": "5"}
+    assert golden_corpus.diff(pinned, got) == [
+        "added: d", "removed: b", "changed: c"]
+    assert golden_corpus.diff(pinned, pinned) == []
