@@ -52,6 +52,7 @@ COMMANDS = (
     ("sweep", "--N", "8:8:24"),
     ("exponent",),
     ("exponent", "--users-d", "1"),
+    ("sweep", "--rate", "1:1:0.01:0.016:0.026", "--n-fixed", "16"),
 )
 SCRIPTS = (
     ("bound_vs_simulation.py", ("--N", "8:8:16", "--trials", "300")),
