@@ -30,7 +30,7 @@ from .exponents import (
     ei_exponent,
     em_exponent,
 )
-from .logdomain import NEG_INF, logsumexp_list
+from .logdomain import NEG_INF, logsumexp
 from .regions import (
     OperationRegion,
     Partition,
@@ -267,7 +267,7 @@ def _assemble(in_pairs, out_pairs, subsets, ledger: ExponentLedger, n: int,
                                        "max", o is best[0]))
             if best is not None:
                 logs_t.append(-n * best[1].value)
-        total = logsumexp_list(logs_t)
+        total = logsumexp(logs_t)
         pair_totals.append(("decode", _pair_key(t), total))
         decode_entries.append((total, _pair_key(t)))
 
@@ -287,7 +287,7 @@ def _assemble(in_pairs, out_pairs, subsets, ledger: ExponentLedger, n: int,
                                        "max", True))
                 logs_o.append(lw)
         if logs_o:
-            total = logsumexp_list(logs_o)
+            total = logsumexp(logs_o)
             pair_totals.append(("collision", _pair_key(o_true), total))
             collision_entries.append((total, _pair_key(o_true)))
 
@@ -461,7 +461,7 @@ def pes_bound_single_user(user: int, region: OperationRegion,
     def score(partition):
         reports = tuple((users_d, block_bound(users_d, members))
                         for users_d, members in partition.blocks().items())
-        return logsumexp_list([r.log_bound for _, r in reports]), reports
+        return logsumexp([r.log_bound for _, r in reports]), reports
 
     if search == "greedy":
         choices = subsets_containing(user, k)

@@ -122,10 +122,6 @@ class CompoundSet:
         return self.channels[0].num_users
 
     @property
-    def input_size(self) -> int:
-        return self.channels[0].input_size
-
-    @property
     def output_size(self) -> int:
         return self.channels[0].output_size
 

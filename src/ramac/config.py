@@ -262,13 +262,7 @@ def load_config(path: str) -> RunConfig:
 
     overrides = []
     if "laws" in parser:
-        default = parser["laws"].get("default", "uniform").strip()
-        if default != "uniform":
-            raise SchemaViolation(
-                f"[laws]: default must be 'uniform', got {default!r}")
         for key, val in parser["laws"].items():
-            if key == "default":
-                continue
             if not (key.startswith("u") and "r" in key):
                 raise SchemaViolation(f"[laws]: unrecognized key {key!r}")
             try:
@@ -373,7 +367,8 @@ def round12(x: float) -> float:
 
 
 def jsonable(obj):
-    """Recursive conversion to JSON-serializable values with rounded floats.
+    """Recursive conversion of a record to JSON-serializable values with
+    rounded floats; a value of any other type raises TypeError.
 
     Leaves come first, floats (np.float64 among them) before the rest, since
     a record is mostly leaves."""
@@ -389,29 +384,13 @@ def jsonable(obj):
     fields = getattr(type(obj), "_record_fields", None)
     if fields is not None:
         return {name: jsonable(getattr(obj, name)) for name in fields}
-    if isinstance(obj, dict):
-        return {_key_str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, frozenset):
         return sorted(obj)
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return round12(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return str(obj)
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, frozenset):
-        return ",".join(str(v) for v in sorted(key))
-    if isinstance(key, (tuple, list)):
-        return ",".join(str(v) for v in key)
-    return str(key)
+    raise TypeError(f"a record cannot hold a {type(obj).__name__}")
 
 
 def _atomic_write(path: str, data: str):

@@ -200,9 +200,8 @@ class _QueryTensors:
         )
 
     def reduce(self, tensor: np.ndarray) -> np.ndarray:
-        """Sum the sbar axes out of a batch of tensors (batch axis first)."""
-        if not self.sbar_axes:
-            return tensor
+        """Sum the sbar axes out of a batch of tensors (batch axis first);
+        ExponentQuery admits only proper subsets, so there is at least one."""
         return logsumexp(tensor, axis=tuple(ax + 1 for ax in self.sbar_axes))
 
     def collect(self, log_true_factor: np.ndarray, outer_true,

@@ -72,10 +72,3 @@ def logsumexp(a, axis=None):
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
 
-
-def logsumexp_list(values) -> float:
-    """logsumexp of a python iterable of floats; empty -> -inf."""
-    vals = [v for v in values]
-    if not vals:
-        return NEG_INF
-    return float(logsumexp(np.asarray(vals, dtype=float)))

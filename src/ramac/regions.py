@@ -56,9 +56,8 @@ class OperationRegion:
         return len(self.members)
 
     def complement(self, universe: Iterable) -> tuple:
-        inside = {(m.indices, c) for m, c in self.members}
         return tuple((rvi, cid) for rvi, cid in universe
-                     if (rvi.indices, cid) not in inside)
+                     if (rvi.indices, cid) not in self._keys)
 
 
 def pair_universe(table: RateTable, ids: Sequence[str]) -> tuple:
@@ -185,12 +184,11 @@ def require_c1(region: OperationRegion, envelopes: Sequence) -> OperationRegion:
 def maximal_feasible_region(compound: CompoundSet, laws: InputLaws,
                             table: RateTable) -> OperationRegion:
     """All (rate vector, channel) pairs passing feasibility, in universe order."""
-    members = []
-    for rvi, cid in pair_universe(table, compound.ids):
-        single = OperationRegion(((rvi, cid),))
-        if feasibility_check(single, compound, laws, table).passed:
-            members.append((rvi, cid))
-    return OperationRegion(tuple(members))
+    universe = pair_universe(table, compound.ids)
+    report = feasibility_check(OperationRegion(universe), compound, laws, table)
+    failed = {(rvi.indices, cid) for rvi, cid, *_ in report.violations}
+    return OperationRegion(tuple((rvi, cid) for rvi, cid in universe
+                                 if (rvi.indices, cid) not in failed))
 
 
 @record

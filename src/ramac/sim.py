@@ -273,8 +273,8 @@ def _stacked_taus(coeff: np.ndarray, const: np.ndarray, y_counts: np.ndarray,
 def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
                            subset: frozenset, laws: InputLaws, table: RateTable,
                            rho_tilde: float, s2: float,
-                           comp_rates: Optional[RateVectorIndex] = None,
-                           comp_channel=None) -> ThresholdTables:
+                           comp_rates: RateVectorIndex,
+                           comp_channel) -> ThresholdTables:
     """Per-symbol expectation tables of the threshold balance equation.
 
     The subset users' symbols are averaged under their input laws, so the
@@ -282,10 +282,6 @@ def build_threshold_tables(true_rates: RateVectorIndex, true_channel,
     """
     k = true_channel.num_users
     a = true_channel.input_size
-    if comp_rates is None:
-        comp_rates = true_rates
-    if comp_channel is None:
-        comp_channel = true_channel
     if not 0 < rho_tilde <= 1 or not 0 < s2 < rho_tilde:
         raise ValidationError("threshold tilts need 0 < s2 < rho_tilde <= 1")
     s1 = 1.0 - s2 / rho_tilde

@@ -21,7 +21,7 @@ from ramac.bounds import pes_bound_ddecoder, pes_bound_single_user
 from ramac.channels import (CompoundSet, Dmc, RateTable, RateVectorIndex,
                             validate_dmc)
 from ramac.exponents import ExponentQuery, OptimizerConfig
-from ramac.logdomain import logsumexp_list
+from ramac.logdomain import logsumexp
 from ramac.regions import OperationRegion, subsets_containing
 from ramac.sim import CodebookSet, build_threshold_tables
 
@@ -183,7 +183,7 @@ def test_criterion_06_partition_search_is_optimal():
                         OperationRegion(block), ramac.ExponentLedger(
                             comp, laws, table, SMALL_OPT, users_d), n).log_bound
                     for users_d, block in blocks.items()]
-            best = min(best, logsumexp_list(logs))
+            best = min(best, logsumexp(logs))
         print(f"criterion 06 ({label}): exhaustive={exhaustive.log_bound:.9g}, "
               f"greedy={greedy.log_bound:.9g}, brute={best:.9g}")
         assert exhaustive.log_bound <= greedy.log_bound

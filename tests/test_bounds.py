@@ -17,7 +17,7 @@ from ramac.channels import (CompoundSet, InputLaws, RateTable,
 from ramac.errors import C1Violation, InfeasibleRegion, ValidationError
 from ramac.exponents import (ExponentQuery, OptimizerConfig, ei_exponent,
                              em_exponent)
-from ramac.logdomain import logsumexp_list
+from ramac.logdomain import logsumexp
 from ramac.regions import (OperationRegion, enumerate_partitions,
                            pair_universe, proper_subsets)
 
@@ -59,7 +59,7 @@ def test_ledger_reproduces_branch_totals():
                 continue
             per_pair.setdefault(t.true_pair, []).append(t.log_weight)
         if per_pair:
-            best = max(logsumexp_list(v) for v in per_pair.values())
+            best = max(logsumexp(v) for v in per_pair.values())
             assert abs(best - want) < 1e-10 * max(1.0, abs(want))
         else:
             assert want == -math.inf
@@ -71,7 +71,7 @@ def test_pair_totals_match_terms():
     for branch, pair, total in report.pair_totals:
         logs = [t.log_weight for t in report.terms
                 if t.branch == branch and t.true_pair == pair and t.attained]
-        assert abs(logsumexp_list(logs) - total) < 1e-10
+        assert abs(logsumexp(logs) - total) < 1e-10
 
 
 def test_bound_branch_max_structure():
@@ -121,7 +121,7 @@ def test_region_growth_inflates_em_sum():
         logs = [t.log_weight for t in report.terms
                 if t.branch == "decode" and t.kind == "em"
                 and t.true_pair == ((1,), "a") and t.attained]
-        return logsumexp_list(logs)
+        return logsumexp(logs)
 
     assert em_sum(grown) >= em_sum(small)
 
@@ -133,6 +133,14 @@ def test_system_exponent_matches_min_term():
     finite_exps = [t.exponent for t in report.terms
                    if t.branch == "decode" and math.isfinite(t.exponent)]
     assert abs(se.value - min(finite_exps)) < 1e-12
+
+
+def test_system_exponent_of_an_empty_region_is_infinite():
+    """An empty region has no decode terms: no exponent binds the slope."""
+    comp, table, laws, _ = _rich_scenario()
+    se = ramac.system_exponent(OperationRegion(()), _ledger(comp, laws, table))
+    assert se == ramac.bounds.SystemExponentResult(math.inf, None, None, None,
+                                                   None, 0)
 
 
 def test_singleton_classes_equal_finite_bound():

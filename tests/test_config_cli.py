@@ -17,7 +17,8 @@ from ramac import config as cfgmod
 from ramac.channels import (CompoundSet, RateTable, RateVectorIndex,
                             validate_dmc)
 from ramac.cli import main
-from ramac.errors import ConfigParseError, SchemaViolation, ValidationError
+from ramac.errors import (C1Violation, ConfigParseError, SchemaViolation,
+                          ValidationError)
 from ramac.exponents import OptimizerConfig
 from ramac.regions import OperationRegion, feasibility_check
 
@@ -137,7 +138,7 @@ def test_load_config_happy_path(tmp_path):
 
 
 def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
-    text = PAIR_CFG + "\n[laws]\ndefault = uniform\nu1r1 = 0.7 0.3\n"
+    text = PAIR_CFG + "\n[laws]\nu1r1 = 0.7 0.3\n"
     text = text.replace("refinement_rounds = 1",
                         "refinement_rounds = 1\nthreshold_source = manual\n"
                         "rho_tilde = 0.5\ns2 = 0.2")
@@ -171,6 +172,7 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t.replace("user1 = 0.1\n", ""), SchemaViolation),
     (lambda t: t.replace("n = 8", "n = eight"), ConfigParseError),
     (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", SchemaViolation),
+    (lambda t: t + "\n[laws]\ndefault = uniform\n", SchemaViolation),
     (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", SchemaViolation),
     (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", SchemaViolation),
     # keys a section does not define, misspelt or retired
@@ -273,12 +275,13 @@ def test_jsonable_shapes():
     rvi = RateVectorIndex((2, 1))
     region = OperationRegion(((rvi, "c"),), "finite")
     out = cfgmod.jsonable({"region": region, "set": frozenset({2, 1}),
-                           "arr": np.array([1.5, 2.5]),
                            "pair": (rvi, "c"), "x": 0.1234567890123456789})
     assert out["region"] == {"mode": "finite", "members": [[[2, 1], "c"]]}
     assert out["set"] == [1, 2]
-    assert out["arr"] == [1.5, 2.5]
     assert out["x"] == 0.123456789012
+    for value in (np.array([1.5, 2.5]), np.int64(3), {1: "a"}, object()):
+        with pytest.raises(TypeError):
+            cfgmod.jsonable({"value": value})
 
 
 def test_record_round_trip_is_byte_identical(tmp_path):
@@ -319,6 +322,39 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def _run(argv):
     return main(argv)
+
+
+def test_build_system_class_mode_maximal_region(tmp_path):
+    """A maximal class-mode region is the channel-level maximal region
+    converted by the C1 check: whole classes pass, a split class raises."""
+    maximal = CLASS_CFG.replace("pairs = 1:k", "maximal = yes")
+    system = cfgmod.build_system(
+        cfgmod.load_config(_write(tmp_path, maximal)))
+    assert system.region.mode == "class"
+    assert [(rvi.indices, cid) for rvi, cid in system.region.members] == [
+        ((1,), "k")]
+    # 0.35 nats is below the good channel's capacity and above the bad one's
+    split = _write(tmp_path, maximal.replace("user1 = 0.1", "user1 = 0.35"),
+                   "split.cfg")
+    with pytest.raises(C1Violation):
+        cfgmod.build_system(cfgmod.load_config(split))
+
+
+def test_cli_region_writes_violation_rows(tmp_path, capsys):
+    """region on an explicit region above both channels' capacities exits
+    0 and writes one violation row a member."""
+    cfg = _write(tmp_path, PAIR_CFG.replace("user1 = 0.1", "user1 = 0.9"))
+    assert _run(["region", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert "INFEASIBLE" in capsys.readouterr().out
+    rec = read_record(str(tmp_path / "pair_region.json"))
+    assert rec["feasibility"]["passed"] is False
+    rows = (tmp_path / "pair_region.csv").read_text().splitlines()
+    assert rows[1] == "feasible,,,,no"
+    assert [row.split(",")[:3] for row in rows[2:]] == [
+        ["violation", "1|good", ""], ["violation", "1|bad", ""]]
+    margins = [float(row.split(",")[3]) for row in rows[2:]]
+    assert margins == [v[5] for v in rec["feasibility"]["violations"]]
+    assert all(m < 0 for m in margins)
 
 
 def test_cli_exponent_bound_limit_region(tmp_path, capsys):
@@ -479,6 +515,9 @@ def test_cli_rejects_negative_seeds_and_allow_drop(tmp_path, monkeypatch,
     ["--N", "8:1:100000000"],  # 10**8 points
     ["--rate", "1:1:0.05:1e-9:1"],  # about 10**9 points
     ["--rate", "1:1:0.05:0.05:inf"],
+    ["--N", "0:8:24"],
+    ["--N", "8:0:24"],
+    ["--rate", "1:1:0.1:0:0.2"],
 ])
 def test_cli_sweep_rejects_malformed_spans(tmp_path, capsys, span):
     cfg = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
@@ -505,7 +544,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["partition", "--user", "0"],
                  ["sweep", "--rate", "1:1:0.1:0.1:0.1", "--n-fixed", "0"],
                  ["sweep", "--N", "8:8:24", "--rate", "1:1:0.05:0.05:0.1"],
-                 ["sweep", "--N", "8:8:24", "--n-fixed", "10"]):
+                 ["sweep", "--N", "8:8:24", "--n-fixed", "10"],
+                 ["sweep"]):
         assert _run([*argv, "--config", pair, "--out-dir", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("pair_*"))
     typo = _write(tmp_path, PAIR_CFG.replace("s_grid", "s_gird"), "typo.cfg")

@@ -278,7 +278,8 @@ def test_threshold_bisection_agrees_randomly():
         s2 = float(rng.uniform(0.05, 0.95)) * rho
         y = rng.integers(0, 4, size=12)
         tables = build_threshold_tables(RateVectorIndex((1,)), ch,
-                                        frozenset(), laws, table, rho, s2)
+                                        frozenset(), laws, table, rho, s2,
+                                        RateVectorIndex((1,)), ch)
         tau = _closed_form_tau(y, tables)
         direct = tau_by_bisection(y, tables, 12)
         assert abs(direct - tau) <= 1e-9 * max(1.0, abs(tau))
@@ -291,7 +292,8 @@ def test_degenerate_expectation_rejects_every_tuple():
     table = RateTable(((0.05,),))
     laws = uniform_laws(table, 2)
     tables = build_threshold_tables(RateVectorIndex((1,)), dead,
-                                    frozenset(), laws, table, 0.5, 0.25)
+                                    frozenset(), laws, table, 0.5, 0.25,
+                                    RateVectorIndex((1,)), dead)
     assert _closed_form_tau([0, 1], tables) == -math.inf
 
 
