@@ -28,3 +28,13 @@ def test_corpus_diff_names_added_removed_and_changed_runs():
     assert golden_corpus.diff(pinned, got) == [
         "added: d", "removed: b", "changed: c"]
     assert golden_corpus.diff(pinned, pinned) == []
+
+
+@pytest.mark.parametrize("copy, original", golden_corpus.DUPLICATES.items())
+def test_duplicate_configs_equal_their_originals(copy, original):
+    """A config the corpus skips as a duplicate still equals its original
+    once comment lines are stripped, so the skip hides no divergence."""
+    def body(rel):
+        return [line for line in (golden_corpus.ROOT / rel).read_text().splitlines()
+                if not line.lstrip().startswith("#")]
+    assert body(copy) == body(original)
