@@ -24,6 +24,8 @@ def span(text):
     start, step, stop = (int(v) for v in parts)
     if start < 1 or step < 1:
         raise argparse.ArgumentTypeError("need start >= 1 and step >= 1")
+    if start > stop:
+        raise argparse.ArgumentTypeError("span holds no points")
     return range(start, stop + 1, step)
 
 

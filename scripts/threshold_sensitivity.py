@@ -39,6 +39,8 @@ def grid(text):
     while v <= stop + 1e-12:
         out.append(round(v, 12))
         v += step
+    if not out:
+        raise argparse.ArgumentTypeError("grid holds no points")
     return out
 
 

@@ -193,15 +193,13 @@ def _cmd_partition(args, system):
     if system.cfg.mode != "finite":
         raise ValidationError("partition search needs a finite scenario")
     n = _flag(args, system, "n")
-    user = _flag(args, system, "partition_user")
-    search = _flag(args, system, "partition_search")
-    res = pes_bound_single_user(user, system.region, _ledger(system), n,
-                                search=search)
-    return ({"user": user, "n": n, "result": res},
+    res = pes_bound_single_user(args.user, system.region, _ledger(system), n,
+                                search=args.search)
+    return ({"user": args.user, "n": n, "result": res},
             ["decoded_set", "log_bound", "clamped_bound"],
             [[sorted(users_d), report.log_bound, report.clamped_bound]
              for users_d, report in res.block_reports],
-            f"best {search} partition bound for user {user} at N={n}: "
+            f"best {args.search} partition bound for user {args.user} at N={n}: "
             f"{res.clamped_bound:.9g} over {len(res.block_reports)} blocks "
             f"({res.partitions_considered} partitions scored)")
 
@@ -258,6 +256,8 @@ def _cmd_sweep(args, system):
             raise ValidationError("--rate step must be positive")
         if not (stop - start) / step < SWEEP_POINTS:  # nan and inf spans too
             raise ValidationError(f"--rate span must hold at most {SWEEP_POINTS} points")
+        if start > stop + 1e-12:
+            raise ValidationError("--rate span holds no points")
         n = _flag(args, system, "n")
         fields = {name: getattr(system.cfg, name)
                   for name in system.cfg._record_fields}
@@ -284,6 +284,8 @@ def _cmd_sweep(args, system):
             raise ValidationError("--N span must have start >= 1 and step > 0")
         if len(range(start, stop + 1, step)) > SWEEP_POINTS:
             raise ValidationError(f"--N span must hold at most {SWEEP_POINTS} points")
+        if start > stop:
+            raise ValidationError("--N span holds no points")
         ledger = _ledger(system)
         for n in range(start, stop + 1, step):
             report = _bound_report(system, n, ledger)
@@ -341,11 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition",
                        help="best region split for a single user's decoder")
     common(p)
-    p.add_argument("--user", dest="partition_user", metavar="USER", type=int,
-                   default=None)
+    p.add_argument("--user", type=int, default=1)
     p.add_argument("--N", dest="n", type=int, default=None)
-    p.add_argument("--search", dest="partition_search",
-                   choices=("exhaustive", "greedy"), default=None)
+    p.add_argument("--search", choices=("exhaustive", "greedy"),
+                   default="exhaustive")
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the slot decoder")

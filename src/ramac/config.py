@@ -2,10 +2,11 @@
 
 One scenario file declares everything a command needs: channels as row-major
 decimal probability matrices, optional classes (member id lists), per-user
-rate menus, input laws, the operation region (explicit pairs or "maximal"),
-and command defaults. Decimal strings keep configs platform-stable; emitted
-records print floats with 12 significant digits, which is idempotent under
-re-ingestion, so a record file reloads to the identical in-memory value.
+rate menus, input laws, the operation region (explicit pairs; without a
+[region] section, the maximal feasible one), and command defaults. Decimal
+strings keep configs platform-stable; emitted records print floats with 12
+significant digits, which is idempotent under re-ingestion, so a record file
+reloads to the identical in-memory value.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,17 +44,12 @@ class Defaults:
     trials: int = 1000
     seed: int = 0
     output_dir: str = "."
-    partition_user: int = 1
-    partition_search: str = "exhaustive"
 
     def __post_init__(self):
         if self.seed < 0:
             raise SchemaViolation("[defaults]: seed must be >= 0")
         if self.trials < 1:
             raise SchemaViolation("[defaults]: trials must be >= 1")
-        if self.partition_search not in ("exhaustive", "greedy"):
-            raise SchemaViolation(
-                "[defaults]: partition_search must be exhaustive or greedy")
 
 
 # [defaults] key -> (record class, field, value type), grouped by class in
@@ -64,8 +59,6 @@ DEFAULTS_SCHEMA = {
     "trials": (Defaults, "trials", int),
     "seed": (Defaults, "seed", int),
     "output_dir": (Defaults, "output_dir", str),
-    "partition_user": (Defaults, "partition_user", int),
-    "partition_search": (Defaults, "partition_search", str),
     "rho_grid": (OptimizerConfig, "rho_grid_size", int),
     "s_grid": (OptimizerConfig, "s_grid_size", int),
     "refinement_rounds": (OptimizerConfig, "refinement_rounds", int),
@@ -117,20 +110,16 @@ def _matrix(text: str, num_users: int, a: int, b: int, where: str) -> np.ndarray
     return np.asarray(data).reshape((a,) * num_users + (b,))
 
 
-_TYPE_NAMES = {int: "an integer", float: "a decimal number", bool: "a boolean"}
-_BOOLS = {"1": True, "yes": True, "true": True, "on": True,
-          "0": False, "no": False, "false": False, "off": False}
+_TYPE_NAMES = {int: "an integer", float: "a decimal number"}
 
 
 def _get(sec, key, kind, where, default=None):
-    """sec[key] read as kind (int, float, bool or str), default if absent."""
+    """sec[key] read as kind (int, float or str), default if absent."""
     if key not in sec:
         return default
     try:
-        if kind is bool:
-            return _BOOLS[sec[key].strip().lower()]
         return kind(sec[key])
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigParseError(f"{where}: {key} must be {_TYPE_NAMES[kind]}")
 
 
@@ -282,20 +271,13 @@ def load_config(path: str) -> RunConfig:
     region_pairs = None
     if "region" in parser:
         reg = parser["region"]
-        _check_keys(reg, ("pairs", "maximal"), "[region]")
-        region_maximal = _get(reg, "maximal", bool, "[region]", False)
-        if "pairs" in reg:
-            if region_maximal:
-                raise SchemaViolation("[region]: give pairs or maximal, not both")
-            pairs = []
-            for tok in reg["pairs"].split():
-                pairs.append(_parse_pair(tok, num_users, num_classes,
-                                         set(region_ids), "[region]"))
-            if not pairs:
-                raise SchemaViolation("[region]: pairs list is empty")
-            region_pairs = tuple(pairs)
-        elif not region_maximal:
-            raise SchemaViolation("[region] needs pairs or maximal = yes")
+        _check_keys(reg, ("pairs",), "[region]")
+        region_pairs = tuple(_parse_pair(tok, num_users, num_classes,
+                                         set(region_ids), "[region]")
+                             for tok in reg.get("pairs", "").split())
+        if not region_pairs:
+            raise SchemaViolation("[region] needs a pairs list (omit the "
+                                  "section for the maximal region)")
 
     d = parser["defaults"] if "defaults" in parser else {}
     _check_keys(d, DEFAULTS_SCHEMA, "[defaults]")
@@ -394,16 +376,18 @@ def jsonable(obj):
 
 
 def _atomic_write(path: str, data: str):
+    """data written to a fresh file next to path, then moved onto path; the
+    file gets the permissions open() gives a new file under the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
+    tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}~")
+    fh = open(tmp, "x")  # fails, instead of truncating, on a taken name
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

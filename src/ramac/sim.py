@@ -18,7 +18,7 @@ Likelihoods are joint (input, output) cell counts dotted with a log-propensity
 table in a fixed flat order, so tuples with identical transition counts have
 bit-identical scores and analytic ties, which become collisions, compare equal.
 decide() counts a block's cells from bit planes, one a letter of every
-codeword and received word (see _BlockCounter), so counts are exact. It
+codeword and received word (see _Block), so counts are exact. It
 scores a slice of trials, then decides it in one pass that looks at the
 candidates of the dominating group alone (see _subset_decisions). Every array
 of either stage holds at most _DECIDE_BYTES and is kept from call to call.
@@ -356,8 +356,11 @@ class _ScoreContext:
         return out
 
 
-class _BlockCounter:
-    """How decide() counts the cells of one region block's message tuples.
+class _Block:
+    """One region block: the message tuples (groups, numbered from group) of
+    a region rate vector under its region channels ids, as candidates
+    numbered id-major from cand, with one threshold pair an id from pair; and
+    how decide() counts and scores their cells.
 
     A score class is a set of cells with one value in every score table of
     the block (a symmetric channel has few), so scores need only its count.
@@ -369,10 +372,14 @@ class _BlockCounter:
     symbols, each complemented where the letter's bit is 0.
     """
 
-    def __init__(self, dims: tuple, keys: tuple, letters: tuple, n: int,
+    def __init__(self, rvi: RateVectorIndex, ids: tuple, group: int, cand: int,
+                 pair: int, message_counts: Mapping, letters: tuple, n: int,
                  contexts: tuple):
-        self.dims, self.keys, self.contexts = dims, keys, contexts
-        self.tuples, self.ids = math.prod(dims), contexts[0].live_values.shape[0]
+        self.rvi, self.ids, self.contexts = rvi, ids, contexts
+        self.group, self.cand, self.pair = group, cand, pair
+        self.keys = tuple(enumerate(rvi.indices, start=1))  # (user, rate index)
+        self.dims = tuple(message_counts[key] for key in self.keys)
+        self.tuples = math.prod(self.dims)
         of = np.unique(np.concatenate([ctx.tables for ctx in contexts]), axis=1,
                        return_inverse=True)[1].reshape(-1)
         sizes = np.bincount(of)  # (a plain np.unique would import numpy.ma)
@@ -398,16 +405,8 @@ class _BlockCounter:
         self.ones = np.packbits(np.arange(16 * self.words) < n).view(np.uint16)
         # trials a count slice holds: each of its arrays within _DECIDE_BYTES
         self.slice = max(1, int(_DECIDE_BYTES // self.tuples // max(
-            4 * max(len(classes) + 1, *map(len, self.onehots)), 8 * self.ids,
+            4 * max(len(classes) + 1, *map(len, self.onehots)), 8 * len(ids),
             *(16 * self.words * max(v.shape[1], len(v) / 8) for v in self.letters))))
-
-
-@record
-class Decision:
-    outcome: str  # decoded | collision
-    messages: Optional[tuple]
-    rates: Optional[RateVectorIndex]
-    channel_id: Optional[str]
 
 
 class SlotDecoder:
@@ -466,37 +465,31 @@ class SlotDecoder:
         by_rates = {}
         for rvi, cid in self.region.members:
             by_rates.setdefault(rvi.indices, (rvi, []))[1].append(cid)
-        self._blocks = {}  # rate indices -> (rvi, message counts, first group, ids)
+        self._blocks = {}  # rate indices -> _Block, in candidate order
         self._pairs = []  # threshold keys (rate indices, id) of the candidates' pairs
-        self._runs = []  # (first candidate, groups, ids) per block
-        self._counters = []  # per block: how decide() counts and scores its cells
         cands = []  # (group, id index, pair index) per candidate
         groups = 0
         for rvi, cids in by_rates.values():
             cids = tuple(sorted(cids, key=self.ids.index))
-            dims = tuple(self.message_counts[(u, rvi.index(u))]
-                         for u in range(1, self.num_users + 1))
-            self._blocks[rvi.indices] = (rvi, dims, groups, cids)
-            self._runs.append((len(cands), math.prod(dims), len(cids)))
             # tested scores read the lower log tables, class rivals the upper
             logs = [_channel_logs(ledger.channel((rvi, cid))) for cid in cids]
-            self._counters.append(_BlockCounter(
-                dims, tuple((u, rvi.index(u)) for u in range(1, self.num_users + 1)),
+            block = self._blocks[rvi.indices] = _Block(
+                rvi, cids, groups, len(cands), len(self._pairs), self.message_counts,
                 (self.input_size,) * self.num_users + (self.output_size,), self.n,
                 tuple(_ScoreContext(np.stack([log[side].ravel() for log in logs]))
-                      for side in ((1, 0) if self.mode == "class" else (1,)))))
-            cands += [(g, self.ids.index(cid), len(self._pairs) + j)
+                      for side in ((1, 0) if self.mode == "class" else (1,))))
+            cands += [(g, self.ids.index(cid), block.pair + j)
                       for j, cid in enumerate(cids)
-                      for g in range(groups, groups + math.prod(dims))]
+                      for g in range(groups, groups + block.tuples)]
             self._pairs += [(rvi.indices, cid) for cid in cids]
-            groups += math.prod(dims)
+            groups += block.tuples
         self._group_of, self._cid_of, self._pair_of = np.array(
             cands, dtype=np.int64).reshape(-1, 3).T
         # (most candidates, groups): each group's candidates down a column,
         # its last repeated where it has fewer
         _, lead, run = np.unique(self._group_of, return_index=True, return_counts=True)
-        spacing = np.repeat(*[[groups for _, groups, _ in self._runs]] * 2)
-        self._members = lead + spacing * np.minimum(
+        sizes = [block.tuples for block in self._blocks.values()]
+        self._members = lead + np.repeat(sizes, sizes) * np.minimum(
             np.arange(run.max(initial=1))[:, None], run - 1)
 
     def _build_thresholds(self, ledger: ExponentLedger) -> dict:
@@ -521,27 +514,27 @@ class SlotDecoder:
                     rho_tilde, s2, o_star[0], ledger.channel(o_star))
         return out
 
-    def decode(self, y, codebooks: CodebookSet) -> Decision:
+    def decode(self, y, codebooks: CodebookSet) -> Optional[tuple]:
         """decide() on one received word y against one codebook set: the
-        decoded group as its message tuple and rate vector, and the decoded
-        channel's id; all None on a collision."""
+        decoded group's (message tuple, rate vector, channel id), or None on
+        a collision."""
         group, channel = self.decide(np.asarray(y, dtype=np.int64)[None, :],
                                      _shared_books(codebooks, self, 1))
-        for rvi, dims, first, _ in self._blocks.values():
-            if first <= group[0] < first + math.prod(dims):
-                msgs = np.unravel_index(group[0] - first, dims)
-                return Decision("decoded", tuple(int(m) for m in msgs), rvi,
-                                self.ids[channel[0]])
-        return Decision("collision", None, None, None)
+        for block in self._blocks.values():
+            if block.group <= group[0] < block.group + block.tuples:
+                msgs = np.unravel_index(group[0] - block.group, block.dims)
+                return (tuple(int(m) for m in msgs), block.rvi,
+                        self.ids[channel[0]])
+        return None
 
     def group_ids(self, rvi: RateVectorIndex, messages: np.ndarray) -> np.ndarray:
         """Group id of each row of (T, K) message tuples sent at rvi: what
         decide() reports when it decodes them, -1 if rvi is not in the region."""
         messages = np.asarray(messages, dtype=np.int64)
-        if rvi.indices not in self._blocks:
+        block = self._blocks.get(rvi.indices)
+        if block is None:
             return np.full(messages.shape[0], -1, dtype=np.int64)
-        _, dims, first, _ = self._blocks[rvi.indices]
-        return first + np.ravel_multi_index(tuple(messages.T), dims)
+        return block.group + np.ravel_multi_index(tuple(messages.T), block.dims)
 
     def decide(self, ys: np.ndarray, books: Mapping) -> tuple:
         """The threshold decoder's decisions for a batch of received words.
@@ -590,37 +583,36 @@ class SlotDecoder:
         size = ys.shape[0]
         kinds = [self._buffer(name, (self._group_of.size, size))
                  for name in ("tested", "rival")[:2 if self.mode == "class" else 1]]
-        first = 0
-        for counter in self._counters:
-            block = slice(first, first + counter.tuples * counter.ids)
-            whole = counter.slice >= size  # one count slice: score straight into out
-            for lo in range(0, size, counter.slice):
-                part = slice(lo, lo + counter.slice)
-                counts = self._cell_counts(counter, ys, books, part)
-                for out, ctx, onehot in zip(kinds, counter.contexts, counter.onehots):
-                    score = ctx.score_counts(counts, onehot, self._buffer, out[block].reshape(
-                        counter.ids, -1) if whole else None)
+        for block in self._blocks.values():
+            ids = len(block.ids)
+            rows = slice(block.cand, block.cand + block.tuples * ids)
+            whole = block.slice >= size  # one count slice: score straight into out
+            for lo in range(0, size, block.slice):
+                part = slice(lo, lo + block.slice)
+                counts = self._cell_counts(block, ys, books, part)
+                for out, ctx, onehot in zip(kinds, block.contexts, block.onehots):
+                    score = ctx.score_counts(counts, onehot, self._buffer, out[rows].reshape(
+                        ids, -1) if whole else None)
                     if not whole:
-                        np.copyto(out[block, part].reshape(counter.ids, counter.tuples, -1),
-                                  score.reshape(counter.ids, counter.tuples, -1))
-            first = block.stop
+                        np.copyto(out[rows, part].reshape(ids, block.tuples, -1),
+                                  score.reshape(ids, block.tuples, -1))
         return kinds[0], kinds[-1]
 
-    def _cell_counts(self, counter: _BlockCounter, ys, books, part) -> np.ndarray:
+    def _cell_counts(self, block: _Block, ys, books, part) -> np.ndarray:
         """Counts of the block's counted classes, then of its largest, in the
         (tuple, trial) rows of the words ys[part] against books, (classes + 1,
         tuples * trials) float32 (exact below 2**24), as many classes at once
         as _DECIDE_BYTES holds (one at least)."""
         ys = ys[part]
         size = ys.shape[0]
-        planes = [self._planes(counter, term, symbols) for term, symbols in enumerate(
-            (*(books[key][part] for key in counter.keys), ys[:, None]))]
-        counts = self._buffer("counts", (len(counter.cells) + 1, counter.tuples * size),
+        planes = [self._planes(block, term, symbols) for term, symbols in enumerate(
+            (*(books[key][part] for key in block.keys), ys[:, None]))]
+        counts = self._buffer("counts", (len(block.cells) + 1, block.tuples * size),
                               np.float32)
-        step = max(1, _DECIDE_BYTES // (2 * counter.tuples * size * counter.words))
-        for lo in range(0, len(counter.cells), step):
-            cells = counter.cells[lo:lo + step]
-            shape = (len(cells), *counter.dims, size, counter.words)
+        step = max(1, _DECIDE_BYTES // (2 * block.tuples * size * block.words))
+        for lo in range(0, len(block.cells), step):
+            cells = block.cells[lo:lo + step]
+            shape = (len(cells), *block.dims, size, block.words)
             bits = self._buffer("bits", shape, np.uint16)
             for i in range(cells.shape[1]):  # OR in each class's i-th cell
                 out = self._buffer("part", shape, np.uint16) if i else bits
@@ -632,21 +624,21 @@ class SlotDecoder:
             pop = np.take(_POPCOUNT, bits, out=self._buffer("pop", shape, np.uint8))
             out = counts[lo:lo + len(cells)].reshape(shape[:-1])
             np.copyto(out, pop[..., 0])
-            for word in range(1, counter.words):  # (a sum along words is slower)
+            for word in range(1, block.words):  # (a sum along words is slower)
                 out += pop[..., word]
         rest = counts[0] if len(counts) == 2 else counts[:-1].sum(axis=0, out=counts[-1])
         np.subtract(self.n, rest, out=counts[-1])
         return counts
 
-    def _planes(self, counter: _BlockCounter, term: int, symbols) -> np.ndarray:
-        """The planes of term's letters in counter.letters of (trials, rows, n)
+    def _planes(self, block: _Block, term: int, symbols) -> np.ndarray:
+        """The planes of term's letters in block.letters of (trials, rows, n)
         symbols (a shared codebook: one trial's), as (letters, ..., trials,
         words) with the rows along term's message axis of the count rows."""
         if symbols.shape[0] > 1 and symbols.strides[0] == 0:
             symbols = symbols[:1]
         trials, rows = symbols.shape[:2]
-        value = counter.letters[term]
-        bits, width = value.shape[1], 16 * counter.words
+        value = block.letters[term]
+        bits, width = value.shape[1], 16 * block.words
         if bits == 1 and symbols.dtype == np.uint8 and width == self.n:
             packed = np.packbits(symbols)  # binary symbols are their own bit plane
         else:
@@ -658,17 +650,17 @@ class SlotDecoder:
                            casting="unsafe")
             packed = np.packbits(padded)
         # the plane of each bit of the symbols, and of its complement
-        sliced = self._buffer(f"sliced{term}", (2, bits, rows, trials, counter.words),
+        sliced = self._buffer(f"sliced{term}", (2, bits, rows, trials, block.words),
                               np.uint16)
         np.copyto(sliced[1], packed.view(np.uint16).reshape(
             bits, trials, rows, -1).transpose(0, 2, 1, 3))
-        np.bitwise_xor(sliced[1], counter.ones, out=sliced[0])
+        np.bitwise_xor(sliced[1], block.ones, out=sliced[0])
         # (one bit: the letters are 0 and 1, or 0 alone, so no copy is needed)
         planes = sliced[:, 0] if bits == 1 else sliced[value[:, 0], 0]
         for bit in range(1, bits):
             planes &= sliced[value[:, bit], bit]
         axes = [rows if u == term else 1 for u in range(self.num_users)]
-        return planes.reshape(len(planes), *axes, trials, counter.words)
+        return planes.reshape(len(planes), *axes, trials, block.words)
 
     def _decisions(self, ys, tested, rival) -> tuple:
         """decide() on scored words: each conditioning subset's estimates
@@ -738,11 +730,12 @@ class SlotDecoder:
         """The highest score of each group's candidates that clears its
         threshold (-inf if none), (groups, T), kept under name."""
         out = self._buffer(name, (self._members.shape[1], scores.shape[1]))
-        for lo, groups, ids in self._runs:
-            block = scores[lo:lo + groups * ids].reshape(ids, groups, -1)
+        for block in self._blocks.values():
+            ids = len(block.ids)
+            cands = scores[block.cand:][:block.tuples * ids].reshape(ids, block.tuples, -1)
             if thr is not None:  # else every score clears -inf, -inf included
-                block = np.where(block > thr[self._pair_of[lo]:][:ids, None], block, NEG_INF)
-            np.maximum.reduce(block, axis=0, out=out[self._group_of[lo]:][:groups])
+                cands = np.where(cands > thr[block.pair:][:ids, None], cands, NEG_INF)
+            np.maximum.reduce(cands, axis=0, out=out[block.group:][:block.tuples])
         return out
 
 

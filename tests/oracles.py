@@ -347,7 +347,7 @@ def scalar_decode(decoder, y, codebooks):
     for a collision.
 
     It shares the SlotDecoder's thresholds (None: the test never rejects)
-    and its blocks' score contexts (_BlockCounter.contexts) on purpose:
+    and its blocks' score contexts (_Block.contexts) on purpose:
     analytically tied likelihoods must tie bit for bit on both sides. What
     it checks is the decision rule applied to them. codebooks needs only
     codeword(user, rate index, message).
@@ -356,11 +356,10 @@ def scalar_decode(decoder, y, codebooks):
     k, n = decoder.num_users, decoder.n
     y_counts = np.bincount(y, minlength=decoder.output_size).astype(float)
     cells = decoder.input_size ** k * decoder.output_size
-    blocks = list(decoder._blocks)  # the rate vectors' order in _counters
     scored = []
     for rvi, cid in decoder.region.members:
-        contexts = decoder._counters[blocks.index(rvi.indices)].contexts
-        row = decoder._blocks[rvi.indices][3].index(cid)  # cid's table there
+        block = decoder._blocks[rvi.indices]
+        contexts, row = block.contexts, block.ids.index(cid)  # cid's table there
         ranges = [range(decoder.message_counts[(u, rvi.index(u))])
                   for u in range(1, k + 1)]
         for msgs in itertools.product(*ranges):

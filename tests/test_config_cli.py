@@ -4,6 +4,7 @@ import json
 import math
 import os
 import runpy
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,9 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
                          "pairs = 1:good\nmaximal = yes"),
      SchemaViolation),
     (lambda t: t.replace("pairs = 1:good 1:bad", ""), SchemaViolation),
+    # the maximal region is an absent [region] section, not a key
+    (lambda t: t.replace("pairs = 1:good 1:bad", "maximal = yes"),
+     SchemaViolation),
     (lambda t: t.replace("user1 = 0.1\n", ""), SchemaViolation),
     (lambda t: t.replace("n = 8", "n = eight"), ConfigParseError),
     (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", SchemaViolation),
@@ -182,6 +186,8 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
      SchemaViolation),
     (lambda t: t.replace("s_grid = 10", "s_gird = 10"), SchemaViolation),
+    # partition flags have no [defaults] keys
+    (lambda t: t + "partition_user = 2\n", SchemaViolation),
     # an optimiser grid that would probe 10**10 points
     (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
         "s_grid = 10", "s_grid = 100000"), ValidationError),
@@ -320,6 +326,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_cli_records_get_the_umask_permissions(tmp_path, capsys):
+    """Records and tables are created as open() creates a file: 0o644
+    under umask 0o022, not owner-only."""
+    cfg = _write(tmp_path, PAIR_CFG)
+    old = os.umask(0o022)
+    try:
+        assert main(["bound", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("pair_bound.json", "pair_bound.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+    capsys.readouterr()
+
+
 def _run(argv):
     return main(argv)
 
@@ -327,7 +347,7 @@ def _run(argv):
 def test_build_system_class_mode_maximal_region(tmp_path):
     """A maximal class-mode region is the channel-level maximal region
     converted by the C1 check: whole classes pass, a split class raises."""
-    maximal = CLASS_CFG.replace("pairs = 1:k", "maximal = yes")
+    maximal = CLASS_CFG.replace("[region]\npairs = 1:k\n", "")
     system = cfgmod.build_system(
         cfgmod.load_config(_write(tmp_path, maximal)))
     assert system.region.mode == "class"
@@ -390,7 +410,7 @@ def test_cli_exponent_on_empty_region(tmp_path, capsys):
     --true-pair there is no default pair, with it the exponent is the one the
     explicit region's system gives."""
     hot = PAIR_CFG.replace("user1 = 0.1", "user1 = 0.9")
-    empty = _write(tmp_path, hot.replace("pairs = 1:good 1:bad", "maximal = yes"),
+    empty = _write(tmp_path, hot.replace("[region]\npairs = 1:good 1:bad\n", ""),
                    "empty.cfg")
     out = str(tmp_path / "out")
     assert not cfgmod.build_system(cfgmod.load_config(empty)).region.members
@@ -518,8 +538,17 @@ def test_cli_rejects_negative_seeds_and_allow_drop(tmp_path, monkeypatch,
     ["--N", "0:8:24"],
     ["--N", "8:0:24"],
     ["--rate", "1:1:0.1:0:0.2"],
+    ["--N", "20:8:12"],  # no points
+    ["--rate", "1:1:0.3:0.01:0.2", "--n-fixed", "16"],
 ])
-def test_cli_sweep_rejects_malformed_spans(tmp_path, capsys, span):
+def test_cli_sweep_rejects_malformed_spans(tmp_path, monkeypatch, capsys, span):
+    """A malformed, endless or empty span exits 2 before any exponent
+    work and writes nothing."""
+    def no_exponents(query, cfg):
+        raise AssertionError("exponent work before the span checks")
+
+    for attr in ("em_exponent", "ei_exponent"):
+        monkeypatch.setattr(ramac.bounds, attr, no_exponents)
     cfg = str(ROOT / "examples_cfg" / "bsc_pair.cfg")
     assert _run(["sweep", "--config", cfg, "--out-dir", str(tmp_path),
                  *span]) == 2
@@ -648,6 +677,18 @@ def test_bound_vs_simulation_reads_config_thresholds(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["8:x:16", "0:8:16", "20:8:12"])
+def test_bound_vs_simulation_rejects_bad_spans(text, tmp_path, capsys):
+    """A malformed, non-positive or empty span exits 2 while the arguments
+    are parsed, before the config is read: the config path here does not
+    exist."""
+    with pytest.raises(SystemExit) as info:
+        _script_main("bound_vs_simulation.py")(
+            [str(tmp_path / "missing.cfg"), "--N", text])
+    assert info.value.code == 2
+    assert "argument --N" in capsys.readouterr().err
+
+
 def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
     """--N 0 reaches the validators instead of falling back to the default."""
     cfg = str(ROOT / "examples_cfg" / "bsc_gate.cfg")
@@ -660,11 +701,12 @@ def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("flag, text", [
     ("--rho", "0.2:0:1.0"), ("--rho", "0.2:-0.1:1.0"), ("--s2-frac", "1:2"),
     ("--rho", "0.2:x:1.0"), ("--s2-frac", "0:1e-9:1"), ("--rho", "0:1:inf"),
+    ("--rho", "0.8:0.2:0.4"),
 ])
 def test_threshold_sensitivity_rejects_bad_grids(flag, text, tmp_path, capsys):
-    """A malformed grid, a step <= 0 or an endless grid exits 2 while the
-    arguments are parsed, before the config is read: the config path here
-    does not exist."""
+    """A malformed grid, a step <= 0, an endless or an empty grid exits 2
+    while the arguments are parsed, before the config is read: the config
+    path here does not exist."""
     with pytest.raises(SystemExit) as info:
         _script_main("threshold_sensitivity.py")(
             [str(tmp_path / "missing.cfg"), flag, text])

@@ -310,12 +310,10 @@ def test_noiseless_single_codeword_decoding():
     for bits in np.ndindex(2, 2, 2):
         d = decoder.decode(np.array(bits), cb)
         if np.array_equal(np.array(bits), cw):
-            assert d.outcome == "decoded"
-            assert d.messages == (0,)
-            assert d.channel_id == "id"
+            assert d == ((0,), RateVectorIndex((1,)), "id")
         else:
             # zero likelihood never wins, even with tau = +inf
-            assert d.outcome == "collision"
+            assert d is None
     exact = ramac.exact_conditional_errors(region, laws, table, n,
                                            compound=comp, codebooks=cb,
                                            cfg=TINY_OPT)
@@ -328,12 +326,10 @@ def test_score_tie_collides_and_perturbation_decodes():
     y = np.zeros(4, dtype=np.int64)
     tied = CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
-    assert decoder.decode(y, tied).outcome == "collision"
+    assert decoder.decode(y, tied) is None
     split = CodebookSet(seed=0, n=4, entries={
         (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 1]])})
-    d = decoder.decode(y, split)
-    assert d.outcome == "decoded"
-    assert d.messages == (0,)
+    assert decoder.decode(y, split) == ((0,), RateVectorIndex((1,)), "c")
 
 
 def test_empty_region_always_collides():
@@ -342,7 +338,7 @@ def test_empty_region_always_collides():
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
     cb = generate_codebooks(table, laws, 2, 4, seed=1)
     for bits in np.ndindex(2, 2, 2, 2):
-        assert decoder.decode(np.array(bits), cb).outcome == "collision"
+        assert decoder.decode(np.array(bits), cb) is None
 
 
 def test_schedule_covers_universe_with_labels():
@@ -508,10 +504,7 @@ def test_batched_decisions_match_scalar_decode():
                             decoder.ids.index(cid))
                 assert (group[t], channel[t]) == want, (label, t)
                 if not fresh:
-                    d = decoder.decode(ys[t], cb)
-                    got = None if d.outcome == "collision" else (
-                        d.messages, d.rates, d.channel_id)
-                    assert got == oracle, (label, t)
+                    assert decoder.decode(ys[t], cb) == oracle, (label, t)
             assert len(rates_decoded) > 1 and (group < 0).any(), label
 
 
@@ -676,7 +669,7 @@ def test_class_top_tie_lifted_by_rounding_collides():
     assert (tested[[0, 3], 0] > top).all()
     cb = CodebookSet(0, n, {(1, 1): rows})
     assert scalar_decode(decoder, y, cb) is None
-    assert decoder.decode(y, cb).outcome == "collision"
+    assert decoder.decode(y, cb) is None
 
 
 @given(st.integers(1, 2), st.integers(2, 5), st.integers(2, 5),
