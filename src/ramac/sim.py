@@ -357,10 +357,10 @@ class _ScoreContext:
 
 
 class _Block:
-    """One region block: the message tuples (groups, numbered from group) of
-    a region rate vector under its region channels ids, as candidates
-    numbered id-major from cand, with one threshold pair an id from pair; and
-    how decide() counts and scores their cells.
+    """One region block: a region rate vector's message tuples (its groups,
+    numbered from group) under its region channels ids, whose candidates are
+    numbered id-major from cand and threshold pairs (one an id) from pair;
+    and how decide() counts and scores their cells.
 
     A score class is a set of cells with one value in every score table of
     the block (a symmetric channel has few), so scores need only its count.

@@ -332,7 +332,7 @@ def test_cli_records_get_the_umask_permissions(tmp_path, capsys):
     cfg = _write(tmp_path, PAIR_CFG)
     old = os.umask(0o022)
     try:
-        assert main(["bound", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert _run(["bound", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     finally:
         os.umask(old)
     for name in ("pair_bound.json", "pair_bound.csv"):
