@@ -16,6 +16,9 @@ import sys
 import ramac
 from ramac import config as cfgmod
 
+# Most points a span may hold; each point runs a bound and a simulation.
+SPAN_POINTS = 1000
+
 
 def span(text):
     parts = text.split(":")
@@ -26,7 +29,23 @@ def span(text):
         raise argparse.ArgumentTypeError("need start >= 1 and step >= 1")
     if start > stop:
         raise argparse.ArgumentTypeError("span holds no points")
-    return range(start, stop + 1, step)
+    points = range(start, stop + 1, step)
+    if len(points) > SPAN_POINTS:
+        raise argparse.ArgumentTypeError(f"span must hold at most {SPAN_POINTS} points")
+    return points
+
+
+def at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return parse
 
 
 def main(argv=None):
@@ -34,8 +53,8 @@ def main(argv=None):
     ap.add_argument("config")
     ap.add_argument("--N", type=span, default=span("8:8:48"),
                     metavar="start:step:stop")
-    ap.add_argument("--trials", type=int, default=20000)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--trials", type=at_least(1), default=20000)
+    ap.add_argument("--seed", type=at_least(0), default=None)
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args(argv)
 

@@ -44,12 +44,25 @@ def grid(text):
     return out
 
 
+def at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return parse
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("config")
     ap.add_argument("--N", type=int, default=None)
-    ap.add_argument("--trials", type=int, default=4000)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--trials", type=at_least(1), default=4000)
+    ap.add_argument("--seed", type=at_least(0), default=None)
     ap.add_argument("--rho", type=grid, default="0.2:0.2:1.0",
                     metavar="start:step:stop", help="rho_tilde grid")
     ap.add_argument("--s2-frac", type=grid, default="0.25:0.25:0.75",
@@ -75,8 +88,7 @@ def main(argv=None):
     rows = []
     for rho in args.rho:
         for frac in args.s2_frac:
-            params = ramac.ThresholdParams(rho_tilde=rho, s2=rho * frac,
-                                           source="manual")
+            params = ramac.ThresholdParams(rho_tilde=rho, s2=rho * frac)
             rep = ramac.estimate_errors(*common, params=params)
             rows.append([rho, frac, rep.decode_error_rate,
                          rep.collision_miss_rate, rep.system_error_rate])

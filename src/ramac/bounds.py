@@ -22,7 +22,7 @@ from typing import Optional
 
 from ._record import record
 from .channels import CompoundSet, InputLaws, RateTable, effective_channel
-from .errors import C1Violation, InfeasibleRegion, ValidationError
+from .errors import ValidationError
 from .exponents import (
     ExponentQuery,
     ExponentResult,
@@ -312,7 +312,7 @@ def _require_feasible(region: OperationRegion, compound: CompoundSet,
     report = feasibility_check(region, compound, laws, table)
     if not report.passed:
         first = report.violations[0]
-        raise InfeasibleRegion(
+        raise ValidationError(
             f"{len(report.violations)} feasibility violations; first: rate vector "
             f"{first[0].indices}, channel {first[1]!r}, subset {sorted(first[2])}, "
             f"sum rate {first[3]:.6g} > mi {first[4]:.6g}"
@@ -363,7 +363,7 @@ def pes_bound_classes(region: OperationRegion, ledger: ExponentLedger,
     already be class-mode (run c1_check first on channel-level input), and
     feasibility is the caller's channel-level responsibility."""
     if region.mode != "class":
-        raise C1Violation(
+        raise ValidationError(
             "pes_bound_classes needs a class-mode region; convert channel-level "
             "regions through c1_check first"
         )

@@ -18,15 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._record import record
-from .errors import (
-    DegenerateEnvelope,
-    DimensionMismatch,
-    EmptyClass,
-    MissingLaw,
-    NegativeEntry,
-    RowSumOutOfTolerance,
-    ValidationError,
-)
+from .errors import ValidationError
 
 SIMPLEX_TOL = 1e-12
 
@@ -52,17 +44,15 @@ class Dmc:
 
     def __post_init__(self):
         if self.num_users < 1 or self.input_size < 1 or self.output_size < 1:
-            raise DimensionMismatch("num_users, input_size, output_size must be >= 1")
+            raise ValidationError("num_users, input_size, output_size must be >= 1")
         expected = (self.input_size,) * self.num_users + (self.output_size,)
         if self.probs.shape != expected:
-            raise DimensionMismatch(
-                f"probs shape {self.probs.shape} != expected {expected}"
-            )
+            raise ValidationError(f"probs shape {self.probs.shape} != expected {expected}")
         if np.any(self.probs < 0):
-            raise NegativeEntry("channel tensor has a negative entry")
+            raise ValidationError("channel tensor has a negative entry")
         rows = self.probs.reshape(-1, self.output_size).sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > SIMPLEX_TOL:
-            raise RowSumOutOfTolerance(
+            raise ValidationError(
                 "a channel row is off the simplex; run validate_dmc on raw tensors"
             )
         object.__setattr__(self, "probs", _frozen_array(self.probs))
@@ -72,20 +62,20 @@ def validate_dmc(raw, num_users: int, input_size: int, output_size: int) -> Dmc:
     """Build a Dmc from a raw tensor, renormalizing rows within tolerance.
 
     Rows whose sums deviate from 1 by at most SIMPLEX_TOL are rescaled to sum
-    exactly; larger deviations raise RowSumOutOfTolerance. Idempotent: running
+    exactly; larger deviations raise ValidationError. Idempotent: running
     the result through again changes nothing.
     """
     arr = np.array(raw, dtype=float)
     expected = (input_size,) * num_users + (output_size,)
     if arr.shape != expected:
-        raise DimensionMismatch(f"raw tensor shape {arr.shape} != expected {expected}")
+        raise ValidationError(f"raw tensor shape {arr.shape} != expected {expected}")
     if np.any(arr < 0):
-        raise NegativeEntry("raw channel tensor has a negative entry")
+        raise ValidationError("raw channel tensor has a negative entry")
     flat = arr.reshape(-1, output_size)
     sums = flat.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > SIMPLEX_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise RowSumOutOfTolerance(
+        raise ValidationError(
             f"row {worst} sums to {sums[worst]!r}, outside tolerance {SIMPLEX_TOL}"
         )
     flat = flat / sums[:, None]
@@ -101,9 +91,9 @@ class CompoundSet:
 
     def __post_init__(self):
         if len(self.channels) == 0:
-            raise EmptyClass("a compound set needs at least one channel")
+            raise ValidationError("a compound set needs at least one channel")
         if len(self.channels) != len(self.ids):
-            raise DimensionMismatch("channels and ids differ in length")
+            raise ValidationError("channels and ids differ in length")
         if len(set(self.ids)) != len(self.ids):
             raise ValidationError("channel ids must be unique")
         first = self.channels[0]
@@ -113,7 +103,7 @@ class CompoundSet:
                 first.input_size,
                 first.output_size,
             ):
-                raise DimensionMismatch("all channels in a compound set share dimensions")
+                raise ValidationError("all channels in a compound set share dimensions")
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
 
@@ -152,13 +142,13 @@ class ChannelClassEnvelope:
     def __post_init__(self):
         expected = (self.input_size,) * self.num_users + (self.output_size,)
         if self.pmax.shape != expected or self.pmin.shape != expected:
-            raise DimensionMismatch("envelope shape differs from channel shape")
+            raise ValidationError("envelope shape differs from channel shape")
         if np.any(self.pmax < 0) or np.any(self.pmin < 0):
-            raise NegativeEntry("envelope has a negative entry")
+            raise ValidationError("envelope has a negative entry")
         if np.any(self.pmin > self.pmax + SIMPLEX_TOL):
             raise ValidationError("pmin exceeds pmax somewhere")
         if np.any((self.pmax > 0) & (self.pmin <= 0)):
-            raise DegenerateEnvelope(
+            raise ValidationError(
                 f"class {self.class_id!r}: lower envelope vanishes where the upper does not"
             )
         object.__setattr__(self, "pmax", _frozen_array(self.pmax))
@@ -172,14 +162,14 @@ def build_envelope(channels: Sequence[Dmc], class_id: str = "class", *,
     channels; member_ids names each channel, in order, by its compound-set
     id."""
     if len(channels) == 0:
-        raise EmptyClass(f"class {class_id!r} has no member channels")
+        raise ValidationError(f"class {class_id!r} has no member channels")
     if len(member_ids) != len(channels):
         raise ValidationError(f"class {class_id!r} names {len(member_ids)} "
                               f"members for {len(channels)} channels")
     first = channels[0]
     for ch in channels[1:]:
         if ch.probs.shape != first.probs.shape:
-            raise DimensionMismatch("class members have different shapes")
+            raise ValidationError("class members have different shapes")
     stack = np.stack([ch.probs for ch in channels])
     return ChannelClassEnvelope(
         num_users=first.num_users,
@@ -207,7 +197,7 @@ class RateTable:
             raise ValidationError("rate table needs at least one user")
         counts = {len(r) for r in self.rates}
         if len(counts) != 1:
-            raise DimensionMismatch("all users must have the same number of rate classes")
+            raise ValidationError("all users must have the same number of rate classes")
         if 0 in counts:
             raise ValidationError("each user needs at least one rate")
         for k, menu in enumerate(self.rates, start=1):
@@ -260,7 +250,7 @@ class RateVectorIndex:
 
     def check_against(self, table: RateTable):
         if len(self.indices) != table.num_users:
-            raise DimensionMismatch("rate vector length differs from user count")
+            raise ValidationError("rate vector length differs from user count")
         for i in self.indices:
             if i > table.num_classes:
                 raise ValidationError(f"rate index {i} outside 1..{table.num_classes}")
@@ -283,14 +273,12 @@ class InputLaws:
         for (user, idx), vec in entries.items():
             arr = np.array(vec, dtype=float)
             if arr.ndim != 1:
-                raise DimensionMismatch(f"law for user {user}, rate {idx} is not a vector")
+                raise ValidationError(f"law for user {user}, rate {idx} is not a vector")
             if np.any(arr < 0):
-                raise NegativeEntry(f"law for user {user}, rate {idx} has a negative entry")
+                raise ValidationError(f"law for user {user}, rate {idx} has a negative entry")
             s = arr.sum()
             if abs(s - 1.0) > SIMPLEX_TOL:
-                raise RowSumOutOfTolerance(
-                    f"law for user {user}, rate {idx} sums to {s!r}"
-                )
+                raise ValidationError(f"law for user {user}, rate {idx} sums to {s!r}")
             laws[(int(user), int(idx))] = _frozen_array(arr / s)
         self._laws = laws
 
@@ -298,7 +286,7 @@ class InputLaws:
         try:
             return self._laws[(user, index)]
         except KeyError:
-            raise MissingLaw(f"no input law for user {user}, rate index {index}") from None
+            raise ValidationError(f"no input law for user {user}, rate index {index}") from None
 
     def restrict(self, users: Sequence[int]) -> "InputLaws":
         """Laws of the subsystem formed by the given users, renumbered 1..len(users)."""
@@ -331,10 +319,10 @@ def effective_channel(channel: Dmc, users: Sequence[int],
     # out, highest axis first so earlier axis numbers stay valid.
     for u in sorted(comp, reverse=True):
         if u not in comp_rates:
-            raise MissingLaw(f"no complement rate given for user {u}")
+            raise ValidationError(f"no complement rate given for user {u}")
         vec = laws.law(u, comp_rates[u])
         if vec.shape != (channel.input_size,):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"law for user {u} has length {vec.shape[0]}, expected {channel.input_size}"
             )
         shape = [1] * weighted.ndim

@@ -2,7 +2,8 @@
 
 Every subcommand writes a structured JSON record and a flat CSV table under
 the configured output directory, prints a short human summary, and returns
-0 on success, 2 on validation failure, 3 on an exceeded guard, 4 otherwise.
+0 on success, 2 on a ValidationError, 3 on a GuardExceeded and 4 on any other
+exception, the package's own defects included.
 Importing this module registers gc.freeze at exit, so the interpreter's final
 collections skip the imported heap; every record file is closed before main
 returns, so a command's output never depends on those collections.
@@ -26,7 +27,7 @@ from .bounds import (
     system_exponent,
 )
 from .channels import RateVectorIndex
-from .errors import GuardExceeded, RamacError, ValidationError
+from .errors import GuardExceeded, ValidationError
 from .regions import (
     OperationRegion,
     c1_check,
@@ -393,9 +394,6 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
-    except RamacError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -31,7 +31,7 @@ from .channels import (
     build_envelope,
     validate_dmc,
 )
-from .errors import ConfigParseError, SchemaViolation
+from .errors import ValidationError
 from .exponents import OptimizerConfig, ThresholdParams
 from .regions import OperationRegion, maximal_feasible_region, require_c1
 
@@ -47,9 +47,9 @@ class Defaults:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise SchemaViolation("[defaults]: seed must be >= 0")
+            raise ValidationError("[defaults]: seed must be >= 0")
         if self.trials < 1:
-            raise SchemaViolation("[defaults]: trials must be >= 1")
+            raise ValidationError("[defaults]: trials must be >= 1")
 
 
 # [defaults] key -> (record class, field, value type), grouped by class in
@@ -62,7 +62,6 @@ DEFAULTS_SCHEMA = {
     "rho_grid": (OptimizerConfig, "rho_grid_size", int),
     "s_grid": (OptimizerConfig, "s_grid_size", int),
     "refinement_rounds": (OptimizerConfig, "refinement_rounds", int),
-    "threshold_source": (ThresholdParams, "source", str),
     "rho_tilde": (ThresholdParams, "rho_tilde", float),
     "s2": (ThresholdParams, "s2", float),
 }
@@ -91,7 +90,7 @@ def _floats(text: str, where: str) -> list:
         try:
             out.append(float(tok))
         except ValueError:
-            raise ConfigParseError(f"{where}: {tok!r} is not a decimal number")
+            raise ValidationError(f"{where}: {tok!r} is not a decimal number")
     return out
 
 
@@ -99,12 +98,12 @@ def _matrix(text: str, num_users: int, a: int, b: int, where: str) -> np.ndarray
     rows = [r for r in text.split(";") if r.strip()]
     expect = a ** num_users
     if len(rows) != expect:
-        raise SchemaViolation(f"{where}: expected {expect} rows, got {len(rows)}")
+        raise ValidationError(f"{where}: expected {expect} rows, got {len(rows)}")
     data = []
     for i, row in enumerate(rows):
         vals = _floats(row, f"{where} row {i}")
         if len(vals) != b:
-            raise SchemaViolation(
+            raise ValidationError(
                 f"{where} row {i}: expected {b} entries, got {len(vals)}")
         data.append(vals)
     return np.asarray(data).reshape((a,) * num_users + (b,))
@@ -120,29 +119,29 @@ def _get(sec, key, kind, where, default=None):
     try:
         return kind(sec[key])
     except ValueError:
-        raise ConfigParseError(f"{where}: {key} must be {_TYPE_NAMES[kind]}")
+        raise ValidationError(f"{where}: {key} must be {_TYPE_NAMES[kind]}")
 
 
 def _parse_pair(token: str, num_users: int, num_classes: int, ids,
                 where: str) -> tuple:
     if ":" not in token:
-        raise ConfigParseError(f"{where}: pair {token!r} needs the form i1,..,iK:id")
+        raise ValidationError(f"{where}: pair {token!r} needs the form i1,..,iK:id")
     left, cid = token.rsplit(":", 1)
     parts = left.split(",")
     if len(parts) != num_users:
-        raise SchemaViolation(
+        raise ValidationError(
             f"{where}: pair {token!r} has {len(parts)} rate indices for "
             f"{num_users} users")
     try:
         indices = tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigParseError(f"{where}: pair {token!r} has non-integer indices")
+        raise ValidationError(f"{where}: pair {token!r} has non-integer indices")
     for idx in indices:
         if not 1 <= idx <= num_classes:
-            raise SchemaViolation(
+            raise ValidationError(
                 f"{where}: rate index {idx} outside 1..{num_classes}")
     if cid not in ids:
-        raise SchemaViolation(f"{where}: undefined channel or class id {cid!r}")
+        raise ValidationError(f"{where}: undefined channel or class id {cid!r}")
     return indices, cid
 
 
@@ -150,7 +149,7 @@ def _check_keys(sec, known, where: str):
     """Reject a key the section does not define, such as a misspelt one."""
     for key in sec:
         if key not in known:
-            raise SchemaViolation(f"{where}: unrecognized key {key!r}")
+            raise ValidationError(f"{where}: unrecognized key {key!r}")
 
 
 def resolve_config_path(path: str) -> str:
@@ -163,7 +162,7 @@ def resolve_config_path(path: str) -> str:
             candidate = os.path.join(base, path)
             if os.path.exists(candidate):
                 return candidate
-    raise ConfigParseError(f"config file not found: {path}")
+    raise ValidationError(f"config file not found: {path}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -173,26 +172,29 @@ def load_config(path: str) -> RunConfig:
         with open(resolve_config_path(path)) as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config: {exc}")
+        raise ValidationError(f"cannot read config: {exc}")
     except configparser.Error as exc:
-        raise ConfigParseError(f"malformed config: {exc}")
+        raise ValidationError(f"malformed config: {exc}")
     if parser.defaults():  # configparser copies these keys into every section
-        raise SchemaViolation("[DEFAULT]: unrecognized section (defaults go "
+        raise ValidationError("[DEFAULT]: unrecognized section (defaults go "
                               "in [defaults])")
     if "scenario" not in parser:
-        raise SchemaViolation("missing [scenario] section")
+        raise ValidationError("missing [scenario] section")
     sc = parser["scenario"]
     _check_keys(sc, ("name", "mode", "users", "input_size", "output_size"),
                 "[scenario]")
     name = sc.get("name", "scenario").strip()
+    # the name is the stem of every record file, so it must not leave --out-dir
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValidationError(f"[scenario]: name {name!r} must be a plain file name")
     mode = sc.get("mode", "finite").strip()
     if mode not in ("finite", "class"):
-        raise SchemaViolation(f"[scenario]: mode must be finite or class, got {mode!r}")
+        raise ValidationError(f"[scenario]: mode must be finite or class, got {mode!r}")
     num_users = _get(sc, "users", int, "[scenario]", 1)
     input_size = _get(sc, "input_size", int, "[scenario]")
     output_size = _get(sc, "output_size", int, "[scenario]")
     if input_size is None or output_size is None:
-        raise SchemaViolation("[scenario] needs input_size and output_size")
+        raise ValidationError("[scenario] needs input_size and output_size")
 
     channels = []
     classes = []
@@ -200,10 +202,10 @@ def load_config(path: str) -> RunConfig:
         if section.startswith("channel "):
             cid = section[len("channel "):].strip()
             if not cid:
-                raise SchemaViolation("channel section with empty id")
+                raise ValidationError("channel section with empty id")
             _check_keys(parser[section], ("rows",), f"[{section}]")
             if "rows" not in parser[section]:
-                raise SchemaViolation(f"[{section}] needs a rows entry")
+                raise ValidationError(f"[{section}] needs a rows entry")
             probs = _matrix(parser[section]["rows"], num_users, input_size,
                             output_size, f"[{section}]")
             channels.append((cid, probs))
@@ -212,58 +214,58 @@ def load_config(path: str) -> RunConfig:
             _check_keys(parser[section], ("members",), f"[{section}]")
             members = tuple(parser[section].get("members", "").split())
             if not members:
-                raise SchemaViolation(f"[{section}] needs a members list")
+                raise ValidationError(f"[{section}] needs a members list")
             classes.append((kid, members))
         elif section not in ("scenario", "rates", "laws", "region", "defaults"):
-            raise SchemaViolation(f"unrecognized section [{section}]")
+            raise ValidationError(f"unrecognized section [{section}]")
     if not channels:
-        raise SchemaViolation("no [channel <id>] sections defined")
+        raise ValidationError("no [channel <id>] sections defined")
     channel_ids = [cid for cid, _ in channels]
     if len(set(channel_ids)) != len(channel_ids):
-        raise SchemaViolation("duplicate channel ids")
+        raise ValidationError("duplicate channel ids")
     owner = {}
     for kid, members in classes:
         for m in members:
             if m not in channel_ids:
-                raise SchemaViolation(f"[class {kid}]: undefined member {m!r}")
+                raise ValidationError(f"[class {kid}]: undefined member {m!r}")
             if owner.setdefault(m, kid) != kid:
-                raise SchemaViolation(
+                raise ValidationError(
                     f"[class {kid}]: channel id {m!r} appears in two classes")
     if mode == "class" and not classes:
-        raise SchemaViolation("class mode needs at least one [class <id>] section")
+        raise ValidationError("class mode needs at least one [class <id>] section")
 
     if "rates" not in parser:
-        raise SchemaViolation("missing [rates] section")
+        raise ValidationError("missing [rates] section")
     _check_keys(parser["rates"], [f"user{u}" for u in range(1, num_users + 1)],
                 "[rates]")
     rates = []
     for u in range(1, num_users + 1):
         key = f"user{u}"
         if key not in parser["rates"]:
-            raise SchemaViolation(f"[rates] missing {key}")
+            raise ValidationError(f"[rates] missing {key}")
         menu = _floats(parser["rates"][key], f"[rates] {key}")
         if not menu:
-            raise SchemaViolation(f"[rates] {key} is empty")
+            raise ValidationError(f"[rates] {key} is empty")
         rates.append(tuple(menu))
     if len({len(m) for m in rates}) != 1:
-        raise SchemaViolation("all users need rate menus of one common size")
+        raise ValidationError("all users need rate menus of one common size")
     num_classes = len(rates[0])
 
     overrides = []
     if "laws" in parser:
         for key, val in parser["laws"].items():
             if not (key.startswith("u") and "r" in key):
-                raise SchemaViolation(f"[laws]: unrecognized key {key!r}")
+                raise ValidationError(f"[laws]: unrecognized key {key!r}")
             try:
                 u_part, r_part = key[1:].split("r")
                 u, r = int(u_part), int(r_part)
             except ValueError:
-                raise ConfigParseError(f"[laws]: key {key!r} is not uNrM")
+                raise ValidationError(f"[laws]: key {key!r} is not uNrM")
             if not (1 <= u <= num_users and 1 <= r <= num_classes):
-                raise SchemaViolation(f"[laws]: key {key!r} out of range")
+                raise ValidationError(f"[laws]: key {key!r} out of range")
             vec = _floats(val, f"[laws] {key}")
             if len(vec) != input_size:
-                raise SchemaViolation(
+                raise ValidationError(
                     f"[laws] {key}: expected {input_size} entries")
             overrides.append(((u, r), tuple(vec)))
 
@@ -276,7 +278,7 @@ def load_config(path: str) -> RunConfig:
                                          set(region_ids), "[region]")
                              for tok in reg.get("pairs", "").split())
         if not region_pairs:
-            raise SchemaViolation("[region] needs a pairs list (omit the "
+            raise ValidationError("[region] needs a pairs list (omit the "
                                   "section for the maximal region)")
 
     d = parser["defaults"] if "defaults" in parser else {}

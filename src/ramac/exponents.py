@@ -45,7 +45,7 @@ from .channels import (
     RateVectorIndex,
     effective_channel,  # only the perfbench tracer reads it, until ROADMAP item 0
 )
-from .errors import ConstraintViolation, DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .logdomain import NEG_INF, logsumexp, safe_log
 
 ChannelLike = Union[Dmc, ChannelClassEnvelope]
@@ -78,23 +78,16 @@ class OptimizerConfig:
 class ThresholdParams:
     """Tilt parameters of the decoder's typicality thresholds.
 
-    source "manual" takes rho_tilde and s2 as given; "from_ei" reads rho_tilde
-    off the crossing-exponent argmax against the selected competing pair and
-    sets s2 = rho_tilde / 2, so it takes neither. s1 is always
-    1 - s2 / rho_tilde.
+    Given neither tilt, rho_tilde is read off the crossing-exponent argmax
+    against the selected competing pair and s2 = rho_tilde / 2; given both,
+    they set the thresholds by hand. s1 is always 1 - s2 / rho_tilde.
     """
 
     rho_tilde: Optional[float] = None
     s2: Optional[float] = None
-    source: str = "from_ei"
 
     def __post_init__(self):
-        if self.source not in ("manual", "from_ei"):
-            raise ValidationError(f"source must be 'manual' or 'from_ei', got {self.source!r}")
-        if self.source == "from_ei":
-            if self.rho_tilde is not None or self.s2 is not None:
-                raise ValidationError(
-                    "rho_tilde and s2 need threshold_source = manual")
+        if self.rho_tilde is None and self.s2 is None:
             return
         if self.rho_tilde is None or self.s2 is None:
             raise ValidationError("manual thresholds need rho_tilde and s2")
@@ -134,12 +127,12 @@ class ExponentQuery:
     def __post_init__(self):
         k = self.true_channel.num_users
         if self.comp_channel.num_users != k:
-            raise DimensionMismatch("true and competing channels differ in user count")
+            raise ValidationError("true and competing channels differ in user count")
         if self.true_channel.input_size != self.comp_channel.input_size or \
                 self.true_channel.output_size != self.comp_channel.output_size:
-            raise DimensionMismatch("true and competing channels differ in alphabet size")
+            raise ValidationError("true and competing channels differ in alphabet size")
         if self.rate_table.num_users != k:
-            raise DimensionMismatch("rate table user count differs from channel")
+            raise ValidationError("rate table user count differs from channel")
         self.true_rates.check_against(self.rate_table)
         self.comp_rates.check_against(self.rate_table)
         for u in self.subset:
@@ -148,7 +141,7 @@ class ExponentQuery:
         if len(self.subset) >= k:
             raise ValidationError("subset must be a proper subset of the users")
         if not self.comp_rates.agrees_on(self.true_rates, self.subset):
-            raise ConstraintViolation(
+            raise ValidationError(
                 "competing rate vector must match the true one on the subset"
             )
         if isinstance(self.true_channel, Dmc) != isinstance(self.comp_channel, Dmc):
@@ -168,7 +161,7 @@ def law_block(laws: InputLaws, users, rates: RateVectorIndex, k: int,
     for u in users:
         vec = safe_log(laws.law(u, rates.index(u)))
         if vec.shape != (a,):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"law for user {u} has length {vec.shape[0]}, expected {a}"
             )
         shape = [1] * (k + 1)

@@ -15,11 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .channels import CompoundSet, InputLaws, RateTable, RateVectorIndex
-from .errors import (
-    C1Violation,
-    SearchSpaceTooLarge,
-    ValidationError,
-)
+from .errors import GuardExceeded, ValidationError
 from .infometrics import conditional_mi
 
 PARTITION_GUARD = 10 ** 6
@@ -174,7 +170,7 @@ def c1_check(region: OperationRegion, envelopes: Sequence) -> C1Report:
 def require_c1(region: OperationRegion, envelopes: Sequence) -> OperationRegion:
     report = c1_check(region, envelopes)
     if not report.passed:
-        raise C1Violation(
+        raise ValidationError(
             f"{len(report.violations)} rate/class pairs are split by the region; "
             f"first: {report.violations[0]!r}"
         )
@@ -242,7 +238,7 @@ def enumerate_partitions(region: OperationRegion, user: int,
     """All assignments of members to decoded sets containing `user`.
 
     The count is (number of admissible sets) ** len(region); anything past
-    PARTITION_GUARD raises SearchSpaceTooLarge before any work. An empty region has
+    PARTITION_GUARD raises GuardExceeded before any work. An empty region has
     one assignment, the empty one.
     """
     if not 1 <= user <= num_users:
@@ -250,7 +246,7 @@ def enumerate_partitions(region: OperationRegion, user: int,
     choices = subsets_containing(user, num_users)
     total = len(choices) ** len(region.members) if region.members else 1
     if total > PARTITION_GUARD:
-        raise SearchSpaceTooLarge(
+        raise GuardExceeded(
             f"{total} assignments exceed the enumeration guard {PARTITION_GUARD}"
         )
 

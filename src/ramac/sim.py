@@ -50,7 +50,7 @@ from .channels import (
     RateTable,
     RateVectorIndex,
 )
-from .errors import EnumerationTooLarge, TooManyCodewords, ValidationError
+from .errors import GuardExceeded, ValidationError
 from .exponents import (
     OptimizerConfig,
     ThresholdParams,
@@ -170,8 +170,6 @@ class CodebookSet:
     the input alphabet.
     """
 
-    seed: int
-    n: int
     entries: Mapping
 
     def codeword(self, user: int, rate_idx: int, message: int) -> np.ndarray:
@@ -183,11 +181,11 @@ def _guard_codewords(table: RateTable, n: int) -> None:
              for i in range(1, table.num_classes + 1)]
     # one count past the guard alone trips it, before exp can overflow
     if n * max(rates) > math.log(CODEWORD_GUARD + 1):
-        raise TooManyCodewords(f"exp({n} * {max(rates):.9g}) codewords exceed "
-                               f"the guard {CODEWORD_GUARD}")
+        raise GuardExceeded(f"exp({n} * {max(rates):.9g}) codewords exceed "
+                            f"the guard {CODEWORD_GUARD}")
     total = sum(message_count(n, rate) for rate in rates)
     if total > CODEWORD_GUARD:
-        raise TooManyCodewords(f"{total} codewords exceed the guard {CODEWORD_GUARD}")
+        raise GuardExceeded(f"{total} codewords exceed the guard {CODEWORD_GUARD}")
 
 
 def _check_seed(seed: int) -> None:
@@ -218,7 +216,7 @@ def generate_codebooks(table: RateTable, laws: InputLaws, input_size: int,
                                   base, rows[msg])
             rows.flags.writeable = False
             entries[(u, i)] = rows
-    return CodebookSet(seed=seed, n=n, entries=entries)
+    return CodebookSet(entries)
 
 
 @record
@@ -505,7 +503,7 @@ class SlotDecoder:
                     out[key] = None
                     continue
                 o_star, res = best
-                if self.params.source == "manual":
+                if self.params.rho_tilde is not None:
                     rho_tilde, s2 = self.params.rho_tilde, self.params.s2
                 else:
                     rho_tilde, s2 = res.rho_star, res.rho_star / 2.0
@@ -1040,7 +1038,7 @@ def exact_conditional_errors(region: OperationRegion, laws: InputLaws,
     # b ** n > OUTPUT_ENUM_GUARD without building b ** n for a huge n: for
     # b >= 2 any power past the guard's bit length exceeds it
     if b ** min(n, OUTPUT_ENUM_GUARD.bit_length()) > OUTPUT_ENUM_GUARD:
-        raise EnumerationTooLarge(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
+        raise GuardExceeded(f"{b}^{n} output words exceed {OUTPUT_ENUM_GUARD}")
     envelopes = envelopes or ()
     schedule = build_schedule(region, table, compound.ids, envelopes)
     ledger = ExponentLedger(compound if region.mode == "finite" else envelopes,

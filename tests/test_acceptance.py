@@ -227,7 +227,7 @@ def scenario8():
     region = OperationRegion(((RateVectorIndex((1,)), "bsc"),),
                              "finite")
     cw = np.array([[0] * n, [1, 1, 1, 1, 0, 0, 0, 0]])
-    books = CodebookSet(seed=0, n=n, entries={(1, 1): cw})
+    books = CodebookSet({(1, 1): cw})
     return {"p": p, "n": n, "comp": comp, "table": table, "laws": laws,
             "region": region, "cw": cw, "books": books}
 

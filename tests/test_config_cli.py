@@ -18,8 +18,7 @@ from ramac import config as cfgmod
 from ramac.channels import (CompoundSet, RateTable, RateVectorIndex,
                             validate_dmc)
 from ramac.cli import main
-from ramac.errors import (C1Violation, ConfigParseError, SchemaViolation,
-                          ValidationError)
+from ramac.errors import ValidationError
 from ramac.exponents import OptimizerConfig
 from ramac.regions import OperationRegion, feasibility_check
 
@@ -135,79 +134,85 @@ def test_load_config_happy_path(tmp_path):
     assert cfg.defaults.trials == 50
     assert cfg.optimizer.rho_grid_size == 10
     assert cfg.optimizer.refinement_rounds == 1
-    assert cfg.thresholds.source == "from_ei"
+    assert cfg.thresholds == ramac.ThresholdParams()
 
 
 def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     text = PAIR_CFG + "\n[laws]\nu1r1 = 0.7 0.3\n"
     text = text.replace("refinement_rounds = 1",
-                        "refinement_rounds = 1\nthreshold_source = manual\n"
-                        "rho_tilde = 0.5\ns2 = 0.2")
+                        "refinement_rounds = 1\nrho_tilde = 0.5\ns2 = 0.2")
     cfg = cfgmod.load_config(_write(tmp_path, text))
     assert cfg.law_overrides == (((1, 1), (0.7, 0.3)),)
-    assert cfg.thresholds.source == "manual"
-    assert cfg.thresholds.rho_tilde == 0.5
+    assert cfg.thresholds == ramac.ThresholdParams(rho_tilde=0.5, s2=0.2)
     system = cfgmod.build_system(cfg)
     assert np.allclose(system.laws.law(1, 1), [0.7, 0.3])
 
 
-@pytest.mark.parametrize("mutate, exc", [
-    (lambda t: t.replace("[scenario]\n", "[intro]\n"), SchemaViolation),
-    (lambda t: t.replace("input_size = 2\n", ""), SchemaViolation),
-    (lambda t: t.replace("mode = finite", "mode = open"), SchemaViolation),
+@pytest.mark.parametrize("mutate, match", [
+    (lambda t: t.replace("[scenario]\n", "[intro]\n"), r"missing \[scenario\]"),
+    (lambda t: t.replace("input_size = 2\n", ""), "needs input_size and output_size"),
+    (lambda t: t.replace("mode = finite", "mode = open"), "mode must be finite or class"),
     (lambda t: t.replace("0.95 0.05; 0.05 0.95", "0.95 0.05"),
-     SchemaViolation),
+     "expected 2 rows, got 1"),
     (lambda t: t.replace("0.95 0.05;", "0.95 0.05 0.1;"),
-     SchemaViolation),
-    (lambda t: t.replace("0.95", "ninety"), ConfigParseError),
+     "expected 2 entries, got 3"),
+    (lambda t: t.replace("0.95", "ninety"), "'ninety' is not a decimal number"),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:ugly"),
-     SchemaViolation),
+     "undefined channel or class id 'ugly'"),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 3:good"),
-     SchemaViolation),
+     r"rate index 3 outside 1\.\.1"),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1good"),
-     ConfigParseError),
+     "needs the form"),
     (lambda t: t.replace("pairs = 1:good 1:bad",
                          "pairs = 1:good\nmaximal = yes"),
-     SchemaViolation),
-    (lambda t: t.replace("pairs = 1:good 1:bad", ""), SchemaViolation),
+     r"\[region\]: unrecognized key 'maximal'"),
+    (lambda t: t.replace("pairs = 1:good 1:bad", ""), "needs a pairs list"),
     # the maximal region is an absent [region] section, not a key
     (lambda t: t.replace("pairs = 1:good 1:bad", "maximal = yes"),
-     SchemaViolation),
-    (lambda t: t.replace("user1 = 0.1\n", ""), SchemaViolation),
-    (lambda t: t.replace("n = 8", "n = eight"), ConfigParseError),
-    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", SchemaViolation),
-    (lambda t: t + "\n[laws]\ndefault = uniform\n", SchemaViolation),
-    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", SchemaViolation),
-    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", SchemaViolation),
+     r"\[region\]: unrecognized key 'maximal'"),
+    (lambda t: t.replace("user1 = 0.1\n", ""), r"\[rates\] missing user1"),
+    (lambda t: t.replace("n = 8", "n = eight"), "n must be an integer"),
+    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", "unrecognized key 'zebra'"),
+    (lambda t: t + "\n[laws]\ndefault = uniform\n", "unrecognized key 'default'"),
+    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", "u1r1: expected 2 entries"),
+    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", "'u9r1' out of range"),
     # keys a section does not define, misspelt or retired
-    (lambda t: t.replace("users = 1", "user = 1"), SchemaViolation),
+    (lambda t: t.replace("users = 1", "user = 1"), "unrecognized key 'user'"),
     (lambda t: t.replace("user1 = 0.1", "user1 = 0.1\nuser2 = 0.1"),
-     SchemaViolation),
+     "unrecognized key 'user2'"),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
-     SchemaViolation),
-    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), SchemaViolation),
+     "unrecognized key 'max'"),
+    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), "unrecognized key 's_gird'"),
     # partition flags have no [defaults] keys
-    (lambda t: t + "partition_user = 2\n", SchemaViolation),
+    (lambda t: t + "partition_user = 2\n", "unrecognized key 'partition_user'"),
+    # the tilts alone say whether thresholds are manual
+    (lambda t: t + "threshold_source = from_ei\n",
+     "unrecognized key 'threshold_source'"),
+    (lambda t: t + "rho_tilde = 0.5\n", "manual thresholds need rho_tilde and s2"),
     # an optimiser grid that would probe 10**10 points
     (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
-        "s_grid = 10", "s_grid = 100000"), ValidationError),
-    (lambda t: t + "batch_size = 64\n", SchemaViolation),
-    (lambda t: t.replace("seed = 3", "seed = -2"), SchemaViolation),
-    (lambda t: t.replace("trials = 50", "trials = 0"), SchemaViolation),
+        "s_grid = 10", "s_grid = 100000"), "probes an optimisation"),
+    (lambda t: t + "batch_size = 64\n", "unrecognized key 'batch_size'"),
+    (lambda t: t.replace("seed = 3", "seed = -2"), "seed must be >= 0"),
+    (lambda t: t.replace("trials = 50", "trials = 0"), "trials must be >= 1"),
     # sections the schema does not define, and unknown channel or class keys
-    (lambda t: t.replace("[defaults]", "[default]"), SchemaViolation),
-    (lambda t: t.replace("[defaults]", "[DEFAULT]"), SchemaViolation),
+    (lambda t: t.replace("[defaults]", "[default]"), r"unrecognized section \[default\]"),
+    (lambda t: t.replace("[defaults]", "[DEFAULT]"), r"^\[DEFAULT\]"),
     (lambda t: t.replace("[channel bad]\n", "[channel bad]\nrow = 1 0; 0 1\n"),
-     SchemaViolation),
+     "unrecognized key 'row'"),
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
-                         "[rates]"), SchemaViolation),
+                         "[rates]"), "unrecognized key 'member'"),
     # a channel in two classes
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good bad\n\n"
                          "[class j]\nmembers = bad\n\n[rates]"),
-     SchemaViolation),
+     "appears in two classes"),
+    # a name that is no plain file name would put records outside --out-dir
+    *[(lambda t, name=name: t.replace("name = pair", f"name = {name}"),
+       "must be a plain file name")
+      for name in ("", ".", "..", "../escaped", "a/b")],
 ])
-def test_load_config_rejections(tmp_path, mutate, exc):
-    with pytest.raises(exc):
+def test_load_config_rejections(tmp_path, mutate, match):
+    with pytest.raises(ValidationError, match=match):
         cfgmod.load_config(_write(tmp_path, mutate(PAIR_CFG)))
 
 
@@ -215,7 +220,7 @@ def test_load_config_names_a_DEFAULT_section(tmp_path):
     # configparser copies [DEFAULT] keys into every section; the error must
     # name [DEFAULT], not the first section that received a copy
     text = PAIR_CFG.replace("[defaults]", "[DEFAULT]")
-    with pytest.raises(SchemaViolation, match=r"^\[DEFAULT\]"):
+    with pytest.raises(ValidationError, match=r"^\[DEFAULT\]"):
         cfgmod.load_config(_write(tmp_path, text))
 
 
@@ -234,7 +239,7 @@ def test_defaults_schema_maps_each_key_to_one_field(tmp_path):
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(ValidationError, match="config file not found"):
         cfgmod.load_config(str(tmp_path / "absent.cfg"))
 
 
@@ -356,7 +361,7 @@ def test_build_system_class_mode_maximal_region(tmp_path):
     # 0.35 nats is below the good channel's capacity and above the bad one's
     split = _write(tmp_path, maximal.replace("user1 = 0.1", "user1 = 0.35"),
                    "split.cfg")
-    with pytest.raises(C1Violation):
+    with pytest.raises(ValidationError, match="split by the region"):
         cfgmod.build_system(cfgmod.load_config(split))
 
 
@@ -556,7 +561,7 @@ def test_cli_sweep_rejects_malformed_spans(tmp_path, monkeypatch, capsys, span):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = _write(tmp_path, PAIR_CFG.replace("1:bad", "1:worse"), "bad.cfg")
     assert _run(["bound", "--config", bad]) == 2
     assert _run(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -585,7 +590,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _run(["simulate", "--config", hot, "--N", "20", "--no-bound",
                  "--trials", "5"]) == 3
     assert "guard" in capsys.readouterr().err
-    capsys.readouterr()
+
+    def broken(args, system):
+        raise RuntimeError("a defect")
+
+    monkeypatch.setattr(ramac.cli, "_cmd_bound", broken)
+    assert _run(["bound", "--config", pair, "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: a defect\n"
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped"])
+def test_cli_scenario_name_stays_in_out_dir(name, tmp_path, capsys):
+    """The scenario name is the stem of the record files, so a name that is
+    no plain file name exits 2 before anything is written, in --out-dir or
+    out of it."""
+    cfg = _write(tmp_path, PAIR_CFG.replace("name = pair", f"name = {name}"))
+    assert _run(["bound", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "must be a plain file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.cfg"]
 
 
 def test_cli_size_guards_before_work(tmp_path, capsys):
@@ -662,10 +684,9 @@ def _script_main(script):
 def test_bound_vs_simulation_reads_config_thresholds(tmp_path, capsys):
     """The script's empirical column is `ramac simulate`'s system error under
     the scenario's own thresholds, here manual ones that gate differently
-    from the from_ei default."""
+    from the tilts the crossing exponents give."""
     text = (ROOT / "examples_cfg" / "bsc_gate.cfg").read_text()
-    cfg = _write(tmp_path, text + "threshold_source = manual\n"
-                 "rho_tilde = 0.1\ns2 = 0.05\n")
+    cfg = _write(tmp_path, text + "rho_tilde = 0.1\ns2 = 0.05\n")
     out = str(tmp_path)
     assert _script_main("bound_vs_simulation.py")(
         [cfg, "--N", "16:16:16", "--trials", "200", "--out-dir", out]) == 0
@@ -677,9 +698,9 @@ def test_bound_vs_simulation_reads_config_thresholds(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", ["8:x:16", "0:8:16", "20:8:12"])
+@pytest.mark.parametrize("text", ["8:x:16", "0:8:16", "20:8:12", "1:1:100000000"])
 def test_bound_vs_simulation_rejects_bad_spans(text, tmp_path, capsys):
-    """A malformed, non-positive or empty span exits 2 while the arguments
+    """A malformed, non-positive, empty or over-long span exits 2 while the arguments
     are parsed, before the config is read: the config path here does not
     exist."""
     with pytest.raises(SystemExit) as info:
@@ -687,6 +708,18 @@ def test_bound_vs_simulation_rejects_bad_spans(text, tmp_path, capsys):
             [str(tmp_path / "missing.cfg"), "--N", text])
     assert info.value.code == 2
     assert "argument --N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["bound_vs_simulation.py",
+                                    "threshold_sensitivity.py"])
+@pytest.mark.parametrize("flag, text", [("--trials", "0"), ("--seed", "-1")])
+def test_experiment_scripts_reject_bad_flags(script, flag, text, tmp_path, capsys):
+    """No trials or a negative seed exits 2 while the arguments are parsed,
+    before the config is read: the config path here does not exist."""
+    with pytest.raises(SystemExit) as info:
+        _script_main(script)([str(tmp_path / "missing.cfg"), flag, text])
+    assert info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_threshold_sensitivity_zero_n_is_rejected(tmp_path, capsys):

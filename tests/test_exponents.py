@@ -13,7 +13,7 @@ from oracles import (ei_objective_direct, em_objective_direct,
                      gallager_exponent_sweep, probe_rows)
 from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
                             RateVectorIndex)
-from ramac.errors import ConstraintViolation, ValidationError
+from ramac.errors import ValidationError
 from ramac.exponents import ExponentQuery, OptimizerConfig
 from ramac.sim import build_threshold_tables
 
@@ -66,7 +66,7 @@ def test_mismatched_subset_rates_rejected():
     ch = random_dmc(rng, 2, 2, 2)
     t = RateVectorIndex((1, 1))
     c = RateVectorIndex((2, 1))
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ValidationError, match="must match the true one"):
         ExponentQuery(frozenset({1}), t, ch, c, ch, laws, table)
     # agreement outside the subset is not required
     ExponentQuery(frozenset({2}), t, ch, c, ch, laws, table)

@@ -16,7 +16,7 @@ import pytest
 import ramac
 from ramac import config as cfgmod
 from ramac.channels import Dmc, RateVectorIndex
-from ramac.errors import DimensionMismatch, ValidationError
+from ramac.errors import ValidationError
 from ramac.exponents import ExponentResult, OptimizerConfig
 from ramac.sim import Z99
 
@@ -77,7 +77,7 @@ def test_identity_record_equality_and_hash():
     assert np.array_equal(a.probs, b.probs)
     assert repr(a).startswith("Dmc(num_users=1, input_size=2, output_size=2, "
                               "probs=array(")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="probs shape"):
         Dmc(1, 2, 3, probs)
 
 
@@ -193,6 +193,31 @@ def test_public_names_resolve_lazily():
     code = ("import sys, ramac; print('ramac.sim' in sys.modules, "
             "ramac.sim.__name__, ramac.estimate_errors.__module__)")
     assert _fresh_python(code) == "False ramac.sim ramac.sim"
+
+
+# What the package may raise: its two errors, one per CLI exit code (2 and
+# 3), TypeError from the record constructors and writer, and AttributeError
+# from frozen records and the package's lazy __getattr__.
+RAISABLE = {"ValidationError", "GuardExceeded", "TypeError", "AttributeError"}
+
+
+def test_package_raises_only_its_two_errors():
+    """ramac.errors holds exactly the two errors, each a plain Exception, and
+    every raise under src/ramac names one of RAISABLE or re-raises."""
+    import ramac.errors as errors
+    classes = {name for name, obj in vars(errors).items() if inspect.isclass(obj)}
+    assert classes == {"ValidationError", "GuardExceeded"}
+    assert errors.ValidationError.__bases__ == (Exception,)
+    assert errors.GuardExceeded.__bases__ == (Exception,)
+    raised = set()
+    for path in sorted((ROOT / "src" / "ramac").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+                assert name in RAISABLE, (path.name, node.lineno, name)
+                raised.add(name)
+    assert raised == RAISABLE
 
 
 def _ramac_reads(path):

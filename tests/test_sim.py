@@ -17,7 +17,7 @@ from oracles import (exact_errors_by_chunks, pairwise_tail, scalar_decode,
 from ramac import config as cfgmod
 from ramac.channels import (CompoundSet, Dmc, InputLaws, RateTable,
                             RateVectorIndex, validate_dmc)
-from ramac.errors import EnumerationTooLarge, TooManyCodewords, ValidationError
+from ramac.errors import GuardExceeded, ValidationError
 from ramac.exponents import OptimizerConfig
 from ramac.regions import OperationRegion
 from ramac.sim import (Z99, CodebookSet, build_schedule,
@@ -141,7 +141,7 @@ def test_random_is_shifted_raw_philox_words():
 def test_codebook_guard():
     table = RateTable(((math.log(2e6),),))
     laws = uniform_laws(table, 2)
-    with pytest.raises(TooManyCodewords):
+    with pytest.raises(GuardExceeded, match="codewords exceed"):
         generate_codebooks(table, laws, 2, 1, seed=0)
 
 
@@ -152,9 +152,9 @@ def test_codebook_guard_before_overflow():
     laws = uniform_laws(table, 2)
     comp, _, _, region = _k1([0.1], (0.05, 0.1))
     for n in (140, 10000, 10 ** 9):
-        with pytest.raises(TooManyCodewords):
+        with pytest.raises(GuardExceeded, match="codewords exceed"):
             generate_codebooks(table, laws, 2, n, seed=0)
-        with pytest.raises(TooManyCodewords):
+        with pytest.raises(GuardExceeded, match="codewords exceed"):
             ramac.estimate_errors(region, comp, _ledger(comp, laws, table), n,
                                   10, 0)
 
@@ -175,10 +175,10 @@ def test_guards_trip_before_any_exponent(name, monkeypatch):
         monkeypatch.setattr(ramac.bounds, attr, optimised)
     ledger = ramac.ExponentLedger(system.channels, system.laws, system.table,
                                   system.cfg.optimizer)
-    with pytest.raises(TooManyCodewords):
+    with pytest.raises(GuardExceeded, match="codewords exceed"):
         ramac.SlotDecoder(system.region, ledger, 10000)
     for n in (40, 10000, 10 ** 12):
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(GuardExceeded, match="output words exceed"):
             ramac.exact_conditional_errors(system.region, system.laws,
                                            system.table, n,
                                            compound=system.compound)
@@ -231,21 +231,15 @@ def test_negative_seed_and_no_codebook_samples_rejected_before_exponents(
 
 
 def test_threshold_params_validation():
-    ramac.ThresholdParams()  # from_ei defaults are fine
-    ramac.ThresholdParams(rho_tilde=0.5, s2=0.2, source="manual")
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(source="manual")
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(rho_tilde=0.5, s2=0.5, source="manual")
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(rho_tilde=1.5, s2=0.2, source="manual")
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(s2=0.2)
-    # tilts are for manual thresholds only; from_ei sets them itself
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(rho_tilde=1.0, s2=0.95)
-    with pytest.raises(ValidationError):
-        ramac.ThresholdParams(rho_tilde=0.5)
+    ramac.ThresholdParams()  # neither tilt: both from the crossing exponent
+    ramac.ThresholdParams(rho_tilde=0.5, s2=0.2)  # both: manual
+    for one in ({"rho_tilde": 0.5}, {"s2": 0.2}):
+        with pytest.raises(ValidationError, match="need rho_tilde and s2"):
+            ramac.ThresholdParams(**one)
+    with pytest.raises(ValidationError, match="s2 must lie in"):
+        ramac.ThresholdParams(rho_tilde=0.5, s2=0.5)
+    with pytest.raises(ValidationError, match="rho_tilde must lie in"):
+        ramac.ThresholdParams(rho_tilde=1.5, s2=0.2)
 
 
 def test_threshold_matches_hand_formula():
@@ -324,11 +318,9 @@ def test_score_tie_collides_and_perturbation_decodes():
     comp, table, laws, region = _k1([0.1], (math.log(2) / 4,))
     decoder = ramac.SlotDecoder(region, _ledger(comp, laws, table), 4)
     y = np.zeros(4, dtype=np.int64)
-    tied = CodebookSet(seed=0, n=4, entries={
-        (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
+    tied = CodebookSet({(1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 0]])})
     assert decoder.decode(y, tied) is None
-    split = CodebookSet(seed=0, n=4, entries={
-        (1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 1]])})
+    split = CodebookSet({(1, 1): np.array([[0, 0, 1, 1], [1, 1, 0, 1]])})
     assert decoder.decode(y, split) == ((0,), RateVectorIndex((1,)), "c")
 
 
@@ -494,7 +486,7 @@ def test_batched_decisions_match_scalar_decode():
             label = f"K={k} {mode} {'fresh' if fresh else 'frozen'}"
             rates_decoded = set()
             for t in range(trials):
-                cb = CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+                cb = CodebookSet({key: v[t] for key, v in books.items()})
                 oracle = scalar_decode(decoder, ys[t], cb)
                 want = (-1, -1)
                 if oracle is not None:
@@ -560,7 +552,7 @@ def test_cell_counts_match_the_scalar_oracle(k, a, b, n, monkeypatch):
     ys = _send(rng, comp, decoder, books, trials)
     want = []
     for t in range(trials):
-        cb = CodebookSet(0, n, {key: v[t] for key, v in books.items()})
+        cb = CodebookSet({key: v[t] for key, v in books.items()})
         oracle = scalar_decode(decoder, ys[t], cb)
         want.append((-1, -1) if oracle is None else (
             decoder.group_ids(oracle[1], np.array([oracle[0]]))[0],
@@ -582,7 +574,7 @@ def _oracle_decisions(decoder, ys, books):
     arrays, -1 on a collision."""
     want = []
     for t in range(len(ys)):
-        cb = CodebookSet(0, decoder.n, {key: v[t] for key, v in books.items()})
+        cb = CodebookSet({key: v[t] for key, v in books.items()})
         oracle = scalar_decode(decoder, ys[t], cb)
         want.append((-1, -1) if oracle is None else (
             decoder.group_ids(oracle[1], np.array([oracle[0]]))[0],
@@ -667,7 +659,7 @@ def test_class_top_tie_lifted_by_rounding_collides():
     top = rival.max()
     assert list(np.flatnonzero(rival[:, 0] == top)) == [0, 3]
     assert (tested[[0, 3], 0] > top).all()
-    cb = CodebookSet(0, n, {(1, 1): rows})
+    cb = CodebookSet({(1, 1): rows})
     assert scalar_decode(decoder, y, cb) is None
     assert decoder.decode(y, cb) is None
 
@@ -994,7 +986,7 @@ def test_unused_codebook_keys_are_not_drawn():
 
 def test_exact_enumeration_guard():
     comp, table, laws, region = _k1([0.1], (0.0,))
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(GuardExceeded, match="output words exceed"):
         ramac.exact_conditional_errors(region, laws, table, 21, compound=comp,
                                        cfg=TINY_OPT)
 
@@ -1003,8 +995,7 @@ def test_exact_two_codeword_case_matches_binomial_tail():
     p = 0.1
     n = 8
     comp, table, laws, region = _k1([p], (math.log(2) / n,))
-    cb = CodebookSet(seed=0, n=n, entries={
-        (1, 1): np.array([[0] * n, [1, 1, 1, 1, 0, 0, 0, 0]])})
+    cb = CodebookSet({(1, 1): np.array([[0] * n, [1, 1, 1, 1, 0, 0, 0, 0]])})
     exact = ramac.exact_conditional_errors(region, laws, table, n,
                                            compound=comp, codebooks=cb,
                                            cfg=TINY_OPT)
