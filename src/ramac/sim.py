@@ -163,11 +163,11 @@ def _ordered_dot(terms, weights, out: Optional[np.ndarray] = None,
 class CodebookSet:
     """Frozen codebooks, one (messages, n) symbol array per (user, rate index).
 
-    Every codeword is addressable: codeword m of (user, rate) is drawn from
-    the Philox stream keyed SeedSequence(seed, spawn_key=(user, rate, m)), so
-    any single entry regenerates bit-identically without the rest.
-    generate_codebooks stores the symbols in the narrowest unsigned dtype of
-    the input alphabet.
+    Every codeword is addressable: generate_codebooks draws codeword m of
+    (user, rate) from the Philox stream keyed SeedSequence(seed,
+    spawn_key=(user, rate, m)), so any single entry regenerates
+    bit-identically without the rest. It stores the symbols in the narrowest
+    unsigned dtype of the input alphabet.
     """
 
     entries: Mapping

@@ -148,69 +148,82 @@ def test_load_config_law_overrides_and_manual_thresholds(tmp_path):
     assert np.allclose(system.laws.law(1, 1), [0.7, 0.3])
 
 
-@pytest.mark.parametrize("mutate, match", [
-    (lambda t: t.replace("[scenario]\n", "[intro]\n"), r"missing \[scenario\]"),
-    (lambda t: t.replace("input_size = 2\n", ""), "needs input_size and output_size"),
-    (lambda t: t.replace("mode = finite", "mode = open"), "mode must be finite or class"),
+# (mutation of PAIR_CFG, the message it must raise, case label); a case's id
+# is "<lambda>-<label>". The first 32 cases keep the labels they had when
+# each named the error class it expected (S a schema break, P a value that
+# does not parse), so that no case changes its id. Later cases are labelled
+# by what they check.
+S, P = "SchemaViolation", "ConfigParseError"
+REJECTIONS = [
+    (lambda t: t.replace("[scenario]\n", "[intro]\n"), r"missing \[scenario\]", S),
+    (lambda t: t.replace("input_size = 2\n", ""), "needs input_size and output_size", S),
+    (lambda t: t.replace("mode = finite", "mode = open"), "mode must be finite or class", S),
     (lambda t: t.replace("0.95 0.05; 0.05 0.95", "0.95 0.05"),
-     "expected 2 rows, got 1"),
+     "expected 2 rows, got 1", S),
     (lambda t: t.replace("0.95 0.05;", "0.95 0.05 0.1;"),
-     "expected 2 entries, got 3"),
-    (lambda t: t.replace("0.95", "ninety"), "'ninety' is not a decimal number"),
+     "expected 2 entries, got 3", S),
+    (lambda t: t.replace("0.95", "ninety"), "'ninety' is not a decimal number", P),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:ugly"),
-     "undefined channel or class id 'ugly'"),
+     "undefined channel or class id 'ugly'", S),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 3:good"),
-     r"rate index 3 outside 1\.\.1"),
+     r"rate index 3 outside 1\.\.1", S),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1good"),
-     "needs the form"),
+     "needs the form", P),
     (lambda t: t.replace("pairs = 1:good 1:bad",
                          "pairs = 1:good\nmaximal = yes"),
-     r"\[region\]: unrecognized key 'maximal'"),
-    (lambda t: t.replace("pairs = 1:good 1:bad", ""), "needs a pairs list"),
+     r"\[region\]: unrecognized key 'maximal'", S),
+    (lambda t: t.replace("pairs = 1:good 1:bad", ""), "needs a pairs list", S),
     # the maximal region is an absent [region] section, not a key
     (lambda t: t.replace("pairs = 1:good 1:bad", "maximal = yes"),
-     r"\[region\]: unrecognized key 'maximal'"),
-    (lambda t: t.replace("user1 = 0.1\n", ""), r"\[rates\] missing user1"),
-    (lambda t: t.replace("n = 8", "n = eight"), "n must be an integer"),
-    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", "unrecognized key 'zebra'"),
-    (lambda t: t + "\n[laws]\ndefault = uniform\n", "unrecognized key 'default'"),
-    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", "u1r1: expected 2 entries"),
-    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", "'u9r1' out of range"),
+     r"\[region\]: unrecognized key 'maximal'", S),
+    (lambda t: t.replace("user1 = 0.1\n", ""), r"\[rates\] missing user1", S),
+    (lambda t: t.replace("n = 8", "n = eight"), "n must be an integer", P),
+    (lambda t: t + "\n[laws]\nzebra = 0.5 0.5\n", "unrecognized key 'zebra'", S),
+    (lambda t: t + "\n[laws]\ndefault = uniform\n", "unrecognized key 'default'", S),
+    (lambda t: t + "\n[laws]\nu1r1 = 0.5\n", "u1r1: expected 2 entries", S),
+    (lambda t: t + "\n[laws]\nu9r1 = 0.5 0.5\n", "'u9r1' out of range", S),
     # keys a section does not define, misspelt or retired
-    (lambda t: t.replace("users = 1", "user = 1"), "unrecognized key 'user'"),
+    (lambda t: t.replace("users = 1", "user = 1"), "unrecognized key 'user'", S),
     (lambda t: t.replace("user1 = 0.1", "user1 = 0.1\nuser2 = 0.1"),
-     "unrecognized key 'user2'"),
+     "unrecognized key 'user2'", S),
     (lambda t: t.replace("pairs = 1:good 1:bad", "pairs = 1:good 1:bad\nmax = no"),
-     "unrecognized key 'max'"),
-    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), "unrecognized key 's_gird'"),
+     "unrecognized key 'max'", S),
+    (lambda t: t.replace("s_grid = 10", "s_gird = 10"), "unrecognized key 's_gird'", S),
     # partition flags have no [defaults] keys
-    (lambda t: t + "partition_user = 2\n", "unrecognized key 'partition_user'"),
-    # the tilts alone say whether thresholds are manual
-    (lambda t: t + "threshold_source = from_ei\n",
-     "unrecognized key 'threshold_source'"),
-    (lambda t: t + "rho_tilde = 0.5\n", "manual thresholds need rho_tilde and s2"),
+    (lambda t: t + "partition_user = 2\n", "unrecognized key 'partition_user'", S),
     # an optimiser grid that would probe 10**10 points
     (lambda t: t.replace("rho_grid = 10", "rho_grid = 100000").replace(
-        "s_grid = 10", "s_grid = 100000"), "probes an optimisation"),
-    (lambda t: t + "batch_size = 64\n", "unrecognized key 'batch_size'"),
-    (lambda t: t.replace("seed = 3", "seed = -2"), "seed must be >= 0"),
-    (lambda t: t.replace("trials = 50", "trials = 0"), "trials must be >= 1"),
+        "s_grid = 10", "s_grid = 100000"), "probes an optimisation", "ValidationError"),
+    (lambda t: t + "batch_size = 64\n", "unrecognized key 'batch_size'", S),
+    (lambda t: t.replace("seed = 3", "seed = -2"), "seed must be >= 0", S),
+    (lambda t: t.replace("trials = 50", "trials = 0"), "trials must be >= 1", S),
     # sections the schema does not define, and unknown channel or class keys
-    (lambda t: t.replace("[defaults]", "[default]"), r"unrecognized section \[default\]"),
-    (lambda t: t.replace("[defaults]", "[DEFAULT]"), r"^\[DEFAULT\]"),
+    (lambda t: t.replace("[defaults]", "[default]"), r"unrecognized section \[default\]", S),
+    (lambda t: t.replace("[defaults]", "[DEFAULT]"), r"^\[DEFAULT\]", S),
     (lambda t: t.replace("[channel bad]\n", "[channel bad]\nrow = 1 0; 0 1\n"),
-     "unrecognized key 'row'"),
+     "unrecognized key 'row'", S),
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good\nmember = bad\n\n"
-                         "[rates]"), "unrecognized key 'member'"),
+                         "[rates]"), "unrecognized key 'member'", S),
     # a channel in two classes
     (lambda t: t.replace("[rates]", "[class k]\nmembers = good bad\n\n"
                          "[class j]\nmembers = bad\n\n[rates]"),
-     "appears in two classes"),
+     "appears in two classes", S),
+    # the tilts alone say whether thresholds are manual
+    (lambda t: t + "threshold_source = from_ei\n",
+     "unrecognized key 'threshold_source'", "threshold_source"),
+    (lambda t: t + "rho_tilde = 0.5\n", "manual thresholds need rho_tilde and s2",
+     "one_tilt"),
     # a name that is no plain file name would put records outside --out-dir
     *[(lambda t, name=name: t.replace("name = pair", f"name = {name}"),
-       "must be a plain file name")
-      for name in ("", ".", "..", "../escaped", "a/b")],
-])
+       "must be a plain file name", label)
+      for name, label in (("", "empty_name"), (".", "dot_name"), ("..", "dotdot_name"),
+                          ("../escaped", "parent_name"), ("a/b", "slash_name"))],
+]
+
+
+@pytest.mark.parametrize("mutate, match", [
+    pytest.param(mutate, match, id=f"<lambda>-{label}")
+    for mutate, match, label in REJECTIONS])
 def test_load_config_rejections(tmp_path, mutate, match):
     with pytest.raises(ValidationError, match=match):
         cfgmod.load_config(_write(tmp_path, mutate(PAIR_CFG)))
