@@ -35,28 +35,19 @@ def span(text):
     return points
 
 
-def at_least(low):
-    """An argparse type: an integer no smaller than low."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
-        return value
-    return parse
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("config")
     ap.add_argument("--N", type=span, default=span("8:8:48"),
                     metavar="start:step:stop")
-    ap.add_argument("--trials", type=at_least(1), default=20000)
-    ap.add_argument("--seed", type=at_least(0), default=None)
+    ap.add_argument("--trials", type=int, default=20000)
+    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args(argv)
+    if args.trials < 1:
+        ap.error("argument --trials: must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        ap.error("argument --seed: must be >= 0")
 
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     seed = system.cfg.defaults.seed if args.seed is None else args.seed

@@ -44,25 +44,12 @@ def grid(text):
     return out
 
 
-def at_least(low):
-    """An argparse type: an integer no smaller than low."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
-        return value
-    return parse
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("config")
     ap.add_argument("--N", type=int, default=None)
-    ap.add_argument("--trials", type=at_least(1), default=4000)
-    ap.add_argument("--seed", type=at_least(0), default=None)
+    ap.add_argument("--trials", type=int, default=4000)
+    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--rho", type=grid, default="0.2:0.2:1.0",
                     metavar="start:step:stop", help="rho_tilde grid")
     ap.add_argument("--s2-frac", type=grid, default="0.25:0.25:0.75",
@@ -70,6 +57,10 @@ def main(argv=None):
                     help="s2 as a fraction of rho_tilde")
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args(argv)
+    if args.trials < 1:
+        ap.error("argument --trials: must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        ap.error("argument --seed: must be >= 0")
 
     system = cfgmod.build_system(cfgmod.load_config(args.config))
     n = system.cfg.defaults.n if args.N is None else args.N
